@@ -37,12 +37,15 @@ from .solvers import (
     calib_residual,
     jacobian,
     residual,
+    response_probabilities,
     score_mle,
     solve,
+    solve_block,
 )
 from .estimators import (
     EstimateRecord,
     GammaCoefficients,
+    estimating_equation,
     Variant,
     gamma_cal_population,
     gamma_cal_sample,
@@ -60,6 +63,8 @@ from .variance import (
     VarianceEstimate,
     confidence_interval,
     theoretical_variance,
+    var_hat,
+    var_hat_block,
     var_hat_calS,
     var_hat_calU,
     var_hat_ht,

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .designs import DesignSpec, poisson_design, srs_design
-from .estimators import FITTED_VARIANTS, VARIANT_TO_EEKIND, Variant, nwa_estimate
+from .designs import DesignKind, DesignSpec, poisson_design, srs_design
+from .estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
 from .montecarlo import (
     Scenario,
     StudyReport,
@@ -28,8 +28,8 @@ from .montecarlo import (
     write_raw_records,
 )
 from .population import GenConfig, Population, generate_population
-from .solvers import EEKind, EstimatingEquation, SolverControls, solve
-from .variance import var_hat_calS, var_hat_calU, var_hat_mle
+from .solvers import SolverControls, solve
+from .variance import var_hat
 
 __all__ = ["RunConfig", "parse_config", "run_full_study", "main"]
 
@@ -345,37 +345,65 @@ def _run_one_scenario(cfg: RunConfig) -> int:
 
 
 def _read_fit_csv(path: Path):
+    """Parse a unit,pi,r,x...,y file; any malformed or out-of-range value
+    raises ValueError naming its line."""
     lines = [
-        ln for ln in path.read_text().splitlines() if ln.strip() and not ln.startswith("#")
+        (lineno, ln)
+        for lineno, ln in enumerate(path.read_text().splitlines(), start=1)
+        if ln.strip() and not ln.startswith("#")
     ]
-    header = [h.strip() for h in lines[0].split(",")]
+    if not lines:
+        raise ValueError(f"{path} is empty: expected header unit,pi,r,x...,y")
+    header = [h.strip() for h in lines[0][1].split(",")]
     if header[:3] != ["unit", "pi", "r"] or header[-1] != "y" or len(header) < 5:
         raise ValueError(
-            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0]!r}"
+            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0][1]!r}"
         )
-    n_x = len(header) - 4
-    units, pis, rs, xs, ys = [], [], [], [], []
-    for ln in lines[1:]:
+    if len(lines) < 2:
+        raise ValueError(f"{path} has no data rows")
+    width = len(header)
+    units, linenos, numbers = [], [], []
+    for lineno, ln in lines[1:]:
         cells = [c.strip() for c in ln.split(",")]
+        if len(cells) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+        try:
+            # pi, r, the x columns, then y (blank for a nonrespondent)
+            y_cell = float(cells[-1]) if cells[-1] else math.nan
+            numbers.append([float(c) for c in cells[1:-1]] + [y_cell])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         units.append(cells[0])
-        pis.append(float(cells[1]))
-        r = int(cells[2])
-        rs.append(r)
-        xs.append([float(c) for c in cells[3 : 3 + n_x]])
-        y_cell = cells[3 + n_x]
-        if r == 1:
-            if not y_cell:
-                raise ValueError(f"respondent unit {cells[0]} is missing its y value")
-            ys.append(float(y_cell))
-        else:
-            ys.append(float(y_cell) if y_cell else math.nan)
-    pi = np.array(pis)
-    r = np.array(rs, dtype=np.int64)
+        linenos.append(lineno)
+    table = np.array(numbers)
+    pi, r, x, y = table[:, 0], table[:, 1], table[:, 2:-1], table[:, -1]
+    for bad, what in (
+        (~((pi > 0.0) & (pi <= 1.0)), "pi must lie in (0, 1]"),
+        ((r != 0.0) & (r != 1.0), "r must be 0 or 1"),
+        (~np.isfinite(x).all(axis=1), "x values must be finite"),
+        ((r == 1.0) & ~np.isfinite(y), "a respondent needs a finite y value"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"line {linenos[i]}: {what} (unit {units[i]})")
     # The model's first auxiliary is the constant 1; the file carries only the
     # remaining x columns.
-    aux = np.column_stack([np.ones(len(units)), np.array(xs)])
-    y = np.array(ys)
-    return units, pi, r, aux, y
+    aux = np.column_stack([np.ones(len(units)), x])
+    return units, pi, r.astype(np.int64), aux, y
+
+
+def _parse_totals(raw: str, q: int) -> np.ndarray:
+    try:
+        totals = np.array([float(v) for v in raw.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"--totals: {exc}") from None
+    if totals.shape != (q,):
+        raise ValueError(f"--totals needs {q} values (count first, then each x column total)")
+    if not np.all(np.isfinite(totals)):
+        raise ValueError("--totals values must be finite")
+    if totals[0] <= 0.0:
+        raise ValueError("--totals: the population count (first value) must be positive")
+    return totals
 
 
 def _fit_all(
@@ -388,33 +416,23 @@ def _fit_all(
 ):
     fits = {}
     for variant in variants:
-        kind = VARIANT_TO_EEKIND[variant]
-        if kind is EEKind.CAL_POPULATION:
-            if totals is None:
-                continue
-            eq = EstimatingEquation.cal_population(aux, pi, r, totals)
-        elif kind is EEKind.CAL_SAMPLE:
-            eq = EstimatingEquation.cal_sample(aux, pi, r)
-        else:
-            eq = EstimatingEquation.mle(aux, pi, r, survey_weighted=kind is EEKind.MLE_KINVPI)
-        fits[variant] = solve(eq, controls)
+        if variant is Variant.CAL_U and totals is None:
+            continue
+        fits[variant] = solve(estimating_equation(variant, aux, pi, r, totals), controls)
     return fits
 
 
 def _cmd_fit(args, trace: bool = False) -> int:
     path = Path(args.input)
     units, pi, r, aux, y = _read_fit_csv(path)
-    totals = None
-    if args.totals:
-        totals = np.array([float(v) for v in args.totals.split(",")])
-        if totals.shape != (aux.shape[1],):
-            raise ValueError(
-                f"--totals needs {aux.shape[1]} values (count first, then each x column total)"
-            )
+    totals = _parse_totals(args.totals, aux.shape[1]) if args.totals else None
+    variants = FITTED_VARIANTS
     if args.variants:
-        variants = tuple(Variant(v) for v in args.variants.split(","))
-    else:
-        variants = FITTED_VARIANTS
+        names = args.variants.split(",")
+        unknown = sorted(set(names) - {v.value for v in FITTED_VARIANTS})
+        if unknown:
+            raise ValueError(f"--variants: unknown {', '.join(unknown)}")
+        variants = tuple(Variant(v) for v in names)
     controls = SolverControls(trace=True) if trace else SolverControls()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -459,16 +477,8 @@ def _cmd_fit(args, trace: bool = False) -> int:
 def _variance_for_fit(variant, pi_r, x_r, y_r, p_hat_r):
     # A one-shot fit carries no joint-inclusion information; treat the units
     # as independently drawn (Poisson design), which zeroes the pair term.
-    from .designs import DesignKind
-
     design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(np.sum(pi_r)))
-    if variant is Variant.MLE_K1:
-        return var_hat_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=False)
-    if variant is Variant.MLE_KINVPI:
-        return var_hat_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=True)
-    if variant is Variant.CAL_U:
-        return var_hat_calU(design, pi_r, x_r, y_r, p_hat_r)
-    return var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
+    return var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

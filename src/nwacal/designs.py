@@ -72,7 +72,8 @@ class Sample:
     def __post_init__(self):
         idx = np.array(self.indices, dtype=np.int64, copy=True)
         idx.flags.writeable = False
-        if len(np.unique(idx)) != idx.shape[0]:
+        ordered = np.sort(idx)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("sample indices must be distinct")
         pi_s = np.array(self.pi_s, dtype=float, copy=True)
         pi_s.flags.writeable = False
@@ -143,11 +144,12 @@ def draw_sample(design: DesignSpec, seed: int) -> Sample:
     N = design.size
     if design.kind is DesignKind.SRSWOR:
         n = int(round(design.n_target))
-        idx = np.arange(N)
-        for i in range(n):
-            j = int(rng.integers(i, N))
+        # One call draws the same stream as rng.integers(i, N) for i = 0..n-1;
+        # only the swaps stay sequential.
+        idx = list(range(N))
+        for i, j in enumerate(rng.integers(np.arange(n), N).tolist()):
             idx[i], idx[j] = idx[j], idx[i]
-        chosen = np.sort(idx[:n])
+        chosen = np.sort(np.array(idx[:n], dtype=np.int64))
     else:
         u = rng.random(N)
         chosen = np.nonzero(u < design.pi)[0]

@@ -19,11 +19,12 @@ import numpy as np
 from .population import Population
 from .designs import Sample
 from .response import RespondentSet
-from .solvers import EEKind, FitNotConvergedError, FitResult
+from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult
 
 __all__ = [
     "Variant",
     "EstimateRecord",
+    "estimating_equation",
     "GammaCoefficients",
     "ht_estimate",
     "two_phase_estimate",
@@ -56,6 +57,19 @@ VARIANT_TO_EEKIND = {
     Variant.CAL_U: EEKind.CAL_POPULATION,
     Variant.CAL_S: EEKind.CAL_SAMPLE,
 }
+
+
+def estimating_equation(
+    variant: Variant, x_s, pi_s, r, population_totals=None
+) -> EstimatingEquation:
+    """The estimating equation that fits a variant's response probabilities
+    over one sample; population-level calibration needs the totals."""
+    kind = VARIANT_TO_EEKIND[variant]
+    if kind is EEKind.CAL_POPULATION:
+        return EstimatingEquation.cal_population(x_s, pi_s, r, population_totals)
+    if kind is EEKind.CAL_SAMPLE:
+        return EstimatingEquation.cal_sample(x_s, pi_s, r)
+    return EstimatingEquation.mle(x_s, pi_s, r, survey_weighted=kind is EEKind.MLE_KINVPI)
 
 
 @dataclass(frozen=True)
@@ -119,15 +133,24 @@ def nwa_estimate(
 def _solve_normal_equations(
     x: np.ndarray, y: np.ndarray, w_matrix: np.ndarray, w_rhs: np.ndarray
 ) -> np.ndarray | None:
-    """Solve [sum w_matrix_i x_i x_i^T] g = sum w_rhs_i x_i y_i; None if singular."""
-    a = (x * w_matrix[:, None]).T @ x
-    b = x.T @ (w_rhs * y)
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-        return None
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e12:
-        return None
-    return np.linalg.solve(a, b)
+    """Solve [sum w_matrix_i x_i x_i^T] g = sum w_rhs_i x_i y_i.
+
+    The sums run over the units, the second-to-last axis of x; leading axes
+    index a stack of independent systems. A system with non-finite entries or
+    condition number above 1e12 is singular: a single system then gives None,
+    a stack gives a NaN row.
+    """
+    a = (np.swapaxes(x, -1, -2) * w_matrix[..., None, :]) @ x
+    b = ((w_rhs * y)[..., None, :] @ x)[..., 0, :]
+    ok = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
+    eye = np.eye(a.shape[-1])
+    cond = np.linalg.cond(np.where(ok[..., None, None], a, eye))
+    ok &= np.isfinite(cond) & (cond <= 1e12)
+    g = np.linalg.solve(np.where(ok[..., None, None], a, eye), b[..., None])[..., 0]
+    if x.ndim == 2:
+        return g if ok else None
+    g[~ok] = np.nan
+    return g
 
 
 def gamma_cal_population(pop: Population) -> np.ndarray | None:

@@ -1,36 +1,39 @@
 """Replicate engine and metric aggregation for the simulation study.
 
 Each replicate derives its sampling and response seeds from (master_seed,
-replicate index, phase tag) through a splitmix64 mixer, so replicates can be
-evaluated in any order or in parallel worker processes and still produce a
-bit-identical study report: aggregation always runs over records sorted by
-replicate index.
+replicate index, phase tag) through a splitmix64 mixer. Replicates run in
+blocks of BLOCK consecutive indices: each block stacks its samples into
+padded arrays and fits, estimates and evaluates variances for all of them at
+once, handing any fit that does not converge back to the scalar ``solve``.
+Block boundaries depend only on the replicate index, so blocks can run in
+any order or in parallel worker processes and still produce a bit-identical
+study report: aggregation always runs over replicates in index order.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .designs import DesignSpec, draw_sample
+from .designs import DesignSpec, Sample, draw_sample
 from .estimators import (
     VARIANT_TO_EEKIND,
     Variant,
-    ht_estimate,
-    linearized_estimate,
-    nwa_estimate,
-    two_phase_estimate,
+    estimating_equation,
     gamma_cal_population,
+    linearized_estimate,
 )
 from .population import Population
-from .response import draw_response
-from .solvers import EEKind, EstimatingEquation, SolverControls, solve
-from .variance import VarianceEstimate, confidence_interval, var_hat_calS, var_hat_calU, var_hat_mle
+from .response import RespondentSet, draw_response
+from .solvers import EEKind, FitStatus, SolverControls, response_probabilities, solve, solve_block
+from .variance import Z_95, var_hat_block
 
 __all__ = [
+    "BLOCK",
     "TAG_SAMPLING",
     "TAG_RESPONSE",
     "TAG_POPULATION",
@@ -131,86 +134,235 @@ class ReplicateRecord:
     outcomes: dict[Variant, VariantOutcome]
 
 
-def _variance_for(
-    variant: Variant,
-    design: DesignSpec,
-    pi_r: np.ndarray,
-    x_r: np.ndarray,
-    y_r: np.ndarray,
-    p_hat_r: np.ndarray,
-) -> VarianceEstimate:
-    if variant is Variant.MLE_K1:
-        return var_hat_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=False)
-    if variant is Variant.MLE_KINVPI:
-        return var_hat_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=True)
-    if variant is Variant.CAL_U:
-        return var_hat_calU(design, pi_r, x_r, y_r, p_hat_r)
-    return var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
+#: Replicates per block: a fixed constant, so block boundaries depend only on
+#: the replicate index and never on the worker count.
+BLOCK = 64
+
+#: Per-replicate numeric fields of each variant, in raw-CSV order.
+_FIELDS = ("estimate", "v_sam", "v_nr", "ci_low", "ci_high", "max_w")
+_STATUSES = (STATUS_OK, STATUS_DEGENERATE) + tuple(
+    s.value for s in FitStatus if s is not FitStatus.CONVERGED
+)
+_OK = _STATUSES.index(STATUS_OK)
+
+
+class _Columns(NamedTuple):
+    """Results of consecutive replicates, one array per field: per replicate
+    the sample and respondent counts, and per replicate and variant the
+    status (an index into _STATUSES), the _FIELDS (NaN where absent) and the
+    Newton iterations."""
+
+    n_sampled: np.ndarray
+    n_respondents: np.ndarray
+    status: np.ndarray
+    values: np.ndarray
+    iterations: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: list[_Columns]) -> _Columns:
+        return cls(*(np.concatenate(f) for f in zip(*parts)))
+
+
+def _draw(scenario: Scenario, index: int) -> tuple[Sample, RespondentSet]:
+    """The sample and respondent set of one replicate, from its own seeds."""
+    sample = draw_sample(scenario.design, mix_seed(scenario.master_seed, index, TAG_SAMPLING))
+    p_s = scenario.population.true_p[sample.indices]
+    resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, index, TAG_RESPONSE))
+    return sample, resp
+
+
+def _pad(sizes: np.ndarray, fills: tuple, columns: tuple) -> list[np.ndarray]:
+    """Scatter concatenated per-replicate columns into (B, max size, ...)
+    arrays, filling each array's padding with its fill value."""
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = int(sizes.max(initial=0))
+    out = []
+    for fill, col in zip(fills, columns):
+        arr = np.full((sizes.size, width, *col.shape[1:]), fill, dtype=col.dtype)
+        arr[rows, pos] = col
+        out.append(arr)
+    return out
+
+
+def _row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Largest value over each row's unmasked entries, NaN on an empty row."""
+    top = np.max(np.where(mask, values, -np.inf), axis=1, initial=-np.inf)
+    return np.where(np.isfinite(top), top, np.nan)
+
+
+class _Stack(NamedTuple):
+    """A block's samples (x, pi, y, r) and respondents (x_r, pi_r, y_r and
+    the true p_r) as arrays padded to a common length, with masks of the
+    real rows. Padding rows (x = 0, y = 0, pi = 1, r = 0, p = 1) add exact
+    zeros to every sum the engine takes."""
+
+    n_s: np.ndarray
+    n_r: np.ndarray
+    x: np.ndarray
+    pi: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    valid: np.ndarray
+    x_r: np.ndarray
+    pi_r: np.ndarray
+    y_r: np.ndarray
+    p_r: np.ndarray
+    valid_r: np.ndarray
+
+
+def _stack_draws(pop: Population, design: DesignSpec, draws) -> _Stack:
+    units = np.concatenate([s.indices for s, _ in draws])
+    r_all = np.concatenate([resp.r for _, resp in draws])
+    n_s = np.array([s.size for s, _ in draws])
+    n_r = np.array([resp.n_respondents for _, resp in draws])
+    pi_all = design.pi[units]
+    sample = _pad(
+        n_s, (0.0, 1.0, 0.0, 0, False),
+        (pop.aux[units], pi_all, pop.y[units], r_all, np.ones(units.size, dtype=bool)),
+    )
+    resp = r_all == 1
+    respondents = _pad(
+        n_r, (0.0, 1.0, 0.0, 1.0, False),
+        (pop.aux[units[resp]], pi_all[resp], pop.y[units[resp]], pop.true_p[units[resp]],
+         np.ones(int(resp.sum()), dtype=bool)),
+    )
+    return _Stack(n_s, n_r, *sample, *respondents)
+
+
+def _fit(scenario: Scenario, draws, st: _Stack, status: np.ndarray, iterations: np.ndarray):
+    """Fit every fitted variant of every replicate of a block.
+
+    All the block's equations go to solve_block as one stack; every fit it
+    does not converge is handed back to solve, whose status it keeps.
+    Fills ``status`` and ``iterations`` (replicate x variant) and returns the
+    converged fits as (replicate, variant column, lambda_hat) arrays.
+    """
+    pop, controls = scenario.population, scenario.controls
+    q = pop.n_aux
+    fitted = np.array([v in VARIANT_TO_EEKIND for v in scenario.variants])
+    status[np.outer(st.n_r < q, fitted)] = _STATUSES.index(STATUS_DEGENERATE)
+    if not fitted.any():
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, q))
+    totals = pop.aux.sum(axis=0)
+    targets = {
+        EEKind.CAL_POPULATION: np.broadcast_to(totals, (len(draws), q)),
+        EEKind.CAL_SAMPLE: ((1.0 / st.pi)[:, None, :] @ st.x)[:, 0],
+    }
+    # Row j of the stack fits variant column fit_v[j] on replicate fit_b[j].
+    # solve short-cuts a full respondent set to DIVERGED except for
+    # population-level calibration; those go straight to it.
+    fit_b, fit_v, kinds, target = [], [], [], []
+    for vi in np.flatnonzero(fitted):
+        kind = VARIANT_TO_EEKIND[scenario.variants[vi]]
+        rows = np.flatnonzero((st.n_r >= q) & ((st.n_r < st.n_s) | (kind is EEKind.CAL_POPULATION)))
+        fit_b.append(rows)
+        fit_v.append(np.full(rows.size, vi))
+        kinds += [kind] * rows.size
+        target.append(targets.get(kind, np.zeros((len(draws), q)))[rows])
+    fit_b, fit_v, target = np.concatenate(fit_b), np.concatenate(fit_v), np.concatenate(target)
+    lam, converged, iterations[fit_b, fit_v] = solve_block(
+        kinds, st.x[fit_b], st.pi[fit_b], st.r[fit_b], st.valid[fit_b], target, controls
+    )
+    handed_back = (status == _OK) & fitted
+    handed_back[fit_b[converged], fit_v[converged]] = False
+    ok_b, ok_v, ok_lam = [fit_b[converged]], [fit_v[converged]], [lam[converged]]
+    for b, vi in zip(*np.nonzero(handed_back)):
+        sample, resp = draws[b]
+        eq = estimating_equation(
+            scenario.variants[vi], pop.aux[sample.indices], sample.pi_s, resp.r, totals
+        )
+        fit = solve(eq, controls)
+        iterations[b, vi] = fit.iterations
+        if fit.converged:
+            ok_b.append([b])
+            ok_v.append([vi])
+            ok_lam.append(fit.lambda_hat[None])
+        else:
+            status[b, vi] = _STATUSES.index(fit.status.value)
+    return np.concatenate(ok_b), np.concatenate(ok_v), np.concatenate(ok_lam)
+
+
+def _run_block(scenario: Scenario, draws: list[tuple[Sample, RespondentSet]]) -> _Columns:
+    """Fit, estimate and evaluate every variant for a block of replicates."""
+    st = _stack_draws(scenario.population, scenario.design, draws)
+    B, V = len(draws), len(scenario.variants)
+    status = np.full((B, V), _OK, dtype=np.int8)
+    values = np.full((B, V, len(_FIELDS)), np.nan)
+    iterations = np.zeros((B, V), dtype=np.int64)
+    for vi, variant in enumerate(scenario.variants):
+        if variant is Variant.HT:
+            values[:, vi, 0] = np.sum(st.y / st.pi, axis=1)
+            values[:, vi, 5] = _row_max(1.0 / st.pi, st.valid)
+        elif variant is Variant.TRUE_P:
+            w = 1.0 / (st.pi_r * st.p_r)
+            values[:, vi, 0] = np.sum(st.y_r * w, axis=1)
+            values[:, vi, 5] = _row_max(w, st.valid_r)
+
+    ok_b, ok_v, lam = _fit(scenario, draws, st, status, iterations)
+    pi_r, x_r, y_r, valid_r = st.pi_r[ok_b], st.x_r[ok_b], st.y_r[ok_b], st.valid_r[ok_b]
+    p_hat = np.where(valid_r, response_probabilities(x_r, lam), 1.0)
+    w = 1.0 / (pi_r * p_hat)
+    estimate = np.sum(w * y_r, axis=1)
+    v_sam, v_nr = np.empty_like(estimate), np.empty_like(estimate)
+    for vi in np.unique(ok_v):
+        j = ok_v == vi
+        v_sam[j], v_nr[j], _, _ = var_hat_block(
+            scenario.variants[vi], scenario.design, pi_r[j], x_r[j], y_r[j], p_hat[j]
+        )
+    v_total = v_sam + v_nr
+    with np.errstate(invalid="ignore"):
+        half = Z_95 * np.sqrt(np.where(np.isfinite(v_total) & (v_total >= 0.0), v_total, np.nan))
+    values[ok_b, ok_v] = np.column_stack(
+        [estimate, v_sam, v_nr, estimate - half, estimate + half, _row_max(w, valid_r)]
+    )
+    return _Columns(st.n_s, st.n_r, status, values, iterations)
+
+
+def _run_blocks(args: tuple[Scenario, int, int]) -> _Columns:
+    """Blocks first..last-1 of a scenario's replicates."""
+    scenario, first, last = args
+    parts = []
+    for k in range(first, last):
+        indices = range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps))
+        parts.append(_run_block(scenario, [_draw(scenario, i) for i in indices]))
+    return _Columns.concat(parts)
+
+
+def _records(
+    variants: tuple[Variant, ...], cols: _Columns, first_index: int = 0
+) -> list[ReplicateRecord]:
+    status, values, iterations = (a.tolist() for a in (cols.status, cols.values, cols.iterations))
+
+    def outcome(variant, code, vals, iters):
+        if code != _OK:
+            return VariantOutcome(status=_STATUSES[code], iterations=iters)
+        estimate, v_sam, v_nr, lo, hi, max_w = vals
+        max_w = None if math.isnan(max_w) else max_w
+        if variant in (Variant.HT, Variant.TRUE_P):
+            return VariantOutcome(status=STATUS_OK, estimate=estimate, max_weight=max_w)
+        ci = None if math.isnan(lo) else (lo, hi)
+        return VariantOutcome(STATUS_OK, estimate, v_sam, v_nr, ci, max_w, iters)
+
+    return [
+        ReplicateRecord(
+            index=first_index + i,
+            n_sampled=int(cols.n_sampled[i]),
+            n_respondents=int(cols.n_respondents[i]),
+            outcomes={
+                v: outcome(v, status[i][vi], values[i][vi], iterations[i][vi])
+                for vi, v in enumerate(variants)
+            },
+        )
+        for i in range(len(status))
+    ]
 
 
 def run_replicate(scenario: Scenario, index: int) -> ReplicateRecord:
-    """Draw one sample and respondent set, then fit and estimate every variant."""
-    pop = scenario.population
-    design = scenario.design
-    sample = draw_sample(design, mix_seed(scenario.master_seed, index, TAG_SAMPLING))
-    p_s = pop.true_p[sample.indices]
-    resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, index, TAG_RESPONSE))
-
-    x_s = pop.aux[sample.indices]
-    y_s = pop.y[sample.indices]
-    pi_s = sample.pi_s
-    mask = resp.resp_mask
-    x_r, y_r, pi_r, p_r = x_s[mask], y_s[mask], pi_s[mask], p_s[mask]
-    n_r = int(mask.sum())
-    q = pop.n_aux
-
-    outcomes: dict[Variant, VariantOutcome] = {}
-    for variant in scenario.variants:
-        if variant is Variant.HT:
-            outcomes[variant] = VariantOutcome(
-                status=STATUS_OK,
-                estimate=ht_estimate(pi_s, y_s),
-                max_weight=float(np.max(1.0 / pi_s)) if pi_s.size else None,
-            )
-            continue
-        if variant is Variant.TRUE_P:
-            outcomes[variant] = VariantOutcome(
-                status=STATUS_OK,
-                estimate=two_phase_estimate(pi_r, p_r, y_r),
-                max_weight=float(np.max(1.0 / (pi_r * p_r))) if n_r else None,
-            )
-            continue
-        if n_r < q:
-            outcomes[variant] = VariantOutcome(status=STATUS_DEGENERATE)
-            continue
-        kind = VARIANT_TO_EEKIND[variant]
-        if kind is EEKind.CAL_POPULATION:
-            eq = EstimatingEquation.cal_population(x_s, pi_s, resp.r, pop.aux.sum(axis=0))
-        elif kind is EEKind.CAL_SAMPLE:
-            eq = EstimatingEquation.cal_sample(x_s, pi_s, resp.r)
-        else:
-            eq = EstimatingEquation.mle(x_s, pi_s, resp.r, survey_weighted=kind is EEKind.MLE_KINVPI)
-        fit = solve(eq, scenario.controls)
-        if not fit.converged:
-            outcomes[variant] = VariantOutcome(status=fit.status.value, iterations=fit.iterations)
-            continue
-        p_hat_r = fit.p_hat[mask]
-        record = nwa_estimate(variant, pi_r, y_r, p_hat_r, fit)
-        ve = _variance_for(variant, design, pi_r, x_r, y_r, p_hat_r)
-        ci = confidence_interval(record.value, ve.total) if math.isfinite(ve.total) else None
-        outcomes[variant] = VariantOutcome(
-            status=STATUS_OK,
-            estimate=record.value,
-            v_sam=ve.v_sam,
-            v_nr=ve.v_nr,
-            ci=ci,
-            max_weight=float(np.max(record.weights)),
-            iterations=fit.iterations,
-        )
-
-    return ReplicateRecord(
-        index=index, n_sampled=sample.size, n_respondents=n_r, outcomes=outcomes
-    )
+    """One replicate, run as a block of its own. Its numbers agree with the
+    same replicate inside a study up to rounding in the padded sums."""
+    cols = _run_block(scenario, [_draw(scenario, index)])
+    return _records(scenario.variants, cols, index)[0]
 
 
 def relative_bias(values: np.ndarray, true_total: float) -> float | None:
@@ -227,12 +379,13 @@ def rrvar(values: np.ndarray, true_total: float) -> float | None:
     return math.sqrt(float(np.var(values, ddof=1))) / true_total
 
 
-def coverage_rate(intervals: list[tuple[float, float]], true_total: float) -> float | None:
-    """Fraction of intervals containing Y; None when no interval was formed."""
-    if not intervals:
+def coverage_rate(intervals, true_total: float) -> float | None:
+    """Fraction of intervals (pairs lo, hi) containing Y; None when no
+    interval was formed."""
+    ci = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    if not len(ci):
         return None
-    hits = sum(1 for lo, hi in intervals if lo <= true_total <= hi)
-    return hits / len(intervals)
+    return float(np.mean((ci[:, 0] <= true_total) & (true_total <= ci[:, 1])))
 
 
 @dataclass(frozen=True)
@@ -266,46 +419,42 @@ class StudyReport:
     metrics: dict[Variant, VariantMetrics] = field(default_factory=dict)
 
 
-def _aggregate(scenario: Scenario, records: list[ReplicateRecord]) -> StudyReport:
+def _aggregate(scenario: Scenario, cols: _Columns) -> StudyReport:
     y_total = scenario.population.total
     metrics: dict[Variant, VariantMetrics] = {}
-    for variant in scenario.variants:
-        outs = [rec.outcomes[variant] for rec in records]
-        ok = [o for o in outs if o.ok]
-        estimates = np.array([o.estimate for o in ok], dtype=float)
-        n_ok = len(ok)
-        n_failed = len(outs) - n_ok
+    for vi, variant in enumerate(scenario.variants):
+        ok = cols.status[:, vi] == _OK
+        estimates, v_sam, v_nr, lo, hi, max_w = cols.values[ok, vi].T
+        n_ok = int(ok.sum())
+        n_failed = ok.size - n_ok
         rb = relative_bias(estimates, y_total) if n_ok else None
         rr = rrvar(estimates, y_total) if n_ok else None
         mc_var = float(np.var(estimates, ddof=1)) if n_ok >= 2 else None
-        v_totals = np.array(
-            [o.v_sam + o.v_nr for o in ok if o.v_sam is not None and math.isfinite(o.v_sam + o.v_nr)],
-            dtype=float,
-        )
+        v_totals = v_sam + v_nr
+        v_totals = v_totals[np.isfinite(v_totals)]
         mean_v = float(np.mean(v_totals)) if v_totals.size else None
         var_rb = (
             (mean_v - mc_var) / mc_var
             if mean_v is not None and mc_var is not None and mc_var > 0.0
             else None
         )
-        cis = [o.ci for o in ok if o.ci is not None]
-        mean_len = float(np.mean([hi - lo for lo, hi in cis])) if cis else None
-        cr = coverage_rate(cis, y_total)
-        weights = [o.max_weight for o in ok if o.max_weight is not None]
+        has_ci = ~np.isnan(lo)
+        lengths = (hi - lo)[has_ci]
+        weights = max_w[~np.isnan(max_w)]
         metrics[variant] = VariantMetrics(
             variant=variant,
             n_ok=n_ok,
             n_failed=n_failed,
-            failure_rate=n_failed / len(outs),
+            failure_rate=n_failed / ok.size,
             rb=rb,
             rrvar=rr,
             mc_variance=mc_var,
             mean_variance_estimate=mean_v,
             variance_rb=var_rb,
-            mean_ci_length=mean_len,
-            n_ci=len(cis),
-            coverage=cr,
-            max_weight=max(weights) if weights else None,
+            mean_ci_length=float(np.mean(lengths)) if lengths.size else None,
+            n_ci=int(has_ci.sum()),
+            coverage=coverage_rate(np.column_stack([lo, hi])[has_ci], y_total),
+            max_weight=float(np.max(weights)) if weights.size else None,
         )
     return StudyReport(
         true_total=y_total,
@@ -317,35 +466,29 @@ def _aggregate(scenario: Scenario, records: list[ReplicateRecord]) -> StudyRepor
     )
 
 
-def _run_chunk(args: tuple[Scenario, int, int]) -> list[ReplicateRecord]:
-    scenario, start, stop = args
-    return [run_replicate(scenario, i) for i in range(start, stop)]
-
-
 def run_study(
     scenario: Scenario, threads: int = 1, return_records: bool = False
 ) -> StudyReport | tuple[StudyReport, list[ReplicateRecord]]:
     """Run every replicate and aggregate; bit-identical for any worker count.
 
-    ``threads`` > 1 fans contiguous index chunks out to worker processes;
-    records are re-assembled in index order before aggregation, so the report
-    does not depend on scheduling.
+    ``threads`` > 1 fans contiguous runs of whole blocks out to worker
+    processes; results are re-assembled in index order before aggregation,
+    so the report does not depend on scheduling. Per-replicate records are
+    built only when ``return_records`` is set.
     """
-    L = scenario.reps
-    if threads <= 1 or L < 2:
-        records = [run_replicate(scenario, i) for i in range(L)]
+    n_blocks = -(-scenario.reps // BLOCK)
+    if threads <= 1 or n_blocks < 2:
+        cols = _run_blocks((scenario, 0, n_blocks))
     else:
-        workers = min(threads, L)
-        n_chunks = min(L, workers * 4)
-        bounds = np.linspace(0, L, n_chunks + 1, dtype=int)
+        workers = min(threads, n_blocks)
+        bounds = np.linspace(0, n_blocks, min(n_blocks, workers * 4) + 1, dtype=int)
         tasks = [(scenario, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_run_chunk, tasks)
-        records = [rec for part in parts for rec in part]
-    report = _aggregate(scenario, records)
+            cols = _Columns.concat(pool.map(_run_blocks, tasks))
+    report = _aggregate(scenario, cols)
     if return_records:
-        return report, records
+        return report, _records(scenario.variants, cols)
     return report
 
 
@@ -374,46 +517,22 @@ def linearization_gap(
     """Median of |reweighted - linearized| / N over converged replicates.
 
     Diagnostic for the first-order equivalence: the gap shrinks with the
-    sample size. Uses the scenario's seed scheme, true probabilities for the
-    linearized form, and skips replicates whose fit did not converge.
+    sample size. Runs the scenario's replicates through the block engine,
+    uses true probabilities for the linearized form, and skips replicates
+    whose fit did not converge.
     """
     pop = scenario.population
-    design = scenario.design
     L = reps if reps is not None else scenario.reps
+    scenario = replace(scenario, variants=tuple(variants))
     gamma_u = gamma_cal_population(pop)
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
-    for index in range(L):
-        sample = draw_sample(design, mix_seed(scenario.master_seed, index, TAG_SAMPLING))
-        p_s = pop.true_p[sample.indices]
-        resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, index, TAG_RESPONSE))
-        x_s = pop.aux[sample.indices]
-        pi_s = sample.pi_s
-        mask = resp.resp_mask
-        n_r = int(mask.sum())
-        if n_r < pop.n_aux:
-            continue
-        y_r = pop.y[sample.indices][mask]
-        pi_r = pi_s[mask]
-        for variant in variants:
-            kind = VARIANT_TO_EEKIND[variant]
-            if kind is EEKind.CAL_POPULATION:
-                eq = EstimatingEquation.cal_population(x_s, pi_s, resp.r, pop.aux.sum(axis=0))
-            elif kind is EEKind.CAL_SAMPLE:
-                eq = EstimatingEquation.cal_sample(x_s, pi_s, resp.r)
-            else:
-                eq = EstimatingEquation.mle(
-                    x_s, pi_s, resp.r, survey_weighted=kind is EEKind.MLE_KINVPI
-                )
-            fit = solve(eq, scenario.controls)
-            if not fit.converged:
-                continue
-            record = nwa_estimate(variant, pi_r, y_r, fit.p_hat[mask], fit)
-            lin = linearized_estimate(
-                variant,
-                pop,
-                sample,
-                resp,
-                gamma=gamma_u if variant is Variant.CAL_U else None,
-            )
-            gaps[variant].append(abs(record.value - lin) / pop.size)
+    for start in range(0, L, BLOCK):
+        draws = [_draw(scenario, i) for i in range(start, min(start + BLOCK, L))]
+        cols = _run_block(scenario, draws)
+        for vi, variant in enumerate(scenario.variants):
+            gamma = gamma_u if variant is Variant.CAL_U else None
+            for b in np.flatnonzero(cols.status[:, vi] == _OK):
+                sample, resp = draws[b]
+                lin = linearized_estimate(variant, pop, sample, resp, gamma=gamma)
+                gaps[variant].append(abs(float(cols.values[b, vi, 0]) - lin) / pop.size)
     return {v: float(np.median(g)) for v, g in gaps.items() if g}

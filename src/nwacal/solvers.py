@@ -8,6 +8,8 @@ sample-level target. Calibration residuals are evaluated in raking form,
 probabilities. Raking calibration is the minimisation of a convex function
 (Deville & Sarndal 1992), which the calibration solver uses both to
 globalise Newton's method and to certify that a target has no solution.
+solve is the reference; solve_block takes the same Newton steps on a stack
+of equations at once and leaves every fit that does not converge to it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "residual",
     "jacobian",
     "solve",
+    "solve_block",
+    "response_probabilities",
 ]
 
 _COND_LIMIT = 1e12
@@ -87,8 +91,10 @@ class EstimatingEquation:
             raise ValueError("x, pi, r must agree on the number of sampled units")
         if target.shape != (q,):
             raise ValueError("target length must match the auxiliary dimension")
-        if np.any(pi <= 0.0) or np.any(pi > 1.0):
+        if not np.all((pi > 0.0) & (pi <= 1.0)):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(target))):
+            raise ValueError("auxiliaries and target must be finite")
         if not np.all((r == 0) | (r == 1)):
             raise ValueError("r must be 0/1")
         object.__setattr__(self, "x", x)
@@ -240,9 +246,12 @@ def _initial_point(eq: EstimatingEquation) -> np.ndarray:
     return lam0
 
 
-def _clip_probs(p: np.ndarray) -> np.ndarray:
-    tiny = np.finfo(float).tiny
-    return np.clip(p, tiny, np.nextafter(1.0, 0.0))
+def response_probabilities(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Fitted probabilities expit(x_i.lam), clipped into the open interval so
+    reweighting never divides by zero. A stack of coefficient rows (B, q)
+    goes with a stack of units (B, n, q)."""
+    eta = x @ lam if lam.ndim == 1 else _matvec(x, lam)
+    return np.clip(expit(eta), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
 def _newton_calibration(eq: EstimatingEquation, lam: np.ndarray, controls: SolverControls):
@@ -436,7 +445,7 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
         )
         return FitResult(
             lambda_hat=lam,
-            p_hat=_clip_probs(expit(eq.x @ lam)),
+            p_hat=response_probabilities(eq.x, lam),
             status=FitStatus.DIVERGED,
             iterations=0,
             residual_norm=float(np.max(np.abs(residual(lam, eq)))),
@@ -451,10 +460,275 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     lam, status, iterations, rn, cond, trace = newton(eq, lam, controls)
     return FitResult(
         lambda_hat=lam,
-        p_hat=_clip_probs(expit(eq.x @ lam)),
+        p_hat=response_probabilities(eq.x, lam),
         status=status,
         iterations=iterations,
         residual_norm=rn,
         condition_estimate=cond,
         trace=tuple(trace),
     )
+
+
+# ---------------------------------------------------------------- stacks
+#
+# solve_block runs the Newton iterations of solve on a stack of equations at
+# once. Every array carries a leading stack axis; samples of different sizes
+# are padded to a common length with rows that add exact zeros. Each
+# equation takes exactly the steps solve takes; one that leaves the
+# converging path is dropped, and the caller re-solves it with solve.
+
+
+def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_i per equation: (B, n) and (B, n, k) to (B, k)."""
+    return (w[:, None, :] @ x)[:, 0]
+
+
+def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x_i.v_b per equation: (B, n, q) and (B, q) to (B, n)."""
+    return (x @ v[..., None])[..., 0]
+
+
+def _outer_rows(x: np.ndarray) -> np.ndarray:
+    """x_i x_i' per unit, flattened: (B, n, q) to (B, n, q*q), so that
+    sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (B, q, q)."""
+    return np.concatenate([x * x[..., j, None] for j in range(x.shape[-1])], axis=-1)
+
+
+def _subset(mask: np.ndarray, *arrays):
+    """The arrays' rows where mask holds (the arrays themselves where it holds everywhere)."""
+    if mask.all():
+        return arrays
+    return tuple(a[mask] for a in arrays)
+
+
+def _stacked(step, a: np.ndarray, b: np.ndarray):
+    """step(a_b, b_b) for a stack of finite (q, q) matrices and (q,) vectors.
+
+    Returns (result, ok): where LAPACK raises for a matrix, as it would in
+    the scalar solver, ok is False and the result NaN. A stack that raises
+    is split in halves until the failing matrices are found.
+    """
+    try:
+        return step(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
+        h = len(a) // 2
+        (r1, ok1), (r2, ok2) = _stacked(step, a[:h], b[:h]), _stacked(step, a[h:], b[h:])
+        return np.concatenate([r1, r2]), np.concatenate([ok1, ok2])
+
+
+def _cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # The Cholesky factor is only the positive-definiteness test.
+    np.linalg.cholesky(hess)
+    return np.linalg.solve(hess, rhs)
+
+
+def _finite_or_eye(a: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    return np.where(ok[:, None, None], a, np.eye(a.shape[-1]))
+
+
+def _initial_points(kinds: np.ndarray, pi, r, valid, target) -> np.ndarray:
+    """_initial_point for each equation of a stack."""
+    inv_pi = np.where(valid, 1.0 / pi, 0.0)
+    resp_total = np.where(r == 1, inv_pi, 0.0).sum(axis=1)
+    denom = np.where(kinds == EEKind.CAL_POPULATION, target[:, 0], inv_pi.sum(axis=1))
+    frac = np.where(kinds == EEKind.MLE_K1, r.sum(axis=1) / valid.sum(axis=1), resp_total / denom)
+    frac = np.clip(frac, 1e-6, 1.0 - 1e-6)
+    lam0 = np.zeros(target.shape)
+    lam0[:, 0] = np.log(frac / (1.0 - frac))
+    return lam0
+
+
+class _Outcome:
+    """Where a stack's converged equations are recorded, by original position."""
+
+    def __init__(self, lam: np.ndarray):
+        self.lam = np.full_like(lam, np.nan)
+        self.converged = np.zeros(len(lam), dtype=bool)
+        self.iterations = np.zeros(len(lam), dtype=np.int64)
+
+    def record(self, done, ids, lam, it) -> None:
+        if not done.any():
+            return
+        self.lam[ids[done]] = lam[done]
+        self.converged[ids[done]] = True
+        self.iterations[ids[done]] = it[done]
+
+    def result(self):
+        return self.lam, self.converged, self.iterations
+
+
+def _block_calibration(x, pi, r, target, lam, controls: SolverControls):
+    """_newton_calibration on a stack; returns (lambda, converged, iterations)."""
+    # The respondents of each equation first, padded with zero rows (d = 0).
+    resp = r == 1
+    m = int(resp.sum(axis=1).max())
+    order = np.argsort(~resp, axis=1, kind="stable")[:, :m]
+    keep = np.take_along_axis(resp, order, axis=1)
+    x = np.take_along_axis(x, order[..., None], axis=1) * keep[..., None]
+    d = np.where(keep, 1.0 / np.take_along_axis(pi, order, axis=1), 0.0)
+    xx = _outer_rows(x)
+    q = lam.shape[1]
+    out = _Outcome(lam)
+    c = target - _rows_dot(d, x)
+    tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
+    ids = np.arange(len(lam))
+    it = np.zeros(len(lam), dtype=np.int64)
+    # exp(-x.lam) may overflow and G(lam + alpha delta) - G(lam) then be
+    # NaN; both fail the tests below as they do in solve.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            e = d * np.exp(-_matvec(x, lam))
+            res = _rows_dot(e, x) - c
+            done = np.max(np.abs(res), axis=1) <= tol
+            out.record(done, ids, lam, it)
+            go = ~done & (it < controls.max_iter)
+            if not go.any():
+                return out.result()
+            ids, x, xx, d, c, tol, lam, it, e, res = _subset(
+                go, ids, x, xx, d, c, tol, lam, it, e, res
+            )
+            hess = _rows_dot(e, xx).reshape(-1, q, q)
+            ok = np.isfinite(hess).all(axis=(1, 2))
+            delta, solved = _stacked(_cholesky_solve, _finite_or_eye(hess, ok), res)
+            ok &= solved
+            xd = _matvec(x, delta)
+            cd = np.sum(c * delta, axis=1)
+            # A certificate that G has no minimiser: solve reports DIVERGED.
+            ok &= ~((np.min(xd, axis=1) >= 0.0) & (cd <= 0.0))
+            slope = cd - np.sum(e * xd, axis=1)
+            floor = _EPS * (1.0 + np.max(np.abs(lam), axis=1)) / np.max(np.abs(delta), axis=1)
+            # Backtrack each equation until the Armijo condition holds, or
+            # hand it back once its step no longer moves lambda.
+            alpha = np.ones(len(ids))
+            pending = ok.copy()
+            while pending.any():
+                e_p, xd_p, cd_p, slope_p, a = _subset(pending, e, xd, cd, slope, alpha)
+                change = np.sum(e_p * np.expm1(-a[:, None] * xd_p), axis=1) + a * cd_p
+                rejected = np.flatnonzero(pending)[~(change <= _ARMIJO * a * slope_p)]
+                alpha[rejected] *= 0.5
+                moving = alpha[rejected] >= floor[rejected]
+                pending[:] = False
+                pending[rejected[moving]] = True
+                ok[rejected[~moving]] = False
+            lam = lam + alpha[:, None] * delta
+            ids, x, xx, d, c, tol, lam, it = _subset(ok, ids, x, xx, d, c, tol, lam, it + 1)
+
+
+def _block_mle(x, k, r, target, lam, controls: SolverControls):
+    """_newton_mle on a stack, with k the MLE weights (zero on padding);
+    returns (lambda, converged, iterations).
+
+    The condition test uses the eigenvalues of the symmetric Jacobian and
+    hands an equation back at _COND_LIMIT / 100, so every equation whose
+    Jacobian solve would call singular is handed back to it.
+    """
+    xx = _outer_rows(x)
+    q = lam.shape[1]
+    out = _Outcome(lam)
+    tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
+
+    def score(x, k, r, lam):
+        res = _rows_dot(k * (r - expit(_matvec(x, lam))), x)
+        return res, np.max(np.abs(res), axis=1)
+
+    res, rn = score(x, k, r, lam)
+    ids = np.arange(len(lam))
+    it = np.zeros(len(lam), dtype=np.int64)
+    # Equations already handed back may carry NaN or infinite steps.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            done = rn <= tol
+            out.record(done, ids, lam, it)
+            go = ~done & (it < controls.max_iter)
+            if not go.any():
+                return out.result()
+            ids, x, xx, k, r, tol, lam, res, rn, it = _subset(
+                go, ids, x, xx, k, r, tol, lam, res, rn, it
+            )
+            f = expit(_matvec(x, lam))
+            jac = -_rows_dot(k * f * (1.0 - f), xx).reshape(-1, q, q)
+            ok = np.isfinite(jac).all(axis=(1, 2))
+            jac = _finite_or_eye(jac, ok)
+            ev = np.abs(np.linalg.eigvalsh(jac))
+            ok &= np.max(ev, axis=1) <= _COND_LIMIT / 100.0 * np.min(ev, axis=1)
+            delta, solved = _stacked(np.linalg.solve, jac, -res)
+            ok &= solved
+            dn = np.max(np.abs(delta), axis=1)
+            capped = dn > controls.max_step
+            delta[capped] *= (controls.max_step / dn[capped])[:, None]
+            # Halve until the residual norm decreases, at most _MAX_HALVINGS times.
+            alpha = np.ones(len(ids))
+            lam_new = lam + delta
+            res_new, rn_new = score(x, k, r, lam_new)
+            pending = ok & ~(rn_new < rn)
+            for _ in range(_MAX_HALVINGS):
+                if not pending.any():
+                    break
+                alpha[pending] *= 0.5
+                x_p, k_p, r_p, lam_p, delta_p, rn_p, a = _subset(
+                    pending, x, k, r, lam, delta, rn, alpha
+                )
+                cand = lam_p + a[:, None] * delta_p
+                cand_res, cand_rn = score(x_p, k_p, r_p, cand)
+                better = cand_rn < rn_p
+                acc = np.flatnonzero(pending)[better]
+                lam_new[acc] = cand[better]
+                res_new[acc], rn_new[acc] = cand_res[better], cand_rn[better]
+                pending[acc] = False
+            ok &= ~pending
+            # Coefficients past the divergence bound: solve reports DIVERGED.
+            ok &= np.max(np.abs(lam_new), axis=1) <= controls.divergence_bound
+            ids, x, xx, k, r, tol, lam, res, rn, it = _subset(
+                ok, ids, x, xx, k, r, tol, lam_new, res_new, rn_new, it + 1
+            )
+
+
+def solve_block(
+    kinds,
+    x: np.ndarray,
+    pi: np.ndarray,
+    r: np.ndarray,
+    valid: np.ndarray,
+    target: np.ndarray,
+    controls: SolverControls = SolverControls(),
+):
+    """Solve a stack of B estimating equations by the iteration of solve.
+
+    ``kinds`` gives each equation's EEKind, ``x`` is (B, n, q), ``pi``,
+    ``r`` and ``valid`` are (B, n) and ``target`` is (B, q): equation b is
+    EstimatingEquation(kinds[b], x[b, :n_b], pi[b, :n_b], r[b, :n_b],
+    target[b]), its rows past n_b marked False in ``valid`` and holding
+    x = 0, pi = 1, r = 0. Each equation needs at least one respondent, and
+    at least one nonrespondent unless it is a population-level calibration
+    (solve short-cuts those to DIVERGED).
+
+    Returns (lambda_hat, converged, iterations), each indexed by equation.
+    An equation converges here in exactly the iterations solve takes, up to
+    rounding in the sums. Every other outcome (a certificate, a singular
+    Hessian or Jacobian, a stalled line search, the divergence bound or
+    max_iter) leaves converged False and lambda_hat NaN: solve, re-run from
+    the start, gives its status.
+    """
+    kinds = np.asarray(kinds, dtype=object)
+    if controls.lambda0 is not None:
+        lam = np.broadcast_to(np.asarray(controls.lambda0, dtype=float), target.shape).copy()
+    else:
+        lam = _initial_points(kinds, pi, r, valid, target)
+    lam_hat = np.full_like(lam, np.nan)
+    converged = np.zeros(len(lam), dtype=bool)
+    iterations = np.zeros(len(lam), dtype=np.int64)
+    cal = (kinds == EEKind.CAL_POPULATION) | (kinds == EEKind.CAL_SAMPLE)
+    if cal.any():
+        lam_hat[cal], converged[cal], iterations[cal] = _block_calibration(
+            x[cal], pi[cal], r[cal], target[cal], lam[cal], controls
+        )
+    mle = ~cal
+    if mle.any():
+        survey_weighted = (kinds[mle] == EEKind.MLE_KINVPI)[:, None]
+        k = np.where(valid[mle], np.where(survey_weighted, 1.0 / pi[mle], 1.0), 0.0)
+        lam_hat[mle], converged[mle], iterations[mle] = _block_mle(
+            x[mle], k, r[mle].astype(float), target[mle], lam[mle], controls
+        )
+    return lam_hat, converged, iterations

@@ -30,6 +30,8 @@ __all__ = [
     "VarianceEstimate",
     "TheoreticalVariance",
     "var_hat_ht",
+    "var_hat",
+    "var_hat_block",
     "var_hat_mle",
     "var_hat_calU",
     "var_hat_calS",
@@ -86,13 +88,13 @@ class TheoreticalVariance:
         return self.v_sam + self.v_nr
 
 
-def _cross_term(design: DesignSpec, u: np.ndarray) -> float:
-    """Pair term sum_{i != j} (pi_ij - pi_i pi_j)/pi_ij * u_i u_j.
+def _cross_term(design: DesignSpec, u: np.ndarray):
+    """Pair term sum_{i != j} (pi_ij - pi_i pi_j)/pi_ij * u_i u_j over the last axis of u.
 
     ``u`` already carries the 1/pi expansion (u_i = z_i / (pi_i p_i)). Zero
     for Poisson designs (pi_ij = pi_i pi_j exactly). For SRSWOR the
-    coefficient is constant and the double sum is evaluated literally in
-    O(m^2).
+    coefficient c is constant, so the double sum is c * ((sum u)^2 - sum u^2),
+    evaluated in O(m).
     """
     if design.kind is DesignKind.POISSON:
         return 0.0
@@ -101,8 +103,8 @@ def _cross_term(design: DesignSpec, u: np.ndarray) -> float:
     pi_ij = n * (n - 1.0) / (N * (N - 1.0))
     pi_i = n / N
     coeff = (pi_ij - pi_i * pi_i) / pi_ij
-    outer = np.outer(u, u)
-    return coeff * float(outer.sum() - np.trace(outer))
+    total = np.sum(u, axis=-1)
+    return coeff * (total * total - np.sum(u * u, axis=-1))
 
 
 def var_hat_ht(design: DesignSpec, pi_s: np.ndarray, y_s: np.ndarray) -> float:
@@ -110,32 +112,70 @@ def var_hat_ht(design: DesignSpec, pi_s: np.ndarray, y_s: np.ndarray) -> float:
     pi_s = np.asarray(pi_s, dtype=float)
     y_s = np.asarray(y_s, dtype=float)
     single = float(np.sum((1.0 - pi_s) / pi_s**2 * y_s**2))
-    return single + _cross_term(design, y_s / pi_s)
+    return single + float(_cross_term(design, y_s / pi_s))
 
 
-def _assemble(
+def var_hat_block(
+    variant: Variant,
     design: DesignSpec,
     pi_r: np.ndarray,
+    x_r: np.ndarray,
+    y_r: np.ndarray,
     p_hat_r: np.ndarray,
-    sam_num: np.ndarray,
-    nr_resid: np.ndarray | None,
-    gamma: np.ndarray | None,
+):
+    """Variance components of a fitted variant for a stack of replicates.
+
+    Arrays are (B, m) and (B, m, q) over the respondents of B replicates,
+    padded to a common m with rows x = 0, y = 0, pi = 1, p_hat = 1, which add
+    exact zeros. Returns (v_sam, v_nr, gamma_hat, residuals). A singular
+    gamma system leaves gamma_hat a NaN row and every component that needs
+    it NaN; the full-response edge (every p_hat = 1) takes gamma_hat = 0,
+    since every (1 - p_hat) weight vanishes and any coefficient gives the
+    same (zero) nonresponse component.
+    """
+    if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
+        survey_weighted = variant is Variant.MLE_KINVPI
+        gamma = gamma_hat_mle(x_r, y_r, pi_r, p_hat_r, survey_weighted=survey_weighted)
+        k = 1.0 / pi_r if survey_weighted else np.ones_like(pi_r)
+        scale = k * pi_r * p_hat_r
+    elif variant in (Variant.CAL_U, Variant.CAL_S):
+        gamma = gamma_hat_cal(x_r, y_r, pi_r, p_hat_r)
+        scale = 1.0
+    else:
+        raise ValueError(f"no variance estimator for variant {variant}")
+    full_response = np.all(p_hat_r == 1.0, axis=-1)
+    gamma = np.where(np.isnan(gamma) & full_response[:, None], 0.0, gamma)
+    resid = y_r - scale * (x_r @ gamma[..., None])[..., 0]
+    # The population-level variant tracks the HT total of the residuals in
+    # both components; the others keep the raw-y sampling variance.
+    sam = resid if variant is Variant.CAL_U else y_r
+    single = np.sum((1.0 - pi_r) / pi_r**2 * sam**2 / p_hat_r, axis=-1)
+    v_sam = single + _cross_term(design, sam / (pi_r * p_hat_r))
+    v_nr = np.sum((1.0 - p_hat_r) / (pi_r * p_hat_r) ** 2 * resid**2, axis=-1)
+    return v_sam, v_nr, gamma, resid
+
+
+def var_hat(
+    variant: Variant,
+    design: DesignSpec,
+    pi_r: np.ndarray,
+    x_r: np.ndarray,
+    y_r: np.ndarray,
+    p_hat_r: np.ndarray,
 ) -> VarianceEstimate:
-    single = float(np.sum((1.0 - pi_r) / pi_r**2 * sam_num**2 / p_hat_r))
-    v_sam = single + _cross_term(design, sam_num / (pi_r * p_hat_r))
-    if nr_resid is None:
-        return VarianceEstimate(v_sam=v_sam, v_nr=math.nan, gamma_hat=None, residuals=None)
-    v_nr = float(np.sum((1.0 - p_hat_r) / (pi_r * p_hat_r) ** 2 * nr_resid**2))
-    return VarianceEstimate(v_sam=v_sam, v_nr=v_nr, gamma_hat=gamma, residuals=nr_resid)
-
-
-def _degenerate_gamma(p_hat_r: np.ndarray, q: int) -> np.ndarray | None:
-    # Full-response edge: every (1 - p_hat) weight vanishes, so the gamma
-    # system is all zeros and any coefficient gives the same (zero)
-    # nonresponse component; use the zero vector.
-    if np.all(p_hat_r == 1.0):
-        return np.zeros(q)
-    return None
+    """Variance estimate of one replicate's total for a fitted variant."""
+    stack = [
+        np.asarray(a, dtype=float)[None]
+        for a in (pi_r, np.atleast_2d(np.asarray(x_r, dtype=float)), y_r, p_hat_r)
+    ]
+    v_sam, v_nr, gamma, resid = var_hat_block(variant, design, *stack)
+    singular = bool(np.isnan(gamma).any())
+    return VarianceEstimate(
+        v_sam=float(v_sam[0]),
+        v_nr=float(v_nr[0]),
+        gamma_hat=None if singular else gamma[0],
+        residuals=None if singular else resid[0],
+    )
 
 
 def var_hat_mle(
@@ -147,18 +187,8 @@ def var_hat_mle(
     survey_weighted: bool = False,
 ) -> VarianceEstimate:
     """Variance estimate for an MLE-reweighted total (k = 1 or 1/pi)."""
-    pi_r = np.asarray(pi_r, dtype=float)
-    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
-    y_r = np.asarray(y_r, dtype=float)
-    p_hat_r = np.asarray(p_hat_r, dtype=float)
-    gamma = gamma_hat_mle(x_r, y_r, pi_r, p_hat_r, survey_weighted=survey_weighted)
-    if gamma is None:
-        gamma = _degenerate_gamma(p_hat_r, x_r.shape[1])
-    if gamma is None:
-        return _assemble(design, pi_r, p_hat_r, y_r, None, None)
-    k = 1.0 / pi_r if survey_weighted else np.ones_like(pi_r)
-    resid = y_r - k * pi_r * p_hat_r * (x_r @ gamma)
-    return _assemble(design, pi_r, p_hat_r, y_r, resid, gamma)
+    variant = Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1
+    return var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
 
 
 def var_hat_calU(
@@ -173,17 +203,7 @@ def var_hat_calU(
     Both components run over the residuals e_i = y_i - x_i.gamma_hat, since
     the linearized estimator tracks the HT total of those residuals.
     """
-    pi_r = np.asarray(pi_r, dtype=float)
-    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
-    y_r = np.asarray(y_r, dtype=float)
-    p_hat_r = np.asarray(p_hat_r, dtype=float)
-    gamma = gamma_hat_cal(x_r, y_r, pi_r, p_hat_r)
-    if gamma is None:
-        gamma = _degenerate_gamma(p_hat_r, x_r.shape[1])
-    if gamma is None:
-        return VarianceEstimate(v_sam=math.nan, v_nr=math.nan, gamma_hat=None, residuals=None)
-    resid = y_r - x_r @ gamma
-    return _assemble(design, pi_r, p_hat_r, resid, resid, gamma)
+    return var_hat(Variant.CAL_U, design, pi_r, x_r, y_r, p_hat_r)
 
 
 def var_hat_calS(
@@ -199,17 +219,7 @@ def var_hat_calS(
     estimator keeps the full-sample HT sampling variance); the nonresponse
     component uses the same residuals as the population-level variant.
     """
-    pi_r = np.asarray(pi_r, dtype=float)
-    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
-    y_r = np.asarray(y_r, dtype=float)
-    p_hat_r = np.asarray(p_hat_r, dtype=float)
-    gamma = gamma_hat_cal(x_r, y_r, pi_r, p_hat_r)
-    if gamma is None:
-        gamma = _degenerate_gamma(p_hat_r, x_r.shape[1])
-    if gamma is None:
-        return _assemble(design, pi_r, p_hat_r, y_r, None, None)
-    resid = y_r - x_r @ gamma
-    return _assemble(design, pi_r, p_hat_r, y_r, resid, gamma)
+    return var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
 
 
 def _gamma_mle_population(pop: Population, design: DesignSpec, survey_weighted: bool) -> np.ndarray:

@@ -8,6 +8,17 @@ import numpy as np
 from nwacal.solvers import EstimatingEquation, residual
 
 
+def srswor_indices_loop(N: int, n: int, seed: int) -> np.ndarray:
+    """Sorted SRSWOR sample by a partial Fisher-Yates shuffle with one
+    rng.integers(i, N) call per step: the stream draw_sample must reproduce."""
+    rng = np.random.default_rng(int(seed))
+    idx = np.arange(N)
+    for i in range(n):
+        j = int(rng.integers(i, N))
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.sort(idx[:n])
+
+
 def fd_jacobian(lam, eq: EstimatingEquation, h: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian of the estimating-equation residual."""
     lam = np.asarray(lam, dtype=float)

@@ -150,3 +150,52 @@ def test_study_structure_and_determinism(tmp_path):
     assert len(scenarios) == 6
     table4 = (out1 / "table4.csv").read_text().splitlines()
     assert len(table4) == 2 + 24  # four reweighted variants per scenario
+
+
+_GOOD_FIT_ROWS = [
+    "unit,pi,r,x1,y", "a,0.5,1,4.0,3.0", "b,0.25,0,5.0,", "c,0.5,1,3.5,2.5", "d,0.2,0,4.5,",
+]
+
+
+def test_fit_rejects_unknown_variant(tmp_path, capsys):
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(_GOOD_FIT_ROWS) + "\n")
+    rc = main(["fit", "--input", str(path), "--variants", "cal_S,ht", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --variants: unknown ht\n"
+
+
+@pytest.mark.parametrize(
+    "row, totals",
+    [
+        ("e,0.5,1,4.0", None),  # ragged row
+        ("e,0.5,1,nan,3.0", None),  # non-finite x
+        ("e,0.5,1,inf,3.0", None),
+        ("e,0.5,1,4.0,nan", None),  # non-finite y of a respondent
+        ("e,0.5,1,4.0,", None),  # missing y of a respondent
+        ("e,0,1,4.0,3.0", None),  # pi outside (0, 1]
+        ("e,1.5,1,4.0,3.0", None),
+        ("e,nan,1,4.0,3.0", None),
+        ("e,0.5,2,4.0,3.0", None),  # r outside {0, 1}
+        ("e,0.5,abc,4.0,3.0", None),  # not a number
+        ("e,0.5,1,4.0,3.0", "100"),  # --totals of the wrong length
+        ("e,0.5,1,4.0,3.0", "100,nan"),  # non-finite --totals
+        ("e,0.5,1,4.0,3.0", "0,400"),  # population count <= 0
+        ("e,0.5,1,4.0,3.0", "-5,400"),
+    ],
+)
+def test_fit_rejects_bad_input_with_one_line_error(tmp_path, capsys, row, totals):
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(_GOOD_FIT_ROWS + [row]) + "\n")
+    argv = ["fit", "--input", str(path), "--out", str(tmp_path / "o")]
+    rc = main(argv + ([f"--totals={totals}"] if totals else []))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_fit_accepts_the_good_rows(tmp_path):
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(_GOOD_FIT_ROWS + ["e,0.5,1,4.0,3.0"]) + "\n")
+    rc = main(["fit", "--input", str(path), "--totals", "20,85", "--out", str(tmp_path / "o")])
+    assert rc == 0

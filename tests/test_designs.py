@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import srswor_indices_loop
 
 from nwacal import (
     Population,
@@ -124,6 +125,15 @@ def test_srs_draw_fixed_size(study_srs):
         s = draw_sample(study_srs, seed)
         assert s.size == 100
         assert len(np.unique(s.indices)) == 100
+
+
+@pytest.mark.parametrize(
+    "N, n, seeds", [(20_000, 2_000, range(20)), (1000, 100, range(200)), (2, 1, range(20))]
+)
+def test_srs_draw_keeps_the_per_step_stream(N, n, seeds):
+    design = srs_design(N, n)
+    for seed in seeds:
+        assert np.array_equal(draw_sample(design, seed).indices, srswor_indices_loop(N, n, seed))
 
 
 def test_draw_deterministic(study_srs, study_poisson):

@@ -7,12 +7,25 @@ from nwacal import (
     GenConfig,
     Population,
     Variant,
+    confidence_interval,
+    draw_response,
+    draw_sample,
     generate_population,
+    ht_estimate,
     poisson_design,
+    solve,
     srs_design,
+    two_phase_estimate,
+    var_hat,
 )
+from nwacal.cli import RunConfig, study_scenarios
+from nwacal.estimators import estimating_equation, nwa_estimate
 from nwacal.montecarlo import (
+    BLOCK,
+    STATUS_DEGENERATE,
     STATUS_OK,
+    TAG_RESPONSE,
+    TAG_SAMPLING,
     Scenario,
     coverage_rate,
     mix_seed,
@@ -182,3 +195,84 @@ def test_scenario_validation(study_population, study_srs):
     small = generate_population(GenConfig(N=50, seed=1))
     with pytest.raises(ValueError):
         Scenario(population=small, design=study_srs, reps=5, master_seed=1)
+
+
+_FIELDS = ("estimate", "v_sam", "v_nr", "ci_low", "ci_high", "max_w")
+
+
+def _scalar_replicate(scenario, index):
+    """One replicate through the public step API: per variant the status,
+    iterations and (estimate, v_sam, v_nr, ci_low, ci_high, max_w)."""
+    pop, design = scenario.population, scenario.design
+    sample = draw_sample(design, mix_seed(scenario.master_seed, index, TAG_SAMPLING))
+    p_s = pop.true_p[sample.indices]
+    resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, index, TAG_RESPONSE))
+    x_s, y_s, mask = pop.aux[sample.indices], pop.y[sample.indices], resp.resp_mask
+    ht = ht_estimate(sample.pi_s, y_s)
+    true_p = two_phase_estimate(sample.pi_s[mask], p_s[mask], y_s[mask])
+    out = {
+        Variant.HT: (STATUS_OK, 0, (ht, None, None, None, None, float(np.max(1.0 / sample.pi_s)))),
+        Variant.TRUE_P: (
+            STATUS_OK, 0,
+            (true_p, None, None, None, None, float(np.max(1.0 / (sample.pi_s * p_s)[mask]))),
+        ),
+    }
+    for variant in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S):
+        if mask.sum() < pop.n_aux:
+            out[variant] = (STATUS_DEGENERATE, 0, None)
+            continue
+        eq = estimating_equation(variant, x_s, sample.pi_s, resp.r, pop.aux.sum(axis=0))
+        fit = solve(eq, scenario.controls)
+        if not fit.converged:
+            out[variant] = (fit.status.value, fit.iterations, None)
+            continue
+        pi_r, y_r, p_hat_r = sample.pi_s[mask], y_s[mask], fit.p_hat[mask]
+        est = nwa_estimate(variant, pi_r, y_r, p_hat_r, fit)
+        ve = var_hat(variant, design, pi_r, x_s[mask], y_r, p_hat_r)
+        lo, hi = confidence_interval(est.value, ve.total) or (None, None)
+        values = (est.value, ve.v_sam, ve.v_nr, lo, hi, float(np.max(est.weights)))
+        out[variant] = (STATUS_OK, fit.iterations, values)
+    return out
+
+
+@pytest.fixture(scope="module")
+def study_cells():
+    return study_scenarios(RunConfig(reps=BLOCK + BLOCK // 2))
+
+
+@pytest.mark.parametrize("cell", range(6))
+def test_block_engine_matches_scalar_step_api(study_cells, cell):
+    design_name, rho, scenario = study_cells[cell]
+    _, records = run_study(scenario, return_records=True)
+    statuses = set()
+    for rec in records:
+        for variant, (status, iterations, values) in _scalar_replicate(scenario, rec.index).items():
+            o = rec.outcomes[variant]
+            statuses.add((variant, status))
+            assert (o.status, o.iterations) == (status, iterations), (rec.index, variant)
+            if values is None:
+                assert o.estimate is None
+                continue
+            lo, hi = o.ci if o.ci is not None else (None, None)
+            got = (o.estimate, o.v_sam, o.v_nr, lo, hi, o.max_weight)
+            for name, g, w in zip(_FIELDS, got, values):
+                assert (g is None) == (w is None), (rec.index, variant, name)
+                assert g == pytest.approx(w, rel=1e-10, nan_ok=True), (rec.index, variant, name)
+    if (design_name, rho) == ("poisson", 0.6):
+        # The replicates include cal_U fits that solve reports diverged.
+        assert (Variant.CAL_U, "diverged") in statuses
+
+
+def test_study_identical_for_any_worker_count_across_blocks(
+    tmp_path, study_population, study_poisson
+):
+    sc = _scenario(study_population, study_poisson, reps=2 * BLOCK + 7, seed=3)
+    outputs = []
+    for threads in (1, 2, 3):
+        report, records = run_study(sc, threads=threads, return_records=True)
+        path = tmp_path / f"raw{threads}.csv"
+        write_raw_records(path, records)
+        outputs.append((report, path.read_bytes()))
+    assert [r.index for r in records] == list(range(2 * BLOCK + 7))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

@@ -267,6 +267,16 @@ def test_affine_reparameterization_invariance(a, b):
     assert not np.allclose(fit.lambda_hat, fit2.lambda_hat)
 
 
+@pytest.mark.parametrize("bad", ["x", "pi", "target"])
+def test_equation_rejects_non_finite_data(bad):
+    # A NaN target would leave the calibration line search without a stopping point.
+    x, pi, r, _ = random_instance(3)
+    target = (x / pi[:, None]).sum(axis=0)
+    {"x": x[0], "pi": pi, "target": target}[bad][-1] = np.nan
+    with pytest.raises(ValueError):
+        EstimatingEquation.cal_population(x, pi, r, target)
+
+
 def test_controls_validation():
     with pytest.raises(ValueError):
         SolverControls(tol=0.0)

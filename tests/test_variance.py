@@ -13,6 +13,7 @@ from nwacal import (
     draw_sample,
     gamma_hat_cal,
     gamma_hat_mle,
+    joint_inclusion,
     poisson_design,
     srs_design,
     theoretical_variance,
@@ -23,6 +24,7 @@ from nwacal import (
     var_hat_mle,
 )
 from nwacal.montecarlo import mix_seed
+from nwacal.variance import _cross_term
 
 
 def _srs_pair_coeff(design):
@@ -135,6 +137,22 @@ def test_poisson_cross_terms_exactly_zero():
     got = var_hat_mle(design, pi_r, x_r, y_r, p_hat_r)
     single = float(np.sum((1 - pi_r) / pi_r**2 * y_r**2 / p_hat_r))
     assert got.v_sam == single  # bit-exact: the pair term is short-circuited
+
+
+def test_srswor_pair_term_matches_literal_double_sum():
+    design = srs_design(200, 30)
+    s = draw_sample(design, 5)
+    rng = np.random.default_rng(5)
+    u = rng.normal(40.0, 10.0, s.size) / s.pi_s
+    literal = 0.0
+    for i in range(s.size):
+        for j in range(s.size):
+            if i != j:
+                pi_ij = joint_inclusion(design, int(s.indices[i]), int(s.indices[j]))
+                literal += (pi_ij - s.pi_s[i] * s.pi_s[j]) / pi_ij * u[i] * u[j]
+    assert _cross_term(design, u) == pytest.approx(literal, rel=1e-12)
+    stack = np.stack([u, 2.0 * u])
+    assert np.allclose(_cross_term(design, stack), [literal, 4.0 * literal], rtol=1e-12, atol=0.0)
 
 
 def test_unit_probabilities_reduce_to_ht_variance():
