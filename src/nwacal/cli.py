@@ -450,6 +450,7 @@ def _cmd_fit(args, trace: bool = False) -> int:
     mask = r == 1
     n, n_r = len(units), int(mask.sum())
     resp_units = [u for u, keep in zip(units, mask) if keep]
+    pi_r, x_r, y_r = pi[mask], aux[mask], y[mask]
     with (out_dir / "estimates.csv").open("w") as fh_est, (
         out_dir / "weights.csv"
     ).open("w") as fh_w, (out_dir / "variance.csv").open("w") as fh_v:
@@ -457,20 +458,23 @@ def _cmd_fit(args, trace: bool = False) -> int:
         fh_w.write("unit,variant,weight\n")
         fh_v.write("variant,v_sam,v_nr,v_total,ci_low,ci_high\n")
         for variant, fit in fits.items():
+            name = variant.value
             if not fit.converged:
-                fh_est.write(
-                    f"{variant.value},nan,{n},{n_r},nan,{fit.status.value},{fit.iterations}\n"
-                )
-                print(f"{variant.value}: {fit.status.value} after {fit.iterations} iterations")
+                fh_est.write(f"{name},nan,{n},{n_r},nan,{fit.status.value},{fit.iterations}\n")
+                print(f"{name}: {fit.status.value} after {fit.iterations} iterations")
                 continue
             p_hat_r = fit.p_hat[mask]
-            record = nwa_estimate(variant, pi[mask], y[mask], p_hat_r, fit)
+            record = nwa_estimate(variant, pi_r, y_r, p_hat_r, fit)
             fh_est.write(record.csv_row(n, n_r) + "\n")
-            for unit, w in zip(resp_units, record.weights):
-                fh_w.write(f"{unit},{variant.value},{w:.17g}\n")
-            ve = _variance_for_fit(variant, pi[mask], aux[mask], y[mask], p_hat_r)
+            fh_w.write(
+                "".join(
+                    f"{unit},{name},{w:.17g}\n"
+                    for unit, w in zip(resp_units, record.weights.tolist())
+                )
+            )
+            ve = _variance_for_fit(variant, pi_r, x_r, y_r, p_hat_r)
             fh_v.write(ve.csv_row(variant, record.value) + "\n")
-            print(f"{variant.value}: total={record.value:.6g} (n_r={n_r})")
+            print(f"{name}: total={record.value:.6g} (n_r={n_r})")
     return 0
 
 

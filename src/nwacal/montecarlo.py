@@ -305,7 +305,7 @@ def _run_block(scenario: Scenario, draws: list[tuple[Sample, RespondentSet]]) ->
     w = 1.0 / (pi_r * p_hat)
     estimate = np.sum(w * y_r, axis=1)
     v_sam, v_nr = np.empty_like(estimate), np.empty_like(estimate)
-    for vi in np.unique(ok_v):
+    for vi in np.flatnonzero(np.bincount(ok_v, minlength=len(scenario.variants))):
         j = ok_v == vi
         v_sam[j], v_nr[j], _, _ = var_hat_block(
             scenario.variants[vi], scenario.design, pi_r[j], x_r[j], y_r[j], p_hat[j]

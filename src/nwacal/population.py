@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 __all__ = [
     "Population",
     "GenConfig",
+    "expit",
     "logistic",
     "logistic_probs",
     "generate_population",
@@ -25,6 +25,16 @@ __all__ = [
     "population_to_csv",
     "population_from_csv",
 ]
+
+
+def expit(x) -> np.ndarray:
+    """Elementwise logistic function 1 / (1 + exp(-x)).
+
+    Saturates to exactly 0.0 below about -709.8, where exp(-x) overflows to
+    inf, and to exactly 1.0 above about 37, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def logistic(x, lam) -> float:
@@ -139,13 +149,90 @@ class GenConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
+# Inverse of the standard normal CDF, ported from the Cephes Math Library
+# (ndtri.c, Stephen L. Moshier): a rational approximation in y - 1/2 on
+# exp(-2) < y < 1 - exp(-2), and in 1/sqrt(-2 log y) for the tails, split at
+# sqrt(-2 log y) = 8. The coefficients, branch tests and Horner order are
+# Cephes's, so the result matches it to the bit.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    # As _polevl with an implied leading coefficient of 1.
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _log(v: np.ndarray) -> np.ndarray:
+    # libm's log, as Cephes takes it; numpy's vectorised log can differ from
+    # it in the last bit.
+    return np.fromiter(map(math.log, v.tolist()), dtype=float, count=v.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each probability: -inf at 0, +inf at 1,
+    NaN outside [0, 1]."""
+    y0 = np.asarray(y0, dtype=float)
+    out = np.full(y0.shape, np.nan)
+    out[y0 == 0.0] = -np.inf
+    out[y0 == 1.0] = np.inf
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    inside = (y0 > 0.0) & (y0 < 1.0)
+
+    mid = inside & (y > _EXP_M2)
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    out[mid] = (ym + ym * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+
+    tail = inside & ~mid
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(z)
+    for sel, p, q in ((x < 8.0, _P1, _Q1), (x >= 8.0, _P2, _Q2)):
+        zs = z[sel]
+        x1[sel] = zs * _polevl(zs, p) / _p1evl(zs, q)
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    return out
+
+
 def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     # Inverse-CDF transform of (k + 0.5) / 2^64 with k a raw PCG64 64-bit
     # draw: deterministic, endpoint-free, and reproducible from the seed
     # alone (no dependence on the generator's rejection-sampling internals).
     k = rng.integers(0, 2**64, size=size, dtype=np.uint64)
     u = (k.astype(np.float64) + 0.5) * 2.0**-64
-    return ndtri(u)
+    return _ndtri(u)
 
 
 def generate_population(cfg: GenConfig) -> Population:

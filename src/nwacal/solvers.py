@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .population import expit
 
 __all__ = [
     "EEKind",

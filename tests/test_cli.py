@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nwacal
 from nwacal.cli import RunConfig, config_hash, main, parse_config
 
 
@@ -94,6 +100,33 @@ def test_fit_with_population_totals(tmp_path):
     est = (out / "estimates.csv").read_text().splitlines()
     variants = {ln.split(",")[0] for ln in est[1:]}
     assert "cal_U" in variants
+
+
+def test_study_and_fit_never_import_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing scipy adds about 0.3 s
+    # to every command. numpy.ma, which np.unique imports on first use, would
+    # move about 15 ms of import into the first block of a study.
+    csv_path = tmp_path / "units.csv"
+    _write_fit_csv(csv_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("N = 200\nn = 50\n")
+    script = f"""
+import sys
+from nwacal.cli import main
+assert main(["scenario", "--config", {str(cfg)!r}, "--reps", "70", "--emit-raw",
+             "--out", {str(tmp_path / "scen")!r}]) == 0
+assert main(["fit", "--input", {str(csv_path)!r}, "--out", {str(tmp_path / "fit")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma"))
+"""
+    src = str(Path(nwacal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "scen" / "raw.csv").read_text().splitlines()) == 2 + 70 * 6
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_fit_rejects_bad_header(tmp_path):

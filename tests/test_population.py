@@ -1,8 +1,10 @@
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, strategies as st
 
 from nwacal import (
@@ -14,6 +16,9 @@ from nwacal import (
     population_to_csv,
     population_total,
 )
+from nwacal.cli import STUDY_RHOS, RunConfig
+from nwacal.montecarlo import TAG_POPULATION, mix_seed
+from nwacal.population import _ndtri, expit
 
 # Independent high-precision evaluation of 1/(1+e^-1.7) (mpmath, 25 digits).
 LOGISTIC_1P7 = 0.8455347349164652956660462
@@ -201,3 +206,84 @@ def test_csv_without_metadata(tmp_path):
     assert pop.true_lambda is None
     assert pop.size == 2
     assert pop.total == 8.0
+
+
+def _ulps(a, b):
+    """Distance between two float arrays in units of the larger one's last place."""
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+def _generator_uniforms(k):
+    return (k.astype(np.float64) + 0.5) * 2.0**-64
+
+
+def test_ndtri_matches_cephes_on_generator_draws():
+    k = np.random.default_rng(2024).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    edges = np.array([0, 1, 2**63, 2**64 - 4096, 2**64 - 1], dtype=np.uint64)
+    u = _generator_uniforms(np.concatenate([k, edges]))
+    assert np.array_equal(_ndtri(u), scipy.special.ndtri(u))
+
+
+def test_ndtri_matches_cephes_in_tails_and_at_branch_points():
+    tail = np.logspace(-300, math.log10(0.5), 100_001)
+    cuts = [math.exp(-2.0), 1.0 - math.exp(-2.0), 1.0 - 0.13533528323661269189]
+    near_cuts = [np.nextafter(c, d) for c in cuts for d in (0.0, 1.0)]
+    u = np.concatenate([tail, 1.0 - tail, cuts, near_cuts, [1.0 - 1e-16, 5e-324, 0.5]])
+    assert np.array_equal(_ndtri(u), scipy.special.ndtri(u))
+    special = _ndtri(np.array([0.0, 1.0, -0.1, 1.1]))
+    assert special[0] == -np.inf and special[1] == np.inf
+    assert np.isnan(special[2:]).all()
+
+
+def test_expit_saturates_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expit(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+        assert expit(-800.0) == 0.0 and expit(800.0) == 1.0
+
+
+def test_expit_formula_matches_scipy_where_exp_agrees_with_libm():
+    # Same operations in the same order as scipy's expit, so the two differ
+    # only where numpy's exp and libm's exp round differently.
+    x = np.linspace(-700.0, 800.0, 300_001)
+    libm_agrees = np.exp(-x) == np.array([math.exp(-v) for v in x.tolist()])
+    assert libm_agrees.mean() > 0.9
+    assert np.array_equal(expit(x)[libm_agrees], scipy.special.expit(x)[libm_agrees])
+
+
+def test_expit_within_four_ulps_of_scipy():
+    # A one-ulp difference in exp(-x) can grow to two ulps of 1 + exp(-x)
+    # where that sum rounds at a tie, and to four ulps of its reciprocal;
+    # the largest distance on this grid is 4, near x = -36.8.
+    x = np.linspace(-800.0, 800.0, 1_600_001)
+    assert _ulps(expit(x), scipy.special.expit(x)).max() <= 4.0
+
+
+def _scipy_reference_population(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    k1 = rng.integers(0, 2**64, size=cfg.N, dtype=np.uint64)
+    k2 = rng.integers(0, 2**64, size=cfg.N, dtype=np.uint64)
+    z1 = scipy.special.ndtri(_generator_uniforms(k1))
+    z2 = scipy.special.ndtri(_generator_uniforms(k2))
+    y = cfg.mean_mu[0] + z1
+    x1 = cfg.mean_mu[1] + cfg.rho * z1 + math.sqrt(1.0 - cfg.rho * cfg.rho) * z2
+    aux = np.column_stack([np.ones(cfg.N), x1])
+    return aux, y, scipy.special.expit(aux @ np.asarray(cfg.lam))
+
+
+@pytest.mark.parametrize("rho_index", range(len(STUDY_RHOS)))
+def test_study_populations_match_scipy_reference(rho_index):
+    cfg = GenConfig(
+        N=RunConfig.N,
+        rho=STUDY_RHOS[rho_index],
+        seed=mix_seed(RunConfig.seed, rho_index, TAG_POPULATION),
+    )
+    pop = generate_population(cfg)
+    aux, y, p = _scipy_reference_population(cfg)
+    assert np.array_equal(pop.aux, aux)
+    assert np.array_equal(pop.y, y)
+    # Every linear predictor here is positive, so 1 + exp(-eta) lies in
+    # [1, 2): a one-ulp difference in exp moves it by at most one ulp, and
+    # the probability in [0.5, 1) by at most two.
+    assert np.all(aux @ np.asarray(cfg.lam) > 0.0)
+    assert _ulps(pop.true_p, p).max() <= 2.0
