@@ -44,12 +44,10 @@ from .solvers import (
 )
 from .estimators import (
     EstimateRecord,
-    GammaCoefficients,
     estimating_equation,
     Variant,
     gamma_cal_population,
     gamma_cal_sample,
-    gamma_coefficients,
     gamma_hat_cal,
     gamma_hat_mle,
     gamma_mle_sample,

@@ -54,8 +54,6 @@ class RunConfig:
     seed: int = 1729
     tol: float = 1e-8
     max_iter: int = 50
-    max_step: float = 10.0
-    divergence_bound: float = 50.0
     threads: int = 1
     out: str = "results"
     emit_raw: bool = False
@@ -77,26 +75,17 @@ class RunConfig:
             raise ValueError("tol: must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter: must be an integer >= 1")
-        if self.max_step <= 0.0:
-            raise ValueError("max_step: must be positive")
-        if self.divergence_bound <= 0.0:
-            raise ValueError("divergence_bound: must be positive")
         if self.threads < 1:
             raise ValueError("threads: must be an integer >= 1")
 
     @property
     def controls(self) -> SolverControls:
-        return SolverControls(
-            tol=self.tol,
-            max_iter=self.max_iter,
-            max_step=self.max_step,
-            divergence_bound=self.divergence_bound,
-        )
+        return SolverControls(tol=self.tol, max_iter=self.max_iter)
 
 
 _PAIR_KEYS = {"mu", "lam"}
 _INT_KEYS = {"N", "n", "reps", "seed", "max_iter", "threads"}
-_FLOAT_KEYS = {"rho", "tol", "max_step", "divergence_bound"}
+_FLOAT_KEYS = {"rho", "tol"}
 _BOOL_KEYS = {"emit_raw"}
 _STR_KEYS = {"design", "out"}
 _ALL_KEYS = _PAIR_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
@@ -155,8 +144,7 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
 # Keys that define the statistical experiment; execution details (output
 # paths, worker counts, raw emission) must not change the recorded hash.
 _HASHED_KEYS = (
-    "N", "n", "mu", "rho", "lam", "design", "reps", "seed",
-    "tol", "max_iter", "max_step", "divergence_bound",
+    "N", "n", "mu", "rho", "lam", "design", "reps", "seed", "tol", "max_iter",
 )
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "Variant",
     "EstimateRecord",
     "estimating_equation",
-    "GammaCoefficients",
     "ht_estimate",
     "two_phase_estimate",
     "nwa_estimate",
@@ -34,7 +33,6 @@ __all__ = [
     "gamma_mle_sample",
     "gamma_hat_mle",
     "gamma_hat_cal",
-    "gamma_coefficients",
     "linearized_estimate",
 ]
 
@@ -195,50 +193,6 @@ def gamma_hat_cal(x_r, y_r, pi_r, p_hat_r) -> np.ndarray | None:
         np.asarray(pi_r, dtype=float) * np.asarray(p_hat_r, dtype=float)
     )
     return _solve_normal_equations(x_r, np.asarray(y_r, dtype=float), w, w)
-
-
-@dataclass(frozen=True)
-class GammaCoefficients:
-    """Bundle of theory and plug-in gamma vectors; None marks a singular system
-    or missing inputs."""
-
-    gamma_mle_n: np.ndarray | None = None
-    gamma_calU_n: np.ndarray | None = None
-    gamma_calS_n: np.ndarray | None = None
-    gamma_hat_mle: np.ndarray | None = None
-    gamma_hat_cal: np.ndarray | None = None
-
-
-def gamma_coefficients(
-    pop: Population | None = None,
-    sample_data: tuple | None = None,
-    respondent_data: tuple | None = None,
-    survey_weighted: bool = False,
-) -> GammaCoefficients:
-    """Assemble every gamma vector the provided data allows.
-
-    ``sample_data`` is (x_s, y_s, pi_s, p_s) with true probabilities;
-    ``respondent_data`` is (x_r, y_r, pi_r, p_hat_r) with fitted ones.
-    The population-level coefficient additionally needs ``pop``.
-    """
-    g_calU = gamma_cal_population(pop) if pop is not None else None
-    g_mle = g_calS = None
-    if sample_data is not None:
-        x_s, y_s, pi_s, p_s = sample_data
-        g_mle = gamma_mle_sample(x_s, y_s, pi_s, p_s, survey_weighted=survey_weighted)
-        g_calS = gamma_cal_sample(x_s, y_s, pi_s, p_s)
-    gh_mle = gh_cal = None
-    if respondent_data is not None:
-        x_r, y_r, pi_r, p_hat_r = respondent_data
-        gh_mle = gamma_hat_mle(x_r, y_r, pi_r, p_hat_r, survey_weighted=survey_weighted)
-        gh_cal = gamma_hat_cal(x_r, y_r, pi_r, p_hat_r)
-    return GammaCoefficients(
-        gamma_mle_n=g_mle,
-        gamma_calU_n=g_calU,
-        gamma_calS_n=g_calS,
-        gamma_hat_mle=gh_mle,
-        gamma_hat_cal=gh_cal,
-    )
 
 
 def linearized_estimate(

@@ -228,10 +228,12 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
 
 def _standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     # Inverse-CDF transform of (k + 0.5) / 2^64 with k a raw PCG64 64-bit
-    # draw: deterministic, endpoint-free, and reproducible from the seed
-    # alone (no dependence on the generator's rejection-sampling internals).
+    # draw: deterministic and reproducible from the seed alone (no
+    # dependence on the generator's rejection-sampling internals). A draw
+    # k >= 2^64 - 1024 rounds to u = 1.0 in double precision, where the
+    # transform is +inf, so u is clamped to the largest double below 1.
     k = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-    u = (k.astype(np.float64) + 0.5) * 2.0**-64
+    u = np.minimum((k.astype(np.float64) + 0.5) * 2.0**-64, np.nextafter(1.0, 0.0))
     return _ndtri(u)
 
 

@@ -1,13 +1,21 @@
-"""Newton solvers for the response-probability estimating equations.
+"""Newton solver for the response-probability estimating equations.
 
 Four equation kinds are supported: the maximum-likelihood score over the full
 sample (unit weights or survey weights 1/pi) and calibration of the
 respondent-weighted auxiliary totals against a population-level or
-sample-level target. Calibration residuals are evaluated in raking form,
-1/f = 1 + exp(-x.lam), which is exact and avoids dividing by saturated
-probabilities. Raking calibration is the minimisation of a convex function
-(Deville & Sarndal 1992), which the calibration solver uses both to
-globalise Newton's method and to certify that a target has no solution.
+sample-level target. Each equation is the gradient of a convex function
+
+    F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,
+
+and is solved by one Newton iteration with an Armijo line search on F.
+Calibration (raking, Deville & Sarndal 1992) has rows a_i = x_i over the
+respondents, w_i = 1/pi_i, phi = exp and c = target - sum_i w_i a_i. The MLE
+kinds have rows a_i = x_i for respondents and -x_i for nonrespondents over
+the whole sample, w_i = k_i (1 or 1/pi_i), phi = softplus and c = 0, so F is
+the k-weighted negative log-likelihood. CONVERGED and DIVERGED each rest on
+a proof: a converged fit writes c as a strictly positive combination of the
+rows, so a finite solution exists; a diverged one has a direction along
+which F never increases, so none does (for the MLE kinds, separation).
 solve is the reference; solve_block takes the same Newton steps on a stack
 of equations at once and leaves every fit that does not converge to it.
 """
@@ -38,9 +46,13 @@ __all__ = [
     "response_probabilities",
 ]
 
-_COND_LIMIT = 1e12
-_MAX_HALVINGS = 30
 _ARMIJO = 1e-4
+# A Newton step delta with |a_i.delta| <= _SAFE_STEP on every row meets the
+# Armijo condition without evaluating F: as |phi'''| <= phi'' for exp and
+# softplus, F(lam + delta) - F(lam) <= -(1 - k(v)) res.delta with
+# v = max_i |a_i.delta| and k(v) = (e^v - 1 - v)/v^2, which is 0.88 at
+# v = 1.5 (the self-concordance bound of Bach 2010).
+_SAFE_STEP = 1.5
 _CERT_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 
@@ -129,18 +141,15 @@ class EstimatingEquation:
 class SolverControls:
     """Newton iteration controls.
 
-    tol is relative to max(1, ||target||_inf). max_step and divergence_bound
-    act on the MLE kinds only: max_step caps a single Newton step in the
-    infinity norm before any halving, and divergence_bound cuts off runaway
-    coefficients (the logistic saturates well before 50). Calibration
-    solutions can lie far beyond 50 and are not cut off.
+    tol is relative to max(1, ||target||_inf); a fit converges once the
+    residual is within it and the existence test holds (see solve). lambda0
+    replaces the intercept-only starting point, and trace records every
+    iteration in FitResult.trace.
     """
 
     tol: float = 1e-8
     max_iter: int = 50
-    max_step: float = 10.0
     lambda0: np.ndarray | None = None
-    divergence_bound: float = 50.0
     trace: bool = False
 
     def __post_init__(self):
@@ -148,8 +157,6 @@ class SolverControls:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.max_step <= 0.0 or self.divergence_bound <= 0.0:
-            raise ValueError("max_step and divergence_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -255,186 +262,185 @@ def response_probabilities(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.clip(expit(eta), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
-def _newton_calibration(eq: EstimatingEquation, lam: np.ndarray, controls: SolverControls):
-    """Newton's method with an Armijo line search on the raking objective
+def _objective(eq: EstimatingEquation):
+    """The terms (x, w, r, c, softplus) of eq's F: its rows are a_i = x_i
+    where r_i = 1 and -x_i where r_i = 0, and phi is softplus or exp."""
+    if eq.kind in _CAL_KINDS:
+        mask = eq.r == 1
+        x_r, d_r = eq.x[mask], 1.0 / eq.pi[mask]
+        return x_r, d_r, np.ones_like(d_r), eq.target - d_r @ x_r, False
+    return eq.x, _k_weights(eq), eq.r.astype(float), np.zeros(eq.x.shape[1]), True
 
-        G(lam) = sum_{S_r} d_i exp(-x_i.lam) + c.lam,   c = target - sum_{S_r} d_i x_i,
 
-    with d_i = 1/pi_i. G is convex, its gradient is minus the calibration
-    residual and its Hessian sum_{S_r} d_i exp(-x_i.lam) x_i x_i' is minus
-    the Jacobian, so the calibration equation has a finite solution exactly
-    when G has a minimiser. A direction v != 0 with x_i.v >= 0 on every
-    respondent and c.v <= 0 proves that G has no minimiser (it never
-    increases along v); finding one gives DIVERGED. Otherwise a Hessian
-    without a Cholesky factor gives SINGULAR_JACOBIAN, and a stalled line
-    search or max_iter iterations give MAX_ITERATIONS.
+def _row_terms(eta: np.ndarray, w: np.ndarray, r: np.ndarray, softplus: bool):
+    """Per-row terms of F where x_i.lam = eta, for one equation or a stack.
+
+    Returns (u, h, g): the residual -grad F is sum_i u_i x_i - c and the
+    Hessian sum_i h_i x_i x_i'; g is r_i - f_i for softplus, whose size is
+    sigma(-a_i.lam), and w_i exp(-a_i.lam) for exp. The MLE terms come from
+    f = expit(x.lam) in the r - f form of score_mle.
     """
-    mask = eq.r == 1
-    x_r = eq.x[mask]
-    d_r = 1.0 / eq.pi[mask]
-    c = eq.target - d_r @ x_r
-    tol = controls.tol * max(1.0, float(np.max(np.abs(eq.target))))
-    with np.errstate(over="ignore"):
-        e = d_r * np.exp(-(x_r @ lam))
-    res = e @ x_r - c
-    rn = float(np.max(np.abs(res)))
-    hess = None
+    if softplus:
+        f = expit(eta)
+        g = r - f
+        h = w * f
+        h *= 1.0 - f
+        return w * g, h, g
+    e = w * np.exp(-eta)
+    return e, e, e
+
+
+def _exists(ad: np.ndarray, ad_max, g: np.ndarray, softplus: bool):
+    """The existence test max_i s_i a_i.delta < 1 (per equation for a
+    stack), with s_i = sigma(a_i.lam) = 1 - |g_i| for softplus, 1 for exp.
+    As 0 < s_i <= 1, ad_max = max_i a_i.delta < 1 already passes it."""
+    holds = ad_max < 1.0
+    if softplus and not np.all(holds):
+        holds = ((1.0 - np.abs(g)) * ad).max(axis=-1) < 1.0
+    return holds
+
+
+def _change(alpha, ad: np.ndarray, w: np.ndarray, g: np.ndarray, softplus: bool):
+    """F(lam + alpha delta) - F(lam) less its linear term, free of
+    cancellation: sum_i w_i (phi(-a_i.lam - alpha a_i.delta) - phi(-a_i.lam))
+    with g from _row_terms, for one equation or per equation of a stack
+    (alpha then of shape (B, 1))."""
+    v = np.expm1(-alpha * ad)
+    if softplus:
+        v = np.log1p(np.abs(g) * v)
+    else:
+        w = g
+    return w @ v if w.ndim == 1 else (w[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _direction(hess: np.ndarray, res: np.ndarray) -> np.ndarray | None:
+    """The Newton direction, or None where the Hessian fails the Cholesky test."""
+    if not np.isfinite(hess).all():
+        return None
+    try:
+        delta = _cholesky_solve(hess, res)
+    except np.linalg.LinAlgError:
+        return None
+    return delta if np.isfinite(delta).all() else None
+
+
+def _newton(x, w, r, c, softplus: bool, lam: np.ndarray, tol: float, controls: SolverControls):
+    """Newton's method with an Armijo line search on the convex
+
+        F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,   a_i = (2 r_i - 1) x_i.
+
+    The residual is -grad F and the Hessian sum_i w_i phi''(-a_i.lam) a_i a_i'
+    is minus the Jacobian. Each iteration factors the Hessian (no Cholesky
+    factor: SINGULAR_JACOBIAN) and takes the Newton direction delta.
+
+    CONVERGED needs ||residual||_inf <= tol and max_i s_i a_i.delta < 1:
+    since c = sum_i u_i (1 - s_i a_i.delta) a_i with u_i = w_i phi'(-a_i.lam),
+    that writes c as a strictly positive combination of the rows, so F has a
+    minimiser (Gordan). A direction with a_i.delta >= 0 on every row and
+    c.delta <= 0 proves that F has none (it never increases along delta) and
+    gives DIVERGED. A stalled line search or max_iter iterations give
+    MAX_ITERATIONS; any failure that _has_certificate explains is DIVERGED.
+    """
+    sign = 2.0 * r - 1.0
+    u, h, g = _row_terms(x @ lam, w, r, softplus)
+    res = u @ x - c
+    rn = float(np.abs(res).max())
     iterations = 0
     trace: list[tuple[int, float, float]] = []
-    delta = None
     while True:
-        if rn <= tol:
-            status = FitStatus.CONVERGED
-            break
+        hess = (x * h[:, None]).T @ x
+        delta = _direction(hess, res)
+        if delta is not None:
+            ad = x @ delta
+            if softplus:
+                ad *= sign
+            ad_min, ad_max = float(ad.min()), float(ad.max())
+            if rn <= tol and _exists(ad, ad_max, g, softplus):
+                status = FitStatus.CONVERGED
+                break
         if iterations >= controls.max_iter:
             status = FitStatus.MAX_ITERATIONS
             break
-        hess = (x_r * e[:, None]).T @ x_r
-        if not np.all(np.isfinite(hess)):
+        if delta is None:
             status = FitStatus.SINGULAR_JACOBIAN
             break
-        try:
-            np.linalg.cholesky(hess)
-            delta = np.linalg.solve(hess, res)
-        except np.linalg.LinAlgError:
-            status = FitStatus.SINGULAR_JACOBIAN
-            break
-        xd = x_r @ delta
         cd = float(c @ delta)
-        if np.min(xd) >= 0.0 and cd <= 0.0:
-            # G never increases along delta: no minimiser.
+        if ad_min >= 0.0 and cd <= 0.0:
+            # F never increases along delta: no minimiser.
             status = FitStatus.DIVERGED
             break
-        slope = cd - float(e @ xd)
+        slope = -float(res @ delta)
         # Backtrack until the Armijo condition holds, or until the step no
         # longer moves lam in floating point (the iteration has stalled).
         alpha = 1.0
-        floor = _EPS * (1.0 + float(np.max(np.abs(lam)))) / float(np.max(np.abs(delta)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # G(lam + alpha delta) - G(lam), free of the cancellation in the
-            # large c.lam term.
-            while not float(e @ np.expm1(-alpha * xd)) + alpha * cd <= _ARMIJO * alpha * slope:
-                alpha *= 0.5
-                if alpha < floor:
-                    break
+        floor = _EPS * (1.0 + float(np.abs(lam).max())) / float(np.abs(delta).max())
+        long_step = max(ad_max, -ad_min) > _SAFE_STEP
+        # F(lam + alpha delta) - F(lam), free of the cancellation in the
+        # large c.lam term.
+        while long_step and not float(_change(alpha, ad, w, g, softplus)) + alpha * cd <= (
+            _ARMIJO * alpha * slope
+        ):
+            alpha *= 0.5
+            if alpha < floor:
+                break
         if alpha < floor:
             status = FitStatus.MAX_ITERATIONS
             break
         lam = lam + alpha * delta
-        with np.errstate(over="ignore"):
-            e = d_r * np.exp(-(x_r @ lam))
-        res = e @ x_r - c
-        rn = float(np.max(np.abs(res)))
+        u, h, g = _row_terms(x @ lam, w, r, softplus)
+        res = u @ x - c
+        rn = float(np.abs(res).max())
         iterations += 1
         if controls.trace:
-            trace.append((iterations, rn, alpha * float(np.max(np.abs(delta)))))
-    if status is not FitStatus.CONVERGED and _has_certificate(x_r, c, (delta, lam)):
+            trace.append((iterations, rn, alpha * float(np.abs(delta).max())))
+    if status is not FitStatus.CONVERGED and _has_certificate(sign[:, None] * x, c, (delta, lam)):
         status = FitStatus.DIVERGED
-    cond = float(np.linalg.cond(hess)) if hess is not None and np.all(np.isfinite(hess)) else math.nan
+    cond = float(np.linalg.cond(hess)) if np.isfinite(hess).all() else math.nan
     return lam, status, iterations, rn, cond, trace
 
 
-def _has_certificate(x_r: np.ndarray, c: np.ndarray, directions) -> bool:
-    """Whether some v != 0 has x_i.v >= 0 on every respondent and c.v <= 0,
-    up to rounding relative to |x_i||v| and |c||v|, with x_i.v > 0 for some i.
+def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
+    """Whether some v != 0 has a_i.v >= 0 on every row and c.v <= 0, up to
+    rounding relative to |a_i||v| and |c||v|, with a_i.v > 0 for some i.
 
-    Candidates are each given direction and its projections off the
-    respondents most opposed to it: an iterate running away along a
-    recession direction keeps x_j.lam bounded on the respondents of the face
-    it approaches, so lam/|lam| misses the face by O(1/|lam|).
+    Candidates are each given direction and its projections off the rows
+    most opposed to it: an iterate running away along a recession direction
+    keeps a_j.lam bounded on the rows of the face it approaches, so
+    lam/|lam| misses the face by O(1/|lam|).
     """
-    norms = np.linalg.norm(x_r, axis=1)
+    norms = np.linalg.norm(a, axis=1)
     c_norm = float(np.linalg.norm(c))
     for u in directions:
         if u is None or not np.all(np.isfinite(u)):
             continue
-        order = np.argsort((x_r @ u) / norms)
-        for k in range(x_r.shape[1]):
-            basis = np.linalg.qr(x_r[order[:k]].T)[0]
+        order = np.argsort((a @ u) / norms)
+        for k in range(a.shape[1]):
+            basis = np.linalg.qr(a[order[:k]].T)[0]
             v = u - basis @ (basis.T @ u)
             slack = _CERT_RTOL * float(np.linalg.norm(v))
-            xv = x_r @ v
+            av = a @ v
             if (
-                np.all(xv >= -slack * norms)
-                and np.any(xv > slack * norms)
+                np.all(av >= -slack * norms)
+                and np.any(av > slack * norms)
                 and float(c @ v) <= slack * c_norm
             ):
                 return True
     return False
 
 
-def _newton_mle(eq: EstimatingEquation, lam: np.ndarray, controls: SolverControls):
-    """Damped Newton on the MLE score: the step is capped at max_step and
-    halved (at most 30 times) until the residual infinity norm decreases. A
-    Jacobian with condition estimate above 1e12 gives SINGULAR_JACOBIAN and
-    coefficients passing divergence_bound (separation) give DIVERGED."""
-    scale = max(1.0, float(np.max(np.abs(eq.target))))
-    res = residual(lam, eq)
-    rn = float(np.max(np.abs(res)))
-    cond = math.nan
-    iterations = 0
-    trace: list[tuple[int, float, float]] = []
-    status = None
-
-    while status is None:
-        if rn <= controls.tol * scale:
-            status = FitStatus.CONVERGED
-            break
-        if iterations >= controls.max_iter:
-            status = FitStatus.MAX_ITERATIONS
-            break
-        jac = jacobian(lam, eq)
-        if not np.all(np.isfinite(jac)):
-            status = FitStatus.SINGULAR_JACOBIAN
-            break
-        cond = float(np.linalg.cond(jac))
-        if not math.isfinite(cond) or cond > _COND_LIMIT:
-            status = FitStatus.SINGULAR_JACOBIAN
-            break
-        delta = np.linalg.solve(jac, -res)
-        dn = float(np.max(np.abs(delta)))
-        if dn > controls.max_step:
-            delta *= controls.max_step / dn
-        alpha = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = lam + alpha * delta
-            cand_res = residual(cand, eq)
-            cand_rn = float(np.max(np.abs(cand_res)))
-            if cand_rn < rn:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            # No descent along the Newton direction within 30 halvings:
-            # the iteration has stalled.
-            status = FitStatus.MAX_ITERATIONS
-            break
-        lam, res, rn = cand, cand_res, cand_rn
-        iterations += 1
-        if controls.trace:
-            trace.append((iterations, rn, alpha * float(np.max(np.abs(delta)))))
-        if float(np.max(np.abs(lam))) > controls.divergence_bound:
-            status = FitStatus.DIVERGED
-            break
-
-    return lam, status, iterations, rn, cond, trace
-
-
 def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -> FitResult:
-    """Solve the estimating equation by Newton iteration.
+    """Solve the estimating equation by Newton iteration on its convex F.
 
-    Convergence requires ||residual||_inf <= tol * max(1, ||target||_inf).
-    Calibration kinds minimise the convex raking objective with an Armijo
-    line search, so they converge whenever a finite solution exists; the MLE
-    kinds use a damped Newton iteration on the score. Non-convergence is
-    reported through the status, never raised. DIVERGED means the equation
-    has no finite solution: no respondents, a full respondent set for the
-    MLE kinds or for sample-level calibration (separation or a target on the
-    boundary of the feasible cone), MLE coefficients passing the divergence
-    bound, or a calibration target certified outside the interior of the
-    cone of respondent auxiliaries. SINGULAR_JACOBIAN and MAX_ITERATIONS are
-    solver failures that no such certificate explains.
+    Convergence requires ||residual||_inf <= tol * max(1, ||target||_inf)
+    and a Newton step that proves a finite solution exists (see _newton).
+    Non-convergence is reported through the status, never raised. DIVERGED
+    means the equation has no finite solution: no respondents, a full
+    respondent set for the MLE kinds or for sample-level calibration, or a
+    direction along which F never increases (for the MLE kinds, complete or
+    quasi-complete separation; for calibration, a target outside the
+    interior of the cone of respondent auxiliaries).
+    SINGULAR_JACOBIAN and MAX_ITERATIONS are solver failures that no such
+    certificate explains.
     """
     n = eq.x.shape[0]
     n_r = eq.n_respondents
@@ -457,8 +463,11 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
         if controls.lambda0 is not None
         else _initial_point(eq)
     )
-    newton = _newton_calibration if eq.kind in _CAL_KINDS else _newton_mle
-    lam, status, iterations, rn, cond, trace = newton(eq, lam, controls)
+    tol = controls.tol * max(1.0, float(np.max(np.abs(eq.target))))
+    # exp(-x.lam) may overflow and the line search's change in F then be
+    # NaN; both fail the tests of _newton.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, status, iterations, rn, cond, trace = _newton(*_objective(eq), lam, tol, controls)
     return FitResult(
         lambda_hat=lam,
         p_hat=response_probabilities(eq.x, lam),
@@ -541,6 +550,21 @@ def _initial_points(kinds: np.ndarray, pi, r, valid, target) -> np.ndarray:
     return lam0
 
 
+def _block_objective(softplus: bool, survey_weighted, x, pi, r, valid, target):
+    """_objective for a stack: (x, w, r, c) with padding rows x = 0, w = 0."""
+    if softplus:
+        w = np.where(valid, np.where(survey_weighted[:, None], 1.0 / pi, 1.0), 0.0)
+        return x, w, r.astype(float), np.zeros(target.shape)
+    # The respondents of each equation first, padded with zero rows.
+    resp = r == 1
+    m = int(resp.sum(axis=1).max())
+    order = np.argsort(~resp, axis=1, kind="stable")[:, :m]
+    keep = np.take_along_axis(resp, order, axis=1)
+    x = np.take_along_axis(x, order[..., None], axis=1) * keep[..., None]
+    d = np.where(keep, 1.0 / np.take_along_axis(pi, order, axis=1), 0.0)
+    return x, d, np.ones_like(d), target - _rows_dot(d, x)
+
+
 class _Outcome:
     """Where a stack's converged equations are recorded, by original position."""
 
@@ -560,53 +584,45 @@ class _Outcome:
         return self.lam, self.converged, self.iterations
 
 
-def _block_calibration(x, pi, r, target, lam, controls: SolverControls):
-    """_newton_calibration on a stack; returns (lambda, converged, iterations)."""
-    # The respondents of each equation first, padded with zero rows (d = 0).
-    resp = r == 1
-    m = int(resp.sum(axis=1).max())
-    order = np.argsort(~resp, axis=1, kind="stable")[:, :m]
-    keep = np.take_along_axis(resp, order, axis=1)
-    x = np.take_along_axis(x, order[..., None], axis=1) * keep[..., None]
-    d = np.where(keep, 1.0 / np.take_along_axis(pi, order, axis=1), 0.0)
+def _block_newton(x, w, r, c, softplus: bool, lam, tol, controls: SolverControls):
+    """_newton on a stack; returns (lambda, converged, iterations)."""
     xx = _outer_rows(x)
     q = lam.shape[1]
+    sign = 2.0 * r - 1.0
     out = _Outcome(lam)
-    c = target - _rows_dot(d, x)
-    tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
     ids = np.arange(len(lam))
     it = np.zeros(len(lam), dtype=np.int64)
-    # exp(-x.lam) may overflow and G(lam + alpha delta) - G(lam) then be
+    # exp(-x.lam) may overflow and F(lam + alpha delta) - F(lam) then be
     # NaN; both fail the tests below as they do in solve.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            e = d * np.exp(-_matvec(x, lam))
-            res = _rows_dot(e, x) - c
-            done = np.max(np.abs(res), axis=1) <= tol
-            out.record(done, ids, lam, it)
-            go = ~done & (it < controls.max_iter)
-            if not go.any():
-                return out.result()
-            ids, x, xx, d, c, tol, lam, it, e, res = _subset(
-                go, ids, x, xx, d, c, tol, lam, it, e, res
-            )
-            hess = _rows_dot(e, xx).reshape(-1, q, q)
+            u, h, g = _row_terms(_matvec(x, lam), w, r, softplus)
+            res = _rows_dot(u, x) - c
+            hess = _rows_dot(h, xx).reshape(-1, q, q)
             ok = np.isfinite(hess).all(axis=(1, 2))
             delta, solved = _stacked(_cholesky_solve, _finite_or_eye(hess, ok), res)
-            ok &= solved
-            xd = _matvec(x, delta)
-            cd = np.sum(c * delta, axis=1)
-            # A certificate that G has no minimiser: solve reports DIVERGED.
-            ok &= ~((np.min(xd, axis=1) >= 0.0) & (cd <= 0.0))
-            slope = cd - np.sum(e * xd, axis=1)
-            floor = _EPS * (1.0 + np.max(np.abs(lam), axis=1)) / np.max(np.abs(delta), axis=1)
+            ok &= solved & np.isfinite(delta).all(axis=1)
+            ad = _matvec(x, delta)
+            if softplus:
+                ad *= sign
+            ad_min, ad_max = ad.min(axis=1), ad.max(axis=1)
+            near = ok & (np.abs(res).max(axis=1) <= tol)
+            done = near & _exists(ad, ad_max, g, softplus) if near.any() else near
+            out.record(done, ids, lam, it)
+            cd = (c * delta).sum(axis=1)
+            # A certificate that F has no minimiser: solve reports DIVERGED.
+            ok &= ~done & (it < controls.max_iter) & ~((ad_min >= 0.0) & (cd <= 0.0))
+            if not ok.any():
+                return out.result()
+            slope = -(res * delta).sum(axis=1)
+            floor = _EPS * (1.0 + np.abs(lam).max(axis=1)) / np.abs(delta).max(axis=1)
             # Backtrack each equation until the Armijo condition holds, or
             # hand it back once its step no longer moves lambda.
             alpha = np.ones(len(ids))
-            pending = ok.copy()
+            pending = ok & (np.maximum(ad_max, -ad_min) > _SAFE_STEP)
             while pending.any():
-                e_p, xd_p, cd_p, slope_p, a = _subset(pending, e, xd, cd, slope, alpha)
-                change = np.sum(e_p * np.expm1(-a[:, None] * xd_p), axis=1) + a * cd_p
+                w_p, g_p, ad_p, cd_p, slope_p, a = _subset(pending, w, g, ad, cd, slope, alpha)
+                change = _change(a[:, None], ad_p, w_p, g_p, softplus) + a * cd_p
                 rejected = np.flatnonzero(pending)[~(change <= _ARMIJO * a * slope_p)]
                 alpha[rejected] *= 0.5
                 moving = alpha[rejected] >= floor[rejected]
@@ -614,75 +630,8 @@ def _block_calibration(x, pi, r, target, lam, controls: SolverControls):
                 pending[rejected[moving]] = True
                 ok[rejected[~moving]] = False
             lam = lam + alpha[:, None] * delta
-            ids, x, xx, d, c, tol, lam, it = _subset(ok, ids, x, xx, d, c, tol, lam, it + 1)
-
-
-def _block_mle(x, k, r, target, lam, controls: SolverControls):
-    """_newton_mle on a stack, with k the MLE weights (zero on padding);
-    returns (lambda, converged, iterations).
-
-    The condition test uses the eigenvalues of the symmetric Jacobian and
-    hands an equation back at _COND_LIMIT / 100, so every equation whose
-    Jacobian solve would call singular is handed back to it.
-    """
-    xx = _outer_rows(x)
-    q = lam.shape[1]
-    out = _Outcome(lam)
-    tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
-
-    def score(x, k, r, lam):
-        res = _rows_dot(k * (r - expit(_matvec(x, lam))), x)
-        return res, np.max(np.abs(res), axis=1)
-
-    res, rn = score(x, k, r, lam)
-    ids = np.arange(len(lam))
-    it = np.zeros(len(lam), dtype=np.int64)
-    # Equations already handed back may carry NaN or infinite steps.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            done = rn <= tol
-            out.record(done, ids, lam, it)
-            go = ~done & (it < controls.max_iter)
-            if not go.any():
-                return out.result()
-            ids, x, xx, k, r, tol, lam, res, rn, it = _subset(
-                go, ids, x, xx, k, r, tol, lam, res, rn, it
-            )
-            f = expit(_matvec(x, lam))
-            jac = -_rows_dot(k * f * (1.0 - f), xx).reshape(-1, q, q)
-            ok = np.isfinite(jac).all(axis=(1, 2))
-            jac = _finite_or_eye(jac, ok)
-            ev = np.abs(np.linalg.eigvalsh(jac))
-            ok &= np.max(ev, axis=1) <= _COND_LIMIT / 100.0 * np.min(ev, axis=1)
-            delta, solved = _stacked(np.linalg.solve, jac, -res)
-            ok &= solved
-            dn = np.max(np.abs(delta), axis=1)
-            capped = dn > controls.max_step
-            delta[capped] *= (controls.max_step / dn[capped])[:, None]
-            # Halve until the residual norm decreases, at most _MAX_HALVINGS times.
-            alpha = np.ones(len(ids))
-            lam_new = lam + delta
-            res_new, rn_new = score(x, k, r, lam_new)
-            pending = ok & ~(rn_new < rn)
-            for _ in range(_MAX_HALVINGS):
-                if not pending.any():
-                    break
-                alpha[pending] *= 0.5
-                x_p, k_p, r_p, lam_p, delta_p, rn_p, a = _subset(
-                    pending, x, k, r, lam, delta, rn, alpha
-                )
-                cand = lam_p + a[:, None] * delta_p
-                cand_res, cand_rn = score(x_p, k_p, r_p, cand)
-                better = cand_rn < rn_p
-                acc = np.flatnonzero(pending)[better]
-                lam_new[acc] = cand[better]
-                res_new[acc], rn_new[acc] = cand_res[better], cand_rn[better]
-                pending[acc] = False
-            ok &= ~pending
-            # Coefficients past the divergence bound: solve reports DIVERGED.
-            ok &= np.max(np.abs(lam_new), axis=1) <= controls.divergence_bound
-            ids, x, xx, k, r, tol, lam, res, rn, it = _subset(
-                ok, ids, x, xx, k, r, tol, lam_new, res_new, rn_new, it + 1
+            ids, x, xx, w, r, sign, c, tol, lam, it = _subset(
+                ok, ids, x, xx, w, r, sign, c, tol, lam, it + 1
             )
 
 
@@ -708,28 +657,26 @@ def solve_block(
     Returns (lambda_hat, converged, iterations), each indexed by equation.
     An equation converges here in exactly the iterations solve takes, up to
     rounding in the sums. Every other outcome (a certificate, a singular
-    Hessian or Jacobian, a stalled line search, the divergence bound or
-    max_iter) leaves converged False and lambda_hat NaN: solve, re-run from
-    the start, gives its status.
+    Hessian, a stalled line search or max_iter) leaves converged False and
+    lambda_hat NaN: solve, re-run from the start, gives its status.
     """
     kinds = np.asarray(kinds, dtype=object)
     if controls.lambda0 is not None:
         lam = np.broadcast_to(np.asarray(controls.lambda0, dtype=float), target.shape).copy()
     else:
         lam = _initial_points(kinds, pi, r, valid, target)
+    tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
     lam_hat = np.full_like(lam, np.nan)
     converged = np.zeros(len(lam), dtype=bool)
     iterations = np.zeros(len(lam), dtype=np.int64)
     cal = (kinds == EEKind.CAL_POPULATION) | (kinds == EEKind.CAL_SAMPLE)
-    if cal.any():
-        lam_hat[cal], converged[cal], iterations[cal] = _block_calibration(
-            x[cal], pi[cal], r[cal], target[cal], lam[cal], controls
-        )
-    mle = ~cal
-    if mle.any():
-        survey_weighted = (kinds[mle] == EEKind.MLE_KINVPI)[:, None]
-        k = np.where(valid[mle], np.where(survey_weighted, 1.0 / pi[mle], 1.0), 0.0)
-        lam_hat[mle], converged[mle], iterations[mle] = _block_mle(
-            x[mle], k, r[mle].astype(float), target[mle], lam[mle], controls
-        )
+    for sel, softplus in ((cal, False), (~cal, True)):
+        if sel.any():
+            terms = _block_objective(
+                softplus, kinds[sel] == EEKind.MLE_KINVPI,
+                x[sel], pi[sel], r[sel], valid[sel], target[sel],
+            )
+            lam_hat[sel], converged[sel], iterations[sel] = _block_newton(
+                *terms, softplus, lam[sel], tol[sel], controls
+            )
     return lam_hat, converged, iterations

@@ -32,6 +32,17 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key", ["max_step", "divergence_bound"])
+def test_removed_solver_keys_are_unknown(tmp_path, capsys, key):
+    # The solver has no step cap and no coefficient cut-off; a config file
+    # that still sets them is rejected like any other unknown key.
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = 10\n")
+    rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r} (line 1)\n"
+
+
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("# comment\nrho = 0.3\nreps = 50\n")

@@ -14,7 +14,10 @@ from nwacal import (
     draw_response,
     draw_sample,
     gamma_cal_population,
-    gamma_coefficients,
+    gamma_cal_sample,
+    gamma_hat_cal,
+    gamma_hat_mle,
+    gamma_mle_sample,
     generate_population,
     ht_estimate,
     linearized_estimate,
@@ -218,18 +221,16 @@ def test_gamma_coefficients_bundle(study_population, study_srs):
     x_s = pop.aux[s.indices]
     y_s = pop.y[s.indices]
     fit = solve(EstimatingEquation.cal_sample(x_s, s.pi_s, resp.r))
-    bundle = gamma_coefficients(
-        pop=pop,
-        sample_data=(x_s, y_s, s.pi_s, p_s),
-        respondent_data=(x_s[mask], y_s[mask], s.pi_s[mask], fit.p_hat[mask]),
-    )
-    assert bundle.gamma_calU_n is not None
-    assert bundle.gamma_calS_n is not None
-    assert bundle.gamma_mle_n is not None
-    assert bundle.gamma_hat_cal is not None
-    assert bundle.gamma_hat_mle is not None
+    respondents = (x_s[mask], y_s[mask], s.pi_s[mask], fit.p_hat[mask])
+    gamma_calU_n = gamma_cal_population(pop)
+    gamma_calS_n = gamma_cal_sample(x_s, y_s, s.pi_s, p_s)
+    assert gamma_calU_n is not None
+    assert gamma_calS_n is not None
+    assert gamma_mle_sample(x_s, y_s, s.pi_s, p_s) is not None
+    assert gamma_hat_cal(*respondents) is not None
+    assert gamma_hat_mle(*respondents) is not None
     # the sample coefficient approximates the population one
-    assert np.allclose(bundle.gamma_calS_n, bundle.gamma_calU_n, atol=0.5)
+    assert np.allclose(gamma_calS_n, gamma_calU_n, atol=0.5)
 
 
 def test_linearized_cal_U_exact_for_linear_y():

@@ -18,7 +18,7 @@ from nwacal import (
 )
 from nwacal.cli import STUDY_RHOS, RunConfig
 from nwacal.montecarlo import TAG_POPULATION, mix_seed
-from nwacal.population import _ndtri, expit
+from nwacal.population import _ndtri, _standard_normal, expit
 
 # Independent high-precision evaluation of 1/(1+e^-1.7) (mpmath, 25 digits).
 LOGISTIC_1P7 = 0.8455347349164652956660462
@@ -235,6 +235,28 @@ def test_ndtri_matches_cephes_in_tails_and_at_branch_points():
     assert np.isnan(special[2:]).all()
 
 
+class _FixedDraws:
+    """A generator stub whose raw 64-bit draws are given."""
+
+    def __init__(self, k):
+        self.k = np.array(k, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        return self.k[:size]
+
+
+def test_standard_normal_finite_at_the_top_draws():
+    # k >= 2^64 - 1024 rounds (k + 0.5) 2^-64 to 1.0; the clamp keeps the
+    # normal finite, at the value of the largest double below 1.
+    top = [2**64 - 1, 2**64 - 1024]
+    z = _standard_normal(_FixedDraws(top), 2)
+    assert np.all(np.isfinite(z))
+    assert np.array_equal(z, _ndtri(np.full(2, np.nextafter(1.0, 0.0))))
+    below = np.array([2**64 - 1025, 0], dtype=np.uint64)
+    z = _standard_normal(_FixedDraws(below), 2)
+    assert np.array_equal(z, _ndtri(_generator_uniforms(below)))
+
+
 def test_expit_saturates_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -280,6 +302,8 @@ def test_study_populations_match_scipy_reference(rho_index):
     )
     pop = generate_population(cfg)
     aux, y, p = _scipy_reference_population(cfg)
+    # The reference takes no clamp of u: the clamp leaves the populations of
+    # all six study cells (three correlations, two designs) bit-identical.
     assert np.array_equal(pop.aux, aux)
     assert np.array_equal(pop.y, y)
     # Every linear predictor here is positive, so 1 + exp(-eta) lies in

@@ -16,7 +16,9 @@ from nwacal import (
     residual,
     score_mle,
     solve,
+    solve_block,
 )
+from nwacal.solvers import _has_certificate
 
 
 def _logit(p):
@@ -127,6 +129,105 @@ def test_full_response_population_calibration_solved():
     fit = solve(EstimatingEquation.cal_population(x, pi, r, _target_from(lam_star, x, pi, r)))
     assert fit.converged
     assert np.allclose(fit.lambda_hat, lam_star, atol=1e-8)
+
+
+def _cone_edge(seed, n=30):
+    # c = target - sum_{S_r} x_i/pi_i is t x_j for the respondent j of
+    # largest x1: c lies on an extreme ray of the cone of respondent rows,
+    # so no strictly positive combination of them reaches it and the
+    # equation has no solution. Integer x1 and pi = 1/2 keep the target
+    # exactly on the ray.
+    rng = np.random.default_rng(seed)
+    x1 = rng.integers(-5, 6, n).astype(float)
+    x = np.column_stack([np.ones(n), x1])
+    pi = np.full(n, 0.5)
+    r = (rng.random(n) < 0.6).astype(np.int64)
+    order = np.argsort(x1)
+    r[order[0]], r[order[-1]], r[order[n // 2]] = 1, 1, 0
+    mask = r == 1
+    j = np.flatnonzero(mask)[np.argmax(x1[mask])]
+    t = float(rng.integers(1, 20))
+    target = (x[mask] / pi[mask][:, None]).sum(axis=0) + t * x[j]
+    return EstimatingEquation.cal_population(x, pi, r, target)
+
+
+def test_cone_edge_calibration_targets_not_converged():
+    # A small residual alone is reached far out along the edge; convergence
+    # also needs the existence proof, which no point of these equations has.
+    converged = sum(solve(_cone_edge(seed)).converged for seed in range(200))
+    print(f"cone-edge calibration targets reported converged: {converged} of 200")
+    assert converged <= 10
+
+
+def _separated(quasi: bool, n: int = 20, seed: int = 0):
+    # Respondents have x1 >= 0 and nonrespondents x1 <= 0, so v = (0, 1)
+    # has a_i.v >= 0 on every signed row and the likelihood has no maximiser
+    # (Albert & Anderson 1984). The quasi-complete instance puts two
+    # respondents and a nonrespondent at x1 = 0 exactly.
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(0.0, 1.0, n)
+    r = (x1 > 0.0).astype(np.int64)
+    if quasi:
+        x1[:3] = 0.0
+        r[:3] = (1, 0, 1)
+    return np.column_stack([np.ones(n), x1]), rng.uniform(0.2, 0.9, n), r
+
+
+@pytest.mark.parametrize("survey_weighted", [False, True])
+@pytest.mark.parametrize("quasi", [False, True])
+def test_separated_mle_diverges_with_certificate(quasi, survey_weighted):
+    x, pi, r = _separated(quasi)
+    fit = solve(EstimatingEquation.mle(x, pi, r, survey_weighted))
+    assert fit.status is FitStatus.DIVERGED
+    signed = np.where(r[:, None] == 1, x, -x)
+    assert _has_certificate(signed, np.zeros(2), [np.array([0.0, 1.0])])
+    # Overlapping data has no certificate along any axis.
+    x_o, _, r_o, _ = random_instance(3)
+    signed = np.where(r_o[:, None] == 1, x_o, -x_o)
+    assert not _has_certificate(signed, np.zeros(2), list(np.vstack([np.eye(2), -np.eye(2)])))
+
+
+@pytest.mark.parametrize("survey_weighted", [False, True])
+def test_mle_solution_beyond_fifty_converges(survey_weighted):
+    # Scaling x1 by 0.01 scales the solution's slope by 100: the rescaled
+    # equation has a solution with |lam| > 50 and the same fitted
+    # probabilities, and no bound on the coefficients may lose it.
+    x, pi, r, _ = random_instance(3, n=40)
+    fit = solve(EstimatingEquation.mle(x, pi, r, survey_weighted))
+    fit_small = solve(EstimatingEquation.mle(x * [1.0, 0.01], pi, r, survey_weighted))
+    assert fit.converged and fit_small.converged
+    assert abs(fit_small.lambda_hat[1]) > 50.0
+    assert np.allclose(fit_small.lambda_hat, fit.lambda_hat * [1.0, 100.0], rtol=1e-6)
+
+
+def test_solve_block_matches_solve_on_mixed_mle_stack():
+    # Separated, |lam| > 50 and ordinary equations of two sample sizes in
+    # one padded stack: solve_block converges exactly the equations solve
+    # converges, in the same iterations, to the same lambda.
+    equations = []
+    for survey_weighted in (False, True):
+        for quasi in (False, True):
+            equations.append(EstimatingEquation.mle(*_separated(quasi), survey_weighted))
+        for seed in range(4):
+            x, pi, r, _ = random_instance(seed, n=40)
+            equations.append(EstimatingEquation.mle(x, pi, r, survey_weighted))
+            equations.append(EstimatingEquation.mle(x * [1.0, 0.01], pi, r, survey_weighted))
+    B, n = len(equations), max(len(eq.r) for eq in equations)
+    x, pi = np.zeros((B, n, 2)), np.ones((B, n))
+    r, valid = np.zeros((B, n), dtype=np.int64), np.zeros((B, n), dtype=bool)
+    for b, eq in enumerate(equations):
+        m = len(eq.r)
+        x[b, :m], pi[b, :m], r[b, :m], valid[b, :m] = eq.x, eq.pi, eq.r, True
+    lam, converged, iterations = solve_block(
+        [eq.kind for eq in equations], x, pi, r, valid, np.zeros((B, 2))
+    )
+    fits = [solve(eq) for eq in equations]
+    assert converged.tolist() == [fit.converged for fit in fits]
+    assert not converged.all() and np.any(np.abs(lam[converged, 1]) > 50.0)
+    for b, fit in enumerate(fits):
+        if fit.converged:
+            assert iterations[b] == fit.iterations, b
+            assert np.allclose(lam[b], fit.lambda_hat, rtol=1e-10, atol=0.0), b
 
 
 def test_jacobian_single_unit_hand_value():
@@ -282,8 +383,6 @@ def test_controls_validation():
         SolverControls(tol=0.0)
     with pytest.raises(ValueError):
         SolverControls(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverControls(max_step=-1.0)
 
 
 def test_lambda0_override_and_trace():
