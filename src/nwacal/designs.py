@@ -134,25 +134,31 @@ def poisson_design(pop: Population, n: float, pi_min: float = PI_MIN) -> DesignS
     return DesignSpec(kind=DesignKind.POISSON, pi=pi, n_target=float(n))
 
 
+def _sample_units(design: DesignSpec, seed: int) -> np.ndarray:
+    """The sorted unit indices of draw_sample(design, seed)."""
+    rng = np.random.default_rng(int(seed))
+    if design.kind is DesignKind.POISSON:
+        return np.flatnonzero(rng.random(design.size) < design.pi)
+    # A partial Fisher-Yates shuffle of range(N) that keeps only the
+    # positions a swap displaced: step i takes the unit at position j >= i
+    # and leaves position i's unit at j. One call draws the same stream as
+    # rng.integers(i, N) for i = 0..n-1.
+    n = int(round(design.n_target))
+    moved: dict[int, int] = {}
+    chosen = []
+    for i, j in enumerate(rng.integers(np.arange(n), design.size).tolist()):
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.sort(np.array(chosen, dtype=np.int64))
+
+
 def draw_sample(design: DesignSpec, seed: int) -> Sample:
     """Draw one sample from the design, deterministically for a fixed seed.
 
     SRSWOR uses a partial Fisher-Yates shuffle (n swap steps); Poisson draws
     an independent Bernoulli(pi_i) per unit.
     """
-    rng = np.random.default_rng(int(seed))
-    N = design.size
-    if design.kind is DesignKind.SRSWOR:
-        n = int(round(design.n_target))
-        # One call draws the same stream as rng.integers(i, N) for i = 0..n-1;
-        # only the swaps stay sequential.
-        idx = list(range(N))
-        for i, j in enumerate(rng.integers(np.arange(n), N).tolist()):
-            idx[i], idx[j] = idx[j], idx[i]
-        chosen = np.sort(np.array(idx[:n], dtype=np.int64))
-    else:
-        u = rng.random(N)
-        chosen = np.nonzero(u < design.pi)[0]
+    chosen = _sample_units(design, seed)
     return Sample(indices=chosen, pi_s=design.pi[chosen], design=design)
 
 

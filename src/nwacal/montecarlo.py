@@ -2,11 +2,13 @@
 
 Each replicate derives its sampling and response seeds from (master_seed,
 replicate index, phase tag) through a splitmix64 mixer. Replicates run in
-blocks of BLOCK consecutive indices: each block stacks its samples into
-padded arrays and fits, estimates and evaluates variances for all of them at
-once, handing any fit that does not converge back to the scalar ``solve``.
-Block boundaries depend only on the replicate index, so blocks can run in
-any order or in parallel worker processes and still produce a bit-identical
+blocks of BLOCK consecutive indices: each block draws the units and
+response indicators of all its replicates in one call, without building a
+Sample or RespondentSet, stacks them into padded arrays, and fits,
+estimates and evaluates variances for all of them at once. Each fit is
+solved once: the stacked solver gives every fit its status. Block
+boundaries depend only on the replicate index, so blocks can run in any
+order or in parallel worker processes and still produce a bit-identical
 study report: aggregation always runs over replicates in index order.
 """
 
@@ -19,17 +21,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import DesignSpec, Sample, draw_sample
+from .designs import DesignSpec, draw_sample
 from .estimators import (
     VARIANT_TO_EEKIND,
     Variant,
-    estimating_equation,
     gamma_cal_population,
     linearized_estimate,
 )
 from .population import Population
-from .response import RespondentSet, draw_response
-from .solvers import EEKind, FitStatus, SolverControls, response_probabilities, solve, solve_block
+from .response import _draw_replicates, draw_response
+from .solvers import EEKind, FitStatus, SolverControls, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
 __all__ = [
@@ -144,6 +145,7 @@ _STATUSES = (STATUS_OK, STATUS_DEGENERATE) + tuple(
     s.value for s in FitStatus if s is not FitStatus.CONVERGED
 )
 _OK = _STATUSES.index(STATUS_OK)
+_STATUS_CODE = {s: _OK if s is FitStatus.CONVERGED else _STATUSES.index(s.value) for s in FitStatus}
 
 
 class _Columns(NamedTuple):
@@ -163,26 +165,19 @@ class _Columns(NamedTuple):
         return cls(*(np.concatenate(f) for f in zip(*parts)))
 
 
-def _draw(scenario: Scenario, index: int) -> tuple[Sample, RespondentSet]:
-    """The sample and respondent set of one replicate, from its own seeds."""
-    sample = draw_sample(scenario.design, mix_seed(scenario.master_seed, index, TAG_SAMPLING))
-    p_s = scenario.population.true_p[sample.indices]
-    resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, index, TAG_RESPONSE))
-    return sample, resp
+def _pad(units: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated per-replicate unit indices as a (B, max size) array,
+    padded with unit 0, and its mask of real rows."""
+    valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    idx = np.zeros(valid.shape, dtype=np.int64)
+    idx[valid] = units
+    return idx, valid
 
 
-def _pad(sizes: np.ndarray, fills: tuple, columns: tuple) -> list[np.ndarray]:
-    """Scatter concatenated per-replicate columns into (B, max size, ...)
-    arrays, filling each array's padding with its fill value."""
-    rows = np.repeat(np.arange(sizes.size), sizes)
-    pos = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = int(sizes.max(initial=0))
-    out = []
-    for fill, col in zip(fills, columns):
-        arr = np.full((sizes.size, width, *col.shape[1:]), fill, dtype=col.dtype)
-        arr[rows, pos] = col
-        out.append(arr)
-    return out
+def _take(values: np.ndarray, idx: np.ndarray, valid: np.ndarray, fill: float) -> np.ndarray:
+    """values[idx] with fill on the padding rows."""
+    v = values[idx]
+    return np.where(valid.reshape(valid.shape + (1,) * (v.ndim - 2)), v, fill)
 
 
 def _row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -211,82 +206,55 @@ class _Stack(NamedTuple):
     valid_r: np.ndarray
 
 
-def _stack_draws(pop: Population, design: DesignSpec, draws) -> _Stack:
-    units = np.concatenate([s.indices for s, _ in draws])
-    r_all = np.concatenate([resp.r for _, resp in draws])
-    n_s = np.array([s.size for s, _ in draws])
-    n_r = np.array([resp.n_respondents for _, resp in draws])
-    pi_all = design.pi[units]
-    sample = _pad(
-        n_s, (0.0, 1.0, 0.0, 0, False),
-        (pop.aux[units], pi_all, pop.y[units], r_all, np.ones(units.size, dtype=bool)),
+def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
+    """The padded samples and respondents of the replicates ``indices``."""
+    pop, design, seed = scenario.population, scenario.design, scenario.master_seed
+    units, r_all, n_s = _draw_replicates(
+        design, pop.true_p, [(mix_seed(seed, i, TAG_SAMPLING), mix_seed(seed, i, TAG_RESPONSE)) for i in indices]
     )
-    resp = r_all == 1
-    respondents = _pad(
-        n_r, (0.0, 1.0, 0.0, 1.0, False),
-        (pop.aux[units[resp]], pi_all[resp], pop.y[units[resp]], pop.true_p[units[resp]],
-         np.ones(int(resp.sum()), dtype=bool)),
+    u, valid = _pad(units, n_s)
+    r = np.zeros(valid.shape, dtype=np.int64)
+    r[valid] = r_all
+    n_r = r.sum(axis=1)
+    u_r, valid_r = _pad(units[r_all == 1], n_r)
+    return _Stack(
+        n_s, n_r,
+        _take(pop.aux, u, valid, 0.0), _take(design.pi, u, valid, 1.0), _take(pop.y, u, valid, 0.0), r, valid,
+        _take(pop.aux, u_r, valid_r, 0.0), _take(design.pi, u_r, valid_r, 1.0), _take(pop.y, u_r, valid_r, 0.0),
+        _take(pop.true_p, u_r, valid_r, 1.0), valid_r,
     )
-    return _Stack(n_s, n_r, *sample, *respondents)
 
 
-def _fit(scenario: Scenario, draws, st: _Stack, status: np.ndarray, iterations: np.ndarray):
+def _fit(scenario: Scenario, st: _Stack, status: np.ndarray, iterations: np.ndarray):
     """Fit every fitted variant of every replicate of a block.
 
-    All the block's equations go to solve_block as one stack; every fit it
-    does not converge is handed back to solve, whose status it keeps.
-    Fills ``status`` and ``iterations`` (replicate x variant) and returns the
+    All the block's equations go to solve_block as one stack. Fills
+    ``status`` and ``iterations`` (replicate x variant) and returns the
     converged fits as (replicate, variant column, lambda_hat) arrays.
     """
     pop, controls = scenario.population, scenario.controls
     q = pop.n_aux
     fitted = np.array([v in VARIANT_TO_EEKIND for v in scenario.variants])
     status[np.outer(st.n_r < q, fitted)] = _STATUSES.index(STATUS_DEGENERATE)
-    if not fitted.any():
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros((0, q))
-    totals = pop.aux.sum(axis=0)
-    targets = {
-        EEKind.CAL_POPULATION: np.broadcast_to(totals, (len(draws), q)),
-        EEKind.CAL_SAMPLE: ((1.0 / st.pi)[:, None, :] @ st.x)[:, 0],
-    }
     # Row j of the stack fits variant column fit_v[j] on replicate fit_b[j].
-    # solve short-cuts a full respondent set to DIVERGED except for
-    # population-level calibration; those go straight to it.
-    fit_b, fit_v, kinds, target = [], [], [], []
-    for vi in np.flatnonzero(fitted):
-        kind = VARIANT_TO_EEKIND[scenario.variants[vi]]
-        rows = np.flatnonzero((st.n_r >= q) & ((st.n_r < st.n_s) | (kind is EEKind.CAL_POPULATION)))
-        fit_b.append(rows)
-        fit_v.append(np.full(rows.size, vi))
-        kinds += [kind] * rows.size
-        target.append(targets.get(kind, np.zeros((len(draws), q)))[rows])
-    fit_b, fit_v, target = np.concatenate(fit_b), np.concatenate(fit_v), np.concatenate(target)
-    lam, converged, iterations[fit_b, fit_v] = solve_block(
-        kinds, st.x[fit_b], st.pi[fit_b], st.r[fit_b], st.valid[fit_b], target, controls
-    )
-    handed_back = (status == _OK) & fitted
-    handed_back[fit_b[converged], fit_v[converged]] = False
-    ok_b, ok_v, ok_lam = [fit_b[converged]], [fit_v[converged]], [lam[converged]]
-    for b, vi in zip(*np.nonzero(handed_back)):
-        sample, resp = draws[b]
-        eq = estimating_equation(
-            scenario.variants[vi], pop.aux[sample.indices], sample.pi_s, resp.r, totals
-        )
-        fit = solve(eq, controls)
-        iterations[b, vi] = fit.iterations
-        if fit.converged:
-            ok_b.append([b])
-            ok_v.append([vi])
-            ok_lam.append(fit.lambda_hat[None])
-        else:
-            status[b, vi] = _STATUSES.index(fit.status.value)
-    return np.concatenate(ok_b), np.concatenate(ok_v), np.concatenate(ok_lam)
+    rows, columns = np.flatnonzero(st.n_r >= q), np.flatnonzero(fitted)
+    fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
+    kinds = np.array([VARIANT_TO_EEKIND[scenario.variants[vi]] for vi in fit_v], dtype=object)
+    target = np.zeros((fit_b.size, q))
+    target[kinds == EEKind.CAL_POPULATION] = pop.aux.sum(axis=0)
+    cal_s = fit_b[kinds == EEKind.CAL_SAMPLE]
+    target[kinds == EEKind.CAL_SAMPLE] = ((1.0 / st.pi[cal_s])[:, None, :] @ st.x[cal_s])[:, 0]
+    fits = solve_block(kinds, st.x[fit_b], st.pi[fit_b], st.r[fit_b], st.valid[fit_b], target, controls)
+    status[fit_b, fit_v] = [_STATUS_CODE[s] for s in fits.status]
+    iterations[fit_b, fit_v] = fits.iterations
+    ok = fits.status == FitStatus.CONVERGED
+    return fit_b[ok], fit_v[ok], fits.lambda_hat[ok]
 
 
-def _run_block(scenario: Scenario, draws: list[tuple[Sample, RespondentSet]]) -> _Columns:
-    """Fit, estimate and evaluate every variant for a block of replicates."""
-    st = _stack_draws(scenario.population, scenario.design, draws)
-    B, V = len(draws), len(scenario.variants)
+def _run_block(scenario: Scenario, indices: range) -> _Columns:
+    """Draw, fit, estimate and evaluate every variant for a block of replicates."""
+    st = _stack_draws(scenario, indices)
+    B, V = len(indices), len(scenario.variants)
     status = np.full((B, V), _OK, dtype=np.int8)
     values = np.full((B, V, len(_FIELDS)), np.nan)
     iterations = np.zeros((B, V), dtype=np.int64)
@@ -299,7 +267,7 @@ def _run_block(scenario: Scenario, draws: list[tuple[Sample, RespondentSet]]) ->
             values[:, vi, 0] = np.sum(st.y_r * w, axis=1)
             values[:, vi, 5] = _row_max(w, st.valid_r)
 
-    ok_b, ok_v, lam = _fit(scenario, draws, st, status, iterations)
+    ok_b, ok_v, lam = _fit(scenario, st, status, iterations)
     pi_r, x_r, y_r, valid_r = st.pi_r[ok_b], st.x_r[ok_b], st.y_r[ok_b], st.valid_r[ok_b]
     p_hat = np.where(valid_r, response_probabilities(x_r, lam), 1.0)
     w = 1.0 / (pi_r * p_hat)
@@ -322,11 +290,10 @@ def _run_block(scenario: Scenario, draws: list[tuple[Sample, RespondentSet]]) ->
 def _run_blocks(args: tuple[Scenario, int, int]) -> _Columns:
     """Blocks first..last-1 of a scenario's replicates."""
     scenario, first, last = args
-    parts = []
-    for k in range(first, last):
-        indices = range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps))
-        parts.append(_run_block(scenario, [_draw(scenario, i) for i in indices]))
-    return _Columns.concat(parts)
+    return _Columns.concat([
+        _run_block(scenario, range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps)))
+        for k in range(first, last)
+    ])
 
 
 def _records(
@@ -361,7 +328,7 @@ def _records(
 def run_replicate(scenario: Scenario, index: int) -> ReplicateRecord:
     """One replicate, run as a block of its own. Its numbers agree with the
     same replicate inside a study up to rounding in the padded sums."""
-    cols = _run_block(scenario, [_draw(scenario, index)])
+    cols = _run_block(scenario, range(index, index + 1))
     return _records(scenario.variants, cols, index)[0]
 
 
@@ -527,12 +494,15 @@ def linearization_gap(
     gamma_u = gamma_cal_population(pop)
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, L, BLOCK):
-        draws = [_draw(scenario, i) for i in range(start, min(start + BLOCK, L))]
-        cols = _run_block(scenario, draws)
-        for vi, variant in enumerate(scenario.variants):
-            gamma = gamma_u if variant is Variant.CAL_U else None
-            for b in np.flatnonzero(cols.status[:, vi] == _OK):
-                sample, resp = draws[b]
+        indices = range(start, min(start + BLOCK, L))
+        cols = _run_block(scenario, indices)
+        for b in np.flatnonzero((cols.status == _OK).any(axis=1)):
+            sample = draw_sample(scenario.design, mix_seed(scenario.master_seed, indices[b], TAG_SAMPLING))
+            p_s = pop.true_p[sample.indices]
+            resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, indices[b], TAG_RESPONSE))
+            for vi in np.flatnonzero(cols.status[b] == _OK):
+                variant = scenario.variants[vi]
+                gamma = gamma_u if variant is Variant.CAL_U else None
                 lin = linearized_estimate(variant, pop, sample, resp, gamma=gamma)
                 gaps[variant].append(abs(float(cols.values[b, vi, 0]) - lin) / pop.size)
     return {v: float(np.median(g)) for v, g in gaps.items() if g}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Sample
+from .designs import DesignSpec, Sample, _sample_units
 
 __all__ = ["RespondentSet", "draw_response"]
 
@@ -53,6 +53,11 @@ class RespondentSet:
         return self.r == 1
 
 
+def _respond(p: np.ndarray, seed: int) -> np.ndarray:
+    """The response indicators of draw_response for probabilities p."""
+    return (np.random.default_rng(int(seed)).random(p.size) < p).astype(np.int64)
+
+
 def draw_response(sample: Sample, p: np.ndarray, seed: int) -> RespondentSet:
     """Independent Bernoulli(p_i) response per sampled unit.
 
@@ -65,12 +70,25 @@ def draw_response(sample: Sample, p: np.ndarray, seed: int) -> RespondentSet:
         raise ValueError("p must provide one probability per sampled unit")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("response probabilities must lie in (0, 1]")
-    rng = np.random.default_rng(int(seed))
-    u = rng.random(sample.size)
-    r = (u < p).astype(np.int64)
+    r = _respond(p, seed)
     return RespondentSet(
         sample=sample,
         r=r,
         respondents=sample.indices[r == 1],
         nonrespondents=sample.indices[r == 0],
     )
+
+
+def _draw_replicates(design: DesignSpec, p: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of a run of replicates without building a Sample or a
+    RespondentSet: for each (sampling seed, response seed) pair, the units
+    of draw_sample(design, sampling seed) and the r of
+    draw_response(sample, p[units], response seed), bit for bit. ``p`` holds
+    a response probability for every unit of the population.
+
+    Returns the replicates' unit indices and r, concatenated, and their
+    sample sizes.
+    """
+    units = [_sample_units(design, s) for s, _ in seeds]
+    r = [_respond(p[u], t) for u, (_, t) in zip(units, seeds)]
+    return np.concatenate(units), np.concatenate(r), np.array([u.size for u in units])

@@ -16,15 +16,15 @@ the k-weighted negative log-likelihood. CONVERGED and DIVERGED each rest on
 a proof: a converged fit writes c as a strictly positive combination of the
 rows, so a finite solution exists; a diverged one has a direction along
 which F never increases, so none does (for the MLE kinds, separation).
-solve is the reference; solve_block takes the same Newton steps on a stack
-of equations at once and leaves every fit that does not converge to it.
+solve_block runs the iteration on a stack of equations and gives every
+equation its status; solve is its stack of one.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "jacobian",
     "solve",
     "solve_block",
+    "BlockFit",
     "response_probabilities",
 ]
 
@@ -166,6 +167,8 @@ class FitResult:
     p_hat holds fitted probabilities for every sampled unit (clipped into the
     open interval so reweighting never divides by zero); trace rows are
     (iteration, residual_norm, step_size) when tracing was requested.
+    residual_norm is taken at the last iterate; a converged lambda_hat is one
+    Newton step past it.
     """
 
     lambda_hat: np.ndarray
@@ -173,7 +176,6 @@ class FitResult:
     status: FitStatus
     iterations: int
     residual_norm: float
-    condition_estimate: float
     trace: tuple = ()
 
     @property
@@ -231,45 +233,12 @@ def jacobian(lam, eq: EstimatingEquation) -> np.ndarray:
     return -(x_r * g[:, None]).T @ x_r
 
 
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-def _initial_point(eq: EstimatingEquation) -> np.ndarray:
-    # Intercept-only solution of each equation: a cheap globalization that
-    # starts Newton at the correct overall response level.
-    inv_pi = 1.0 / eq.pi
-    resp = eq.r == 1
-    if eq.kind is EEKind.MLE_K1:
-        frac = eq.r.mean()
-    elif eq.kind is EEKind.MLE_KINVPI:
-        frac = float(inv_pi @ eq.r) / float(inv_pi.sum())
-    elif eq.kind is EEKind.CAL_SAMPLE:
-        frac = float(inv_pi[resp].sum()) / float(inv_pi.sum())
-    else:
-        frac = float(inv_pi[resp].sum()) / float(eq.target[0])
-    frac = min(max(frac, 1e-6), 1.0 - 1e-6)
-    lam0 = np.zeros(eq.x.shape[1])
-    lam0[0] = _logit(frac)
-    return lam0
-
-
 def response_probabilities(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Fitted probabilities expit(x_i.lam), clipped into the open interval so
     reweighting never divides by zero. A stack of coefficient rows (B, q)
     goes with a stack of units (B, n, q)."""
     eta = x @ lam if lam.ndim == 1 else _matvec(x, lam)
     return np.clip(expit(eta), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-
-
-def _objective(eq: EstimatingEquation):
-    """The terms (x, w, r, c, softplus) of eq's F: its rows are a_i = x_i
-    where r_i = 1 and -x_i where r_i = 0, and phi is softplus or exp."""
-    if eq.kind in _CAL_KINDS:
-        mask = eq.r == 1
-        x_r, d_r = eq.x[mask], 1.0 / eq.pi[mask]
-        return x_r, d_r, np.ones_like(d_r), eq.target - d_r @ x_r, False
-    return eq.x, _k_weights(eq), eq.r.astype(float), np.zeros(eq.x.shape[1]), True
 
 
 def _row_terms(eta: np.ndarray, w: np.ndarray, r: np.ndarray, softplus: bool):
@@ -303,100 +272,13 @@ def _exists(ad: np.ndarray, ad_max, g: np.ndarray, softplus: bool):
 def _change(alpha, ad: np.ndarray, w: np.ndarray, g: np.ndarray, softplus: bool):
     """F(lam + alpha delta) - F(lam) less its linear term, free of
     cancellation: sum_i w_i (phi(-a_i.lam - alpha a_i.delta) - phi(-a_i.lam))
-    with g from _row_terms, for one equation or per equation of a stack
-    (alpha then of shape (B, 1))."""
+    per equation of a stack, with g from _row_terms and alpha of shape (B, 1)."""
     v = np.expm1(-alpha * ad)
     if softplus:
         v = np.log1p(np.abs(g) * v)
     else:
         w = g
-    return w @ v if w.ndim == 1 else (w[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _direction(hess: np.ndarray, res: np.ndarray) -> np.ndarray | None:
-    """The Newton direction, or None where the Hessian fails the Cholesky test."""
-    if not np.isfinite(hess).all():
-        return None
-    try:
-        delta = _cholesky_solve(hess, res)
-    except np.linalg.LinAlgError:
-        return None
-    return delta if np.isfinite(delta).all() else None
-
-
-def _newton(x, w, r, c, softplus: bool, lam: np.ndarray, tol: float, controls: SolverControls):
-    """Newton's method with an Armijo line search on the convex
-
-        F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,   a_i = (2 r_i - 1) x_i.
-
-    The residual is -grad F and the Hessian sum_i w_i phi''(-a_i.lam) a_i a_i'
-    is minus the Jacobian. Each iteration factors the Hessian (no Cholesky
-    factor: SINGULAR_JACOBIAN) and takes the Newton direction delta.
-
-    CONVERGED needs ||residual||_inf <= tol and max_i s_i a_i.delta < 1:
-    since c = sum_i u_i (1 - s_i a_i.delta) a_i with u_i = w_i phi'(-a_i.lam),
-    that writes c as a strictly positive combination of the rows, so F has a
-    minimiser (Gordan). A direction with a_i.delta >= 0 on every row and
-    c.delta <= 0 proves that F has none (it never increases along delta) and
-    gives DIVERGED. A stalled line search or max_iter iterations give
-    MAX_ITERATIONS; any failure that _has_certificate explains is DIVERGED.
-    """
-    sign = 2.0 * r - 1.0
-    u, h, g = _row_terms(x @ lam, w, r, softplus)
-    res = u @ x - c
-    rn = float(np.abs(res).max())
-    iterations = 0
-    trace: list[tuple[int, float, float]] = []
-    while True:
-        hess = (x * h[:, None]).T @ x
-        delta = _direction(hess, res)
-        if delta is not None:
-            ad = x @ delta
-            if softplus:
-                ad *= sign
-            ad_min, ad_max = float(ad.min()), float(ad.max())
-            if rn <= tol and _exists(ad, ad_max, g, softplus):
-                status = FitStatus.CONVERGED
-                break
-        if iterations >= controls.max_iter:
-            status = FitStatus.MAX_ITERATIONS
-            break
-        if delta is None:
-            status = FitStatus.SINGULAR_JACOBIAN
-            break
-        cd = float(c @ delta)
-        if ad_min >= 0.0 and cd <= 0.0:
-            # F never increases along delta: no minimiser.
-            status = FitStatus.DIVERGED
-            break
-        slope = -float(res @ delta)
-        # Backtrack until the Armijo condition holds, or until the step no
-        # longer moves lam in floating point (the iteration has stalled).
-        alpha = 1.0
-        floor = _EPS * (1.0 + float(np.abs(lam).max())) / float(np.abs(delta).max())
-        long_step = max(ad_max, -ad_min) > _SAFE_STEP
-        # F(lam + alpha delta) - F(lam), free of the cancellation in the
-        # large c.lam term.
-        while long_step and not float(_change(alpha, ad, w, g, softplus)) + alpha * cd <= (
-            _ARMIJO * alpha * slope
-        ):
-            alpha *= 0.5
-            if alpha < floor:
-                break
-        if alpha < floor:
-            status = FitStatus.MAX_ITERATIONS
-            break
-        lam = lam + alpha * delta
-        u, h, g = _row_terms(x @ lam, w, r, softplus)
-        res = u @ x - c
-        rn = float(np.abs(res).max())
-        iterations += 1
-        if controls.trace:
-            trace.append((iterations, rn, alpha * float(np.abs(delta).max())))
-    if status is not FitStatus.CONVERGED and _has_certificate(sign[:, None] * x, c, (delta, lam)):
-        status = FitStatus.DIVERGED
-    cond = float(np.linalg.cond(hess)) if np.isfinite(hess).all() else math.nan
-    return lam, status, iterations, rn, cond, trace
+    return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
@@ -428,64 +310,11 @@ def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
     return False
 
 
-def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -> FitResult:
-    """Solve the estimating equation by Newton iteration on its convex F.
-
-    Convergence requires ||residual||_inf <= tol * max(1, ||target||_inf)
-    and a Newton step that proves a finite solution exists (see _newton).
-    Non-convergence is reported through the status, never raised. DIVERGED
-    means the equation has no finite solution: no respondents, a full
-    respondent set for the MLE kinds or for sample-level calibration, or a
-    direction along which F never increases (for the MLE kinds, complete or
-    quasi-complete separation; for calibration, a target outside the
-    interior of the cone of respondent auxiliaries).
-    SINGULAR_JACOBIAN and MAX_ITERATIONS are solver failures that no such
-    certificate explains.
-    """
-    n = eq.x.shape[0]
-    n_r = eq.n_respondents
-    if n_r == 0 or (n_r == n and eq.kind is not EEKind.CAL_POPULATION):
-        lam = (
-            np.asarray(controls.lambda0, dtype=float).copy()
-            if controls.lambda0 is not None
-            else np.zeros(eq.x.shape[1])
-        )
-        return FitResult(
-            lambda_hat=lam,
-            p_hat=response_probabilities(eq.x, lam),
-            status=FitStatus.DIVERGED,
-            iterations=0,
-            residual_norm=float(np.max(np.abs(residual(lam, eq)))),
-            condition_estimate=math.nan,
-        )
-    lam = (
-        np.asarray(controls.lambda0, dtype=float).copy()
-        if controls.lambda0 is not None
-        else _initial_point(eq)
-    )
-    tol = controls.tol * max(1.0, float(np.max(np.abs(eq.target))))
-    # exp(-x.lam) may overflow and the line search's change in F then be
-    # NaN; both fail the tests of _newton.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam, status, iterations, rn, cond, trace = _newton(*_objective(eq), lam, tol, controls)
-    return FitResult(
-        lambda_hat=lam,
-        p_hat=response_probabilities(eq.x, lam),
-        status=status,
-        iterations=iterations,
-        residual_norm=rn,
-        condition_estimate=cond,
-        trace=tuple(trace),
-    )
-
-
 # ---------------------------------------------------------------- stacks
 #
-# solve_block runs the Newton iterations of solve on a stack of equations at
-# once. Every array carries a leading stack axis; samples of different sizes
-# are padded to a common length with rows that add exact zeros. Each
-# equation takes exactly the steps solve takes; one that leaves the
-# converging path is dropped, and the caller re-solves it with solve.
+# Every equation is solved as part of a stack: each array carries a leading
+# stack axis, and samples of different sizes are padded to a common length
+# with rows that add exact zeros. solve is the stack of one.
 
 
 def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -501,7 +330,7 @@ def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _outer_rows(x: np.ndarray) -> np.ndarray:
     """x_i x_i' per unit, flattened: (B, n, q) to (B, n, q*q), so that
     sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (B, q, q)."""
-    return np.concatenate([x * x[..., j, None] for j in range(x.shape[-1])], axis=-1)
+    return np.einsum("...i,...j->...ij", x, x).reshape(*x.shape[:-1], -1)
 
 
 def _subset(mask: np.ndarray, *arrays):
@@ -511,35 +340,41 @@ def _subset(mask: np.ndarray, *arrays):
     return tuple(a[mask] for a in arrays)
 
 
-def _stacked(step, a: np.ndarray, b: np.ndarray):
-    """step(a_b, b_b) for a stack of finite (q, q) matrices and (q,) vectors.
-
-    Returns (result, ok): where LAPACK raises for a matrix, as it would in
-    the scalar solver, ok is False and the result NaN. A stack that raises
-    is split in halves until the failing matrices are found.
-    """
-    try:
-        return step(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full_like(b, np.nan), np.zeros(1, dtype=bool)
-        h = len(a) // 2
-        (r1, ok1), (r2, ok2) = _stacked(step, a[:h], b[:h]), _stacked(step, a[h:], b[h:])
-        return np.concatenate([r1, r2]), np.concatenate([ok1, ok2])
-
-
-def _cholesky_solve(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # The Cholesky factor is only the positive-definiteness test.
-    np.linalg.cholesky(hess)
-    return np.linalg.solve(hess, rhs)
-
-
-def _finite_or_eye(a: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    return np.where(ok[:, None, None], a, np.eye(a.shape[-1]))
+def _newton_directions(hess: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """hess_b^-1 res_b for a stack of (q, q) matrices, by a Cholesky
+    factorization unrolled over the stack; NaN throughout where a pivot is
+    not positive, that is where the matrix is not positive definite."""
+    q = res.shape[1]
+    h = hess.transpose(1, 2, 0)
+    low = [[None] * q for _ in range(q)]
+    for j in range(q):
+        pivot = h[j, j]
+        for k in range(j):
+            pivot = pivot - low[j][k] * low[j][k]
+        low[j][j] = np.sqrt(np.where(pivot > 0.0, pivot, np.nan))
+        for i in range(j + 1, q):
+            v = h[i, j]
+            for k in range(j):
+                v = v - low[i][k] * low[j][k]
+            low[i][j] = v / low[j][j]
+    z = []
+    for i in range(q):
+        v = res[:, i]
+        for k in range(i):
+            v = v - low[i][k] * z[k]
+        z.append(v / low[i][i])
+    delta = [None] * q
+    for i in reversed(range(q)):
+        v = z[i]
+        for k in range(i + 1, q):
+            v = v - low[k][i] * delta[k]
+        delta[i] = v / low[i][i]
+    return np.stack(delta, axis=1)
 
 
 def _initial_points(kinds: np.ndarray, pi, r, valid, target) -> np.ndarray:
-    """_initial_point for each equation of a stack."""
+    """The intercept-only solution of each equation of a stack: a cheap
+    globalization that starts Newton at the correct overall response level."""
     inv_pi = np.where(valid, 1.0 / pi, 0.0)
     resp_total = np.where(r == 1, inv_pi, 0.0).sum(axis=1)
     denom = np.where(kinds == EEKind.CAL_POPULATION, target[:, 0], inv_pi.sum(axis=1))
@@ -551,13 +386,16 @@ def _initial_points(kinds: np.ndarray, pi, r, valid, target) -> np.ndarray:
 
 
 def _block_objective(softplus: bool, survey_weighted, x, pi, r, valid, target):
-    """_objective for a stack: (x, w, r, c) with padding rows x = 0, w = 0."""
+    """The terms (x, w, r, c) of each equation's F, with padding rows x = 0,
+    w = 0. The rows are a_i = x_i where r_i = 1 and -x_i where r_i = 0:
+    calibration keeps only the respondents, w_i = 1/pi_i and
+    c = target - sum_i w_i x_i; the MLE kinds keep the sample, w_i = k_i and c = 0."""
     if softplus:
         w = np.where(valid, np.where(survey_weighted[:, None], 1.0 / pi, 1.0), 0.0)
         return x, w, r.astype(float), np.zeros(target.shape)
     # The respondents of each equation first, padded with zero rows.
     resp = r == 1
-    m = int(resp.sum(axis=1).max())
+    m = max(1, int(resp.sum(axis=1).max()))
     order = np.argsort(~resp, axis=1, kind="stable")[:, :m]
     keep = np.take_along_axis(resp, order, axis=1)
     x = np.take_along_axis(x, order[..., None], axis=1) * keep[..., None]
@@ -565,61 +403,79 @@ def _block_objective(softplus: bool, survey_weighted, x, pi, r, valid, target):
     return x, d, np.ones_like(d), target - _rows_dot(d, x)
 
 
-class _Outcome:
-    """Where a stack's converged equations are recorded, by original position."""
-
-    def __init__(self, lam: np.ndarray):
-        self.lam = np.full_like(lam, np.nan)
-        self.converged = np.zeros(len(lam), dtype=bool)
-        self.iterations = np.zeros(len(lam), dtype=np.int64)
-
-    def record(self, done, ids, lam, it) -> None:
-        if not done.any():
-            return
-        self.lam[ids[done]] = lam[done]
-        self.converged[ids[done]] = True
-        self.iterations[ids[done]] = it[done]
-
-    def result(self):
-        return self.lam, self.converged, self.iterations
+# _block_newton's status codes index _CODES.
+_CODES = (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS, FitStatus.SINGULAR_JACOBIAN, FitStatus.DIVERGED)
+_CONVERGED, _MAX_ITERATIONS, _SINGULAR, _DIVERGED = range(4)
 
 
-def _block_newton(x, w, r, c, softplus: bool, lam, tol, controls: SolverControls):
-    """_newton on a stack; returns (lambda, converged, iterations)."""
+def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverControls):
+    """Newton's method with an Armijo line search on the convex
+
+        F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,   a_i = (2 r_i - 1) x_i,
+
+    for each equation of a stack. The residual is -grad F and the Hessian
+    sum_i w_i phi''(-a_i.lam) a_i a_i' is minus the Jacobian. Each iteration
+    factors the Hessian (no Cholesky factor: SINGULAR_JACOBIAN) and takes the
+    Newton direction delta.
+
+    CONVERGED needs ||residual||_inf <= tol and max_i s_i a_i.delta < 1:
+    since c = sum_i u_i (1 - s_i a_i.delta) a_i with u_i = w_i phi'(-a_i.lam),
+    that writes c as a strictly positive combination of the rows, so F has a
+    minimiser (Gordan); the fit returns lam + delta. A direction with
+    a_i.delta >= 0 on every row and c.delta <= 0 proves that F has none (it
+    never increases along delta) and gives DIVERGED. A stalled line search
+    or max_iter iterations give MAX_ITERATIONS. A fit that stops without
+    either proof, or whose residual is within tol without the existence
+    proof, is DIVERGED when _has_certificate finds a direction of the second
+    kind. Equations marked ``short`` are DIVERGED before the first step.
+
+    Returns (lambda, status code into FitStatus, iterations, residual norm,
+    trace rows) per equation.
+    """
+    B, q = lam.shape
     xx = _outer_rows(x)
-    q = lam.shape[1]
     sign = 2.0 * r - 1.0
-    out = _Outcome(lam)
-    ids = np.arange(len(lam))
-    it = np.zeros(len(lam), dtype=np.int64)
+    lam_out, rn_out = np.empty_like(lam), np.empty(B)
+    status_out, it_out = np.empty(B, dtype=np.int8), np.empty(B, dtype=np.int64)
+    traces = [[] for _ in range(B)]
+    ids = np.arange(B)
+    it = np.zeros(B, dtype=np.int64)
+    step = np.zeros(B)
     # exp(-x.lam) may overflow and F(lam + alpha delta) - F(lam) then be
-    # NaN; both fail the tests below as they do in solve.
+    # NaN; both fail the tests below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
             u, h, g = _row_terms(_matvec(x, lam), w, r, softplus)
             res = _rows_dot(u, x) - c
+            rn = np.abs(res).max(axis=1)
+            if controls.trace:
+                for k in np.flatnonzero(it):
+                    traces[ids[k]].append((int(it[k]), float(rn[k]), float(step[k])))
             hess = _rows_dot(h, xx).reshape(-1, q, q)
-            ok = np.isfinite(hess).all(axis=(1, 2))
-            delta, solved = _stacked(_cholesky_solve, _finite_or_eye(hess, ok), res)
-            ok &= solved & np.isfinite(delta).all(axis=1)
+            delta = _newton_directions(hess, res)
+            ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(delta).all(axis=1)
             ad = _matvec(x, delta)
             if softplus:
                 ad *= sign
             ad_min, ad_max = ad.min(axis=1), ad.max(axis=1)
-            near = ok & (np.abs(res).max(axis=1) <= tol)
-            done = near & _exists(ad, ad_max, g, softplus) if near.any() else near
-            out.record(done, ids, lam, it)
+            near = ok & (rn <= tol)
+            exists = near & _exists(ad, ad_max, g, softplus) if near.any() else near
             cd = (c * delta).sum(axis=1)
-            # A certificate that F has no minimiser: solve reports DIVERGED.
-            ok &= ~done & (it < controls.max_iter) & ~((ad_min >= 0.0) & (cd <= 0.0))
-            if not ok.any():
-                return out.result()
+            status = np.where(short, _DIVERGED, -1)
+            for code, holds in (
+                (_CONVERGED, exists),
+                (_DIVERGED, ok & (ad_min >= 0.0) & (cd <= 0.0)),
+                (_MAX_ITERATIONS, it >= controls.max_iter),
+                (_SINGULAR, ~ok),
+            ):
+                status[(status < 0) & holds] = code
             slope = -(res * delta).sum(axis=1)
-            floor = _EPS * (1.0 + np.abs(lam).max(axis=1)) / np.abs(delta).max(axis=1)
-            # Backtrack each equation until the Armijo condition holds, or
-            # hand it back once its step no longer moves lambda.
+            # Backtrack each equation until the Armijo condition holds; one
+            # whose step no longer moves lambda has stalled.
             alpha = np.ones(len(ids))
-            pending = ok & (np.maximum(ad_max, -ad_min) > _SAFE_STEP)
+            pending = (status < 0) & (np.maximum(ad_max, -ad_min) > _SAFE_STEP)
+            if pending.any():
+                floor = _EPS * (1.0 + np.abs(lam).max(axis=1)) / np.abs(delta).max(axis=1)
             while pending.any():
                 w_p, g_p, ad_p, cd_p, slope_p, a = _subset(pending, w, g, ad, cd, slope, alpha)
                 change = _change(a[:, None], ad_p, w_p, g_p, softplus) + a * cd_p
@@ -628,11 +484,37 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, controls: SolverControls
                 moving = alpha[rejected] >= floor[rejected]
                 pending[:] = False
                 pending[rejected[moving]] = True
-                ok[rejected[~moving]] = False
+                status[rejected[~moving]] = _MAX_ITERATIONS
+            unproved = (status == _MAX_ITERATIONS) | (status == _SINGULAR) | (near & (status < 0))
+            for k in np.flatnonzero(unproved):
+                rows = w[k] > 0.0
+                if _has_certificate(sign[k, rows, None] * x[k, rows], c[k], (delta[k], lam[k])):
+                    status[k] = _DIVERGED
+            done = status >= 0
+            if done.any():
+                j = ids[done]
+                lam_out[j] = lam[done] + np.where((status[done] == _CONVERGED)[:, None], delta[done], 0.0)
+                status_out[j], it_out[j], rn_out[j] = status[done], it[done], rn[done]
+            if done.all():
+                return lam_out, status_out, it_out, rn_out, traces
+            if controls.trace:
+                step = alpha * np.abs(delta).max(axis=1)
             lam = lam + alpha[:, None] * delta
-            ids, x, xx, w, r, sign, c, tol, lam, it = _subset(
-                ok, ids, x, xx, w, r, sign, c, tol, lam, it + 1
+            ids, x, xx, w, r, sign, c, tol, lam, it, step, short = _subset(
+                ~done, ids, x, xx, w, r, sign, c, tol, lam, it + 1, step, short
             )
+
+
+class BlockFit(NamedTuple):
+    """Outcome of solve_block, indexed by equation: the coefficients, the
+    FitStatus, the Newton iterations, the residual norm at the last iterate
+    and, with controls.trace, the trace rows of FitResult.trace."""
+
+    lambda_hat: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    residual_norm: np.ndarray
+    trace: list
 
 
 def solve_block(
@@ -643,40 +525,69 @@ def solve_block(
     valid: np.ndarray,
     target: np.ndarray,
     controls: SolverControls = SolverControls(),
-):
-    """Solve a stack of B estimating equations by the iteration of solve.
+) -> BlockFit:
+    """Solve a stack of B estimating equations by Newton iteration on their
+    convex F (see _block_newton).
 
     ``kinds`` gives each equation's EEKind, ``x`` is (B, n, q), ``pi``,
     ``r`` and ``valid`` are (B, n) and ``target`` is (B, q): equation b is
     EstimatingEquation(kinds[b], x[b, :n_b], pi[b, :n_b], r[b, :n_b],
     target[b]), its rows past n_b marked False in ``valid`` and holding
-    x = 0, pi = 1, r = 0. Each equation needs at least one respondent, and
-    at least one nonrespondent unless it is a population-level calibration
-    (solve short-cuts those to DIVERGED).
-
-    Returns (lambda_hat, converged, iterations), each indexed by equation.
-    An equation converges here in exactly the iterations solve takes, up to
-    rounding in the sums. Every other outcome (a certificate, a singular
-    Hessian, a stalled line search or max_iter) leaves converged False and
-    lambda_hat NaN: solve, re-run from the start, gives its status.
+    x = 0, pi = 1, r = 0. Each equation takes the same steps and gets the
+    same status as it would alone, up to rounding in the padded sums.
+    An equation with no respondents, or with no nonrespondents unless it is
+    a population-level calibration, has no finite solution: it is DIVERGED
+    after no iterations, at lambda0 (zero by default).
     """
     kinds = np.asarray(kinds, dtype=object)
+    n_r = r.sum(axis=1)
+    short = (n_r == 0) | ((n_r == valid.sum(axis=1)) & (kinds != EEKind.CAL_POPULATION))
     if controls.lambda0 is not None:
         lam = np.broadcast_to(np.asarray(controls.lambda0, dtype=float), target.shape).copy()
     else:
-        lam = _initial_points(kinds, pi, r, valid, target)
+        lam = np.where(short[:, None], 0.0, _initial_points(kinds, pi, r, valid, target))
     tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
-    lam_hat = np.full_like(lam, np.nan)
-    converged = np.zeros(len(lam), dtype=bool)
-    iterations = np.zeros(len(lam), dtype=np.int64)
-    cal = (kinds == EEKind.CAL_POPULATION) | (kinds == EEKind.CAL_SAMPLE)
+    lam_hat, codes = np.empty_like(lam), np.empty(len(lam), dtype=np.int8)
+    iterations, rn = np.empty(len(lam), dtype=np.int64), np.empty(len(lam))
+    trace = [[] for _ in range(len(lam))]
+    cal = np.array([k in _CAL_KINDS for k in kinds], dtype=bool)
     for sel, softplus in ((cal, False), (~cal, True)):
         if sel.any():
             terms = _block_objective(
-                softplus, kinds[sel] == EEKind.MLE_KINVPI,
-                x[sel], pi[sel], r[sel], valid[sel], target[sel],
+                softplus, kinds[sel] == EEKind.MLE_KINVPI, *_subset(sel, x, pi, r, valid, target)
             )
-            lam_hat[sel], converged[sel], iterations[sel] = _block_newton(
-                *terms, softplus, lam[sel], tol[sel], controls
+            lam_hat[sel], codes[sel], iterations[sel], rn[sel], part = _block_newton(
+                *terms, softplus, lam[sel], tol[sel], short[sel], controls
             )
-    return lam_hat, converged, iterations
+            for b, rows in zip(np.flatnonzero(sel), part):
+                trace[b] = rows
+    return BlockFit(lam_hat, np.array(_CODES, dtype=object)[codes], iterations, rn, trace)
+
+
+def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -> FitResult:
+    """Solve the estimating equation by Newton iteration on its convex F: a
+    stack of one for solve_block.
+
+    Convergence requires ||residual||_inf <= tol * max(1, ||target||_inf)
+    and a Newton step that proves a finite solution exists. Non-convergence
+    is reported through the status, never raised. DIVERGED means the
+    equation has no finite solution: no respondents, a full respondent set
+    for the MLE kinds or for sample-level calibration, or a direction along
+    which F never increases (for the MLE kinds, complete or quasi-complete
+    separation; for calibration, a target outside the interior of the cone
+    of respondent auxiliaries). SINGULAR_JACOBIAN and MAX_ITERATIONS are
+    solver failures that no such certificate explains.
+    """
+    fit = solve_block(
+        [eq.kind], eq.x[None], eq.pi[None], eq.r[None], np.ones((1, len(eq.r)), dtype=bool),
+        eq.target[None], controls,
+    )
+    lam = fit.lambda_hat[0]
+    return FitResult(
+        lambda_hat=lam,
+        p_hat=response_probabilities(eq.x, lam),
+        status=fit.status[0],
+        iterations=int(fit.iterations[0]),
+        residual_norm=float(fit.residual_norm[0]),
+        trace=tuple(fit.trace[0]),
+    )

@@ -5,6 +5,7 @@ Kept free of any solver internals so the checks stay meaningful.
 
 import numpy as np
 
+from nwacal.designs import DesignKind, DesignSpec
 from nwacal.solvers import EstimatingEquation, residual
 
 
@@ -17,6 +18,30 @@ def srswor_indices_loop(N: int, n: int, seed: int) -> np.ndarray:
         j = int(rng.integers(i, N))
         idx[i], idx[j] = idx[j], idx[i]
     return np.sort(idx[:n])
+
+
+def draw_replicates_loop(design: DesignSpec, p: np.ndarray, seeds):
+    """The per-replicate draw loop of the engine before its block kernel:
+    for each (sampling seed, response seed) pair, a list-based partial
+    Fisher-Yates shuffle of range(N) (SRSWOR) or a Bernoulli(pi_i) draw per
+    unit (Poisson), then a Bernoulli(p_i) response per sampled unit.
+    Returns the concatenated unit indices and r, and the sample sizes."""
+    units, r = [], []
+    for s, t in seeds:
+        rng = np.random.default_rng(int(s))
+        N = design.size
+        if design.kind is DesignKind.SRSWOR:
+            n = int(round(design.n_target))
+            idx = list(range(N))
+            for i, j in enumerate(rng.integers(np.arange(n), N).tolist()):
+                idx[i], idx[j] = idx[j], idx[i]
+            chosen = np.sort(np.array(idx[:n], dtype=np.int64))
+        else:
+            chosen = np.nonzero(rng.random(N) < design.pi)[0]
+        u = np.random.default_rng(int(t)).random(chosen.size)
+        units.append(chosen)
+        r.append((u < p[chosen]).astype(np.int64))
+    return np.concatenate(units), np.concatenate(r), np.array([u.size for u in units])
 
 
 def fd_jacobian(lam, eq: EstimatingEquation, h: float = 1e-6) -> np.ndarray:
@@ -115,3 +140,34 @@ def calibration_margin(eq: EstimatingEquation):
     if out.status != 0:
         raise RuntimeError(f"calibration LP failed: {out.message}")
     return float(out.fun) * scale_c / scale_a, out.x / scale_a
+
+
+def mle_margin(eq: EstimatingEquation) -> float:
+    """Interior margin of an MLE equation, from a linear program.
+
+    The likelihood has a maximiser iff no v != 0 has a_i.v >= 0 on every
+    signed row a_i = (2 r_i - 1) x_i (no complete or quasi-complete
+    separation, Albert & Anderson 1984), that is iff 0 = sum w_i a_i for
+    some w > 0 when the rows span R^q. The margin is
+
+        max min_i w_i  subject to  sum_i w_i a_i = 0,  sum_i w_i = 1,
+
+    computed by its LP dual min mu subject to a_i.v <= mu for all i and
+    n mu - sum_i a_i.v = 1. It is positive iff the data are not separated.
+    """
+    from scipy.optimize import linprog
+
+    a = np.where(eq.r[:, None] == 1, eq.x, -eq.x)
+    n, q = a.shape
+    out = linprog(
+        np.r_[np.zeros(q), 1.0],
+        A_ub=np.column_stack([a, -np.ones(n)]),
+        b_ub=np.zeros(n),
+        A_eq=np.r_[-a.sum(axis=0), n][None, :],
+        b_eq=[1.0],
+        bounds=[(None, None)] * (q + 1),
+        method="highs",
+    )
+    if out.status != 0:
+        raise RuntimeError(f"MLE margin LP failed: {out.message}")
+    return float(out.fun)

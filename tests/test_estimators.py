@@ -36,7 +36,6 @@ def _converged_dummy_fit(p_hat):
         status=FitStatus.CONVERGED,
         iterations=0,
         residual_norm=0.0,
-        condition_estimate=1.0,
     )
 
 
@@ -115,7 +114,6 @@ def test_nwa_refuses_unconverged_fit():
         status=FitStatus.DIVERGED,
         iterations=50,
         residual_norm=1.0,
-        condition_estimate=1.0,
     )
     with pytest.raises(FitNotConvergedError):
         nwa_estimate(Variant.CAL_U, np.full(3, 0.5), np.ones(3), bad.p_hat, bad)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import calibration_margin, draw_replicates_loop, mle_margin
 
 from nwacal import (
     GenConfig,
@@ -19,7 +20,7 @@ from nwacal import (
     var_hat,
 )
 from nwacal.cli import RunConfig, study_scenarios
-from nwacal.estimators import estimating_equation, nwa_estimate
+from nwacal.estimators import VARIANT_TO_EEKIND, estimating_equation, nwa_estimate
 from nwacal.montecarlo import (
     BLOCK,
     STATUS_DEGENERATE,
@@ -35,6 +36,7 @@ from nwacal.montecarlo import (
     run_study,
     write_raw_records,
 )
+from nwacal.response import _draw_replicates
 
 
 def _scenario(pop, design, reps=50, seed=11):
@@ -276,3 +278,60 @@ def test_study_identical_for_any_worker_count_across_blocks(
     assert [r.index for r in records] == list(range(2 * BLOCK + 7))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+def _seeds(scenario, indices):
+    return [
+        (mix_seed(scenario.master_seed, i, TAG_SAMPLING), mix_seed(scenario.master_seed, i, TAG_RESPONSE))
+        for i in indices
+    ]
+
+
+@pytest.mark.parametrize("cell", [*range(6), "large-srs"])
+def test_draw_kernel_matches_per_replicate_draws(cell):
+    # The block kernel draws every replicate's units and r bit for bit as
+    # the old per-replicate loop and the public draw_sample -> draw_response:
+    # 300 replicates of each study cell, 20 of SRSWOR at N=20000, n=2000.
+    if cell == "large-srs":
+        pop = generate_population(GenConfig(N=20_000, rho=0.6, seed=5))
+        scenario = _scenario(pop, srs_design(20_000, 2_000), reps=20, seed=9)
+    else:
+        _, _, scenario = study_scenarios(RunConfig(reps=300))[cell]
+    pop, design = scenario.population, scenario.design
+    seeds = _seeds(scenario, range(scenario.reps))
+    units, r, sizes = _draw_replicates(design, pop.true_p, seeds)
+    want = draw_replicates_loop(design, pop.true_p, seeds)
+    for got, ref in zip((units, r, sizes), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    samples = [draw_sample(design, s) for s, _ in seeds]
+    responses = [draw_response(x, pop.true_p[x.indices], t) for x, (_, t) in zip(samples, seeds)]
+    assert np.array_equal(units, np.concatenate([x.indices for x in samples]))
+    assert np.array_equal(r, np.concatenate([resp.r for resp in responses]))
+
+
+@pytest.mark.parametrize("cell", range(6))
+def test_fit_status_matches_lp_margin(cell):
+    # Every converged fit of the first 256 replicates has a finite solution
+    # and every diverged one has none, by linear programs that share no code
+    # with the solver: the calibration margin, and for the MLE kinds the
+    # margin of the signed rows (both MLE kinds share it).
+    _, _, scenario = study_scenarios(RunConfig(reps=256))[cell]
+    pop, design = scenario.population, scenario.design
+    _, records = run_study(scenario, return_records=True)
+    for rec, (s, t) in zip(records, _seeds(scenario, range(256))):
+        sample = draw_sample(design, s)
+        resp = draw_response(sample, pop.true_p[sample.indices], t)
+        margins = {}
+        for variant, kind in VARIANT_TO_EEKIND.items():
+            status = rec.outcomes[variant].status
+            if status == STATUS_DEGENERATE:
+                continue
+            assert status in (STATUS_OK, "diverged"), (rec.index, variant, status)
+            eq = estimating_equation(
+                variant, pop.aux[sample.indices], sample.pi_s, resp.r, pop.aux.sum(axis=0)
+            )
+            if kind.value.startswith("mle"):
+                margin = margins.setdefault("mle", mle_margin(eq))
+            else:
+                margin = calibration_margin(eq)[0]
+            assert (margin > 0.0) == (status == STATUS_OK), (rec.index, variant, status, margin)

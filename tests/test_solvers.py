@@ -18,7 +18,7 @@ from nwacal import (
     solve,
     solve_block,
 )
-from nwacal.solvers import _has_certificate
+from nwacal.solvers import _has_certificate, _newton_directions
 
 
 def _logit(p):
@@ -179,6 +179,8 @@ def test_separated_mle_diverges_with_certificate(quasi, survey_weighted):
     x, pi, r = _separated(quasi)
     fit = solve(EstimatingEquation.mle(x, pi, r, survey_weighted))
     assert fit.status is FitStatus.DIVERGED
+    # The certificate stops the fit once its residual is within tol.
+    assert fit.iterations < SolverControls().max_iter
     signed = np.where(r[:, None] == 1, x, -x)
     assert _has_certificate(signed, np.zeros(2), [np.array([0.0, 1.0])])
     # Overlapping data has no certificate along any axis.
@@ -202,8 +204,8 @@ def test_mle_solution_beyond_fifty_converges(survey_weighted):
 
 def test_solve_block_matches_solve_on_mixed_mle_stack():
     # Separated, |lam| > 50 and ordinary equations of two sample sizes in
-    # one padded stack: solve_block converges exactly the equations solve
-    # converges, in the same iterations, to the same lambda.
+    # one padded stack: solve_block gives every equation the status solve
+    # gives it alone, in the same iterations, at the same lambda.
     equations = []
     for survey_weighted in (False, True):
         for quasi in (False, True):
@@ -212,22 +214,102 @@ def test_solve_block_matches_solve_on_mixed_mle_stack():
             x, pi, r, _ = random_instance(seed, n=40)
             equations.append(EstimatingEquation.mle(x, pi, r, survey_weighted))
             equations.append(EstimatingEquation.mle(x * [1.0, 0.01], pi, r, survey_weighted))
+    block = solve_block(*_padded(equations))
+    fits = [solve(eq) for eq in equations]
+    assert block.status.tolist() == [fit.status for fit in fits]
+    converged = block.status == FitStatus.CONVERGED
+    assert not converged.all() and np.any(np.abs(block.lambda_hat[converged, 1]) > 50.0)
+    assert block.iterations.tolist() == [fit.iterations for fit in fits]
+    for b, fit in enumerate(fits):
+        assert np.allclose(block.lambda_hat[b], fit.lambda_hat, rtol=1e-10, atol=0.0), b
+
+
+def test_stack_of_one_matches_padded_stack_of_64():
+    # Sixteen Poisson/rho=0.6 study replicates, all four kinds, of different
+    # sample sizes in one padded stack of 64: each equation gets the status,
+    # iterations and lambda that it gets as a stack of one.
+    from nwacal.cli import RunConfig, study_scenarios
+    from nwacal.estimators import VARIANT_TO_EEKIND, estimating_equation
+    from nwacal.montecarlo import TAG_RESPONSE, TAG_SAMPLING, mix_seed
+    from nwacal import draw_response, draw_sample
+
+    _, _, sc = study_scenarios(RunConfig(reps=16))[3]
+    pop = sc.population
+    equations = []
+    for i in range(16):
+        s = draw_sample(sc.design, mix_seed(sc.master_seed, i, TAG_SAMPLING))
+        resp = draw_response(s, pop.true_p[s.indices], mix_seed(sc.master_seed, i, TAG_RESPONSE))
+        for variant in VARIANT_TO_EEKIND:
+            equations.append(
+                estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
+            )
+    block = solve_block(*_padded(equations))
+    assert len({len(eq.r) for eq in equations}) > 1
+    assert {FitStatus.CONVERGED, FitStatus.DIVERGED} <= set(block.status)
+    for b, eq in enumerate(equations):
+        fit = solve(eq)
+        assert (block.status[b], block.iterations[b]) == (fit.status, fit.iterations), b
+        assert np.allclose(block.lambda_hat[b], fit.lambda_hat, rtol=1e-10, atol=0.0), b
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_newton_directions_match_lapack(q):
+    # The unrolled Cholesky solve against LAPACK: the same directions on
+    # positive definite matrices, NaN exactly where np.linalg.cholesky
+    # fails (indefinite, singular or NaN matrices).
+    rng = np.random.default_rng(q)
+    a = rng.normal(size=(300, q, q))
+    hess = a @ a.transpose(0, 2, 1) + 1e-3 * np.eye(q)
+    hess[:60] -= 2.0 * np.eye(q)
+    hess[60] = 1.0
+    hess[61, 0, 0] = np.nan
+    res = rng.normal(size=(300, q))
+    got = _newton_directions(hess, res)
+    for b in range(300):
+        try:
+            np.linalg.cholesky(hess[b])
+            positive_definite = np.isfinite(hess[b]).all()
+        except np.linalg.LinAlgError:
+            positive_definite = False
+        if not positive_definite:
+            assert np.isnan(got[b]).all(), b
+            continue
+        want = np.linalg.solve(hess[b], res[b])
+        tol = 1e-13 * np.linalg.cond(hess[b]) * np.abs(want).max()
+        assert np.all(np.abs(got[b] - want) <= tol), b
+
+
+def _padded(equations):
+    """solve_block's arguments for a list of equations, padded to the
+    longest sample."""
     B, n = len(equations), max(len(eq.r) for eq in equations)
     x, pi = np.zeros((B, n, 2)), np.ones((B, n))
     r, valid = np.zeros((B, n), dtype=np.int64), np.zeros((B, n), dtype=bool)
     for b, eq in enumerate(equations):
         m = len(eq.r)
         x[b, :m], pi[b, :m], r[b, :m], valid[b, :m] = eq.x, eq.pi, eq.r, True
-    lam, converged, iterations = solve_block(
-        [eq.kind for eq in equations], x, pi, r, valid, np.zeros((B, 2))
-    )
-    fits = [solve(eq) for eq in equations]
-    assert converged.tolist() == [fit.converged for fit in fits]
-    assert not converged.all() and np.any(np.abs(lam[converged, 1]) > 50.0)
-    for b, fit in enumerate(fits):
-        if fit.converged:
-            assert iterations[b] == fit.iterations, b
-            assert np.allclose(lam[b], fit.lambda_hat, rtol=1e-10, atol=0.0), b
+    return [eq.kind for eq in equations], x, pi, r, valid, np.array([eq.target for eq in equations])
+
+
+def test_converged_fit_takes_the_final_newton_step():
+    # The proof of existence comes with a Newton step delta; the fit returns
+    # lam + delta, whose residual is far inside the tolerance that lam met.
+    stepped = 0
+    for seed in range(6):
+        x, pi, r, _ = random_instance(seed, n=40)
+        for eq in (
+            EstimatingEquation.mle(x, pi, r),
+            EstimatingEquation.mle(x, pi, r, survey_weighted=True),
+            EstimatingEquation.cal_sample(x, pi, r),
+            EstimatingEquation.cal_population(x, pi, r, _target_from(np.array([0.3, 0.1]), x, pi, r)),
+        ):
+            fit = solve(eq)
+            assert fit.converged
+            scale = max(1.0, float(np.abs(eq.target).max()))
+            after = float(np.abs(residual(fit.lambda_hat, eq)).max())
+            assert after <= max(1e-3 * fit.residual_norm, 1e-12 * scale), (seed, eq.kind)
+            stepped += fit.residual_norm > 1e-12 * scale
+    assert stepped
 
 
 def test_jacobian_single_unit_hand_value():
