@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -332,39 +332,75 @@ def _run_one_scenario(cfg: RunConfig) -> int:
     return 0
 
 
+class _CellError(ValueError):
+    """A cell that float() cannot parse: its row in the column and the message."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _floats(cells: list[str]) -> np.ndarray:
+    """float() of every cell in one pass. A cell it cannot parse raises
+    _CellError with the cell's index and the message of float(cell.strip())."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        for row, cell in enumerate(cells):
+            try:
+                float(cell.strip())
+            except ValueError as exc:
+                raise _CellError(row, str(exc)) from None
+        raise
+
+
 def _read_fit_csv(path: Path):
     """Parse a unit,pi,r,x...,y file; any malformed or out-of-range value
-    raises ValueError naming its line."""
-    lines = [
-        (lineno, ln)
-        for lineno, ln in enumerate(path.read_text().splitlines(), start=1)
-        if ln.strip() and not ln.startswith("#")
-    ]
-    if not lines:
+    raises ValueError naming its line.
+
+    Blank lines and lines with # in column 1 are skipped, fields are
+    stripped, and a blank y marks a nonrespondent. The data rows are joined
+    and split once into a flat field list, and each column is converted by
+    one float() pass; a bad row is found from its index.
+    """
+    lines = path.read_text().splitlines()
+    linenos = [no for no, ln in enumerate(lines, start=1) if ln.strip() and ln[0] != "#"]
+    if not linenos:
         raise ValueError(f"{path} is empty: expected header unit,pi,r,x...,y")
-    header = [h.strip() for h in lines[0][1].split(",")]
+    if len(linenos) < len(lines):
+        lines = [lines[no - 1] for no in linenos]
+    header = [h.strip() for h in lines[0].split(",")]
     if header[:3] != ["unit", "pi", "r"] or header[-1] != "y" or len(header) < 5:
         raise ValueError(
-            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0][1]!r}"
+            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0]!r}"
         )
-    if len(lines) < 2:
+    rows = lines[1:]
+    if not rows:
         raise ValueError(f"{path} has no data rows")
     width = len(header)
-    units, linenos, numbers = [], [], []
-    for lineno, ln in lines[1:]:
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
+    ragged = np.flatnonzero(commas != width - 1)
+    if ragged.size:
+        # Rows before the first ragged one still report their own errors first.
+        rows = rows[: ragged[0]]
+    fields = ",".join(rows).split(",") if rows else []
+    y_cells = [c.strip() or "nan" for c in fields[width - 1 :: width]]
+    # A row reports its first bad cell in the order y, pi, r, x...
+    columns, errors = {}, []
+    for order, k in enumerate((width - 1, *range(1, width - 1))):
         try:
-            # pi, r, the x columns, then y (blank for a nonrespondent)
-            y_cell = float(cells[-1]) if cells[-1] else math.nan
-            numbers.append([float(c) for c in cells[1:-1]] + [y_cell])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        units.append(cells[0])
-        linenos.append(lineno)
-    table = np.array(numbers)
-    pi, r, x, y = table[:, 0], table[:, 1], table[:, 2:-1], table[:, -1]
+            columns[k] = _floats(y_cells if k == width - 1 else fields[k::width])
+        except _CellError as exc:
+            errors.append((exc.row, order, str(exc)))
+    if errors:
+        row, _, message = min(errors)
+        raise ValueError(f"line {linenos[row + 1]}: {message}")
+    if ragged.size:
+        i = ragged[0]
+        raise ValueError(f"line {linenos[i + 1]}: expected {width} fields, got {commas[i] + 1}")
+    units = list(map(str.strip, fields[0::width]))
+    pi, r, y = columns[1], columns[2], columns[width - 1]
+    x = np.column_stack([columns[k] for k in range(3, width - 1)])
     for bad, what in (
         (~((pi > 0.0) & (pi <= 1.0)), "pi must lie in (0, 1]"),
         ((r != 0.0) & (r != 1.0), "r must be 0 or 1"),
@@ -373,7 +409,7 @@ def _read_fit_csv(path: Path):
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"line {linenos[i]}: {what} (unit {units[i]})")
+            raise ValueError(f"line {linenos[i + 1]}: {what} (unit {units[i]})")
     # The model's first auxiliary is the constant 1; the file carries only the
     # remaining x columns.
     aux = np.column_stack([np.ones(len(units)), x])
@@ -394,38 +430,38 @@ def _parse_totals(raw: str, q: int) -> np.ndarray:
     return totals
 
 
-def _fit_all(
-    aux: np.ndarray,
-    pi: np.ndarray,
-    r: np.ndarray,
-    totals: np.ndarray | None,
-    controls: SolverControls,
-    variants: tuple[Variant, ...],
-):
-    fits = {}
-    for variant in variants:
-        if variant is Variant.CAL_U and totals is None:
-            continue
-        fits[variant] = solve(estimating_equation(variant, aux, pi, r, totals), controls)
-    return fits
+def _weights_csv(units: list[str], name: str, weights: np.ndarray) -> str:
+    """The weights.csv rows f"{unit},{name},{w:.17g}" of one variant, formatted
+    by one %-template over all of them."""
+    cells = [None] * (2 * len(units))
+    cells[0::2] = units
+    cells[1::2] = weights.tolist()
+    return (f"%s,{name},%.17g\n" * len(units)) % tuple(cells)
 
 
 def _cmd_fit(args, trace: bool = False) -> int:
     path = Path(args.input)
     units, pi, r, aux, y = _read_fit_csv(path)
     totals = _parse_totals(args.totals, aux.shape[1]) if args.totals else None
-    variants = FITTED_VARIANTS
     if args.variants:
         names = args.variants.split(",")
         unknown = sorted(set(names) - {v.value for v in FITTED_VARIANTS})
         if unknown:
             raise ValueError(f"--variants: unknown {', '.join(unknown)}")
         variants = tuple(Variant(v) for v in names)
+        if Variant.CAL_U in variants and totals is None:
+            raise ValueError(
+                f"--variants {Variant.CAL_U.value} needs --totals "
+                "(the population count, then each x column total)"
+            )
+    else:
+        # Population-level calibration runs only when its totals are given.
+        variants = tuple(v for v in FITTED_VARIANTS if v is not Variant.CAL_U or totals is not None)
     controls = SolverControls(trace=True) if trace else SolverControls()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    fits = _fit_all(aux, pi, r, totals, controls, variants)
+    fits = {v: solve(estimating_equation(v, aux, pi, r, totals), controls) for v in variants}
     if trace:
         for variant, fit in fits.items():
             with (out_dir / f"trace_{variant.value}.csv").open("w") as fh:
@@ -437,8 +473,11 @@ def _cmd_fit(args, trace: bool = False) -> int:
 
     mask = r == 1
     n, n_r = len(units), int(mask.sum())
-    resp_units = [u for u, keep in zip(units, mask) if keep]
+    resp_units = [u for u, keep in zip(units, mask.tolist()) if keep]
     pi_r, x_r, y_r = pi[mask], aux[mask], y[mask]
+    # A one-shot fit carries no joint-inclusion information; treat the units
+    # as independently drawn (Poisson design), which zeroes the pair term.
+    design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(np.sum(pi_r)))
     with (out_dir / "estimates.csv").open("w") as fh_est, (
         out_dir / "weights.csv"
     ).open("w") as fh_w, (out_dir / "variance.csv").open("w") as fh_v:
@@ -454,23 +493,11 @@ def _cmd_fit(args, trace: bool = False) -> int:
             p_hat_r = fit.p_hat[mask]
             record = nwa_estimate(variant, pi_r, y_r, p_hat_r, fit)
             fh_est.write(record.csv_row(n, n_r) + "\n")
-            fh_w.write(
-                "".join(
-                    f"{unit},{name},{w:.17g}\n"
-                    for unit, w in zip(resp_units, record.weights.tolist())
-                )
-            )
-            ve = _variance_for_fit(variant, pi_r, x_r, y_r, p_hat_r)
+            fh_w.write(_weights_csv(resp_units, name, record.weights))
+            ve = var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
             fh_v.write(ve.csv_row(variant, record.value) + "\n")
             print(f"{name}: total={record.value:.6g} (n_r={n_r})")
     return 0
-
-
-def _variance_for_fit(variant, pi_r, x_r, y_r, p_hat_r):
-    # A one-shot fit carries no joint-inclusion information; treat the units
-    # as independently drawn (Poisson design), which zeroes the pair term.
-    design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(np.sum(pi_r)))
-    return var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

@@ -406,6 +406,8 @@ def _block_objective(softplus: bool, survey_weighted, x, pi, r, valid, target):
 # _block_newton's status codes index _CODES.
 _CODES = (FitStatus.CONVERGED, FitStatus.MAX_ITERATIONS, FitStatus.SINGULAR_JACOBIAN, FitStatus.DIVERGED)
 _CONVERGED, _MAX_ITERATIONS, _SINGULAR, _DIVERGED = range(4)
+# The status of an equation that stopped on an earlier pass.
+_STOPPED = len(_CODES)
 
 
 def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverControls):
@@ -429,6 +431,9 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
     proof, is DIVERGED when _has_certificate finds a direction of the second
     kind. Equations marked ``short`` are DIVERGED before the first step.
 
+    An equation that stops stays in the stack, frozen, until at most half of
+    the stack is still running; the stack is then cut to the running ones.
+
     Returns (lambda, status code into FitStatus, iterations, residual norm,
     trace rows) per equation.
     """
@@ -441,6 +446,7 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
     ids = np.arange(B)
     it = np.zeros(B, dtype=np.int64)
     step = np.zeros(B)
+    running = np.ones(B, dtype=bool)
     # exp(-x.lam) may overflow and F(lam + alpha delta) - F(lam) then be
     # NaN; both fail the tests below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -449,7 +455,7 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             res = _rows_dot(u, x) - c
             rn = np.abs(res).max(axis=1)
             if controls.trace:
-                for k in np.flatnonzero(it):
+                for k in np.flatnonzero(running & (it > 0)):
                     traces[ids[k]].append((int(it[k]), float(rn[k]), float(step[k])))
             hess = _rows_dot(h, xx).reshape(-1, q, q)
             delta = _newton_directions(hess, res)
@@ -458,10 +464,11 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             if softplus:
                 ad *= sign
             ad_min, ad_max = ad.min(axis=1), ad.max(axis=1)
-            near = ok & (rn <= tol)
+            near = running & ok & (rn <= tol)
             exists = near & _exists(ad, ad_max, g, softplus) if near.any() else near
             cd = (c * delta).sum(axis=1)
-            status = np.where(short, _DIVERGED, -1)
+            # Stopped equations hold the code _STOPPED and take no part below.
+            status = np.where(running, np.where(short, _DIVERGED, -1), _STOPPED)
             for code, holds in (
                 (_CONVERGED, exists),
                 (_DIVERGED, ok & (ad_min >= 0.0) & (cd <= 0.0)),
@@ -490,19 +497,22 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
                 rows = w[k] > 0.0
                 if _has_certificate(sign[k, rows, None] * x[k, rows], c[k], (delta[k], lam[k])):
                     status[k] = _DIVERGED
-            done = status >= 0
+            done = running & (status >= 0)
             if done.any():
                 j = ids[done]
                 lam_out[j] = lam[done] + np.where((status[done] == _CONVERGED)[:, None], delta[done], 0.0)
                 status_out[j], it_out[j], rn_out[j] = status[done], it[done], rn[done]
-            if done.all():
-                return lam_out, status_out, it_out, rn_out, traces
+                running &= ~done
+                if not running.any():
+                    return lam_out, status_out, it_out, rn_out, traces
             if controls.trace:
                 step = alpha * np.abs(delta).max(axis=1)
-            lam = lam + alpha[:, None] * delta
-            ids, x, xx, w, r, sign, c, tol, lam, it, step, short = _subset(
-                ~done, ids, x, xx, w, r, sign, c, tol, lam, it + 1, step, short
-            )
+            lam = np.where(running[:, None], lam + alpha[:, None] * delta, lam)
+            it = it + 1
+            if 2 * np.count_nonzero(running) <= len(running):
+                ids, x, xx, w, r, sign, c, tol, lam, it, step, short, running = _subset(
+                    running, ids, x, xx, w, r, sign, c, tol, lam, it, step, short, running
+                )
 
 
 class BlockFit(NamedTuple):
@@ -534,7 +544,9 @@ def solve_block(
     EstimatingEquation(kinds[b], x[b, :n_b], pi[b, :n_b], r[b, :n_b],
     target[b]), its rows past n_b marked False in ``valid`` and holding
     x = 0, pi = 1, r = 0. Each equation takes the same steps and gets the
-    same status as it would alone, up to rounding in the padded sums.
+    same status as it would alone, up to rounding in the sums: padding, and
+    numpy's stacked matrix products, can add in another order than a stack
+    of one.
     An equation with no respondents, or with no nonrespondents unless it is
     a population-level calibration, has no finite solution: it is DIVERGED
     after no iterations, at lambda0 (zero by default).

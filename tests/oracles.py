@@ -3,6 +3,9 @@
 Kept free of any solver internals so the checks stay meaningful.
 """
 
+import math
+from pathlib import Path
+
 import numpy as np
 
 from nwacal.designs import DesignKind, DesignSpec
@@ -171,3 +174,50 @@ def mle_margin(eq: EstimatingEquation) -> float:
     if out.status != 0:
         raise RuntimeError(f"MLE margin LP failed: {out.message}")
     return float(out.fun)
+
+
+def read_fit_csv_lines(path: Path):
+    """The fit-file reader before the columnar one: each kept line split,
+    stripped and converted on its own. Returns (units, pi, r, aux, y) or
+    raises ValueError naming the line, as nwacal.cli._read_fit_csv must."""
+    lines = [
+        (lineno, ln)
+        for lineno, ln in enumerate(path.read_text().splitlines(), start=1)
+        if ln.strip() and not ln.startswith("#")
+    ]
+    if not lines:
+        raise ValueError(f"{path} is empty: expected header unit,pi,r,x...,y")
+    header = [h.strip() for h in lines[0][1].split(",")]
+    if header[:3] != ["unit", "pi", "r"] or header[-1] != "y" or len(header) < 5:
+        raise ValueError(
+            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0][1]!r}"
+        )
+    if len(lines) < 2:
+        raise ValueError(f"{path} has no data rows")
+    width = len(header)
+    units, linenos, numbers = [], [], []
+    for lineno, ln in lines[1:]:
+        cells = [c.strip() for c in ln.split(",")]
+        if len(cells) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(cells)}")
+        try:
+            # pi, r, the x columns, then y (blank for a nonrespondent)
+            y_cell = float(cells[-1]) if cells[-1] else math.nan
+            numbers.append([float(c) for c in cells[1:-1]] + [y_cell])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        units.append(cells[0])
+        linenos.append(lineno)
+    table = np.array(numbers)
+    pi, r, x, y = table[:, 0], table[:, 1], table[:, 2:-1], table[:, -1]
+    for bad, what in (
+        (~((pi > 0.0) & (pi <= 1.0)), "pi must lie in (0, 1]"),
+        ((r != 0.0) & (r != 1.0), "r must be 0 or 1"),
+        (~np.isfinite(x).all(axis=1), "x values must be finite"),
+        ((r == 1.0) & ~np.isfinite(y), "a respondent needs a finite y value"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"line {linenos[i]}: {what} (unit {units[i]})")
+    aux = np.column_stack([np.ones(len(units)), x])
+    return units, pi, r.astype(np.int64), aux, y

@@ -5,9 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from oracles import read_fit_csv_lines
 
 import nwacal
-from nwacal.cli import RunConfig, config_hash, main, parse_config
+from nwacal import solve
+from nwacal.cli import RunConfig, _read_fit_csv, _weights_csv, config_hash, main, parse_config
+from nwacal.estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
 
 
 def test_defaults_are_reference_settings():
@@ -209,33 +214,55 @@ def test_fit_rejects_unknown_variant(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --variants: unknown ht\n"
 
 
-@pytest.mark.parametrize(
-    "row, totals",
-    [
-        ("e,0.5,1,4.0", None),  # ragged row
-        ("e,0.5,1,nan,3.0", None),  # non-finite x
-        ("e,0.5,1,inf,3.0", None),
-        ("e,0.5,1,4.0,nan", None),  # non-finite y of a respondent
-        ("e,0.5,1,4.0,", None),  # missing y of a respondent
-        ("e,0,1,4.0,3.0", None),  # pi outside (0, 1]
-        ("e,1.5,1,4.0,3.0", None),
-        ("e,nan,1,4.0,3.0", None),
-        ("e,0.5,2,4.0,3.0", None),  # r outside {0, 1}
-        ("e,0.5,abc,4.0,3.0", None),  # not a number
-        ("e,0.5,1,4.0,3.0", "100"),  # --totals of the wrong length
-        ("e,0.5,1,4.0,3.0", "100,nan"),  # non-finite --totals
-        ("e,0.5,1,4.0,3.0", "0,400"),  # population count <= 0
-        ("e,0.5,1,4.0,3.0", "-5,400"),
-    ],
-)
+# Each bad row or --totals value, and the message it stops fit with.
+_BAD_FIT_INPUT = {
+    ("e,0.5,1,4.0", None): "line 8: expected 5 fields, got 4",  # ragged row
+    ("e,0.5,1,4.0,3.0,7", None): "line 8: expected 5 fields, got 6",
+    ("e,0.5,1,nan,3.0", None): "line 8: x values must be finite (unit e)",
+    ("e,0.5,1,inf,3.0", None): "line 8: x values must be finite (unit e)",
+    # non-finite or missing y of a respondent
+    ("e,0.5,1,4.0,nan", None): "line 8: a respondent needs a finite y value (unit e)",
+    ("e,0.5,1,4.0,", None): "line 8: a respondent needs a finite y value (unit e)",
+    ("e,0,1,4.0,3.0", None): "line 8: pi must lie in (0, 1] (unit e)",
+    ("e,1.5,1,4.0,3.0", None): "line 8: pi must lie in (0, 1] (unit e)",
+    ("e,nan,1,4.0,3.0", None): "line 8: pi must lie in (0, 1] (unit e)",
+    ("e,0.5,2,4.0,3.0", None): "line 8: r must be 0 or 1 (unit e)",
+    ("e,0.5,abc,4.0,3.0", None): "line 8: could not convert string to float: 'abc'",
+    # y is converted first, then pi, r and the x columns
+    ("e,0.5,abc, ,3.0x", None): "line 8: could not convert string to float: '3.0x'",
+    ("e,0.5,abc, ,3.0", None): "line 8: could not convert string to float: 'abc'",
+    ("e,0.5,1,4.0,3.0", "100"): "--totals needs 2 values (count first, then each x column total)",
+    ("e,0.5,1,4.0,3.0", "100,nan"): "--totals values must be finite",
+    ("e,0.5,1,4.0,3.0", "0,400"): "--totals: the population count (first value) must be positive",
+    ("e,0.5,1,4.0,3.0", "-5,400"): "--totals: the population count (first value) must be positive",
+}
+
+
+@pytest.mark.parametrize("row, totals", list(_BAD_FIT_INPUT))
 def test_fit_rejects_bad_input_with_one_line_error(tmp_path, capsys, row, totals):
+    # A comment line and a blank line come before the bad row, which is line
+    # 8 of the file: the message names the file's line, not the data row.
     path = tmp_path / "units.csv"
-    path.write_text("\n".join(_GOOD_FIT_ROWS + [row]) + "\n")
+    path.write_text("\n".join(_GOOD_FIT_ROWS + ["# a comment, with, commas", "", row]) + "\n")
     argv = ["fit", "--input", str(path), "--out", str(tmp_path / "o")]
     rc = main(argv + ([f"--totals={totals}"] if totals else []))
-    err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert capsys.readouterr().err == f"error: {_BAD_FIT_INPUT[row, totals]}\n"
+
+
+def test_fit_requested_cal_U_needs_totals(tmp_path, capsys):
+    # Without --variants, cal_U is skipped when --totals is absent; asked
+    # for by name, it is an error instead of an empty estimates.csv.
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(_GOOD_FIT_ROWS) + "\n")
+    out = tmp_path / "o"
+    rc = main(["fit", "--input", str(path), "--variants", "cal_S,cal_U", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --variants cal_U needs --totals "
+        "(the population count, then each x column total)\n"
+    )
+    assert not (out / "estimates.csv").exists()
 
 
 def test_fit_accepts_the_good_rows(tmp_path):
@@ -243,3 +270,98 @@ def test_fit_accepts_the_good_rows(tmp_path):
     path.write_text("\n".join(_GOOD_FIT_ROWS + ["e,0.5,1,4.0,3.0"]) + "\n")
     rc = main(["fit", "--input", str(path), "--totals", "20,85", "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def _mostly(valid, bad):
+    """valid nineteen times in twenty, else bad."""
+    return st.integers(0, 19).flatmap(lambda k: bad if k == 0 else valid)
+
+
+_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_BAD_NUMBER = st.sampled_from(
+    ["abc", "nan", "-nan", "inf", "-Infinity", "1e999", "", " ", "1_0", "0x10", "1.5e", "--1", "\u0663"]
+)
+_UNIT = st.text(st.sampled_from("abz09_-%#. "), max_size=4)
+
+
+@st.composite
+def _fit_files(draw):
+    """Text of a fit file: 1-3 x columns, padded fields, comment and blank
+    lines, CRLF or LF endings, bad values, and possibly two ragged rows
+    whose field counts cancel out."""
+    def pad(cell):
+        return draw(_PAD) + cell + draw(_PAD)
+
+    q = draw(st.integers(1, 3))
+    names = ["unit", "pi", "r", *(f"x{k}" for k in range(1, q + 1)), "y"]
+    lines = [",".join(map(pad, names))]
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(_mostly(st.sampled_from(["0", "1", "1.0"]), st.sampled_from(["2", "-1", "0.5", "x"])))
+        pi = draw(_mostly(st.floats(0.0, 1.0, exclude_min=True).map(repr), st.sampled_from(["0", "1.5"]) | _BAD_NUMBER))
+        xs = [draw(_mostly(_NUMBER, _BAD_NUMBER)) for _ in range(q)]
+        blank_y = st.sampled_from(["", " ", "\t"])
+        y = draw(_mostly(blank_y | _NUMBER if r == "0" else _NUMBER, blank_y | _BAD_NUMBER))
+        lines.append(",".join(map(pad, [draw(_UNIT), pi, r, *xs, y])))
+    if len(lines) > 2 and draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.lists(st.integers(1, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        lines[i] += "," + draw(_NUMBER)
+        lines[j] = lines[j].rpartition(",")[0]
+    # Blank and comment lines; the last one is data, as # is not in column 1.
+    noise = st.sampled_from(["", " ", "\t", "#", "# note, with, commas", "#unit,pi,r,x1,y", " # data"])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _read_or_message(reader, path):
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_fit_files())
+def test_columnar_reader_matches_line_reader(tmp_path, text):
+    # The columnar reader returns the line-by-line reader's units and
+    # arrays bit for bit, or raises its exact message.
+    path = tmp_path / "units.csv"
+    path.write_bytes(text.encode())
+    want = _read_or_message(read_fit_csv_lines, path)
+    got = _read_or_message(_read_fit_csv, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@given(rows=st.lists(st.tuples(_UNIT, st.floats()), max_size=30))
+def test_weights_rows_match_per_row_formatting(rows):
+    units = [u for u, _ in rows]
+    weights = np.array([w for _, w in rows])
+    want = "".join(f"{u},cal_S,{w:.17g}\n" for u, w in rows)
+    assert _weights_csv(units, "cal_S", weights) == want
+
+
+def test_fit_weights_csv_matches_per_row_formatting(tmp_path):
+    # weights.csv byte for byte against the fits redone through the public
+    # API and written one f-string per row.
+    path = tmp_path / "units.csv"
+    _write_fit_csv(path)
+    assert main(["fit", "--input", str(path), "--out", str(tmp_path / "o")]) == 0
+    units, pi, r, aux, y = read_fit_csv_lines(path)
+    mask = r == 1
+    want = ["unit,variant,weight\n"]
+    for variant in FITTED_VARIANTS:
+        if variant is Variant.CAL_U:
+            continue
+        fit = solve(estimating_equation(variant, aux, pi, r, None))
+        record = nwa_estimate(variant, pi[mask], y[mask], fit.p_hat[mask], fit)
+        for u, w in zip(np.array(units)[mask], record.weights):
+            want.append(f"{u},{variant.value},{w:.17g}\n")
+    assert (tmp_path / "o" / "weights.csv").read_bytes() == "".join(want).encode()

@@ -291,6 +291,45 @@ def _padded(equations):
     return [eq.kind for eq in equations], x, pi, r, valid, np.array([eq.target for eq in equations])
 
 
+def test_trace_rows_in_a_mixed_stack():
+    # Equations that stop at different iterations share a stack, and one that
+    # has stopped may stay in it, frozen, while others run on. Each must get
+    # the trace rows, iterations and status of its stack of one, and no rows
+    # after it stopped. The calibration equations share x, pi and r, so their
+    # respondent rows need no padding and their rows match exactly; the MLE
+    # stack differs from stacks of one by rounding in the sums (about 1e-14
+    # on residual norms of about 10).
+    x, pi, r = _separated(quasi=True)
+    x_o, pi_o, r_o, _ = random_instance(3, n=20)
+    edge = _cone_edge(0)
+    x_c, pi_c, r_c = edge.x, edge.pi, edge.r
+    inner = (x_c[r_c == 1] / pi_c[r_c == 1, None]).sum(axis=0)
+    equations = [
+        EstimatingEquation.mle(*_separated(quasi=False)),
+        EstimatingEquation.mle(x, pi, r, survey_weighted=True),
+        EstimatingEquation.mle(x_o, pi_o, r_o),
+        EstimatingEquation.mle(x_o, pi_o, r_o, survey_weighted=True),
+        edge,
+        *(EstimatingEquation.cal_population(x_c, pi_c, r_c, edge.target + eps * inner)
+          for eps in (1e-2, 1e-4, 1e-6)),
+        EstimatingEquation.cal_sample(x_c, pi_c, r_c),
+        EstimatingEquation.cal_population(x_c, pi_c, r_c, _target_from(np.array([0.3, 0.1]), x_c, pi_c, r_c)),
+    ]
+    controls = SolverControls(trace=True)
+    block = solve_block(*_padded(equations), controls)
+    assert len(set(block.iterations.tolist())) == len(equations)
+    assert {FitStatus.CONVERGED, FitStatus.DIVERGED} == set(block.status)
+    for b, eq in enumerate(equations):
+        fit = solve(eq, controls)
+        assert (block.status[b], block.iterations[b]) == (fit.status, fit.iterations), b
+        assert [row[0] for row in block.trace[b]] == list(range(1, fit.iterations + 1)), b
+        got, want = np.array(block.trace[b]), np.array(fit.trace)
+        if eq.kind in (EEKind.CAL_POPULATION, EEKind.CAL_SAMPLE):
+            assert np.array_equal(got, want), b
+        else:
+            assert np.allclose(got, want, rtol=1e-9, atol=1e-12), b
+
+
 def test_converged_fit_takes_the_final_newton_step():
     # The proof of existence comes with a Newton step delta; the fit returns
     # lam + delta, whose residual is far inside the tolerance that lam met.
