@@ -11,7 +11,6 @@ from .population import (
     GenConfig,
     Population,
     generate_population,
-    logistic,
     logistic_probs,
     population_from_csv,
     population_to_csv,

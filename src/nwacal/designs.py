@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .population import Population
+from .streams import checked_seed, streams
 
 __all__ = [
     "DesignKind",
@@ -134,31 +135,69 @@ def poisson_design(pop: Population, n: float, pi_min: float = PI_MIN) -> DesignS
     return DesignSpec(kind=DesignKind.POISSON, pi=pi, n_target=float(n))
 
 
-def _sample_units(design: DesignSpec, seed: int) -> np.ndarray:
-    """The sorted unit indices of draw_sample(design, seed)."""
-    rng = np.random.default_rng(int(seed))
+def _partial_shuffle(J: np.ndarray, N: int) -> np.ndarray:
+    """The sorted samples of partial Fisher-Yates shuffles of range(N), one
+    per row of J: step i of row b swaps positions i and J[b, i] >= i, and
+    the sample is what the n steps leave at positions 0..n-1.
+
+    Step i takes the unit at position J[b, i]. That is J[b, i] itself unless
+    an earlier step m swapped into the same position; then it is the unit
+    that sat at position m just before step m, which in turn is m unless an
+    earlier step swapped into position m, and so on down a chain of
+    positions below n. One sort of all steps by (row, position, step) puts
+    the steps into each position next to each other, in step order.
+    """
+    B, n = J.shape
+    step_bits, position_bits = (n - 1).bit_length(), (N - 1).bit_length()
+    keys = ((np.arange(B)[:, None] << position_bits | J) << step_bits | np.arange(n)).ravel()
+    keys.sort()
+    # Each sorted step as an index into the flattened (B, n) steps, and its
+    # (row, position) group.
+    row_start = (keys >> (step_bits + position_bits)) * n
+    at = row_start + (keys & ((1 << step_bits) - 1))
+    group = keys >> step_bits
+    follows = group[1:] == group[:-1]
+    # took[s]: the last step before s that swapped into the same position.
+    took = np.full(B * n, -1)
+    took[at[1:][follows]] = at[:-1][follows]
+    # into[s]: the last step before s that swapped into position s. The
+    # steps into position s are at most s, and one equal to s is step s
+    # itself, so then it is the step before that one.
+    position = group & ((1 << position_bits) - 1)
+    last = np.append(~follows, True) & (position < n)
+    into = np.full(B * n, -1)
+    target, source = (row_start + position)[last], at[last]
+    into[target] = np.where(source == target, took[source], source)
+    chosen = J.ravel().copy()
+    steps = np.flatnonzero(took >= 0)
+    origin = took[steps]
+    while (more := into[origin] >= 0).any():
+        origin = np.where(more, into[origin], origin)
+    chosen[steps] = origin % n
+    return np.sort(chosen.reshape(B, n), axis=1)
+
+
+def _sample_units(design: DesignSpec, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unit indices of draw_sample(design, seed) for each seed,
+    concatenated, and the sample sizes."""
     if design.kind is DesignKind.POISSON:
-        return np.flatnonzero(rng.random(design.size) < design.pi)
-    # A partial Fisher-Yates shuffle of range(N) that keeps only the
-    # positions a swap displaced: step i takes the unit at position j >= i
-    # and leaves position i's unit at j. One call draws the same stream as
-    # rng.integers(i, N) for i = 0..n-1.
+        units = [np.flatnonzero(rng.random(design.size) < design.pi) for rng in streams(seeds)]
+        return np.concatenate(units), np.array([u.size for u in units])
+    # One call draws the same stream as rng.integers(i, N) for i = 0..n-1.
     n = int(round(design.n_target))
-    moved: dict[int, int] = {}
-    chosen = []
-    for i, j in enumerate(rng.integers(np.arange(n), design.size).tolist()):
-        chosen.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return np.sort(np.array(chosen, dtype=np.int64))
+    J = np.stack([rng.integers(np.arange(n), design.size) for rng in streams(seeds)])
+    return _partial_shuffle(J, design.size).ravel(), np.full(len(J), n)
 
 
 def draw_sample(design: DesignSpec, seed: int) -> Sample:
-    """Draw one sample from the design, deterministically for a fixed seed.
+    """Draw one sample from the design, deterministically for a fixed seed
+    in [0, 2**64); the stream is that of ``np.random.default_rng(seed)``.
 
-    SRSWOR uses a partial Fisher-Yates shuffle (n swap steps); Poisson draws
-    an independent Bernoulli(pi_i) per unit.
+    SRSWOR draws a partial Fisher-Yates shuffle of range(N) (n steps, each
+    swapping position i with a uniform position j >= i); Poisson draws an
+    independent Bernoulli(pi_i) per unit.
     """
-    chosen = _sample_units(design, seed)
+    chosen, _ = _sample_units(design, [checked_seed(seed)])
     return Sample(indices=chosen, pi_s=design.pi[chosen], design=design)
 
 

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .designs import DesignSpec, draw_sample
+# draw_sample and draw_response stay importable here: perfbench/layers.py
+# wraps montecarlo.draw_sample and montecarlo.draw_response when tracing.
+from .designs import DesignSpec, Sample, draw_sample  # noqa: F401
 from .estimators import (
     VARIANT_TO_EEKIND,
     Variant,
@@ -29,7 +33,7 @@ from .estimators import (
     linearized_estimate,
 )
 from .population import Population
-from .response import _draw_replicates, draw_response
+from .response import RespondentSet, _draw_replicates, draw_response  # noqa: F401
 from .solvers import EEKind, FitStatus, SolverControls, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
@@ -42,6 +46,7 @@ __all__ = [
     "Scenario",
     "VariantOutcome",
     "ReplicateRecord",
+    "ReplicateRecords",
     "VariantMetrics",
     "StudyReport",
     "run_replicate",
@@ -66,7 +71,9 @@ STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """The splitmix64 finaliser of a 64-bit int, or elementwise of a uint64
+    array (whose arithmetic wraps, so the masks leave it unchanged)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -79,6 +86,12 @@ def mix_seed(*parts: int) -> int:
     for part in parts:
         acc = _splitmix64((acc ^ (int(part) & _MASK64)) & _MASK64)
     return acc
+
+
+def _block_seeds(master_seed: int, indices: range, tag: int) -> np.ndarray:
+    """mix_seed(master_seed, i, tag) for every i in ``indices``, as uint64."""
+    acc = np.uint64(mix_seed(master_seed)) ^ np.arange(indices.start, indices.stop, dtype=np.uint64)
+    return _splitmix64(_splitmix64(acc) ^ np.uint64(tag & _MASK64))
 
 
 @dataclass(frozen=True)
@@ -209,9 +222,8 @@ class _Stack(NamedTuple):
 def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
     """The padded samples and respondents of the replicates ``indices``."""
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
-    units, r_all, n_s = _draw_replicates(
-        design, pop.true_p, [(mix_seed(seed, i, TAG_SAMPLING), mix_seed(seed, i, TAG_RESPONSE)) for i in indices]
-    )
+    seeds = np.column_stack([_block_seeds(seed, indices, TAG_SAMPLING), _block_seeds(seed, indices, TAG_RESPONSE)])
+    units, r_all, n_s = _draw_replicates(design, pop.true_p, seeds)
     u, valid = _pad(units, n_s)
     r = np.zeros(valid.shape, dtype=np.int64)
     r[valid] = r_all
@@ -325,6 +337,26 @@ def _records(
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class ReplicateRecords(Sequence):
+    """The per-replicate outcomes of a study, in replicate order. They are
+    kept as the engine's columns; the ReplicateRecord objects are built the
+    first time one is read, and write_raw_records never builds them."""
+
+    variants: tuple[Variant, ...]
+    columns: _Columns
+
+    @cached_property
+    def _records(self) -> list[ReplicateRecord]:
+        return _records(self.variants, self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns.status)
+
+    def __getitem__(self, i):
+        return self._records[i]
+
+
 def run_replicate(scenario: Scenario, index: int) -> ReplicateRecord:
     """One replicate, run as a block of its own. Its numbers agree with the
     same replicate inside a study up to rounding in the padded sums."""
@@ -435,13 +467,13 @@ def _aggregate(scenario: Scenario, cols: _Columns) -> StudyReport:
 
 def run_study(
     scenario: Scenario, threads: int = 1, return_records: bool = False
-) -> StudyReport | tuple[StudyReport, list[ReplicateRecord]]:
+) -> StudyReport | tuple[StudyReport, ReplicateRecords]:
     """Run every replicate and aggregate; bit-identical for any worker count.
 
     ``threads`` > 1 fans contiguous runs of whole blocks out to worker
     processes; results are re-assembled in index order before aggregation,
-    so the report does not depend on scheduling. Per-replicate records are
-    built only when ``return_records`` is set.
+    so the report does not depend on scheduling. ``return_records`` also
+    returns the per-replicate outcomes.
     """
     n_blocks = -(-scenario.reps // BLOCK)
     if threads <= 1 or n_blocks < 2:
@@ -455,27 +487,38 @@ def run_study(
             cols = _Columns.concat(pool.map(_run_blocks, tasks))
     report = _aggregate(scenario, cols)
     if return_records:
-        return report, _records(scenario.variants, cols)
+        return report, ReplicateRecords(scenario.variants, cols)
     return report
 
 
-def write_raw_records(path, records: list[ReplicateRecord], header_comment: str | None = None) -> None:
-    """Stream per-replicate outcomes to CSV with round-trippable floats."""
+def write_raw_records(path, records: ReplicateRecords, header_comment: str | None = None) -> None:
+    """Write per-replicate outcomes to CSV with round-trippable floats.
 
-    def fmt(v) -> str:
-        return "" if v is None else f"{v:.17g}"
-
+    A field is empty where the outcome has no number: every field of a
+    failed fit, the variances and interval of ``ht`` and ``p``, an interval
+    that was not formed, a missing largest weight. The estimate, and the
+    variances of a fitted variant, print ``nan`` when they are NaN (a
+    singular gamma system).
+    """
+    if not isinstance(records, ReplicateRecords):
+        raise TypeError("write_raw_records takes the records of run_study(..., return_records=True)")
+    cols, V, F = records.columns, len(records.variants), len(_FIELDS)
+    blank = np.isnan(cols.values)
+    blank[..., 4] = blank[..., 3]  # an interval is formed whole or not at all
+    fitted = [v not in (Variant.HT, Variant.TRUE_P) for v in records.variants]
+    as_number = np.array([[True, f, f, False, False, False] for f in fitted])
+    blank &= ~(as_number & (cols.status == _OK)[..., None])
+    cells = ["" if b else f"{v:.17g}" for v, b in zip(cols.values.ravel().tolist(), blank.ravel().tolist())]
+    names = [v.value for v in records.variants]
+    rows = [
+        f"{k // V},{names[k % V]},{','.join(cells[F * k:F * k + F])},{_STATUSES[code]}\n"
+        for k, code in enumerate(cols.status.ravel().tolist())
+    ]
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
-        for rec in records:
-            for variant, o in rec.outcomes.items():
-                lo, hi = o.ci if o.ci is not None else (None, None)
-                fh.write(
-                    f"{rec.index},{variant.value},{fmt(o.estimate)},{fmt(o.v_sam)},"
-                    f"{fmt(o.v_nr)},{fmt(lo)},{fmt(hi)},{fmt(o.max_weight)},{o.status}\n"
-                )
+        fh.write("".join(rows))
 
 
 def linearization_gap(
@@ -493,13 +536,17 @@ def linearization_gap(
     scenario = replace(scenario, variants=tuple(variants))
     gamma_u = gamma_cal_population(pop)
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
+    design, seed = scenario.design, scenario.master_seed
     for start in range(0, L, BLOCK):
         indices = range(start, min(start + BLOCK, L))
         cols = _run_block(scenario, indices)
+        seeds = np.column_stack([_block_seeds(seed, indices, TAG_SAMPLING), _block_seeds(seed, indices, TAG_RESPONSE)])
+        units, r_all, n_s = _draw_replicates(design, pop.true_p, seeds)
+        ends = np.cumsum(n_s)
         for b in np.flatnonzero((cols.status == _OK).any(axis=1)):
-            sample = draw_sample(scenario.design, mix_seed(scenario.master_seed, indices[b], TAG_SAMPLING))
-            p_s = pop.true_p[sample.indices]
-            resp = draw_response(sample, p_s, mix_seed(scenario.master_seed, indices[b], TAG_RESPONSE))
+            u, r = units[ends[b] - n_s[b]:ends[b]], r_all[ends[b] - n_s[b]:ends[b]]
+            sample = Sample(indices=u, pi_s=design.pi[u], design=design)
+            resp = RespondentSet(sample=sample, r=r, respondents=u[r == 1], nonrespondents=u[r == 0])
             for vi in np.flatnonzero(cols.status[b] == _OK):
                 variant = scenario.variants[vi]
                 gamma = gamma_u if variant is Variant.CAL_U else None

@@ -18,7 +18,6 @@ __all__ = [
     "Population",
     "GenConfig",
     "expit",
-    "logistic",
     "logistic_probs",
     "generate_population",
     "population_total",
@@ -35,25 +34,6 @@ def expit(x) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
-def logistic(x, lam) -> float:
-    """Response probability 1 / (1 + exp(-x.lam)) for a single unit.
-
-    Evaluated through the branch that never exponentiates a positive
-    argument, so it is stable for linear predictors up to +-700.
-    """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if x.shape != lam.shape:
-        raise ValueError(f"length mismatch: x has shape {x.shape}, lambda has shape {lam.shape}")
-    eta = float(x @ lam)
-    if not math.isfinite(eta):
-        raise ValueError("non-finite linear predictor")
-    if eta >= 0.0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    z = math.exp(eta)
-    return z / (1.0 + z)
 
 
 def logistic_probs(aux: np.ndarray, lam: np.ndarray) -> np.ndarray:

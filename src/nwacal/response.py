@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignSpec, Sample, _sample_units
+from .streams import checked_seed, streams
 
 __all__ = ["RespondentSet", "draw_response"]
 
@@ -53,24 +54,26 @@ class RespondentSet:
         return self.r == 1
 
 
-def _respond(p: np.ndarray, seed: int) -> np.ndarray:
-    """The response indicators of draw_response for probabilities p."""
-    return (np.random.default_rng(int(seed)).random(p.size) < p).astype(np.int64)
+def _respond(p: np.ndarray, sizes: np.ndarray, seeds) -> np.ndarray:
+    """The response indicators of draw_response for each seed, over its run
+    of ``sizes`` consecutive probabilities of p."""
+    u = np.concatenate([rng.random(m) for rng, m in zip(streams(seeds), sizes.tolist())])
+    return (u < p).astype(np.int64)
 
 
 def draw_response(sample: Sample, p: np.ndarray, seed: int) -> RespondentSet:
     """Independent Bernoulli(p_i) response per sampled unit.
 
-    ``p`` aligns with ``sample.indices``. The seed stream is the caller's to
-    manage and is independent of the sampling stream, so the two phases can
-    be varied separately.
+    ``p`` aligns with ``sample.indices``. The seed, in [0, 2**64), is the
+    caller's to manage and is independent of the sampling stream, so the two
+    phases can be varied separately.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != sample.indices.shape:
         raise ValueError("p must provide one probability per sampled unit")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("response probabilities must lie in (0, 1]")
-    r = _respond(p, seed)
+    r = _respond(p, np.array([p.size]), [checked_seed(seed)])
     return RespondentSet(
         sample=sample,
         r=r,
@@ -80,15 +83,17 @@ def draw_response(sample: Sample, p: np.ndarray, seed: int) -> RespondentSet:
 
 
 def _draw_replicates(design: DesignSpec, p: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of a run of replicates without building a Sample or a
+    """The draws of a block of replicates without building a Sample or a
     RespondentSet: for each (sampling seed, response seed) pair, the units
     of draw_sample(design, sampling seed) and the r of
     draw_response(sample, p[units], response seed), bit for bit. ``p`` holds
-    a response probability for every unit of the population.
+    a response probability for every unit of the population. The block's
+    streams come from nwacal.streams, one generator call each, and SRSWOR
+    resolves the shuffles of the whole block with one sort.
 
     Returns the replicates' unit indices and r, concatenated, and their
     sample sizes.
     """
-    units = [_sample_units(design, s) for s, _ in seeds]
-    r = [_respond(p[u], t) for u, (_, t) in zip(units, seeds)]
-    return np.concatenate(units), np.concatenate(r), np.array([u.size for u in units])
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 2)
+    units, sizes = _sample_units(design, seeds[:, 0])
+    return units, _respond(p[units], sizes, seeds[:, 1]), sizes

@@ -47,6 +47,26 @@ def draw_replicates_loop(design: DesignSpec, p: np.ndarray, seeds):
     return np.concatenate(units), np.concatenate(r), np.array([u.size for u in units])
 
 
+def write_raw_records_loop(path, records, header_comment=None) -> None:
+    """The raw-CSV writer before it read the engine's columns: one line per
+    ReplicateRecord outcome, with an empty field for every None."""
+
+    def fmt(v) -> str:
+        return "" if v is None else f"{v:.17g}"
+
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write("replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
+        for rec in records:
+            for variant, o in rec.outcomes.items():
+                lo, hi = o.ci if o.ci is not None else (None, None)
+                fh.write(
+                    f"{rec.index},{variant.value},{fmt(o.estimate)},{fmt(o.v_sam)},"
+                    f"{fmt(o.v_nr)},{fmt(lo)},{fmt(hi)},{fmt(o.max_weight)},{o.status}\n"
+                )
+
+
 def fd_jacobian(lam, eq: EstimatingEquation, h: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian of the estimating-equation residual."""
     lam = np.asarray(lam, dtype=float)

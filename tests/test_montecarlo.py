@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import calibration_margin, draw_replicates_loop, mle_margin
+from oracles import calibration_margin, draw_replicates_loop, mle_margin, write_raw_records_loop
 
 from nwacal import (
     GenConfig,
@@ -27,7 +27,10 @@ from nwacal.montecarlo import (
     STATUS_OK,
     TAG_RESPONSE,
     TAG_SAMPLING,
+    ReplicateRecords,
     Scenario,
+    _block_seeds,
+    _Columns,
     coverage_rate,
     mix_seed,
     relative_bias,
@@ -50,6 +53,14 @@ def test_mix_seed_deterministic_and_spread():
     assert len(vals) == 1000
     assert all(0 <= v < 2**64 for v in vals)
     assert mix_seed(5, 0, 1) != mix_seed(5, 0, 2)
+
+
+def test_block_seeds_match_mix_seed():
+    for master in (0, 11, 1729, 2**64 - 1, -3, 2**70 + 5):
+        for tag in (TAG_SAMPLING, TAG_RESPONSE):
+            got = _block_seeds(master, range(200, 457), tag)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [mix_seed(master, i, tag) for i in range(200, 457)]
 
 
 def test_replicate_deterministic(study_population, study_srs):
@@ -189,6 +200,34 @@ def test_write_raw_records_round_trip(tmp_path, study_population, study_srs):
     cells = lines[2].split(",")
     est = records[0].outcomes[Variant.HT].estimate
     assert float(cells[2]) == est  # 17 significant digits round-trip
+    with pytest.raises(TypeError, match="return_records=True"):
+        write_raw_records(path, list(records))
+
+
+def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
+    # The column writer prints the bytes of the per-record writer: on a
+    # Poisson study with cal_U failures, and on hand-made columns with every
+    # quirk of the format (a fitted ok row with NaN variances and no
+    # interval, an infinite estimate, no respondents, failed fits).
+    sc = _scenario(study_population, poisson_design(study_population, 100.0), reps=150, seed=5)
+    _, records = run_study(sc, return_records=True)
+    assert any(not r.outcomes[Variant.CAL_U].ok for r in records)
+    nan, inf = math.nan, math.inf
+    values = np.full((3, 6, 6), nan)
+    values[:, 0] = [1.5, nan, nan, nan, nan, 10.0]
+    values[:, 1] = [0.0, nan, nan, nan, nan, nan]
+    values[0, 2] = [2.0, nan, nan, nan, nan, 3.25]
+    values[0, 3] = [-inf, 1.0, 2.0, -inf, nan, 4.0]
+    values[1, 2] = [inf, 1.0, 2.0, nan, inf, 5.0]
+    values[1, 3] = [1 / 3, 0.1, 0.2, 0.0, 2 / 3, nan]
+    status = np.zeros((3, 6), dtype=np.int8)
+    status[2, 2:] = [1, 2, 3, 4]
+    hand = ReplicateRecords(sc.variants, _Columns(np.full(3, 9), np.full(3, 5), status, values, np.ones((3, 6), int)))
+    for i, recs in enumerate((records, hand)):
+        write_raw_records(tmp_path / f"new{i}.csv", recs, header_comment="seed=5")
+        write_raw_records_loop(tmp_path / f"old{i}.csv", recs, header_comment="seed=5")
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
+    assert ",nan,nan,,," in (tmp_path / "new1.csv").read_text()
 
 
 def test_scenario_validation(study_population, study_srs):
@@ -287,16 +326,41 @@ def _seeds(scenario, indices):
     ]
 
 
-@pytest.mark.parametrize("cell", [*range(6), "large-srs"])
+def _draw_scenario(cell):
+    """A study cell at 300 replicates; "large-srs" and "poisson-20000" (20
+    replicates at N=20000, n=2000); "srs-N-n" (64 replicates); or
+    "srs-block-B" and "poisson-block-B" (study cells 0 and 3 at B
+    replicates)."""
+    if isinstance(cell, int):
+        return study_scenarios(RunConfig(reps=300))[cell][2]
+    if cell in ("large-srs", "poisson-20000"):
+        pop = generate_population(GenConfig(N=20_000, rho=0.6, seed=5))
+        design = srs_design(20_000, 2_000) if cell == "large-srs" else poisson_design(pop, 2_000.0)
+        return _scenario(pop, design, reps=20, seed=9)
+    kind, size, arg = cell.split("-")
+    if size == "block":
+        return study_scenarios(RunConfig(reps=int(arg)))[0 if kind == "srs" else 3][2]
+    N, n = int(size), int(arg)
+    return _scenario(generate_population(GenConfig(N=N, rho=0.6, seed=5)), srs_design(N, n), reps=64, seed=9)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        *range(6), "large-srs",
+        "srs-1000-1", "srs-1000-999", "srs-150-120", "poisson-20000",
+        "srs-block-1", "srs-block-63", "srs-block-65",
+        "poisson-block-1", "poisson-block-63", "poisson-block-65",
+    ],
+)
 def test_draw_kernel_matches_per_replicate_draws(cell):
     # The block kernel draws every replicate's units and r bit for bit as
     # the old per-replicate loop and the public draw_sample -> draw_response:
     # 300 replicates of each study cell, 20 of SRSWOR at N=20000, n=2000.
-    if cell == "large-srs":
-        pop = generate_population(GenConfig(N=20_000, rho=0.6, seed=5))
-        scenario = _scenario(pop, srs_design(20_000, 2_000), reps=20, seed=9)
-    else:
-        _, _, scenario = study_scenarios(RunConfig(reps=300))[cell]
+    # The other cases take the shuffle to its edges (n=1, n=N-1, and
+    # N=150, n=120, where most steps land on displaced positions), a large
+    # Poisson cell, and blocks of 1, 63 and 65 replicates.
+    scenario = _draw_scenario(cell)
     pop, design = scenario.population, scenario.design
     seeds = _seeds(scenario, range(scenario.reps))
     units, r, sizes = _draw_replicates(design, pop.true_p, seeds)

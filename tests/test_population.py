@@ -11,7 +11,7 @@ from nwacal import (
     GenConfig,
     Population,
     generate_population,
-    logistic,
+    logistic_probs,
     population_from_csv,
     population_to_csv,
     population_total,
@@ -22,6 +22,11 @@ from nwacal.population import _ndtri, _standard_normal, expit
 
 # Independent high-precision evaluation of 1/(1+e^-1.7) (mpmath, 25 digits).
 LOGISTIC_1P7 = 0.8455347349164652956660462
+
+
+def logistic(x, lam) -> float:
+    """The response probability of one unit, through logistic_probs."""
+    return float(logistic_probs(x, lam))
 
 
 def test_logistic_zero_coefficients():

@@ -2,8 +2,47 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nwacal import draw_response, draw_sample, srs_design
+from nwacal.streams import seed_state, streams
+
+# Seeds at the edges of SeedSequence's uint32 words: one word, two words,
+# and the largest seed a stream takes.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _default_rng_state(seed):
+    state = np.random.default_rng(seed).bit_generator.state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def test_seed_state_matches_default_rng_at_word_edges():
+    assert seed_state(EDGE_SEEDS) == [_default_rng_state(s) for s in EDGE_SEEDS]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
+def test_seed_state_matches_default_rng(seeds):
+    assert seed_state(seeds) == [_default_rng_state(s) for s in seeds]
+
+
+def test_streams_restart_every_stream():
+    # Three uint32 draws leave half of a 64-bit output buffered in the
+    # reused generator; the next stream must not start from it.
+    seeds = EDGE_SEEDS + list(range(100, 110))
+    for seed, rng in zip(seeds, streams(seeds)):
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(rng.integers(0, 2**32, 3, dtype=np.uint32), ref.integers(0, 2**32, 3, dtype=np.uint32))
+        assert np.array_equal(rng.random(4), ref.random(4))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_out_of_range(study_srs, seed):
+    with pytest.raises(ValueError, match="seed"):
+        draw_sample(study_srs, seed)
+    s = draw_sample(study_srs, 1)
+    with pytest.raises(ValueError, match="seed"):
+        draw_response(s, np.full(s.size, 0.5), seed)
 
 
 def test_certain_response(study_srs):
