@@ -14,7 +14,6 @@ from .population import (
     logistic_probs,
     population_from_csv,
     population_to_csv,
-    population_total,
 )
 from .designs import (
     DesignKind,
@@ -51,6 +50,7 @@ from .estimators import (
     gamma_hat_mle,
     gamma_mle_sample,
     ht_estimate,
+    linearized_block,
     linearized_estimate,
     nwa_estimate,
     two_phase_estimate,

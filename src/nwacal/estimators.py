@@ -19,7 +19,7 @@ import numpy as np
 from .population import Population
 from .designs import Sample
 from .response import RespondentSet
-from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult
+from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult, _cholesky_solve
 
 __all__ = [
     "Variant",
@@ -33,6 +33,7 @@ __all__ = [
     "gamma_mle_sample",
     "gamma_hat_mle",
     "gamma_hat_cal",
+    "linearized_block",
     "linearized_estimate",
 ]
 
@@ -133,22 +134,18 @@ def _solve_normal_equations(
 ) -> np.ndarray | None:
     """Solve [sum w_matrix_i x_i x_i^T] g = sum w_rhs_i x_i y_i.
 
-    The sums run over the units, the second-to-last axis of x; leading axes
-    index a stack of independent systems. A system with non-finite entries or
-    condition number above 1e12 is singular: a single system then gives None,
-    a stack gives a NaN row.
+    The sums run over the units, the second-to-last axis of x; a leading
+    axis indexes a stack of independent systems. The system is solved by
+    the solver's Cholesky factorization, whose rule decides which systems
+    are singular (a non-finite entry, or a pivot lost to rounding): a
+    single system then gives None, a stack gives a NaN row.
     """
     a = (np.swapaxes(x, -1, -2) * w_matrix[..., None, :]) @ x
     b = ((w_rhs * y)[..., None, :] @ x)[..., 0, :]
-    ok = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=-1)
-    eye = np.eye(a.shape[-1])
-    cond = np.linalg.cond(np.where(ok[..., None, None], a, eye))
-    ok &= np.isfinite(cond) & (cond <= 1e12)
-    g = np.linalg.solve(np.where(ok[..., None, None], a, eye), b[..., None])[..., 0]
-    if x.ndim == 2:
-        return g if ok else None
-    g[~ok] = np.nan
-    return g
+    if x.ndim == 3:
+        return _cholesky_solve(a, b)
+    g = _cholesky_solve(a[None], b[None])[0]
+    return None if np.isnan(g).any() else g
 
 
 def gamma_cal_population(pop: Population) -> np.ndarray | None:
@@ -195,48 +192,75 @@ def gamma_hat_cal(x_r, y_r, pi_r, p_hat_r) -> np.ndarray | None:
     return _solve_normal_equations(x_r, np.asarray(y_r, dtype=float), w, w)
 
 
+def linearized_block(
+    variant: Variant,
+    pop: Population,
+    x_s: np.ndarray,
+    y_s: np.ndarray,
+    pi_s: np.ndarray,
+    p_s: np.ndarray,
+    r: np.ndarray,
+    gamma: np.ndarray | None = None,
+) -> np.ndarray:
+    """First-order expansion of a reweighted estimator around the true model,
+    for a stack of samples.
+
+    Arrays are (B, n) and (B, n, q) over the sampled units of B replicates,
+    padded to a common n with rows x = 0, y = 0, pi = 1, p = 1, r = 0, which
+    add exact zeros. ``gamma`` ((q,) or (B, q)) replaces the coefficients
+    the variant computes from the data: the sample-level gamma systems, as
+    one stack, or the population-level one. Returns the B estimates, NaN
+    where the gamma system is singular.
+    """
+    if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
+        sw = variant is Variant.MLE_KINVPI
+        if gamma is None:
+            gamma = gamma_mle_sample(x_s, y_s, pi_s, p_s, survey_weighted=sw)
+        k = 1.0 / pi_s if sw else np.ones_like(pi_s)
+        scale = k * pi_s * p_s
+    elif variant is Variant.CAL_U:
+        if gamma is None:
+            gamma = gamma_cal_population(pop)
+        if gamma is None:
+            gamma = np.full(pop.n_aux, np.nan)
+        scale = 1.0
+    elif variant is Variant.CAL_S:
+        if gamma is None:
+            gamma = gamma_cal_sample(x_s, y_s, pi_s, p_s)
+        scale = 1.0
+    else:
+        raise ValueError(f"no linearized form for variant {variant}")
+    gamma = np.broadcast_to(gamma, (len(x_s), x_s.shape[-1]))
+    fitted = scale * (x_s @ gamma[..., None])[..., 0]
+    # The total of the fitted values (known over U for the population-level
+    # variant, its HT estimate otherwise) plus the expanded residuals.
+    if variant is Variant.CAL_U:
+        fitted_total = gamma @ pop.aux.sum(axis=0)
+    else:
+        fitted_total = np.sum(fitted / pi_s, axis=-1)
+    return fitted_total + np.sum(r / (pi_s * p_s) * (y_s - fitted), axis=-1)
+
+
 def linearized_estimate(
     variant: Variant,
     pop: Population,
     sample: Sample,
     resp: RespondentSet,
     gamma: np.ndarray | None = None,
-    survey_weighted: bool = False,
 ) -> float:
-    """First-order expansion of a reweighted estimator around the true model.
+    """First-order expansion of a reweighted estimator around the true model:
+    a stack of one for linearized_block.
 
     Simulation-only diagnostic: uses the true response probabilities, and the
     population-level variant also reads the whole population. When ``gamma``
-    is omitted it is computed from the same data.
+    is omitted it is computed from the same data; a singular gamma system
+    raises ValueError.
     """
     idx = sample.indices
-    x_s = pop.aux[idx]
-    y_s = pop.y[idx]
-    p_s = pop.true_p[idx]
-    pi_s = sample.pi_s
-    r = resp.r.astype(float)
-
-    if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
-        sw = variant is Variant.MLE_KINVPI
-        if gamma is None:
-            gamma = gamma_mle_sample(x_s, y_s, pi_s, p_s, survey_weighted=sw)
-        if gamma is None:
-            raise ValueError("singular gamma system for the MLE linearization")
-        k = 1.0 / pi_s if sw else np.ones_like(pi_s)
-        fitted = k * pi_s * p_s * (x_s @ gamma)
-        return float(np.sum((fitted + (r / p_s) * (y_s - fitted)) / pi_s))
-    if variant is Variant.CAL_U:
-        if gamma is None:
-            gamma = gamma_cal_population(pop)
-        if gamma is None:
-            raise ValueError("singular gamma system for the population-level linearization")
-        fitted_s = x_s @ gamma
-        return float(np.sum(pop.aux @ gamma) + np.sum((r / (pi_s * p_s)) * (y_s - fitted_s)))
-    if variant is Variant.CAL_S:
-        if gamma is None:
-            gamma = gamma_cal_sample(x_s, y_s, pi_s, p_s)
-        if gamma is None:
-            raise ValueError("singular gamma system for the sample-level linearization")
-        fitted = x_s @ gamma
-        return float(np.sum((fitted + (r / p_s) * (y_s - fitted)) / pi_s))
-    raise ValueError(f"no linearized form for variant {variant}")
+    lin = linearized_block(
+        variant, pop, pop.aux[idx][None], pop.y[idx][None], sample.pi_s[None],
+        pop.true_p[idx][None], resp.r[None].astype(float), gamma,
+    )[0]
+    if np.isnan(lin):
+        raise ValueError(f"singular gamma system for the {variant.value} linearization")
+    return float(lin)

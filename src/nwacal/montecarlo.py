@@ -23,17 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# draw_sample and draw_response stay importable here: perfbench/layers.py
-# wraps montecarlo.draw_sample and montecarlo.draw_response when tracing.
-from .designs import DesignSpec, Sample, draw_sample  # noqa: F401
-from .estimators import (
-    VARIANT_TO_EEKIND,
-    Variant,
-    gamma_cal_population,
-    linearized_estimate,
-)
+from .designs import DesignSpec
+from .estimators import VARIANT_TO_EEKIND, Variant, linearized_block
 from .population import Population
-from .response import RespondentSet, _draw_replicates, draw_response  # noqa: F401
+from .response import _draw_replicates
 from .solvers import EEKind, FitStatus, SolverControls, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
@@ -200,16 +193,17 @@ def _row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class _Stack(NamedTuple):
-    """A block's samples (x, pi, y, r) and respondents (x_r, pi_r, y_r and
-    the true p_r) as arrays padded to a common length, with masks of the
-    real rows. Padding rows (x = 0, y = 0, pi = 1, r = 0, p = 1) add exact
-    zeros to every sum the engine takes."""
+    """A block's samples (x, pi, y, the true p, r) and respondents (x_r,
+    pi_r, y_r and the true p_r) as arrays padded to a common length, with
+    masks of the real rows. Padding rows (x = 0, y = 0, pi = 1, r = 0,
+    p = 1) add exact zeros to every sum the engine takes."""
 
     n_s: np.ndarray
     n_r: np.ndarray
     x: np.ndarray
     pi: np.ndarray
     y: np.ndarray
+    p: np.ndarray
     r: np.ndarray
     valid: np.ndarray
     x_r: np.ndarray
@@ -231,7 +225,8 @@ def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
     u_r, valid_r = _pad(units[r_all == 1], n_r)
     return _Stack(
         n_s, n_r,
-        _take(pop.aux, u, valid, 0.0), _take(design.pi, u, valid, 1.0), _take(pop.y, u, valid, 0.0), r, valid,
+        _take(pop.aux, u, valid, 0.0), _take(design.pi, u, valid, 1.0), _take(pop.y, u, valid, 0.0),
+        _take(pop.true_p, u, valid, 1.0), r, valid,
         _take(pop.aux, u_r, valid_r, 0.0), _take(design.pi, u_r, valid_r, 1.0), _take(pop.y, u_r, valid_r, 0.0),
         _take(pop.true_p, u_r, valid_r, 1.0), valid_r,
     )
@@ -263,10 +258,9 @@ def _fit(scenario: Scenario, st: _Stack, status: np.ndarray, iterations: np.ndar
     return fit_b[ok], fit_v[ok], fits.lambda_hat[ok]
 
 
-def _run_block(scenario: Scenario, indices: range) -> _Columns:
-    """Draw, fit, estimate and evaluate every variant for a block of replicates."""
-    st = _stack_draws(scenario, indices)
-    B, V = len(indices), len(scenario.variants)
+def _run_block(scenario: Scenario, st: _Stack) -> _Columns:
+    """Fit, estimate and evaluate every variant for a block's draws."""
+    B, V = len(st.n_s), len(scenario.variants)
     status = np.full((B, V), _OK, dtype=np.int8)
     values = np.full((B, V, len(_FIELDS)), np.nan)
     iterations = np.zeros((B, V), dtype=np.int64)
@@ -302,10 +296,8 @@ def _run_block(scenario: Scenario, indices: range) -> _Columns:
 def _run_blocks(args: tuple[Scenario, int, int]) -> _Columns:
     """Blocks first..last-1 of a scenario's replicates."""
     scenario, first, last = args
-    return _Columns.concat([
-        _run_block(scenario, range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps)))
-        for k in range(first, last)
-    ])
+    blocks = (range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps)) for k in range(first, last))
+    return _Columns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
 
 
 def _records(
@@ -360,7 +352,7 @@ class ReplicateRecords(Sequence):
 def run_replicate(scenario: Scenario, index: int) -> ReplicateRecord:
     """One replicate, run as a block of its own. Its numbers agree with the
     same replicate inside a study up to rounding in the padded sums."""
-    cols = _run_block(scenario, range(index, index + 1))
+    cols = _run_block(scenario, _stack_draws(scenario, range(index, index + 1)))
     return _records(scenario.variants, cols, index)[0]
 
 
@@ -527,29 +519,21 @@ def linearization_gap(
     """Median of |reweighted - linearized| / N over converged replicates.
 
     Diagnostic for the first-order equivalence: the gap shrinks with the
-    sample size. Runs the scenario's replicates through the block engine,
-    uses true probabilities for the linearized form, and skips replicates
-    whose fit did not converge.
+    sample size. Each block of the scenario's replicates is drawn once: the
+    block engine evaluates its stack, and linearized_block takes the same
+    stack with the true probabilities. Replicates whose fit did not converge,
+    or whose gamma system is singular, are skipped.
     """
     pop = scenario.population
     L = reps if reps is not None else scenario.reps
     scenario = replace(scenario, variants=tuple(variants))
-    gamma_u = gamma_cal_population(pop)
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
-    design, seed = scenario.design, scenario.master_seed
     for start in range(0, L, BLOCK):
-        indices = range(start, min(start + BLOCK, L))
-        cols = _run_block(scenario, indices)
-        seeds = np.column_stack([_block_seeds(seed, indices, TAG_SAMPLING), _block_seeds(seed, indices, TAG_RESPONSE)])
-        units, r_all, n_s = _draw_replicates(design, pop.true_p, seeds)
-        ends = np.cumsum(n_s)
-        for b in np.flatnonzero((cols.status == _OK).any(axis=1)):
-            u, r = units[ends[b] - n_s[b]:ends[b]], r_all[ends[b] - n_s[b]:ends[b]]
-            sample = Sample(indices=u, pi_s=design.pi[u], design=design)
-            resp = RespondentSet(sample=sample, r=r, respondents=u[r == 1], nonrespondents=u[r == 0])
-            for vi in np.flatnonzero(cols.status[b] == _OK):
-                variant = scenario.variants[vi]
-                gamma = gamma_u if variant is Variant.CAL_U else None
-                lin = linearized_estimate(variant, pop, sample, resp, gamma=gamma)
-                gaps[variant].append(abs(float(cols.values[b, vi, 0]) - lin) / pop.size)
+        st = _stack_draws(scenario, range(start, min(start + BLOCK, L)))
+        cols = _run_block(scenario, st)
+        for vi, variant in enumerate(scenario.variants):
+            ok = cols.status[:, vi] == _OK
+            lin = linearized_block(variant, pop, *(a[ok] for a in (st.x, st.y, st.pi, st.p, st.r)))
+            gap = np.abs(cols.values[ok, vi, 0] - lin) / pop.size
+            gaps[variant].extend(gap[~np.isnan(gap)].tolist())
     return {v: float(np.median(g)) for v, g in gaps.items() if g}

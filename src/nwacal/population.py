@@ -20,7 +20,6 @@ __all__ = [
     "expit",
     "logistic_probs",
     "generate_population",
-    "population_total",
     "population_to_csv",
     "population_from_csv",
 ]
@@ -238,11 +237,6 @@ def generate_population(cfg: GenConfig) -> Population:
     lam = np.asarray(cfg.lam, dtype=float)
     p = logistic_probs(aux, lam)
     return Population(aux=aux, y=y, true_lambda=lam, true_p=p, rho=rho)
-
-
-def population_total(pop: Population) -> float:
-    """Exact total of the study variable (compensated summation)."""
-    return math.fsum(pop.y)
 
 
 def population_to_csv(pop: Population, path: str | Path) -> None:

@@ -56,6 +56,11 @@ _ARMIJO = 1e-4
 _SAFE_STEP = 1.5
 _CERT_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+# A Cholesky pivot at most this multiple of its diagonal entry marks the
+# matrix singular (see _cholesky_solve). An exactly singular matrix leaves
+# pivots of a few rounding errors of that size, of either sign; a bare
+# pivot > 0 test would solve such a system from its rounding noise.
+_PIVOT_RTOL = 16.0 * _EPS
 
 
 class EEKind(enum.Enum):
@@ -340,18 +345,26 @@ def _subset(mask: np.ndarray, *arrays):
     return tuple(a[mask] for a in arrays)
 
 
-def _newton_directions(hess: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """hess_b^-1 res_b for a stack of (q, q) matrices, by a Cholesky
-    factorization unrolled over the stack; NaN throughout where a pivot is
-    not positive, that is where the matrix is not positive definite."""
-    q = res.shape[1]
-    h = hess.transpose(1, 2, 0)
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k^-1 b_k for a stack of symmetric (q, q) matrices a and (q,)
+    vectors b, by a Cholesky factorization unrolled over the stack.
+
+    The package's one rule for "singular": a system whose entries are not
+    all finite, or where some pivot of the factorization is at most
+    _PIVOT_RTOL times its own diagonal entry, is singular, and its row of
+    the result is NaN. Only the lower triangle of a enters the
+    factorization.
+    """
+    q = b.shape[1]
+    # A non-finite system becomes all zeros, whose first pivot fails.
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    h = np.where(finite[:, None, None], a, 0.0).transpose(1, 2, 0)
     low = [[None] * q for _ in range(q)]
     for j in range(q):
         pivot = h[j, j]
         for k in range(j):
             pivot = pivot - low[j][k] * low[j][k]
-        low[j][j] = np.sqrt(np.where(pivot > 0.0, pivot, np.nan))
+        low[j][j] = np.sqrt(np.where(pivot > _PIVOT_RTOL * h[j, j], pivot, np.nan))
         for i in range(j + 1, q):
             v = h[i, j]
             for k in range(j):
@@ -359,17 +372,17 @@ def _newton_directions(hess: np.ndarray, res: np.ndarray) -> np.ndarray:
             low[i][j] = v / low[j][j]
     z = []
     for i in range(q):
-        v = res[:, i]
+        v = b[:, i]
         for k in range(i):
             v = v - low[i][k] * z[k]
         z.append(v / low[i][i])
-    delta = [None] * q
+    x = [None] * q
     for i in reversed(range(q)):
         v = z[i]
         for k in range(i + 1, q):
-            v = v - low[k][i] * delta[k]
-        delta[i] = v / low[i][i]
-    return np.stack(delta, axis=1)
+            v = v - low[k][i] * x[k]
+        x[i] = v / low[i][i]
+    return np.stack(x, axis=1)
 
 
 def _initial_points(kinds: np.ndarray, pi, r, valid, target) -> np.ndarray:
@@ -417,8 +430,8 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
 
     for each equation of a stack. The residual is -grad F and the Hessian
     sum_i w_i phi''(-a_i.lam) a_i a_i' is minus the Jacobian. Each iteration
-    factors the Hessian (no Cholesky factor: SINGULAR_JACOBIAN) and takes the
-    Newton direction delta.
+    solves for the Newton direction delta with _cholesky_solve (a Hessian
+    singular by its rule: SINGULAR_JACOBIAN).
 
     CONVERGED needs ||residual||_inf <= tol and max_i s_i a_i.delta < 1:
     since c = sum_i u_i (1 - s_i a_i.delta) a_i with u_i = w_i phi'(-a_i.lam),
@@ -458,8 +471,8 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
                 for k in np.flatnonzero(running & (it > 0)):
                     traces[ids[k]].append((int(it[k]), float(rn[k]), float(step[k])))
             hess = _rows_dot(h, xx).reshape(-1, q, q)
-            delta = _newton_directions(hess, res)
-            ok = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(delta).all(axis=1)
+            delta = _cholesky_solve(hess, res)
+            ok = np.isfinite(delta).all(axis=1)
             ad = _matvec(x, delta)
             if softplus:
                 ad *= sign
@@ -588,7 +601,11 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     which F never increases (for the MLE kinds, complete or quasi-complete
     separation; for calibration, a target outside the interior of the cone
     of respondent auxiliaries). SINGULAR_JACOBIAN and MAX_ITERATIONS are
-    solver failures that no such certificate explains.
+    solver failures that no such certificate explains. SINGULAR_JACOBIAN
+    means the Hessian at an iterate was singular by the package's one rule
+    (a non-finite entry, or a Cholesky pivot at most 16 machine epsilons
+    times its diagonal entry), the rule that also flags singular gamma
+    systems in the variance estimators.
     """
     fit = solve_block(
         [eq.kind], eq.x[None], eq.pi[None], eq.r[None], np.ones((1, len(eq.r)), dtype=bool),

@@ -18,7 +18,9 @@ import numpy as np
 
 from .designs import DesignKind, DesignSpec
 from .estimators import (
+    FITTED_VARIANTS,
     Variant,
+    _solve_normal_equations,
     gamma_cal_population,
     gamma_hat_cal,
     gamma_hat_mle,
@@ -47,10 +49,11 @@ Z_95 = 1.96
 class VarianceEstimate:
     """Sampling + nonresponse variance components for one reweighted total.
 
-    A singular gamma system leaves the dependent pieces NaN with
-    ``gamma_hat=None``; the sampling component of the sample-level variants
-    never needs gamma and stays usable. ``v_sam`` may be negative under
-    SRSWOR in pathological samples and is reported as-is.
+    A singular gamma system (by the solver's Cholesky rule, see
+    estimators._solve_normal_equations) leaves the dependent pieces NaN with
+    ``gamma_hat=None`` and ``residuals=None``; the sampling component of the
+    sample-level variants never needs gamma and stays usable. ``v_sam`` may
+    be negative under SRSWOR in pathological samples and is reported as-is.
     """
 
     v_sam: float
@@ -61,10 +64,6 @@ class VarianceEstimate:
     @property
     def total(self) -> float:
         return self.v_sam + self.v_nr
-
-    @property
-    def gamma_singular(self) -> bool:
-        return self.gamma_hat is None
 
     def csv_row(self, variant: Variant, estimate: float) -> str:
         ci = confidence_interval(estimate, self.total) if math.isfinite(self.total) else None
@@ -127,11 +126,12 @@ def var_hat_block(
 
     Arrays are (B, m) and (B, m, q) over the respondents of B replicates,
     padded to a common m with rows x = 0, y = 0, pi = 1, p_hat = 1, which add
-    exact zeros. Returns (v_sam, v_nr, gamma_hat, residuals). A singular
-    gamma system leaves gamma_hat a NaN row and every component that needs
-    it NaN; the full-response edge (every p_hat = 1) takes gamma_hat = 0,
-    since every (1 - p_hat) weight vanishes and any coefficient gives the
-    same (zero) nonresponse component.
+    exact zeros. Returns (v_sam, v_nr, gamma_hat, residuals). The gamma
+    systems are solved as one stack; a singular one (a non-finite entry or
+    a Cholesky pivot lost to rounding) leaves gamma_hat a NaN row and every
+    component that needs it NaN. The full-response edge (every p_hat = 1)
+    takes gamma_hat = 0, since every (1 - p_hat) weight vanishes and any
+    coefficient gives the same (zero) nonresponse component.
     """
     if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
         survey_weighted = variant is Variant.MLE_KINVPI
@@ -222,22 +222,10 @@ def var_hat_calS(
     return var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
 
 
-def _gamma_mle_population(pop: Population, design: DesignSpec, survey_weighted: bool) -> np.ndarray:
-    # Design expectation of the sample-level MLE gamma system:
-    # A = sum_U pi k p(1-p) x x^T, b = sum_U (1-p) x y.
-    p = pop.true_p
-    k = 1.0 / design.pi if survey_weighted else np.ones_like(design.pi)
-    w = design.pi * k * p * (1.0 - p)
-    a = (pop.aux * w[:, None]).T @ pop.aux
-    b = pop.aux.T @ ((1.0 - p) * pop.y)
-    return np.linalg.solve(a, b)
-
-
 def theoretical_variance(
     pop: Population,
     design: DesignSpec,
     variant: Variant,
-    survey_weighted: bool = False,
 ) -> TheoreticalVariance:
     """Exact two-phase variance decomposition under known p and design.
 
@@ -252,15 +240,22 @@ def theoretical_variance(
     N = pop.size
     full_response = bool(np.all(p == 1.0))
 
-    if variant is Variant.CAL_U:
-        gamma = gamma_cal_population(pop)
-        if gamma is None and full_response:
-            gamma = np.zeros(pop.n_aux)
+    # The population residual of the variant's linearization. Under full
+    # response every (1 - p) weight, and with it the gamma system, vanishes.
+    resid = y
+    if variant in FITTED_VARIANTS and not full_response:
+        if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
+            # Design expectation of the sample-level MLE gamma system.
+            k = 1.0 / pi if variant is Variant.MLE_KINVPI else np.ones_like(pi)
+            scale = k * pi * p
+            gamma = _solve_normal_equations(pop.aux, y, scale * (1.0 - p), 1.0 - p)
+        else:
+            scale = 1.0
+            gamma = gamma_cal_population(pop)
         if gamma is None:
             raise ValueError("singular population gamma system")
-        z = y - pop.aux @ gamma
-    else:
-        z = y
+        resid = y - scale * (pop.aux @ gamma)
+    z = resid if variant is Variant.CAL_U else y
 
     if design.kind is DesignKind.POISSON:
         v_sam = float(np.sum((1.0 - pi) / pi * z**2))
@@ -269,26 +264,9 @@ def theoretical_variance(
         s2 = float(np.var(z, ddof=1))
         v_sam = N * N * (1.0 - f) / design.n_target * s2
 
-    if variant is Variant.HT:
+    if variant is Variant.HT or full_response:
         v_nr = 0.0
-    elif full_response:
-        # every (1 - p) factor vanishes
-        v_nr = 0.0
-    elif variant is Variant.TRUE_P:
-        v_nr = float(np.sum((1.0 - p) / (pi * p) * y**2))
-    elif variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
-        sw = survey_weighted or variant is Variant.MLE_KINVPI
-        gamma = _gamma_mle_population(pop, design, sw)
-        k = 1.0 / pi if sw else np.ones_like(pi)
-        resid = y - k * pi * p * (pop.aux @ gamma)
-        v_nr = float(np.sum((1.0 - p) / (pi * p) * resid**2))
-    elif variant is Variant.CAL_U:
-        v_nr = float(np.sum((1.0 - p) / (pi * p) * z**2))
-    elif variant is Variant.CAL_S:
-        gamma = gamma_cal_population(pop)
-        if gamma is None:
-            raise ValueError("singular population gamma system")
-        resid = y - pop.aux @ gamma
+    elif variant is Variant.TRUE_P or variant in FITTED_VARIANTS:
         v_nr = float(np.sum((1.0 - p) / (pi * p) * resid**2))
     else:
         raise ValueError(f"no variance decomposition for variant {variant}")

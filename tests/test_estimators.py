@@ -26,6 +26,7 @@ from nwacal import (
     srs_design,
     two_phase_estimate,
 )
+from nwacal.estimators import _solve_normal_equations
 from nwacal.montecarlo import mix_seed
 
 
@@ -208,6 +209,31 @@ def test_gamma_singular_system_flagged():
         aux=x, y=np.ones(4), true_lambda=None, true_p=np.full(4, 0.5), rho=0.0
     )
     assert gamma_cal_population(pop) is None
+
+
+def test_stacked_normal_equations_share_the_solver_singular_rule():
+    # One stack of gamma systems: an exactly collinear (rank-1) system, padded
+    # like a replicate of a block, all-zero weights, non-finite entries in the
+    # matrix and in the right-hand side, then well-conditioned systems. A bare
+    # "pivot > 0" Cholesky test solves the collinear system to [1.6e-16, 0.5].
+    rng = np.random.default_rng(3)
+    B, n = 12, 20
+    x = np.ones((B, n, 2))
+    x[..., 1] = rng.normal(4.0, 1.0, (B, n))
+    w = rng.uniform(0.2, 2.0, (B, n))
+    y = rng.normal(size=(B, n))
+    x[0], w[0], y[0] = 0.0, 0.0, 0.0
+    x[0, :4], w[0, :4], y[0, :4] = [1.0, 2.0], 0.5, 1.0
+    w[1] = 0.0
+    x[2, 3, 1] = np.nan
+    y[3, 5] = np.inf
+    g = _solve_normal_equations(x, y, w, w)
+    assert np.isnan(g[:4]).all()
+    for b in range(4, B):
+        a = (x[b].T * w[b]) @ x[b]
+        want = np.linalg.solve(a, (w[b] * y[b]) @ x[b])
+        tol = 1e-13 * np.linalg.cond(a) * np.abs(want).max()
+        assert np.all(np.abs(g[b] - want) <= tol), b
 
 
 def test_gamma_coefficients_bundle(study_population, study_srs):

@@ -20,7 +20,13 @@ from nwacal import (
     var_hat,
 )
 from nwacal.cli import RunConfig, study_scenarios
-from nwacal.estimators import VARIANT_TO_EEKIND, estimating_equation, nwa_estimate
+from nwacal.estimators import (
+    VARIANT_TO_EEKIND,
+    estimating_equation,
+    linearized_block,
+    linearized_estimate,
+    nwa_estimate,
+)
 from nwacal.montecarlo import (
     BLOCK,
     STATUS_DEGENERATE,
@@ -31,7 +37,9 @@ from nwacal.montecarlo import (
     Scenario,
     _block_seeds,
     _Columns,
+    _stack_draws,
     coverage_rate,
+    linearization_gap,
     mix_seed,
     relative_bias,
     rrvar,
@@ -302,6 +310,41 @@ def test_block_engine_matches_scalar_step_api(study_cells, cell):
     if (design_name, rho) == ("poisson", 0.6):
         # The replicates include cal_U fits that solve reports diverged.
         assert (Variant.CAL_U, "diverged") in statuses
+
+
+@pytest.mark.parametrize("cell", range(6))
+def test_linearized_block_matches_linearized_estimate(study_cells, cell):
+    # The stacked linearized estimator on the engine's padded draws against
+    # the stack of one on the public draws of each replicate.
+    _, _, scenario = study_cells[cell]
+    pop, design, seed = scenario.population, scenario.design, scenario.master_seed
+    for start in range(0, scenario.reps, BLOCK):
+        indices = range(start, min(start + BLOCK, scenario.reps))
+        st = _stack_draws(scenario, indices)
+        for variant in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S):
+            got = linearized_block(variant, pop, st.x, st.y, st.pi, st.p, st.r)
+            for b, index in enumerate(indices):
+                sample = draw_sample(design, mix_seed(seed, index, TAG_SAMPLING))
+                resp = draw_response(sample, pop.true_p[sample.indices], mix_seed(seed, index, TAG_RESPONSE))
+                want = linearized_estimate(variant, pop, sample, resp)
+                assert got[b] == pytest.approx(want, rel=1e-12, abs=0.0), (index, variant)
+
+
+def test_linearization_gap_draws_each_block_once(monkeypatch, study_population, study_srs):
+    from nwacal import montecarlo
+
+    draws = []
+    draw = montecarlo._draw_replicates
+
+    def counted(design, p, seeds):
+        draws.append(len(seeds))
+        return draw(design, p, seeds)
+
+    monkeypatch.setattr(montecarlo, "_draw_replicates", counted)
+    scenario = Scenario(population=study_population, design=study_srs, reps=150, master_seed=3)
+    gaps = linearization_gap(scenario, (Variant.MLE_K1, Variant.CAL_U, Variant.CAL_S))
+    assert draws == [BLOCK, BLOCK, 150 - 2 * BLOCK]
+    assert set(gaps) == {Variant.MLE_K1, Variant.CAL_U, Variant.CAL_S}
 
 
 def test_study_identical_for_any_worker_count_across_blocks(

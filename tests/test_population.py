@@ -14,7 +14,6 @@ from nwacal import (
     logistic_probs,
     population_from_csv,
     population_to_csv,
-    population_total,
 )
 from nwacal.cli import STUDY_RHOS, RunConfig
 from nwacal.montecarlo import TAG_POPULATION, mix_seed
@@ -121,7 +120,6 @@ def test_population_total_simple():
         true_p=np.full(3, 0.5),
         rho=0.0,
     )
-    assert population_total(pop) == 6.0
     assert pop.total == 6.0
 
 
@@ -133,7 +131,7 @@ def test_population_total_zeros():
         true_p=np.full(4, 0.5),
         rho=0.0,
     )
-    assert population_total(pop) == 0.0
+    assert pop.total == 0.0
 
 
 def test_population_total_matches_decimal_oracle():
@@ -147,7 +145,7 @@ def test_population_total_matches_decimal_oracle():
         rho=0.0,
     )
     oracle = float(sum(Decimal(float(v)) for v in y))
-    assert population_total(pop) == pytest.approx(oracle, rel=1e-12)
+    assert pop.total == pytest.approx(oracle, rel=1e-12)
 
 
 def test_gen_config_validation():

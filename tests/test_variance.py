@@ -207,6 +207,20 @@ def test_sampling_component_can_be_negative_under_srswor():
         assert confidence_interval(0.0, got.total) is None
 
 
+@pytest.mark.parametrize("variant", [Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S])
+def test_theoretical_singular_population_system_raises(variant):
+    # x1 is constant, so every population gamma system is exactly collinear.
+    pop = Population(
+        aux=np.column_stack([np.ones(4), np.full(4, 2.0)]),
+        y=np.ones(4),
+        true_lambda=None,
+        true_p=np.full(4, 0.5),
+        rho=0.0,
+    )
+    with pytest.raises(ValueError, match="singular population gamma system"):
+        theoretical_variance(pop, srs_design(4, 2), variant)
+
+
 def test_theoretical_full_response_no_nonresponse_variance(small_population):
     pop = small_population
     ones = Population(
