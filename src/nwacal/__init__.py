@@ -68,17 +68,17 @@ from .variance import (
     var_hat_mle,
 )
 from .montecarlo import (
-    ReplicateRecord,
+    STATUSES,
+    VARIANTS,
+    ReplicateColumns,
     Scenario,
     StudyReport,
     VariantMetrics,
-    VariantOutcome,
     coverage_rate,
     linearization_gap,
     mix_seed,
     relative_bias,
     rrvar,
-    run_replicate,
     run_study,
     write_raw_records,
 )

@@ -269,18 +269,16 @@ def format_study_text(results: list[tuple[str, float, StudyReport]]) -> str:
 def study_scenarios(cfg: RunConfig) -> list[tuple[str, float, Scenario]]:
     """The six study cells (two designs x three correlations), deterministically
     derived from the master seed."""
+    pops = [_population_for(cfg, rho, rho_index) for rho_index, rho in enumerate(STUDY_RHOS)]
     cells = []
-    index = 0
     for design_name in STUDY_DESIGNS:
-        for rho_index, rho in enumerate(STUDY_RHOS):
-            pop = _population_for(cfg, rho, rho_index)
+        for rho, pop in zip(STUDY_RHOS, pops):
             design = (
                 srs_design(cfg.N, cfg.n)
                 if design_name == "srs"
                 else poisson_design(pop, float(cfg.n))
             )
-            cells.append((design_name, rho, _scenario_for(cfg, pop, design, index)))
-            index += 1
+            cells.append((design_name, rho, _scenario_for(cfg, pop, design, len(cells))))
     return cells
 
 

@@ -10,15 +10,14 @@ solved once: the stacked solver gives every fit its status. Block
 boundaries depend only on the replicate index, so blocks can run in any
 order or in parallel worker processes and still produce a bit-identical
 study report: aggregation always runs over replicates in index order.
+The per-replicate results are the engine's arrays (ReplicateColumns), with
+one column per variant of VARIANTS.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,12 +36,11 @@ __all__ = [
     "TAG_POPULATION",
     "mix_seed",
     "Scenario",
-    "VariantOutcome",
-    "ReplicateRecord",
-    "ReplicateRecords",
+    "VARIANTS",
+    "STATUSES",
+    "ReplicateColumns",
     "VariantMetrics",
     "StudyReport",
-    "run_replicate",
     "run_study",
     "relative_bias",
     "rrvar",
@@ -95,14 +93,6 @@ class Scenario:
     design: DesignSpec
     reps: int
     master_seed: int
-    variants: tuple[Variant, ...] = (
-        Variant.HT,
-        Variant.TRUE_P,
-        Variant.MLE_K1,
-        Variant.MLE_KINVPI,
-        Variant.CAL_U,
-        Variant.CAL_S,
-    )
     controls: SolverControls = SolverControls()
 
     def __post_init__(self):
@@ -112,53 +102,32 @@ class Scenario:
             raise ValueError("population and design sizes differ")
 
 
-@dataclass(frozen=True)
-class VariantOutcome:
-    """Per-replicate result for one estimator variant.
-
-    Failed fits carry a status and no numbers; the CI is None whenever the
-    variance estimate was unavailable or negative.
-    """
-
-    status: str
-    estimate: float | None = None
-    v_sam: float | None = None
-    v_nr: float | None = None
-    ci: tuple[float, float] | None = None
-    max_weight: float | None = None
-    iterations: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-
-@dataclass(frozen=True)
-class ReplicateRecord:
-    index: int
-    n_sampled: int
-    n_respondents: int
-    outcomes: dict[Variant, VariantOutcome]
-
-
 #: Replicates per block: a fixed constant, so block boundaries depend only on
 #: the replicate index and never on the worker count.
 BLOCK = 64
 
+#: Every estimator variant of a study, in the order of the variant axis of
+#: ReplicateColumns, of the report's metrics and of the raw CSV.
+VARIANTS = (Variant.HT, Variant.TRUE_P, Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S)
+_FITTED = np.array([v in VARIANT_TO_EEKIND for v in VARIANTS])
+
 #: Per-replicate numeric fields of each variant, in raw-CSV order.
 _FIELDS = ("estimate", "v_sam", "v_nr", "ci_low", "ci_high", "max_w")
-_STATUSES = (STATUS_OK, STATUS_DEGENERATE) + tuple(
+#: The per-replicate statuses; ReplicateColumns.status holds indices into it.
+STATUSES = (STATUS_OK, STATUS_DEGENERATE) + tuple(
     s.value for s in FitStatus if s is not FitStatus.CONVERGED
 )
-_OK = _STATUSES.index(STATUS_OK)
-_STATUS_CODE = {s: _OK if s is FitStatus.CONVERGED else _STATUSES.index(s.value) for s in FitStatus}
+_OK = STATUSES.index(STATUS_OK)
+_STATUS_CODE = {s: _OK if s is FitStatus.CONVERGED else STATUSES.index(s.value) for s in FitStatus}
 
 
-class _Columns(NamedTuple):
-    """Results of consecutive replicates, one array per field: per replicate
-    the sample and respondent counts, and per replicate and variant the
-    status (an index into _STATUSES), the _FIELDS (NaN where absent) and the
-    Newton iterations."""
+class ReplicateColumns(NamedTuple):
+    """The per-replicate results of consecutive replicates, one array per
+    field: per replicate (row) the sample and respondent counts, and per
+    replicate and variant (column, in VARIANTS order) the status (an index
+    into STATUSES), the raw-CSV values (estimate, v_sam, v_nr, ci_low,
+    ci_high, max_w; NaN where absent) and the Newton iterations (0 for the
+    unfitted variants)."""
 
     n_sampled: np.ndarray
     n_respondents: np.ndarray
@@ -167,7 +136,7 @@ class _Columns(NamedTuple):
     iterations: np.ndarray
 
     @classmethod
-    def concat(cls, parts: list[_Columns]) -> _Columns:
+    def concat(cls, parts: list[ReplicateColumns]) -> ReplicateColumns:
         return cls(*(np.concatenate(f) for f in zip(*parts)))
 
 
@@ -241,12 +210,11 @@ def _fit(scenario: Scenario, st: _Stack, status: np.ndarray, iterations: np.ndar
     """
     pop, controls = scenario.population, scenario.controls
     q = pop.n_aux
-    fitted = np.array([v in VARIANT_TO_EEKIND for v in scenario.variants])
-    status[np.outer(st.n_r < q, fitted)] = _STATUSES.index(STATUS_DEGENERATE)
+    status[np.outer(st.n_r < q, _FITTED)] = STATUSES.index(STATUS_DEGENERATE)
     # Row j of the stack fits variant column fit_v[j] on replicate fit_b[j].
-    rows, columns = np.flatnonzero(st.n_r >= q), np.flatnonzero(fitted)
+    rows, columns = np.flatnonzero(st.n_r >= q), np.flatnonzero(_FITTED)
     fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
-    kinds = np.array([VARIANT_TO_EEKIND[scenario.variants[vi]] for vi in fit_v], dtype=object)
+    kinds = np.array([VARIANT_TO_EEKIND[VARIANTS[vi]] for vi in fit_v], dtype=object)
     target = np.zeros((fit_b.size, q))
     target[kinds == EEKind.CAL_POPULATION] = pop.aux.sum(axis=0)
     cal_s = fit_b[kinds == EEKind.CAL_SAMPLE]
@@ -258,20 +226,18 @@ def _fit(scenario: Scenario, st: _Stack, status: np.ndarray, iterations: np.ndar
     return fit_b[ok], fit_v[ok], fits.lambda_hat[ok]
 
 
-def _run_block(scenario: Scenario, st: _Stack) -> _Columns:
+def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
     """Fit, estimate and evaluate every variant for a block's draws."""
-    B, V = len(st.n_s), len(scenario.variants)
+    B, V = len(st.n_s), len(VARIANTS)
     status = np.full((B, V), _OK, dtype=np.int8)
     values = np.full((B, V, len(_FIELDS)), np.nan)
     iterations = np.zeros((B, V), dtype=np.int64)
-    for vi, variant in enumerate(scenario.variants):
-        if variant is Variant.HT:
-            values[:, vi, 0] = np.sum(st.y / st.pi, axis=1)
-            values[:, vi, 5] = _row_max(1.0 / st.pi, st.valid)
-        elif variant is Variant.TRUE_P:
-            w = 1.0 / (st.pi_r * st.p_r)
-            values[:, vi, 0] = np.sum(st.y_r * w, axis=1)
-            values[:, vi, 5] = _row_max(w, st.valid_r)
+    ht, true_p = VARIANTS.index(Variant.HT), VARIANTS.index(Variant.TRUE_P)
+    values[:, ht, 0] = np.sum(st.y / st.pi, axis=1)
+    values[:, ht, 5] = _row_max(1.0 / st.pi, st.valid)
+    w_true = 1.0 / (st.pi_r * st.p_r)
+    values[:, true_p, 0] = np.sum(st.y_r * w_true, axis=1)
+    values[:, true_p, 5] = _row_max(w_true, st.valid_r)
 
     ok_b, ok_v, lam = _fit(scenario, st, status, iterations)
     pi_r, x_r, y_r, valid_r = st.pi_r[ok_b], st.x_r[ok_b], st.y_r[ok_b], st.valid_r[ok_b]
@@ -279,81 +245,23 @@ def _run_block(scenario: Scenario, st: _Stack) -> _Columns:
     w = 1.0 / (pi_r * p_hat)
     estimate = np.sum(w * y_r, axis=1)
     v_sam, v_nr = np.empty_like(estimate), np.empty_like(estimate)
-    for vi in np.flatnonzero(np.bincount(ok_v, minlength=len(scenario.variants))):
+    for vi in np.flatnonzero(np.bincount(ok_v, minlength=V)):
         j = ok_v == vi
-        v_sam[j], v_nr[j], _, _ = var_hat_block(
-            scenario.variants[vi], scenario.design, pi_r[j], x_r[j], y_r[j], p_hat[j]
-        )
+        v_sam[j], v_nr[j], _ = var_hat_block(VARIANTS[vi], scenario.design, pi_r[j], x_r[j], y_r[j], p_hat[j])
     v_total = v_sam + v_nr
     with np.errstate(invalid="ignore"):
         half = Z_95 * np.sqrt(np.where(np.isfinite(v_total) & (v_total >= 0.0), v_total, np.nan))
     values[ok_b, ok_v] = np.column_stack(
         [estimate, v_sam, v_nr, estimate - half, estimate + half, _row_max(w, valid_r)]
     )
-    return _Columns(st.n_s, st.n_r, status, values, iterations)
+    return ReplicateColumns(st.n_s, st.n_r, status, values, iterations)
 
 
-def _run_blocks(args: tuple[Scenario, int, int]) -> _Columns:
+def _run_blocks(args: tuple[Scenario, int, int]) -> ReplicateColumns:
     """Blocks first..last-1 of a scenario's replicates."""
     scenario, first, last = args
     blocks = (range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps)) for k in range(first, last))
-    return _Columns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
-
-
-def _records(
-    variants: tuple[Variant, ...], cols: _Columns, first_index: int = 0
-) -> list[ReplicateRecord]:
-    status, values, iterations = (a.tolist() for a in (cols.status, cols.values, cols.iterations))
-
-    def outcome(variant, code, vals, iters):
-        if code != _OK:
-            return VariantOutcome(status=_STATUSES[code], iterations=iters)
-        estimate, v_sam, v_nr, lo, hi, max_w = vals
-        max_w = None if math.isnan(max_w) else max_w
-        if variant in (Variant.HT, Variant.TRUE_P):
-            return VariantOutcome(status=STATUS_OK, estimate=estimate, max_weight=max_w)
-        ci = None if math.isnan(lo) else (lo, hi)
-        return VariantOutcome(STATUS_OK, estimate, v_sam, v_nr, ci, max_w, iters)
-
-    return [
-        ReplicateRecord(
-            index=first_index + i,
-            n_sampled=int(cols.n_sampled[i]),
-            n_respondents=int(cols.n_respondents[i]),
-            outcomes={
-                v: outcome(v, status[i][vi], values[i][vi], iterations[i][vi])
-                for vi, v in enumerate(variants)
-            },
-        )
-        for i in range(len(status))
-    ]
-
-
-@dataclass(frozen=True, eq=False)
-class ReplicateRecords(Sequence):
-    """The per-replicate outcomes of a study, in replicate order. They are
-    kept as the engine's columns; the ReplicateRecord objects are built the
-    first time one is read, and write_raw_records never builds them."""
-
-    variants: tuple[Variant, ...]
-    columns: _Columns
-
-    @cached_property
-    def _records(self) -> list[ReplicateRecord]:
-        return _records(self.variants, self.columns)
-
-    def __len__(self) -> int:
-        return len(self.columns.status)
-
-    def __getitem__(self, i):
-        return self._records[i]
-
-
-def run_replicate(scenario: Scenario, index: int) -> ReplicateRecord:
-    """One replicate, run as a block of its own. Its numbers agree with the
-    same replicate inside a study up to rounding in the padded sums."""
-    cols = _run_block(scenario, _stack_draws(scenario, range(index, index + 1)))
-    return _records(scenario.variants, cols, index)[0]
+    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
 
 
 def relative_bias(values: np.ndarray, true_total: float) -> float | None:
@@ -410,10 +318,10 @@ class StudyReport:
     metrics: dict[Variant, VariantMetrics] = field(default_factory=dict)
 
 
-def _aggregate(scenario: Scenario, cols: _Columns) -> StudyReport:
+def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
     y_total = scenario.population.total
     metrics: dict[Variant, VariantMetrics] = {}
-    for vi, variant in enumerate(scenario.variants):
+    for vi, variant in enumerate(VARIANTS):
         ok = cols.status[:, vi] == _OK
         estimates, v_sam, v_nr, lo, hi, max_w = cols.values[ok, vi].T
         n_ok = int(ok.sum())
@@ -459,13 +367,13 @@ def _aggregate(scenario: Scenario, cols: _Columns) -> StudyReport:
 
 def run_study(
     scenario: Scenario, threads: int = 1, return_records: bool = False
-) -> StudyReport | tuple[StudyReport, ReplicateRecords]:
+) -> StudyReport | tuple[StudyReport, ReplicateColumns]:
     """Run every replicate and aggregate; bit-identical for any worker count.
 
     ``threads`` > 1 fans contiguous runs of whole blocks out to worker
     processes; results are re-assembled in index order before aggregation,
     so the report does not depend on scheduling. ``return_records`` also
-    returns the per-replicate outcomes.
+    returns the per-replicate results, row i being replicate i.
     """
     n_blocks = -(-scenario.reps // BLOCK)
     if threads <= 1 or n_blocks < 2:
@@ -474,16 +382,15 @@ def run_study(
         workers = min(threads, n_blocks)
         bounds = np.linspace(0, n_blocks, min(n_blocks, workers * 4) + 1, dtype=int)
         tasks = [(scenario, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            cols = _Columns.concat(pool.map(_run_blocks, tasks))
+        import multiprocessing  # only here: a serial run never needs it
+
+        with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            cols = ReplicateColumns.concat(pool.map(_run_blocks, tasks))
     report = _aggregate(scenario, cols)
-    if return_records:
-        return report, ReplicateRecords(scenario.variants, cols)
-    return report
+    return (report, cols) if return_records else report
 
 
-def write_raw_records(path, records: ReplicateRecords, header_comment: str | None = None) -> None:
+def write_raw_records(path, records: ReplicateColumns, header_comment: str | None = None) -> None:
     """Write per-replicate outcomes to CSV with round-trippable floats.
 
     A field is empty where the outcome has no number: every field of a
@@ -492,19 +399,18 @@ def write_raw_records(path, records: ReplicateRecords, header_comment: str | Non
     variances of a fitted variant, print ``nan`` when they are NaN (a
     singular gamma system).
     """
-    if not isinstance(records, ReplicateRecords):
+    if not isinstance(records, ReplicateColumns):
         raise TypeError("write_raw_records takes the records of run_study(..., return_records=True)")
-    cols, V, F = records.columns, len(records.variants), len(_FIELDS)
-    blank = np.isnan(cols.values)
+    V, F = len(VARIANTS), len(_FIELDS)
+    blank = np.isnan(records.values)
     blank[..., 4] = blank[..., 3]  # an interval is formed whole or not at all
-    fitted = [v not in (Variant.HT, Variant.TRUE_P) for v in records.variants]
-    as_number = np.array([[True, f, f, False, False, False] for f in fitted])
-    blank &= ~(as_number & (cols.status == _OK)[..., None])
-    cells = ["" if b else f"{v:.17g}" for v, b in zip(cols.values.ravel().tolist(), blank.ravel().tolist())]
-    names = [v.value for v in records.variants]
+    as_number = np.array([[True, f, f, False, False, False] for f in _FITTED])
+    blank &= ~(as_number & (records.status == _OK)[..., None])
+    cells = ["" if b else f"{v:.17g}" for v, b in zip(records.values.ravel().tolist(), blank.ravel().tolist())]
+    names = [v.value for v in VARIANTS]
     rows = [
-        f"{k // V},{names[k % V]},{','.join(cells[F * k:F * k + F])},{_STATUSES[code]}\n"
-        for k, code in enumerate(cols.status.ravel().tolist())
+        f"{k // V},{names[k % V]},{','.join(cells[F * k:F * k + F])},{STATUSES[code]}\n"
+        for k, code in enumerate(records.status.ravel().tolist())
     ]
     with open(path, "w", newline="") as fh:
         if header_comment:
@@ -516,22 +422,23 @@ def write_raw_records(path, records: ReplicateRecords, header_comment: str | Non
 def linearization_gap(
     scenario: Scenario, variants: tuple[Variant, ...], reps: int | None = None
 ) -> dict[Variant, float]:
-    """Median of |reweighted - linearized| / N over converged replicates.
+    """Median of |reweighted - linearized| / N over converged replicates,
+    for each fitted variant in ``variants``.
 
     Diagnostic for the first-order equivalence: the gap shrinks with the
     sample size. Each block of the scenario's replicates is drawn once: the
-    block engine evaluates its stack, and linearized_block takes the same
-    stack with the true probabilities. Replicates whose fit did not converge,
-    or whose gamma system is singular, are skipped.
+    block engine evaluates every variant on its stack, and linearized_block
+    takes the same stack with the true probabilities. Replicates whose fit
+    did not converge, or whose gamma system is singular, are skipped.
     """
     pop = scenario.population
     L = reps if reps is not None else scenario.reps
-    scenario = replace(scenario, variants=tuple(variants))
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, L, BLOCK):
         st = _stack_draws(scenario, range(start, min(start + BLOCK, L)))
         cols = _run_block(scenario, st)
-        for vi, variant in enumerate(scenario.variants):
+        for variant in gaps:
+            vi = VARIANTS.index(variant)
             ok = cols.status[:, vi] == _OK
             lin = linearized_block(variant, pop, *(a[ok] for a in (st.x, st.y, st.pi, st.p, st.r)))
             gap = np.abs(cols.values[ok, vi, 0] - lin) / pop.size

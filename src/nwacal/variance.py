@@ -51,7 +51,7 @@ class VarianceEstimate:
 
     A singular gamma system (by the solver's Cholesky rule, see
     estimators._solve_normal_equations) leaves the dependent pieces NaN with
-    ``gamma_hat=None`` and ``residuals=None``; the sampling component of the
+    ``gamma_hat=None``; the sampling component of the
     sample-level variants never needs gamma and stays usable. ``v_sam`` may
     be negative under SRSWOR in pathological samples and is reported as-is.
     """
@@ -59,7 +59,6 @@ class VarianceEstimate:
     v_sam: float
     v_nr: float
     gamma_hat: np.ndarray | None
-    residuals: np.ndarray | None
 
     @property
     def total(self) -> float:
@@ -126,7 +125,7 @@ def var_hat_block(
 
     Arrays are (B, m) and (B, m, q) over the respondents of B replicates,
     padded to a common m with rows x = 0, y = 0, pi = 1, p_hat = 1, which add
-    exact zeros. Returns (v_sam, v_nr, gamma_hat, residuals). The gamma
+    exact zeros. Returns (v_sam, v_nr, gamma_hat). The gamma
     systems are solved as one stack; a singular one (a non-finite entry or
     a Cholesky pivot lost to rounding) leaves gamma_hat a NaN row and every
     component that needs it NaN. The full-response edge (every p_hat = 1)
@@ -152,7 +151,7 @@ def var_hat_block(
     single = np.sum((1.0 - pi_r) / pi_r**2 * sam**2 / p_hat_r, axis=-1)
     v_sam = single + _cross_term(design, sam / (pi_r * p_hat_r))
     v_nr = np.sum((1.0 - p_hat_r) / (pi_r * p_hat_r) ** 2 * resid**2, axis=-1)
-    return v_sam, v_nr, gamma, resid
+    return v_sam, v_nr, gamma
 
 
 def var_hat(
@@ -168,14 +167,9 @@ def var_hat(
         np.asarray(a, dtype=float)[None]
         for a in (pi_r, np.atleast_2d(np.asarray(x_r, dtype=float)), y_r, p_hat_r)
     ]
-    v_sam, v_nr, gamma, resid = var_hat_block(variant, design, *stack)
+    v_sam, v_nr, gamma = var_hat_block(variant, design, *stack)
     singular = bool(np.isnan(gamma).any())
-    return VarianceEstimate(
-        v_sam=float(v_sam[0]),
-        v_nr=float(v_nr[0]),
-        gamma_hat=None if singular else gamma[0],
-        residuals=None if singular else resid[0],
-    )
+    return VarianceEstimate(v_sam=float(v_sam[0]), v_nr=float(v_nr[0]), gamma_hat=None if singular else gamma[0])
 
 
 def var_hat_mle(

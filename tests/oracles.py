@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from nwacal.designs import DesignKind, DesignSpec
+from nwacal.estimators import Variant
+from nwacal.montecarlo import STATUSES, VARIANTS
 from nwacal.solvers import EstimatingEquation, residual
 
 
@@ -47,24 +49,37 @@ def draw_replicates_loop(design: DesignSpec, p: np.ndarray, seeds):
     return np.concatenate(units), np.concatenate(r), np.array([u.size for u in units])
 
 
-def write_raw_records_loop(path, records, header_comment=None) -> None:
-    """The raw-CSV writer before it read the engine's columns: one line per
-    ReplicateRecord outcome, with an empty field for every None."""
+def write_raw_records_loop(path, cols, header_comment=None) -> None:
+    """The raw-CSV writer of the per-replicate outcome objects, one line per
+    replicate and variant, reading the engine's columns row by row. A failed
+    fit has no numbers; ``ht`` and ``p`` have an estimate and a largest
+    weight; a fitted variant has an estimate, two variances, an interval
+    when its lower end is a number, and a largest weight. A missing number
+    is an empty field; an estimate or variance that is NaN prints nan."""
 
     def fmt(v) -> str:
         return "" if v is None else f"{v:.17g}"
+
+    def number(v):
+        return None if math.isnan(v) else v
 
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
-        for rec in records:
-            for variant, o in rec.outcomes.items():
-                lo, hi = o.ci if o.ci is not None else (None, None)
-                fh.write(
-                    f"{rec.index},{variant.value},{fmt(o.estimate)},{fmt(o.v_sam)},"
-                    f"{fmt(o.v_nr)},{fmt(lo)},{fmt(hi)},{fmt(o.max_weight)},{o.status}\n"
-                )
+        for i in range(len(cols.status)):
+            for vi, variant in enumerate(VARIANTS):
+                status = STATUSES[int(cols.status[i, vi])]
+                estimate, v_sam, v_nr, lo, hi, max_w = cols.values[i, vi].tolist()
+                if status != "ok":
+                    fields = (None,) * 6
+                elif variant in (Variant.HT, Variant.TRUE_P):
+                    fields = (estimate, None, None, None, None, number(max_w))
+                elif math.isnan(lo):
+                    fields = (estimate, v_sam, v_nr, None, None, number(max_w))
+                else:
+                    fields = (estimate, v_sam, v_nr, lo, hi, number(max_w))
+                fh.write(f"{i},{variant.value},{','.join(map(fmt, fields))},{status}\n")
 
 
 def fd_jacobian(lam, eq: EstimatingEquation, h: float = 1e-6) -> np.ndarray:

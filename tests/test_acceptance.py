@@ -35,8 +35,11 @@ from nwacal.cli import RunConfig, main, study_scenarios
 from nwacal.montecarlo import (
     STATUS_DEGENERATE,
     STATUS_OK,
+    STATUSES,
     TAG_RESPONSE,
     TAG_SAMPLING,
+    VARIANTS,
+    ReplicateColumns,
     Scenario,
     mix_seed,
     run_study,
@@ -66,14 +69,13 @@ class Columns:
     v_hat: np.ndarray
 
 
-def _columns(records, variant: Variant) -> Columns:
-    outs = [rec.outcomes[variant] for rec in records]
+def _columns(cols: ReplicateColumns, variant: Variant) -> Columns:
+    # A fit that did not converge has NaN values in the engine's columns.
+    vi = VARIANTS.index(variant)
     return Columns(
-        status=np.array([o.status for o in outs]),
-        estimate=np.array([o.estimate if o.ok else math.nan for o in outs], dtype=float),
-        v_hat=np.array(
-            [o.v_sam + o.v_nr if o.ok and o.v_sam is not None else math.nan for o in outs]
-        ),
+        status=np.array(STATUSES)[cols.status[:, vi]],
+        estimate=cols.values[:, vi, 0],
+        v_hat=cols.values[:, vi, 1] + cols.values[:, vi, 2],
     )
 
 
@@ -84,8 +86,8 @@ def study_runs():
     cfg = RunConfig(reps=L_FULL, threads=THREADS)
     runs = {}
     for design, rho, scenario in study_scenarios(cfg):
-        report, records = run_study(scenario, threads=THREADS, return_records=True)
-        columns = {v: _columns(records, v) for v in NWA_VARIANTS}
+        report, cols = run_study(scenario, threads=THREADS, return_records=True)
+        columns = {v: _columns(cols, v) for v in NWA_VARIANTS}
         runs[(design, rho)] = (scenario, report, columns)
     return runs
 

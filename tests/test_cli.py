@@ -11,7 +11,7 @@ from oracles import read_fit_csv_lines
 
 import nwacal
 from nwacal import solve
-from nwacal.cli import RunConfig, _read_fit_csv, _weights_csv, config_hash, main, parse_config
+from nwacal.cli import RunConfig, _read_fit_csv, _weights_csv, config_hash, main, parse_config, study_scenarios
 from nwacal.estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
 
 
@@ -118,6 +118,19 @@ def test_fit_with_population_totals(tmp_path):
     assert "cal_U" in variants
 
 
+def _run_in_new_interpreter(script: str) -> str:
+    """The standard output of ``script`` run by a new Python that imports
+    this nwacal."""
+    src = str(Path(nwacal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_study_and_fit_never_import_scipy(tmp_path):
     # numpy is the only runtime dependency: importing scipy adds about 0.3 s
     # to every command. numpy.ma, which np.unique imports on first use, would
@@ -134,15 +147,43 @@ assert main(["scenario", "--config", {str(cfg)!r}, "--reps", "70", "--emit-raw",
 assert main(["fit", "--input", {str(csv_path)!r}, "--out", {str(tmp_path / "fit")!r}]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma"))
 """
-    src = str(Path(nwacal.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
+    stdout = _run_in_new_interpreter(script)
     assert len((tmp_path / "scen" / "raw.csv").read_text().splitlines()) == 2 + 70 * 6
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert stdout.splitlines()[-1] == "[]"
+
+
+def test_import_and_serial_study_never_load_multiprocessing():
+    # Only the worker pool of run_study needs multiprocessing, whose import
+    # costs about 8 ms of every command's start-up.
+    script = """
+import sys
+from nwacal.cli import RunConfig, study_scenarios
+from nwacal.montecarlo import run_study
+run_study(study_scenarios(RunConfig(reps=70))[3][2], threads=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"))
+"""
+    assert _run_in_new_interpreter(script).splitlines()[-1] == "[]"
+
+
+def test_study_builds_each_population_once(monkeypatch):
+    import nwacal.cli as cli
+
+    built = []
+    generate = cli.generate_population
+
+    def counted(cfg):
+        built.append(cfg.rho)
+        return generate(cfg)
+
+    monkeypatch.setattr(cli, "generate_population", counted)
+    cells = study_scenarios(RunConfig(reps=10))
+    assert built == [0.6, 0.3, 0.0]
+    assert [(d, rho) for d, rho, _ in cells] == [(d, rho) for d in ("srs", "poisson") for rho in (0.6, 0.3, 0.0)]
+    for k in range(3):
+        srs, poisson = cells[k][2], cells[k + 3][2]
+        assert srs.population is poisson.population
+        assert srs.population.rho == cells[k][1]
+    assert len({sc.master_seed for _, _, sc in cells}) == 6
 
 
 def test_fit_rejects_bad_header(tmp_path):

@@ -31,19 +31,19 @@ from nwacal.montecarlo import (
     BLOCK,
     STATUS_DEGENERATE,
     STATUS_OK,
+    STATUSES,
     TAG_RESPONSE,
     TAG_SAMPLING,
-    ReplicateRecords,
+    VARIANTS,
+    ReplicateColumns,
     Scenario,
     _block_seeds,
-    _Columns,
     _stack_draws,
     coverage_rate,
     linearization_gap,
     mix_seed,
     relative_bias,
     rrvar,
-    run_replicate,
     run_study,
     write_raw_records,
 )
@@ -52,6 +52,13 @@ from nwacal.response import _draw_replicates
 
 def _scenario(pop, design, reps=50, seed=11):
     return Scenario(population=pop, design=design, reps=reps, master_seed=seed)
+
+
+def _replicates(scenario):
+    return run_study(scenario, return_records=True)[1]
+
+
+HT, CAL_U = VARIANTS.index(Variant.HT), VARIANTS.index(Variant.CAL_U)
 
 
 def test_mix_seed_deterministic_and_spread():
@@ -72,23 +79,16 @@ def test_block_seeds_match_mix_seed():
 
 
 def test_replicate_deterministic(study_population, study_srs):
-    sc = _scenario(study_population, study_srs)
-    a = run_replicate(sc, 3)
-    b = run_replicate(sc, 3)
-    assert a.n_respondents == b.n_respondents
-    for v in sc.variants:
-        oa, ob = a.outcomes[v], b.outcomes[v]
-        assert oa.status == ob.status
-        assert oa.estimate == ob.estimate
-        assert oa.v_sam == ob.v_sam
-        assert oa.ci == ob.ci
+    sc = _scenario(study_population, study_srs, reps=5)
+    a, b = _replicates(sc), _replicates(sc)
+    for field, x, y in zip(ReplicateColumns._fields, a, b):
+        assert np.array_equal(x[3], y[3], equal_nan=True), field
+    assert np.isfinite(a.values[3, HT, 0])
 
 
 def test_replicates_differ_across_indices(study_population, study_srs):
-    sc = _scenario(study_population, study_srs)
-    a = run_replicate(sc, 0)
-    b = run_replicate(sc, 1)
-    assert a.outcomes[Variant.HT].estimate != b.outcomes[Variant.HT].estimate
+    cols = _replicates(_scenario(study_population, study_srs, reps=2))
+    assert cols.values[0, HT, 0] != cols.values[1, HT, 0]
 
 
 def test_full_response_population_flags_fitted_variants(study_population, study_srs):
@@ -96,18 +96,19 @@ def test_full_response_population_flags_fitted_variants(study_population, study_
     ones = Population(
         aux=pop.aux, y=pop.y, true_lambda=None, true_p=np.ones(pop.size), rho=pop.rho
     )
-    sc = _scenario(ones, study_srs)
-    rec = run_replicate(sc, 0)
-    assert rec.outcomes[Variant.HT].status == STATUS_OK
-    assert rec.outcomes[Variant.TRUE_P].status == STATUS_OK
-    for v in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S):
-        assert rec.outcomes[v].status == "diverged"
-        assert rec.outcomes[v].estimate is None
+    cols = _replicates(_scenario(ones, study_srs, reps=1))
+    assert cols.n_respondents[0] == cols.n_sampled[0] == 100
+    for vi, v in enumerate(VARIANTS):
+        status, estimate = STATUSES[cols.status[0, vi]], cols.values[0, vi, 0]
+        if v in (Variant.HT, Variant.TRUE_P):
+            assert status == STATUS_OK and np.isfinite(estimate), v
+        else:
+            assert status == "diverged" and np.isnan(cols.values[0, vi]).all(), v
 
 
 def test_respondent_count_near_study_mean(study_population, study_srs):
-    sc = _scenario(study_population, study_srs, reps=300)
-    counts = [run_replicate(sc, i).n_respondents for i in range(300)]
+    counts = _replicates(_scenario(study_population, study_srs, reps=300)).n_respondents
+    assert counts.shape == (300,)
     # mean respondent count sits near 84 out of n=100
     se = math.sqrt(100 * 0.84 * 0.16 / 300)
     assert abs(np.mean(counts) - 84.0) <= 4.0 * se + 1.0
@@ -147,7 +148,7 @@ def test_study_report_deterministic(study_population, study_srs):
     sc = _scenario(study_population, study_srs, reps=40)
     a = run_study(sc)
     b = run_study(sc)
-    for v in sc.variants:
+    for v in VARIANTS:
         ma, mb = a.metrics[v], b.metrics[v]
         assert ma.rb == mb.rb
         assert ma.rrvar == mb.rrvar
@@ -159,7 +160,7 @@ def test_parallel_equals_serial(study_population, study_srs):
     sc = _scenario(study_population, study_srs, reps=60)
     serial = run_study(sc, threads=1)
     parallel = run_study(sc, threads=4)
-    for v in sc.variants:
+    for v in VARIANTS:
         ms, mp_ = serial.metrics[v], parallel.metrics[v]
         assert ms.rb == mp_.rb
         assert ms.rrvar == mp_.rrvar
@@ -175,14 +176,14 @@ def test_failure_accounting_excludes_per_variant(study_population):
     pop = study_population
     design = poisson_design(pop, 100.0)
     sc = _scenario(pop, design, reps=150, seed=5)
-    report, records = run_study(sc, return_records=True)
+    report, cols = run_study(sc, return_records=True)
     m = report.metrics[Variant.CAL_U]
     assert m.n_ok + m.n_failed == 150
     assert report.metrics[Variant.CAL_S].failure_rate == 0.0
     assert report.metrics[Variant.HT].n_ok == 150
-    failed = [r for r in records if not r.outcomes[Variant.CAL_U].ok]
-    if failed:
-        assert failed[0].outcomes[Variant.HT].estimate is not None
+    failed = cols.status[:, CAL_U] != STATUSES.index(STATUS_OK)
+    assert failed.sum() == m.n_failed
+    assert np.isfinite(cols.values[failed, HT, 0]).all()
 
 
 def test_unbiasedness_of_reference_estimators(small_population):
@@ -198,18 +199,17 @@ def test_unbiasedness_of_reference_estimators(small_population):
 
 def test_write_raw_records_round_trip(tmp_path, study_population, study_srs):
     sc = _scenario(study_population, study_srs, reps=5)
-    report, records = run_study(sc, return_records=True)
+    cols = _replicates(sc)
     path = tmp_path / "raw.csv"
-    write_raw_records(path, records, header_comment="seed=11")
+    write_raw_records(path, cols, header_comment="seed=11")
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=11"
     assert lines[1] == "replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status"
-    assert len(lines) == 2 + 5 * len(sc.variants)
+    assert len(lines) == 2 + 5 * len(VARIANTS)
     cells = lines[2].split(",")
-    est = records[0].outcomes[Variant.HT].estimate
-    assert float(cells[2]) == est  # 17 significant digits round-trip
+    assert float(cells[2]) == cols.values[0, HT, 0]  # 17 significant digits round-trip
     with pytest.raises(TypeError, match="return_records=True"):
-        write_raw_records(path, list(records))
+        write_raw_records(path, tuple(cols))
 
 
 def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
@@ -218,8 +218,8 @@ def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
     # quirk of the format (a fitted ok row with NaN variances and no
     # interval, an infinite estimate, no respondents, failed fits).
     sc = _scenario(study_population, poisson_design(study_population, 100.0), reps=150, seed=5)
-    _, records = run_study(sc, return_records=True)
-    assert any(not r.outcomes[Variant.CAL_U].ok for r in records)
+    cols = _replicates(sc)
+    assert (cols.status[:, CAL_U] != STATUSES.index(STATUS_OK)).any()
     nan, inf = math.nan, math.inf
     values = np.full((3, 6, 6), nan)
     values[:, 0] = [1.5, nan, nan, nan, nan, 10.0]
@@ -230,8 +230,8 @@ def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
     values[1, 3] = [1 / 3, 0.1, 0.2, 0.0, 2 / 3, nan]
     status = np.zeros((3, 6), dtype=np.int8)
     status[2, 2:] = [1, 2, 3, 4]
-    hand = ReplicateRecords(sc.variants, _Columns(np.full(3, 9), np.full(3, 5), status, values, np.ones((3, 6), int)))
-    for i, recs in enumerate((records, hand)):
+    hand = ReplicateColumns(np.full(3, 9), np.full(3, 5), status, values, np.ones((3, 6), int))
+    for i, recs in enumerate((cols, hand)):
         write_raw_records(tmp_path / f"new{i}.csv", recs, header_comment="seed=5")
         write_raw_records_loop(tmp_path / f"old{i}.csv", recs, header_comment="seed=5")
         assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
@@ -292,21 +292,19 @@ def study_cells():
 @pytest.mark.parametrize("cell", range(6))
 def test_block_engine_matches_scalar_step_api(study_cells, cell):
     design_name, rho, scenario = study_cells[cell]
-    _, records = run_study(scenario, return_records=True)
+    cols = _replicates(scenario)
     statuses = set()
-    for rec in records:
-        for variant, (status, iterations, values) in _scalar_replicate(scenario, rec.index).items():
-            o = rec.outcomes[variant]
+    for i in range(scenario.reps):
+        for variant, (status, iterations, values) in _scalar_replicate(scenario, i).items():
+            vi = VARIANTS.index(variant)
             statuses.add((variant, status))
-            assert (o.status, o.iterations) == (status, iterations), (rec.index, variant)
+            assert (STATUSES[cols.status[i, vi]], cols.iterations[i, vi]) == (status, iterations), (i, variant)
             if values is None:
-                assert o.estimate is None
+                assert np.isnan(cols.values[i, vi]).all(), (i, variant)
                 continue
-            lo, hi = o.ci if o.ci is not None else (None, None)
-            got = (o.estimate, o.v_sam, o.v_nr, lo, hi, o.max_weight)
-            for name, g, w in zip(_FIELDS, got, values):
-                assert (g is None) == (w is None), (rec.index, variant, name)
-                assert g == pytest.approx(w, rel=1e-10, nan_ok=True), (rec.index, variant, name)
+            for name, g, w in zip(_FIELDS, cols.values[i, vi].tolist(), values):
+                w = math.nan if w is None else w
+                assert g == pytest.approx(w, rel=1e-10, nan_ok=True), (i, variant, name)
     if (design_name, rho) == ("poisson", 0.6):
         # The replicates include cal_U fits that solve reports diverged.
         assert (Variant.CAL_U, "diverged") in statuses
@@ -353,11 +351,11 @@ def test_study_identical_for_any_worker_count_across_blocks(
     sc = _scenario(study_population, study_poisson, reps=2 * BLOCK + 7, seed=3)
     outputs = []
     for threads in (1, 2, 3):
-        report, records = run_study(sc, threads=threads, return_records=True)
+        report, cols = run_study(sc, threads=threads, return_records=True)
         path = tmp_path / f"raw{threads}.csv"
-        write_raw_records(path, records)
+        write_raw_records(path, cols)
         outputs.append((report, path.read_bytes()))
-    assert [r.index for r in records] == list(range(2 * BLOCK + 7))
+    assert cols.status.shape == (2 * BLOCK + 7, len(VARIANTS))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 
@@ -424,16 +422,16 @@ def test_fit_status_matches_lp_margin(cell):
     # margin of the signed rows (both MLE kinds share it).
     _, _, scenario = study_scenarios(RunConfig(reps=256))[cell]
     pop, design = scenario.population, scenario.design
-    _, records = run_study(scenario, return_records=True)
-    for rec, (s, t) in zip(records, _seeds(scenario, range(256))):
+    cols = _replicates(scenario)
+    for i, (s, t) in enumerate(_seeds(scenario, range(256))):
         sample = draw_sample(design, s)
         resp = draw_response(sample, pop.true_p[sample.indices], t)
         margins = {}
         for variant, kind in VARIANT_TO_EEKIND.items():
-            status = rec.outcomes[variant].status
+            status = STATUSES[cols.status[i, VARIANTS.index(variant)]]
             if status == STATUS_DEGENERATE:
                 continue
-            assert status in (STATUS_OK, "diverged"), (rec.index, variant, status)
+            assert status in (STATUS_OK, "diverged"), (i, variant, status)
             eq = estimating_equation(
                 variant, pop.aux[sample.indices], sample.pi_s, resp.r, pop.aux.sum(axis=0)
             )
@@ -441,4 +439,4 @@ def test_fit_status_matches_lp_margin(cell):
                 margin = margins.setdefault("mle", mle_margin(eq))
             else:
                 margin = calibration_margin(eq)[0]
-            assert (margin > 0.0) == (status == STATUS_OK), (rec.index, variant, status, margin)
+            assert (margin > 0.0) == (status == STATUS_OK), (i, variant, status, margin)
