@@ -28,7 +28,7 @@ from .montecarlo import (
     write_raw_records,
 )
 from .population import GenConfig, Population, generate_population
-from .solvers import SolverControls, solve
+from .solvers import SolverControls, _cholesky_solve, solve
 from .variance import var_hat
 
 __all__ = ["RunConfig", "parse_config", "run_full_study", "main"]
@@ -63,6 +63,9 @@ class RunConfig:
             raise ValueError("N: must be an integer >= 2")
         if not 0 < self.n < self.N:
             raise ValueError("n: must satisfy 0 < n < N")
+        for key in ("mu", "lam"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key}: values must be finite")
         if not abs(self.rho) < 1.0:
             raise ValueError("rho: must satisfy |rho| < 1")
         if self.design not in ("srs", "poisson"):
@@ -166,10 +169,8 @@ def _fmt4(v) -> str:
     return f"{v:.4g}"
 
 
-def _build_design(cfg: RunConfig, pop: Population) -> DesignSpec:
-    if cfg.design == "srs":
-        return srs_design(cfg.N, cfg.n)
-    return poisson_design(pop, float(cfg.n))
+def _build_design(design: str, cfg: RunConfig, pop: Population) -> DesignSpec:
+    return srs_design(cfg.N, cfg.n) if design == "srs" else poisson_design(pop, float(cfg.n))
 
 
 def _population_for(cfg: RunConfig, rho: float, rho_index: int) -> Population:
@@ -193,76 +194,45 @@ def _scenario_for(cfg: RunConfig, pop: Population, design: DesignSpec, index: in
     )
 
 
-_TABLE3_VARIANTS = (Variant.TRUE_P, Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S)
-_TABLE4_VARIANTS = (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S)
+#: The study tables: file stem, text title, variants (None: all, in report
+#: order) and columns (VariantMetrics field, text label, text width).
+_TABLES = (
+    ("table2", "Point estimators: relative bias and relative root variance", None,
+     (("rb", "RB", 12), ("rrvar", "RRVAR", 12))),
+    ("table3", "Maximum final weight over all replicates",
+     (Variant.TRUE_P, Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S),
+     (("max_weight", "max_w", 12),)),
+    ("table4", "Variance estimators: relative bias, CI length, coverage, failures", FITTED_VARIANTS,
+     (("variance_rb", "var_RB", 10), ("mean_ci_length", "CI_len", 12), ("coverage", "CR", 8), ("failure_rate", "fail", 8))),
+)
+
+
+def _table_rows(results: list[tuple[str, float, StudyReport]], variants, columns):
+    """(design, rho, variant name, formatted cells) per row of one table."""
+    for design, rho, report in results:
+        for variant in variants or report.metrics:
+            m = report.metrics[variant]
+            yield design, rho, variant.value, [_fmt4(getattr(m, field)) for field, _, _ in columns]
 
 
 def _write_tables(out_dir: Path, header: str, results: list[tuple[str, float, StudyReport]]) -> None:
-    with (out_dir / "table2.csv").open("w") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("design,rho,variant,rb,rrvar\n")
-        for design, rho, report in results:
-            for variant in report.metrics:
-                m = report.metrics[variant]
-                fh.write(f"{design},{rho:.4g},{variant.value},{_fmt4(m.rb)},{_fmt4(m.rrvar)}\n")
-
-    with (out_dir / "table3.csv").open("w") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("design,rho,variant,max_weight\n")
-        for design, rho, report in results:
-            for variant in _TABLE3_VARIANTS:
-                m = report.metrics[variant]
-                fh.write(f"{design},{rho:.4g},{variant.value},{_fmt4(m.max_weight)}\n")
-
-    with (out_dir / "table4.csv").open("w") as fh:
-        fh.write(f"# {header}\n")
-        fh.write("design,rho,variant,variance_rb,mean_ci_length,coverage,failure_rate\n")
-        for design, rho, report in results:
-            for variant in _TABLE4_VARIANTS:
-                m = report.metrics[variant]
-                fh.write(
-                    f"{design},{rho:.4g},{variant.value},{_fmt4(m.variance_rb)},"
-                    f"{_fmt4(m.mean_ci_length)},{_fmt4(m.coverage)},{_fmt4(m.failure_rate)}\n"
-                )
-
-    with (out_dir / "tables.txt").open("w") as fh:
-        fh.write(f"# {header}\n")
-        fh.write(format_study_text(results))
+    for stem, _, variants, columns in _TABLES:
+        head = ",".join(["design", "rho", "variant", *(field for field, _, _ in columns)])
+        rows = [f"{d},{rho:.4g},{v},{','.join(cells)}\n" for d, rho, v, cells in _table_rows(results, variants, columns)]
+        (out_dir / f"{stem}.csv").write_text(f"# {header}\n{head}\n" + "".join(rows))
+    (out_dir / "tables.txt").write_text(f"# {header}\n" + format_study_text(results))
 
 
 def format_study_text(results: list[tuple[str, float, StudyReport]]) -> str:
     """Aligned text rendering of the point, weight, and variance tables."""
     lines: list[str] = []
-    lines.append("Point estimators: relative bias and relative root variance")
-    lines.append(f"{'design':<9}{'rho':>5}  {'variant':<10}{'RB':>12}{'RRVAR':>12}")
-    for design, rho, report in results:
-        for variant, m in report.metrics.items():
-            lines.append(
-                f"{design:<9}{rho:>5.2g}  {variant.value:<10}"
-                f"{_fmt4(m.rb):>12}{_fmt4(m.rrvar):>12}"
-            )
-    lines.append("")
-    lines.append("Maximum final weight over all replicates")
-    lines.append(f"{'design':<9}{'rho':>5}  {'variant':<10}{'max_w':>12}")
-    for design, rho, report in results:
-        for variant in _TABLE3_VARIANTS:
-            m = report.metrics[variant]
-            lines.append(
-                f"{design:<9}{rho:>5.2g}  {variant.value:<10}{_fmt4(m.max_weight):>12}"
-            )
-    lines.append("")
-    lines.append("Variance estimators: relative bias, CI length, coverage, failures")
-    lines.append(
-        f"{'design':<9}{'rho':>5}  {'variant':<10}{'var_RB':>10}{'CI_len':>12}{'CR':>8}{'fail':>8}"
-    )
-    for design, rho, report in results:
-        for variant in _TABLE4_VARIANTS:
-            m = report.metrics[variant]
-            lines.append(
-                f"{design:<9}{rho:>5.2g}  {variant.value:<10}{_fmt4(m.variance_rb):>10}"
-                f"{_fmt4(m.mean_ci_length):>12}{_fmt4(m.coverage):>8}{_fmt4(m.failure_rate):>8}"
-            )
-    lines.append("")
+    for _, title, variants, columns in _TABLES:
+        lines.append(title)
+        lines.append(f"{'design':<9}{'rho':>5}  {'variant':<10}" + "".join(f"{lb:>{w}}" for _, lb, w in columns))
+        for d, rho, v, cells in _table_rows(results, variants, columns):
+            row = "".join(f"{c:>{w}}" for c, (_, _, w) in zip(cells, columns))
+            lines.append(f"{d:<9}{rho:>5.2g}  {v:<10}{row}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -273,11 +243,7 @@ def study_scenarios(cfg: RunConfig) -> list[tuple[str, float, Scenario]]:
     cells = []
     for design_name in STUDY_DESIGNS:
         for rho, pop in zip(STUDY_RHOS, pops):
-            design = (
-                srs_design(cfg.N, cfg.n)
-                if design_name == "srs"
-                else poisson_design(pop, float(cfg.n))
-            )
+            design = _build_design(design_name, cfg, pop)
             cells.append((design_name, rho, _scenario_for(cfg, pop, design, len(cells))))
     return cells
 
@@ -289,12 +255,9 @@ def run_full_study(cfg: RunConfig) -> int:
     header = f"master_seed={cfg.seed} config_hash={config_hash(cfg)}"
     results: list[tuple[str, float, StudyReport]] = []
     for design_name, rho, scenario in study_scenarios(cfg):
+        report, records = run_study(scenario, threads=cfg.threads, return_records=True)
         if cfg.emit_raw:
-            report, records = run_study(scenario, threads=cfg.threads, return_records=True)
-            raw_path = out_dir / f"raw_{design_name}_rho{rho:.4g}.csv"
-            write_raw_records(raw_path, records, header_comment=header)
-        else:
-            report = run_study(scenario, threads=cfg.threads)
+            write_raw_records(out_dir / f"raw_{design_name}_rho{rho:.4g}.csv", records, header_comment=header)
         results.append((design_name, rho, report))
     _write_tables(out_dir, header, results)
     print(format_study_text(results))
@@ -306,13 +269,10 @@ def _run_one_scenario(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"master_seed={cfg.seed} config_hash={config_hash(cfg)}"
     pop = _population_for(cfg, cfg.rho, STUDY_RHOS.index(cfg.rho) if cfg.rho in STUDY_RHOS else 0)
-    design = _build_design(cfg, pop)
-    scenario = _scenario_for(cfg, pop, design, 0)
+    scenario = _scenario_for(cfg, pop, _build_design(cfg.design, cfg, pop), 0)
+    report, records = run_study(scenario, threads=cfg.threads, return_records=True)
     if cfg.emit_raw:
-        report, records = run_study(scenario, threads=cfg.threads, return_records=True)
         write_raw_records(out_dir / "raw.csv", records, header_comment=header)
-    else:
-        report = run_study(scenario, threads=cfg.threads)
     with (out_dir / "report.csv").open("w") as fh:
         fh.write(f"# {header}\n")
         fh.write(
@@ -455,6 +415,11 @@ def _cmd_fit(args, trace: bool = False) -> int:
     else:
         # Population-level calibration runs only when its totals are given.
         variants = tuple(v for v in FITTED_VARIANTS if v is not Variant.CAL_U or totals is not None)
+    # The package's one singularity rule, on the Gram matrix of the sample's
+    # auxiliaries with each column scaled to a largest |x| of 1.
+    z = aux / np.maximum(np.abs(aux).max(axis=0), np.finfo(float).tiny)
+    if np.isnan(_cholesky_solve((z.T @ z)[None], np.zeros((1, z.shape[1])))).any():
+        raise ValueError("the x columns are collinear with each other or the constant: drop the redundant ones")
     controls = SolverControls(trace=True) if trace else SolverControls()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -476,6 +441,14 @@ def _cmd_fit(args, trace: bool = False) -> int:
     # A one-shot fit carries no joint-inclusion information; treat the units
     # as independently drawn (Poisson design), which zeroes the pair term.
     design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(np.sum(pi_r)))
+    results = {}
+    for variant, fit in ((v, f) for v, f in fits.items() if f.converged):
+        try:
+            with np.errstate(over="raise"):
+                record = nwa_estimate(variant, pi_r, y_r, fit.p_hat[mask], fit)
+                results[variant] = record, var_hat(variant, design, pi_r, x_r, y_r, fit.p_hat[mask])
+        except FloatingPointError:
+            raise ValueError(f"{variant.value}: the total or its variance overflows float64 (rescale y)") from None
     with (out_dir / "estimates.csv").open("w") as fh_est, (
         out_dir / "weights.csv"
     ).open("w") as fh_w, (out_dir / "variance.csv").open("w") as fh_v:
@@ -488,11 +461,9 @@ def _cmd_fit(args, trace: bool = False) -> int:
                 fh_est.write(f"{name},nan,{n},{n_r},nan,{fit.status.value},{fit.iterations}\n")
                 print(f"{name}: {fit.status.value} after {fit.iterations} iterations")
                 continue
-            p_hat_r = fit.p_hat[mask]
-            record = nwa_estimate(variant, pi_r, y_r, p_hat_r, fit)
+            record, ve = results[variant]
             fh_est.write(record.csv_row(n, n_r) + "\n")
             fh_w.write(_weights_csv(resp_units, name, record.weights))
-            ve = var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
             fh_v.write(ve.csv_row(variant, record.value) + "\n")
             print(f"{name}: total={record.value:.6g} (n_r={n_r})")
     return 0

@@ -140,19 +140,13 @@ class ReplicateColumns(NamedTuple):
         return cls(*(np.concatenate(f) for f in zip(*parts)))
 
 
-def _pad(units: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pad(units: np.ndarray, sizes: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated per-replicate unit indices as a (B, max size) array,
-    padded with unit 0, and its mask of real rows."""
+    padded with the index ``fill``, and its mask of real rows."""
     valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    idx = np.zeros(valid.shape, dtype=np.int64)
+    idx = np.full(valid.shape, fill, dtype=np.int64)
     idx[valid] = units
     return idx, valid
-
-
-def _take(values: np.ndarray, idx: np.ndarray, valid: np.ndarray, fill: float) -> np.ndarray:
-    """values[idx] with fill on the padding rows."""
-    v = values[idx]
-    return np.where(valid.reshape(valid.shape + (1,) * (v.ndim - 2)), v, fill)
 
 
 def _row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -182,48 +176,65 @@ class _Stack(NamedTuple):
     valid_r: np.ndarray
 
 
-def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
-    """The padded samples and respondents of the replicates ``indices``."""
-    pop, design, seed = scenario.population, scenario.design, scenario.master_seed
+def _unit_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
+    """The population's (aux, pi, y, true p), each extended by the padding
+    row (x = 0, pi = 1, y = 0, p = 1) at index N, so that one gather pads."""
+    pop = scenario.population
+    return (np.vstack([pop.aux, np.zeros(pop.n_aux)]), np.append(scenario.design.pi, 1.0),
+            np.append(pop.y, 0.0), np.append(pop.true_p, 1.0))
+
+
+def _stack_draws(scenario: Scenario, indices: range, columns: tuple[np.ndarray, ...]) -> _Stack:
+    """The padded samples and respondents of the replicates ``indices``,
+    gathered from the extended ``columns`` of _unit_columns."""
+    design, seed, fill = scenario.design, scenario.master_seed, scenario.population.size
     seeds = np.column_stack([_block_seeds(seed, indices, TAG_SAMPLING), _block_seeds(seed, indices, TAG_RESPONSE)])
-    units, r_all, n_s = _draw_replicates(design, pop.true_p, seeds)
-    u, valid = _pad(units, n_s)
+    units, r_all, n_s = _draw_replicates(design, scenario.population.true_p, seeds)
+    u, valid = _pad(units, n_s, fill)
     r = np.zeros(valid.shape, dtype=np.int64)
     r[valid] = r_all
     n_r = r.sum(axis=1)
-    u_r, valid_r = _pad(units[r_all == 1], n_r)
-    return _Stack(
-        n_s, n_r,
-        _take(pop.aux, u, valid, 0.0), _take(design.pi, u, valid, 1.0), _take(pop.y, u, valid, 0.0),
-        _take(pop.true_p, u, valid, 1.0), r, valid,
-        _take(pop.aux, u_r, valid_r, 0.0), _take(design.pi, u_r, valid_r, 1.0), _take(pop.y, u_r, valid_r, 0.0),
-        _take(pop.true_p, u_r, valid_r, 1.0), valid_r,
-    )
+    u_r, valid_r = _pad(units[r_all == 1], n_r, fill)
+    aux, pi, y, p = columns
+    return _Stack(n_s, n_r, aux[u], pi[u], y[u], p[u], r, valid, aux[u_r], pi[u_r], y[u_r], p[u_r], valid_r)
 
 
-def _fit(scenario: Scenario, st: _Stack, status: np.ndarray, iterations: np.ndarray):
-    """Fit every fitted variant of every replicate of a block.
+#: The EEKind of each variant column of VARIANTS (None where unfitted).
+_KINDS = np.array([VARIANT_TO_EEKIND.get(v) for v in VARIANTS], dtype=object)
 
-    All the block's equations go to solve_block as one stack. Fills
-    ``status`` and ``iterations`` (replicate x variant) and returns the
-    converged fits as (replicate, variant column, lambda_hat) arrays.
+
+def _fit(scenario: Scenario, st: _Stack, columns: np.ndarray):
+    """Fit the variant columns ``columns`` of every replicate of a block
+    that has at least q respondents.
+
+    All the equations go to solve_block as one stack, on the block's own
+    sample and respondent stacks. Returns (replicate, variant column) of
+    each equation and the BlockFit.
     """
-    pop, controls = scenario.population, scenario.controls
-    q = pop.n_aux
-    status[np.outer(st.n_r < q, _FITTED)] = STATUSES.index(STATUS_DEGENERATE)
-    # Row j of the stack fits variant column fit_v[j] on replicate fit_b[j].
-    rows, columns = np.flatnonzero(st.n_r >= q), np.flatnonzero(_FITTED)
+    pop = scenario.population
+    rows = np.flatnonzero(st.n_r >= pop.n_aux)
+    # Equation j fits variant column fit_v[j] on replicate fit_b[j].
     fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
-    kinds = np.array([VARIANT_TO_EEKIND[VARIANTS[vi]] for vi in fit_v], dtype=object)
-    target = np.zeros((fit_b.size, q))
+    kinds = _KINDS[fit_v]
+    target = np.zeros((fit_b.size, pop.n_aux))
     target[kinds == EEKind.CAL_POPULATION] = pop.aux.sum(axis=0)
-    cal_s = fit_b[kinds == EEKind.CAL_SAMPLE]
-    target[kinds == EEKind.CAL_SAMPLE] = ((1.0 / st.pi[cal_s])[:, None, :] @ st.x[cal_s])[:, 0]
-    fits = solve_block(kinds, st.x[fit_b], st.pi[fit_b], st.r[fit_b], st.valid[fit_b], target, controls)
-    status[fit_b, fit_v] = [_STATUS_CODE[s] for s in fits.status]
-    iterations[fit_b, fit_v] = fits.iterations
-    ok = fits.status == FitStatus.CONVERGED
-    return fit_b[ok], fit_v[ok], fits.lambda_hat[ok]
+    cal_s = kinds == EEKind.CAL_SAMPLE
+    if cal_s.any():
+        target[cal_s] = ((1.0 / st.pi)[:, None, :] @ st.x)[fit_b[cal_s], 0]
+    fits = solve_block(
+        kinds, fit_b, st.x, st.pi, st.r, st.valid, st.x_r, st.pi_r, st.valid_r, target, scenario.controls
+    )
+    return fit_b, fit_v, fits
+
+
+def _estimates(st: _Stack, b: np.ndarray, lam: np.ndarray):
+    """The respondent rows (pi_r, x_r, y_r, valid_r) of replicates ``b``
+    and, from their converged fits ``lam``, the fitted probabilities p_hat
+    (1 on padding rows), the weights 1/(pi p_hat) and the totals."""
+    pi_r, x_r, y_r, valid_r = rows = st.pi_r[b], st.x_r[b], st.y_r[b], st.valid_r[b]
+    p_hat = np.where(valid_r, response_probabilities(x_r, lam), 1.0)
+    w = 1.0 / (pi_r * p_hat)
+    return rows, p_hat, w, np.sum(w * y_r, axis=1)
 
 
 def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
@@ -239,29 +250,31 @@ def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
     values[:, true_p, 0] = np.sum(st.y_r * w_true, axis=1)
     values[:, true_p, 5] = _row_max(w_true, st.valid_r)
 
-    ok_b, ok_v, lam = _fit(scenario, st, status, iterations)
-    pi_r, x_r, y_r, valid_r = st.pi_r[ok_b], st.x_r[ok_b], st.y_r[ok_b], st.valid_r[ok_b]
-    p_hat = np.where(valid_r, response_probabilities(x_r, lam), 1.0)
-    w = 1.0 / (pi_r * p_hat)
-    estimate = np.sum(w * y_r, axis=1)
-    v_sam, v_nr = np.empty_like(estimate), np.empty_like(estimate)
-    for vi in np.flatnonzero(np.bincount(ok_v, minlength=V)):
-        j = ok_v == vi
-        v_sam[j], v_nr[j], _ = var_hat_block(VARIANTS[vi], scenario.design, pi_r[j], x_r[j], y_r[j], p_hat[j])
-    v_total = v_sam + v_nr
-    with np.errstate(invalid="ignore"):
-        half = Z_95 * np.sqrt(np.where(np.isfinite(v_total) & (v_total >= 0.0), v_total, np.nan))
-    values[ok_b, ok_v] = np.column_stack(
-        [estimate, v_sam, v_nr, estimate - half, estimate + half, _row_max(w, valid_r)]
-    )
+    status[np.outer(st.n_r < scenario.population.n_aux, _FITTED)] = STATUSES.index(STATUS_DEGENERATE)
+    fit_b, fit_v, fits = _fit(scenario, st, np.flatnonzero(_FITTED))
+    status[fit_b, fit_v] = [_STATUS_CODE[s] for s in fits.status]
+    iterations[fit_b, fit_v] = fits.iterations
+    ok = fits.status == FitStatus.CONVERGED
+    for vi in np.flatnonzero(np.bincount(fit_v[ok], minlength=V)):
+        j = ok & (fit_v == vi)
+        b = fit_b[j]
+        (pi_r, x_r, y_r, valid_r), p_hat, w, estimate = _estimates(st, b, fits.lambda_hat[j])
+        v_sam, v_nr, _ = var_hat_block(VARIANTS[vi], scenario.design, pi_r, x_r, y_r, p_hat)
+        v_total = v_sam + v_nr
+        with np.errstate(invalid="ignore"):
+            half = Z_95 * np.sqrt(np.where(np.isfinite(v_total) & (v_total >= 0.0), v_total, np.nan))
+        values[b, vi] = np.column_stack(
+            [estimate, v_sam, v_nr, estimate - half, estimate + half, _row_max(w, valid_r)]
+        )
     return ReplicateColumns(st.n_s, st.n_r, status, values, iterations)
 
 
 def _run_blocks(args: tuple[Scenario, int, int]) -> ReplicateColumns:
     """Blocks first..last-1 of a scenario's replicates."""
     scenario, first, last = args
+    columns = _unit_columns(scenario)
     blocks = (range(k * BLOCK, min((k + 1) * BLOCK, scenario.reps)) for k in range(first, last))
-    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
+    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b, columns)) for b in blocks])
 
 
 def relative_bias(values: np.ndarray, true_total: float) -> float | None:
@@ -426,21 +439,25 @@ def linearization_gap(
     for each fitted variant in ``variants``.
 
     Diagnostic for the first-order equivalence: the gap shrinks with the
-    sample size. Each block of the scenario's replicates is drawn once: the
-    block engine evaluates every variant on its stack, and linearized_block
-    takes the same stack with the true probabilities. Replicates whose fit
-    did not converge, or whose gamma system is singular, are skipped.
+    sample size. Each block of the scenario's replicates is drawn once and
+    fits only the variants asked for; linearized_block takes the same stack
+    with the true probabilities. Replicates whose fit did not converge, or
+    whose gamma system is singular, are skipped.
     """
     pop = scenario.population
     L = reps if reps is not None else scenario.reps
+    columns = _unit_columns(scenario)
+    asked = np.array([VARIANTS.index(v) for v in variants])
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, L, BLOCK):
-        st = _stack_draws(scenario, range(start, min(start + BLOCK, L)))
-        cols = _run_block(scenario, st)
+        st = _stack_draws(scenario, range(start, min(start + BLOCK, L)), columns)
+        fit_b, fit_v, fits = _fit(scenario, st, asked)
+        ok = fits.status == FitStatus.CONVERGED
         for variant in gaps:
-            vi = VARIANTS.index(variant)
-            ok = cols.status[:, vi] == _OK
-            lin = linearized_block(variant, pop, *(a[ok] for a in (st.x, st.y, st.pi, st.p, st.r)))
-            gap = np.abs(cols.values[ok, vi, 0] - lin) / pop.size
+            j = ok & (fit_v == VARIANTS.index(variant))
+            b = fit_b[j]
+            estimate = _estimates(st, b, fits.lambda_hat[j])[3]
+            lin = linearized_block(variant, pop, st.x[b], st.y[b], st.pi[b], st.p[b], st.r[b])
+            gap = np.abs(estimate - lin) / pop.size
             gaps[variant].extend(gap[~np.isnan(gap)].tolist())
     return {v: float(np.median(g)) for v, g in gaps.items() if g}

@@ -247,20 +247,23 @@ def response_probabilities(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _row_terms(eta: np.ndarray, w: np.ndarray, r: np.ndarray, softplus: bool):
-    """Per-row terms of F where x_i.lam = eta, for one equation or a stack.
+    """Per-row terms of F where x_i.lam = eta, for one equation or a stack,
+    computed in the storage of eta.
 
     Returns (u, h, g): the residual -grad F is sum_i u_i x_i - c and the
     Hessian sum_i h_i x_i x_i'; g is r_i - f_i for softplus, whose size is
     sigma(-a_i.lam), and w_i exp(-a_i.lam) for exp. The MLE terms come from
-    f = expit(x.lam) in the r - f form of score_mle.
+    f = expit(x.lam) = 1/(1 + exp(-eta)) in the r - f form of score_mle.
     """
+    e = np.exp(np.negative(eta, out=eta), out=eta)
     if softplus:
-        f = expit(eta)
+        e += 1.0
+        f = np.divide(1.0, e, out=e)
         g = r - f
         h = w * f
-        h *= 1.0 - f
+        h *= np.subtract(1.0, f, out=f)
         return w * g, h, g
-    e = w * np.exp(-eta)
+    e *= w
     return e, e, e
 
 
@@ -335,7 +338,7 @@ def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _outer_rows(x: np.ndarray) -> np.ndarray:
     """x_i x_i' per unit, flattened: (B, n, q) to (B, n, q*q), so that
     sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (B, q, q)."""
-    return np.einsum("...i,...j->...ij", x, x).reshape(*x.shape[:-1], -1)
+    return np.einsum("...i,...j->...ij", x, x).reshape(*x.shape[:-1], x.shape[-1] ** 2)
 
 
 def _subset(mask: np.ndarray, *arrays):
@@ -385,35 +388,18 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(x, axis=1)
 
 
-def _initial_points(kinds: np.ndarray, pi, r, valid, target) -> np.ndarray:
-    """The intercept-only solution of each equation of a stack: a cheap
-    globalization that starts Newton at the correct overall response level."""
-    inv_pi = np.where(valid, 1.0 / pi, 0.0)
-    resp_total = np.where(r == 1, inv_pi, 0.0).sum(axis=1)
-    denom = np.where(kinds == EEKind.CAL_POPULATION, target[:, 0], inv_pi.sum(axis=1))
-    frac = np.where(kinds == EEKind.MLE_K1, r.sum(axis=1) / valid.sum(axis=1), resp_total / denom)
+def _initial_points(kinds: np.ndarray, rep: np.ndarray, inv_pi, r, valid, target) -> np.ndarray:
+    """The intercept-only solution of each equation of a stack, from the
+    totals of its sample (row rep of the sample stack, with inv_pi the 1/pi
+    of its real rows): a cheap globalization that starts Newton at the
+    correct overall response level."""
+    resp_total = np.where(r == 1, inv_pi, 0.0).sum(axis=1)[rep]
+    denom = np.where(kinds == EEKind.CAL_POPULATION, target[:, 0], inv_pi.sum(axis=1)[rep])
+    frac = np.where(kinds == EEKind.MLE_K1, (r.sum(axis=1) / valid.sum(axis=1))[rep], resp_total / denom)
     frac = np.clip(frac, 1e-6, 1.0 - 1e-6)
     lam0 = np.zeros(target.shape)
     lam0[:, 0] = np.log(frac / (1.0 - frac))
     return lam0
-
-
-def _block_objective(softplus: bool, survey_weighted, x, pi, r, valid, target):
-    """The terms (x, w, r, c) of each equation's F, with padding rows x = 0,
-    w = 0. The rows are a_i = x_i where r_i = 1 and -x_i where r_i = 0:
-    calibration keeps only the respondents, w_i = 1/pi_i and
-    c = target - sum_i w_i x_i; the MLE kinds keep the sample, w_i = k_i and c = 0."""
-    if softplus:
-        w = np.where(valid, np.where(survey_weighted[:, None], 1.0 / pi, 1.0), 0.0)
-        return x, w, r.astype(float), np.zeros(target.shape)
-    # The respondents of each equation first, padded with zero rows.
-    resp = r == 1
-    m = max(1, int(resp.sum(axis=1).max()))
-    order = np.argsort(~resp, axis=1, kind="stable")[:, :m]
-    keep = np.take_along_axis(resp, order, axis=1)
-    x = np.take_along_axis(x, order[..., None], axis=1) * keep[..., None]
-    d = np.where(keep, 1.0 / np.take_along_axis(pi, order, axis=1), 0.0)
-    return x, d, np.ones_like(d), target - _rows_dot(d, x)
 
 
 # _block_newton's status codes index _CODES.
@@ -476,7 +462,7 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             ad = _matvec(x, delta)
             if softplus:
                 ad *= sign
-            ad_min, ad_max = ad.min(axis=1), ad.max(axis=1)
+            ad_min, ad_max = ad.min(axis=1, initial=np.inf), ad.max(axis=1, initial=-np.inf)
             near = running & ok & (rn <= tol)
             exists = near & _exists(ad, ad_max, g, softplus) if near.any() else near
             cd = (c * delta).sum(axis=1)
@@ -542,21 +528,33 @@ class BlockFit(NamedTuple):
 
 def solve_block(
     kinds,
+    rep: np.ndarray,
     x: np.ndarray,
     pi: np.ndarray,
     r: np.ndarray,
     valid: np.ndarray,
+    x_r: np.ndarray,
+    pi_r: np.ndarray,
+    valid_r: np.ndarray,
     target: np.ndarray,
     controls: SolverControls = SolverControls(),
 ) -> BlockFit:
-    """Solve a stack of B estimating equations by Newton iteration on their
-    convex F (see _block_newton).
+    """Solve a stack of estimating equations on a stack of R samples by
+    Newton iteration on their convex F (see _block_newton).
 
-    ``kinds`` gives each equation's EEKind, ``x`` is (B, n, q), ``pi``,
-    ``r`` and ``valid`` are (B, n) and ``target`` is (B, q): equation b is
-    EstimatingEquation(kinds[b], x[b, :n_b], pi[b, :n_b], r[b, :n_b],
-    target[b]), its rows past n_b marked False in ``valid`` and holding
-    x = 0, pi = 1, r = 0. Each equation takes the same steps and gets the
+    The samples come as a padded sample stack, ``x`` (R, n, q) and ``pi``,
+    ``r``, ``valid`` (R, n), and the padded stack of their respondents,
+    ``x_r`` (R, m, q) and ``pi_r``, ``valid_r`` (R, m): row k of the second
+    holds the units of row k of the first with r = 1, in the same order.
+    Padding rows are False in ``valid`` and ``valid_r`` and hold x = 0,
+    pi = 1, r = 0. Equation b has kind ``kinds[b]``, sample ``rep[b]`` and
+    ``target[b]`` (B, q): it is EstimatingEquation(kinds[b], x[k, :n_k],
+    pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b]. The MLE kinds
+    take their rows from the sample stack and the calibration kinds from
+    the respondent stack (which may be empty in a stack without
+    calibration), each by one gather; the per-sample totals (the
+    intercept-only start and sum_i x_i/pi_i over the respondents) are taken
+    once per sample row. Each equation takes the same steps and gets the
     same status as it would alone, up to rounding in the sums: padding, and
     numpy's stacked matrix products, can add in another order than a stack
     of one.
@@ -565,27 +563,38 @@ def solve_block(
     after no iterations, at lambda0 (zero by default).
     """
     kinds = np.asarray(kinds, dtype=object)
+    rep = np.asarray(rep, dtype=np.intp)
+    inv_pi = np.where(valid, 1.0 / pi, 0.0)
     n_r = r.sum(axis=1)
-    short = (n_r == 0) | ((n_r == valid.sum(axis=1)) & (kinds != EEKind.CAL_POPULATION))
+    short = (n_r == 0)[rep] | ((n_r == valid.sum(axis=1))[rep] & (kinds != EEKind.CAL_POPULATION))
     if controls.lambda0 is not None:
         lam = np.broadcast_to(np.asarray(controls.lambda0, dtype=float), target.shape).copy()
     else:
-        lam = np.where(short[:, None], 0.0, _initial_points(kinds, pi, r, valid, target))
+        lam = np.where(short[:, None], 0.0, _initial_points(kinds, rep, inv_pi, r, valid, target))
     tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
     lam_hat, codes = np.empty_like(lam), np.empty(len(lam), dtype=np.int8)
     iterations, rn = np.empty(len(lam), dtype=np.int64), np.empty(len(lam))
     trace = [[] for _ in range(len(lam))]
     cal = np.array([k in _CAL_KINDS for k in kinds], dtype=bool)
     for sel, softplus in ((cal, False), (~cal, True)):
-        if sel.any():
-            terms = _block_objective(
-                softplus, kinds[sel] == EEKind.MLE_KINVPI, *_subset(sel, x, pi, r, valid, target)
-            )
-            lam_hat[sel], codes[sel], iterations[sel], rn[sel], part = _block_newton(
-                *terms, softplus, lam[sel], tol[sel], short[sel], controls
-            )
-            for b, rows in zip(np.flatnonzero(sel), part):
-                trace[b] = rows
+        if not sel.any():
+            continue
+        rows = rep[sel]
+        # The terms (x, w, r, c) of each equation's F; padding rows have
+        # w = 0. Calibration: the respondents, w_i = 1/pi_i and
+        # c = target - sum_i w_i x_i; MLE: the sample, w_i = k_i and c = 0.
+        if softplus:
+            w = np.where((kinds[sel] == EEKind.MLE_KINVPI)[:, None], inv_pi[rows], valid[rows])
+            terms = x[rows], w, r[rows].astype(float), np.zeros((len(rows), target.shape[1]))
+        else:
+            d = np.where(valid_r, 1.0 / pi_r, 0.0)
+            c = target[sel] - _rows_dot(d, x_r)[rows]
+            terms = x_r[rows], d[rows], np.ones((len(rows), d.shape[1])), c
+        lam_hat[sel], codes[sel], iterations[sel], rn[sel], part = _block_newton(
+            *terms, softplus, lam[sel], tol[sel], short[sel], controls
+        )
+        for b, rows_b in zip(np.flatnonzero(sel), part):
+            trace[b] = rows_b
     return BlockFit(lam_hat, np.array(_CODES, dtype=object)[codes], iterations, rn, trace)
 
 
@@ -607,8 +616,11 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     times its diagonal entry), the rule that also flags singular gamma
     systems in the variance estimators.
     """
+    # Only the calibration kinds read the respondent stack.
+    resp = (eq.r == 1) & (eq.kind in _CAL_KINDS)
     fit = solve_block(
-        [eq.kind], eq.x[None], eq.pi[None], eq.r[None], np.ones((1, len(eq.r)), dtype=bool),
+        [eq.kind], [0], eq.x[None], eq.pi[None], eq.r[None], np.ones((1, len(eq.r)), dtype=bool),
+        eq.x[resp][None], eq.pi[resp][None], np.ones((1, int(resp.sum())), dtype=bool),
         eq.target[None], controls,
     )
     lam = fit.lambda_hat[0]

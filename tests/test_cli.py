@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,15 @@ def test_pair_values_parse(tmp_path):
     cfg = parse_config(path)
     assert cfg.mu == (3.5, 4.5)
     assert cfg.lam == (0.2, 0.3)
+
+
+@pytest.mark.parametrize("line, key", [("mu = nan, 4.0", "mu"), ("lam = inf, 0.0", "lam")])
+def test_non_finite_pair_values_rejected(tmp_path, capsys, line, key):
+    path = tmp_path / "cfg.txt"
+    path.write_text(line + "\n")
+    rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {key}: values must be finite\n"
 
 
 def test_config_hash_tracks_content():
@@ -311,6 +321,50 @@ def test_fit_accepts_the_good_rows(tmp_path):
     path.write_text("\n".join(_GOOD_FIT_ROWS + ["e,0.5,1,4.0,3.0"]) + "\n")
     rc = main(["fit", "--input", str(path), "--totals", "20,85", "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command", ["fit", "trace"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a constant x column is collinear with the model's constant
+        ["unit,pi,r,x1,y", "a,0.5,1,4.0,3.0", "b,0.25,0,4.0,", "c,0.5,1,4.0,2.5", "d,0.2,0,4.0,"],
+        # x2 = 2 x1
+        ["unit,pi,r,x1,x2,y", "a,0.5,1,4.0,8.0,3.0", "b,0.25,0,5.0,10.0,", "c,0.5,1,3.5,7.0,2.5", "d,0.2,0,4.5,9.0,"],
+    ],
+)
+def test_fit_rejects_collinear_auxiliaries(tmp_path, capsys, command, rows):
+    # Collinear auxiliaries are a fault of the data, reported before any
+    # fit instead of as a singular_jacobian status of every variant.
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    rc = main([command, "--input", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the x columns are collinear with each other or the constant: drop the redundant ones\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("y", ["1e308", "1e200"])
+def test_fit_overflow_is_one_line_error(tmp_path, capsys, y):
+    # y = 1e308 overflows the total, y = 1e200 only its variance (y^2):
+    # either is one error line naming the overflow, with no numpy warning
+    # and no estimates written.
+    rows = [
+        "unit,pi,r,x1,y", f"a,0.5,1,4.0,{y}", "b,0.25,0,5.0,", f"c,0.5,1,5.5,{y}", "d,0.2,0,3.5,",
+        f"e,0.5,1,3.0,{y}", "f,0.5,0,4.2,",
+    ]
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--input", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: mle_1: the total or its variance overflows float64 (rescale y)\n"
+    assert not (out / "estimates.csv").exists()
 
 
 def _mostly(valid, bad):

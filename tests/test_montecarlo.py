@@ -39,6 +39,7 @@ from nwacal.montecarlo import (
     Scenario,
     _block_seeds,
     _stack_draws,
+    _unit_columns,
     coverage_rate,
     linearization_gap,
     mix_seed,
@@ -310,6 +311,35 @@ def test_block_engine_matches_scalar_step_api(study_cells, cell):
         assert (Variant.CAL_U, "diverged") in statuses
 
 
+@pytest.mark.parametrize("cell", [0, 3])
+def test_respondent_stack_holds_each_equations_respondents(study_cells, cell):
+    # solve_block takes a calibration equation's rows from the engine's
+    # respondent stack: row b must be eq.x[eq.r == 1] of replicate b's
+    # step-API equation, with its pi, y and true p, in sample order, then
+    # padding rows x = 0, pi = 1, y = 0, p = 1 that add exact zeros.
+    _, _, scenario = study_cells[cell]
+    pop, design, seed = scenario.population, scenario.design, scenario.master_seed
+    indices = range(BLOCK, scenario.reps)
+    st = _stack_draws(scenario, indices, _unit_columns(scenario))
+    width = st.x_r.shape[1]
+    for b, index in enumerate(indices):
+        sample = draw_sample(design, mix_seed(seed, index, TAG_SAMPLING))
+        resp = draw_response(sample, pop.true_p[sample.indices], mix_seed(seed, index, TAG_RESPONSE))
+        eq = estimating_equation(Variant.CAL_S, pop.aux[sample.indices], sample.pi_s, resp.r)
+        keep = eq.r == 1
+        m = int(keep.sum())
+        assert (st.n_r[b], width) == (m, st.n_r.max()), index
+        assert st.valid_r[b].tolist() == [True] * m + [False] * (width - m), index
+        for got, want, fill in (
+            (st.x_r[b], eq.x[keep], 0.0),
+            (st.pi_r[b], eq.pi[keep], 1.0),
+            (st.y_r[b], pop.y[sample.indices][keep], 0.0),
+            (st.p_r[b], pop.true_p[sample.indices][keep], 1.0),
+        ):
+            assert np.array_equal(got[:m], want), index
+            assert np.all(got[m:] == fill), index
+
+
 @pytest.mark.parametrize("cell", range(6))
 def test_linearized_block_matches_linearized_estimate(study_cells, cell):
     # The stacked linearized estimator on the engine's padded draws against
@@ -318,7 +348,7 @@ def test_linearized_block_matches_linearized_estimate(study_cells, cell):
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
     for start in range(0, scenario.reps, BLOCK):
         indices = range(start, min(start + BLOCK, scenario.reps))
-        st = _stack_draws(scenario, indices)
+        st = _stack_draws(scenario, indices, _unit_columns(scenario))
         for variant in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S):
             got = linearized_block(variant, pop, st.x, st.y, st.pi, st.p, st.r)
             for b, index in enumerate(indices):

@@ -252,6 +252,39 @@ def test_stack_of_one_matches_padded_stack_of_64():
         assert np.allclose(block.lambda_hat[b], fit.lambda_hat, rtol=1e-10, atol=0.0), b
 
 
+def test_permuted_samples_and_equations_give_the_same_fits():
+    # Each equation reads its rows through rep alone: permuting the rows of
+    # the sample and respondent stacks (rep following them) and the order of
+    # the equations gives every equation the same status, iterations and
+    # lambda, bit for bit.
+    from nwacal.cli import RunConfig, study_scenarios
+    from nwacal.estimators import VARIANT_TO_EEKIND, estimating_equation
+    from nwacal.montecarlo import TAG_RESPONSE, TAG_SAMPLING, mix_seed
+    from nwacal import draw_response, draw_sample
+
+    _, _, sc = study_scenarios(RunConfig(reps=12))[3]
+    pop = sc.population
+    equations = []
+    for i in range(12):
+        s = draw_sample(sc.design, mix_seed(sc.master_seed, i, TAG_SAMPLING))
+        resp = draw_response(s, pop.true_p[s.indices], mix_seed(sc.master_seed, i, TAG_RESPONSE))
+        for variant in VARIANT_TO_EEKIND:
+            equations.append(
+                estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
+            )
+    kinds, rep, *stacks, target = _padded(equations)
+    assert len(stacks[0]) == 12
+    block = solve_block(kinds, rep, *stacks, target)
+    rng = np.random.default_rng(5)
+    rows, order = rng.permutation(12), rng.permutation(len(equations))
+    moved = np.argsort(rows)[rep][order]
+    permuted = solve_block(np.array(kinds, dtype=object)[order], moved, *(a[rows] for a in stacks), target[order])
+    assert {FitStatus.CONVERGED, FitStatus.DIVERGED} <= set(block.status)
+    assert permuted.status.tolist() == block.status[order].tolist()
+    assert np.array_equal(permuted.iterations, block.iterations[order])
+    assert np.array_equal(permuted.lambda_hat, block.lambda_hat[order])
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_cholesky_solve_matches_lapack(q):
     # The unrolled Cholesky solve against LAPACK: the same directions on
@@ -280,25 +313,37 @@ def test_cholesky_solve_matches_lapack(q):
 
 
 def _padded(equations):
-    """solve_block's arguments for a list of equations, padded to the
-    longest sample."""
-    B, n = len(equations), max(len(eq.r) for eq in equations)
-    x, pi = np.zeros((B, n, 2)), np.ones((B, n))
-    r, valid = np.zeros((B, n), dtype=np.int64), np.zeros((B, n), dtype=bool)
-    for b, eq in enumerate(equations):
-        m = len(eq.r)
-        x[b, :m], pi[b, :m], r[b, :m], valid[b, :m] = eq.x, eq.pi, eq.r, True
-    return [eq.kind for eq in equations], x, pi, r, valid, np.array([eq.target for eq in equations])
+    """solve_block's arguments for a list of equations: one row of the
+    sample stack and of the respondent stack per distinct sample (x, pi, r),
+    each padded to its longest row, and the row of each equation."""
+    samples, rep = [], []
+    for eq in equations:
+        data = (eq.x, eq.pi, eq.r)
+        same = [k for k, s in enumerate(samples) if all(np.array_equal(a, b) for a, b in zip(s, data))]
+        rep.append(same[0] if same else len(samples))
+        if not same:
+            samples.append(data)
+    R, q = len(samples), equations[0].x.shape[1]
+    n, m = max(len(r) for _, _, r in samples), max(int(r.sum()) for _, _, r in samples)
+    x, pi = np.zeros((R, n, q)), np.ones((R, n))
+    r, valid = np.zeros((R, n), dtype=np.int64), np.zeros((R, n), dtype=bool)
+    x_r, pi_r, valid_r = np.zeros((R, m, q)), np.ones((R, m)), np.zeros((R, m), dtype=bool)
+    for k, (x_k, pi_k, r_k) in enumerate(samples):
+        resp = r_k == 1
+        x[k, :len(r_k)], pi[k, :len(r_k)], r[k, :len(r_k)], valid[k, :len(r_k)] = x_k, pi_k, r_k, True
+        x_r[k, :resp.sum()], pi_r[k, :resp.sum()], valid_r[k, :resp.sum()] = x_k[resp], pi_k[resp], True
+    kinds = [eq.kind for eq in equations]
+    return kinds, np.array(rep), x, pi, r, valid, x_r, pi_r, valid_r, np.array([eq.target for eq in equations])
 
 
 def test_trace_rows_in_a_mixed_stack():
     # Equations that stop at different iterations share a stack, and one that
     # has stopped may stay in it, frozen, while others run on. Each must get
     # the trace rows, iterations and status of its stack of one, and no rows
-    # after it stopped. The calibration equations share x, pi and r, so their
-    # respondent rows need no padding and their rows match exactly; the MLE
-    # stack differs from stacks of one by rounding in the sums (about 1e-14
-    # on residual norms of about 10).
+    # after it stopped. The calibration equations share one sample, whose
+    # respondent rows are the longest and need no padding, so their rows
+    # match exactly; the MLE stack differs from stacks of one by rounding in
+    # the sums (about 1e-14 on residual norms of about 10).
     x, pi, r = _separated(quasi=True)
     x_o, pi_o, r_o, _ = random_instance(3, n=20)
     edge = _cone_edge(0)
