@@ -74,8 +74,8 @@ class RunConfig:
             raise ValueError("reps: must be an integer >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed: must fit in an unsigned 64-bit integer")
-        if self.tol <= 0.0:
-            raise ValueError("tol: must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol: must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter: must be an integer >= 1")
         if self.threads < 1:

@@ -138,10 +138,6 @@ class EstimatingEquation:
         target = (x / pi[:, None]).sum(axis=0)
         return cls(kind=EEKind.CAL_SAMPLE, x=x, pi=pi, r=r, target=target)
 
-    @property
-    def n_respondents(self) -> int:
-        return int(self.r.sum())
-
 
 @dataclass(frozen=True)
 class SolverControls:
@@ -159,8 +155,8 @@ class SolverControls:
     trace: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -186,14 +182,6 @@ class FitResult:
     @property
     def converged(self) -> bool:
         return self.status is FitStatus.CONVERGED
-
-
-def _k_weights(eq: EstimatingEquation) -> np.ndarray:
-    if eq.kind is EEKind.MLE_K1:
-        return np.ones_like(eq.pi)
-    if eq.kind is EEKind.MLE_KINVPI:
-        return 1.0 / eq.pi
-    raise ValueError(f"no k weights for equation kind {eq.kind}")
 
 
 def score_mle(lam, x, pi, r, survey_weighted: bool = False) -> np.ndarray:
@@ -229,7 +217,8 @@ def jacobian(lam, eq: EstimatingEquation) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if eq.kind in (EEKind.MLE_K1, EEKind.MLE_KINVPI):
         f = expit(eq.x @ lam)
-        u = _k_weights(eq) * f * (1.0 - f)
+        k = 1.0 / eq.pi if eq.kind is EEKind.MLE_KINVPI else np.ones_like(eq.pi)
+        u = k * f * (1.0 - f)
         return -(eq.x * u[:, None]).T @ eq.x
     mask = eq.r == 1
     x_r = eq.x[mask]
@@ -246,62 +235,75 @@ def response_probabilities(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.clip(expit(eta), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
 
 
-def _row_terms(eta: np.ndarray, w: np.ndarray, r: np.ndarray, softplus: bool):
+def _row_terms(eta: np.ndarray, w: np.ndarray, r: np.ndarray, softplus: bool, g: np.ndarray, h: np.ndarray):
     """Per-row terms of F where x_i.lam = eta, for one equation or a stack,
-    computed in the storage of eta.
+    written into the storage of eta and the buffers g and h.
 
     Returns (u, h, g): the residual -grad F is sum_i u_i x_i - c and the
-    Hessian sum_i h_i x_i x_i'; g is r_i - f_i for softplus, whose size is
-    sigma(-a_i.lam), and w_i exp(-a_i.lam) for exp. The MLE terms come from
-    f = expit(x.lam) = 1/(1 + exp(-eta)) in the r - f form of score_mle.
+    Hessian sum_i h_i x_i x_i'; g is |r_i - f_i| = sigma(-a_i.lam) for
+    softplus and w_i exp(-a_i.lam) for exp. The MLE terms come from
+    f = expit(x.lam) = 1/(1 + exp(-eta)) in the r - f form of score_mle,
+    with r boolean; u takes eta's storage. The exp terms are one array in
+    eta's storage (u = h = g), and the buffers are left as they were.
     """
     e = np.exp(np.negative(eta, out=eta), out=eta)
     if softplus:
         e += 1.0
         f = np.divide(1.0, e, out=e)
-        g = r - f
-        h = w * f
+        np.subtract(r, f, out=g)
+        np.multiply(w, f, out=h)
         h *= np.subtract(1.0, f, out=f)
-        return w * g, h, g
+        u = np.multiply(w, g, out=eta)
+        return u, h, np.abs(g, out=g)
     e *= w
     return e, e, e
 
 
-def _exists(ad: np.ndarray, ad_max, g: np.ndarray, softplus: bool):
+def _exists(ad: np.ndarray, ad_max, g: np.ndarray, softplus: bool, v: np.ndarray):
     """The existence test max_i s_i a_i.delta < 1 (per equation for a
-    stack), with s_i = sigma(a_i.lam) = 1 - |g_i| for softplus, 1 for exp.
-    As 0 < s_i <= 1, ad_max = max_i a_i.delta < 1 already passes it."""
+    stack), with s_i = sigma(a_i.lam) = 1 - g_i for softplus, 1 for exp,
+    computed in the buffer v. As 0 < s_i <= 1, ad_max = max_i a_i.delta < 1
+    already passes it."""
     holds = ad_max < 1.0
     if softplus and not np.all(holds):
-        holds = ((1.0 - np.abs(g)) * ad).max(axis=-1) < 1.0
+        holds = np.multiply(np.subtract(1.0, g, out=v), ad, out=v).max(axis=-1) < 1.0
     return holds
 
 
-def _change(alpha, ad: np.ndarray, w: np.ndarray, g: np.ndarray, softplus: bool):
+def _change(alpha, p, ad: np.ndarray, w: np.ndarray, g: np.ndarray, softplus: bool, v: np.ndarray):
     """F(lam + alpha delta) - F(lam) less its linear term, free of
     cancellation: sum_i w_i (phi(-a_i.lam - alpha a_i.delta) - phi(-a_i.lam))
-    per equation of a stack, with g from _row_terms and alpha of shape (B, 1)."""
-    v = np.expm1(-alpha * ad)
+    for the equations p of a stack, with g from _row_terms and alpha of
+    shape (len(p), 1), in v's rows (mode "clip": take fills them unbuffered)."""
+    v = np.take(ad, p, axis=0, out=v[: len(p)], mode="clip")
+    v *= -alpha
+    np.expm1(v, out=v)
     if softplus:
-        v = np.log1p(np.abs(g) * v)
+        v *= g[p]
+        np.log1p(v, out=v)
     else:
         w = g
-    return (w[:, None, :] @ v[:, :, None])[:, 0, 0]
+    return (w[p][:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
     """Whether some v != 0 has a_i.v >= 0 on every row and c.v <= 0, up to
-    rounding relative to |a_i||v| and |c||v|, with a_i.v > 0 for some i.
+    rounding relative to |a_i||v| and |c||v|, with a_i.v > 0 for some i or
+    c.v < 0: F never increases along v, and is not constant on it.
 
     Candidates are each given direction and its projections off the rows
     most opposed to it: an iterate running away along a recession direction
     keeps a_j.lam bounded on the rows of the face it approaches, so
-    lam/|lam| misses the face by O(1/|lam|).
+    lam/|lam| misses the face by O(1/|lam|). The last candidate is -c
+    projected onto the null space of the rows, along which F falls linearly.
     """
     norms = np.linalg.norm(a, axis=1)
     c_norm = float(np.linalg.norm(c))
-    for u in directions:
-        if u is None or not np.all(np.isfinite(u)):
+    # q zero rows keep the row space and make vt square.
+    _, sv, vt = np.linalg.svd(np.vstack([a, np.zeros((a.shape[1], a.shape[1]))]), full_matrices=False)
+    null = vt[np.count_nonzero(sv > sv.max(initial=0.0) * max(a.shape) * _EPS):]
+    for u in (*directions, -null.T @ (null @ c)):
+        if u is None or not (np.all(np.isfinite(u)) and u.any()):
             continue
         order = np.argsort((a @ u) / norms)
         for k in range(a.shape[1]):
@@ -309,10 +311,11 @@ def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
             v = u - basis @ (basis.T @ u)
             slack = _CERT_RTOL * float(np.linalg.norm(v))
             av = a @ v
+            cv = float(c @ v)
             if (
                 np.all(av >= -slack * norms)
-                and np.any(av > slack * norms)
-                and float(c @ v) <= slack * c_norm
+                and (np.any(av > slack * norms) or cv < -slack * c_norm)
+                and cv <= slack * c_norm
             ):
                 return True
     return False
@@ -330,22 +333,21 @@ def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ x)[:, 0]
 
 
-def _matvec(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x_i.v_b per equation: (B, n, q) and (B, q) to (B, n)."""
-    return (x @ v[..., None])[..., 0]
+def _matvec(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x_i.v_b per equation: (B, n, q) and (B, q) to (B, n), into out if given."""
+    return np.matmul(x, v[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _outer_rows(x: np.ndarray) -> np.ndarray:
     """x_i x_i' per unit, flattened: (B, n, q) to (B, n, q*q), so that
-    sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (B, q, q)."""
-    return np.einsum("...i,...j->...ij", x, x).reshape(*x.shape[:-1], x.shape[-1] ** 2)
-
-
-def _subset(mask: np.ndarray, *arrays):
-    """The arrays' rows where mask holds (the arrays themselves where it holds everywhere)."""
-    if mask.all():
-        return arrays
-    return tuple(a[mask] for a in arrays)
+    sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (B, q, q).
+    Each entry is the one product x_ia x_ib, written in place column by
+    column (a copy between the triangles of one array would be buffered)."""
+    q = x.shape[-1]
+    xx = np.empty((*x.shape, q))
+    for a, b in np.ndindex(q, q):
+        np.multiply(x[..., a], x[..., b], out=xx[..., a, b])
+    return xx.reshape(*x.shape[:-1], q * q)
 
 
 def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -409,7 +411,7 @@ _CONVERGED, _MAX_ITERATIONS, _SINGULAR, _DIVERGED = range(4)
 _STOPPED = len(_CODES)
 
 
-def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverControls):
+def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverControls, work):
     """Newton's method with an Armijo line search on the convex
 
         F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,   a_i = (2 r_i - 1) x_i,
@@ -433,12 +435,17 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
     An equation that stops stays in the stack, frozen, until at most half of
     the stack is still running; the stack is then cut to the running ones.
 
+    r is boolean (all True for calibration, whose terms never read it).
+    Every pass writes its per-row terms (x.lam, u, g, h, a.delta) into three
+    (B, n) buffers in the flat float array ``work``, or their first rows once
+    the stack is cut; nothing else is written into the arguments.
+
     Returns (lambda, status code into FitStatus, iterations, residual norm,
     trace rows) per equation.
     """
     B, q = lam.shape
     xx = _outer_rows(x)
-    sign = 2.0 * r - 1.0
+    work = work[: 3 * w.size].reshape(3, *w.shape)
     lam_out, rn_out = np.empty_like(lam), np.empty(B)
     status_out, it_out = np.empty(B, dtype=np.int8), np.empty(B, dtype=np.int64)
     traces = [[] for _ in range(B)]
@@ -450,7 +457,8 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
     # NaN; both fail the tests below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
-            u, h, g = _row_terms(_matvec(x, lam), w, r, softplus)
+            eta, g_buf, h_buf = work[:, : len(ids)]
+            u, h, g = _row_terms(_matvec(x, lam, out=eta), w, r, softplus, g_buf, h_buf)
             res = _rows_dot(u, x) - c
             rn = np.abs(res).max(axis=1)
             if controls.trace:
@@ -459,12 +467,14 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             hess = _rows_dot(h, xx).reshape(-1, q, q)
             delta = _cholesky_solve(hess, res)
             ok = np.isfinite(delta).all(axis=1)
-            ad = _matvec(x, delta)
+            # a_i.delta takes u's storage, read only by res (softplus), or
+            # g's buffer, which the exp terms leave unused.
+            ad = _matvec(x, delta, out=eta if softplus else g_buf)
             if softplus:
-                ad *= sign
+                np.negative(ad, out=ad, where=~r)
             ad_min, ad_max = ad.min(axis=1, initial=np.inf), ad.max(axis=1, initial=-np.inf)
             near = running & ok & (rn <= tol)
-            exists = near & _exists(ad, ad_max, g, softplus) if near.any() else near
+            exists = near & _exists(ad, ad_max, g, softplus, h_buf) if near.any() else near
             cd = (c * delta).sum(axis=1)
             # Stopped equations hold the code _STOPPED and take no part below.
             status = np.where(running, np.where(short, _DIVERGED, -1), _STOPPED)
@@ -483,9 +493,11 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             if pending.any():
                 floor = _EPS * (1.0 + np.abs(lam).max(axis=1)) / np.abs(delta).max(axis=1)
             while pending.any():
-                w_p, g_p, ad_p, cd_p, slope_p, a = _subset(pending, w, g, ad, cd, slope, alpha)
-                change = _change(a[:, None], ad_p, w_p, g_p, softplus) + a * cd_p
-                rejected = np.flatnonzero(pending)[~(change <= _ARMIJO * a * slope_p)]
+                p = np.flatnonzero(pending)
+                a = alpha[p]
+                # h is read by the Hessian alone (softplus) or is g (exp).
+                change = _change(a[:, None], p, ad, w, g, softplus, h_buf) + a * cd[p]
+                rejected = p[~(change <= _ARMIJO * a * slope[p])]
                 alpha[rejected] *= 0.5
                 moving = alpha[rejected] >= floor[rejected]
                 pending[:] = False
@@ -494,7 +506,8 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             unproved = (status == _MAX_ITERATIONS) | (status == _SINGULAR) | (near & (status < 0))
             for k in np.flatnonzero(unproved):
                 rows = w[k] > 0.0
-                if _has_certificate(sign[k, rows, None] * x[k, rows], c[k], (delta[k], lam[k])):
+                a_k = np.where(r[k, rows, None], x[k, rows], -x[k, rows])
+                if _has_certificate(a_k, c[k], (delta[k], lam[k])):
                     status[k] = _DIVERGED
             done = running & (status >= 0)
             if done.any():
@@ -509,9 +522,9 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             lam = np.where(running[:, None], lam + alpha[:, None] * delta, lam)
             it = it + 1
             if 2 * np.count_nonzero(running) <= len(running):
-                ids, x, xx, w, r, sign, c, tol, lam, it, step, short, running = _subset(
-                    running, ids, x, xx, w, r, sign, c, tol, lam, it, step, short, running
-                )
+                ids, x, xx, w, r, c, tol, lam, it, step, short, running = [
+                    a[running] for a in (ids, x, xx, w, r, c, tol, lam, it, step, short, running)
+                ]
 
 
 class BlockFit(NamedTuple):
@@ -576,6 +589,8 @@ def solve_block(
     iterations, rn = np.empty(len(lam), dtype=np.int64), np.empty(len(lam))
     trace = [[] for _ in range(len(lam))]
     cal = np.array([k in _CAL_KINDS for k in kinds], dtype=bool)
+    # One workspace for the larger stack serves both: the second touches no new pages.
+    work = np.empty(3 * max(np.count_nonzero(cal) * x_r.shape[1], np.count_nonzero(~cal) * x.shape[1]))
     for sel, softplus in ((cal, False), (~cal, True)):
         if not sel.any():
             continue
@@ -585,13 +600,13 @@ def solve_block(
         # c = target - sum_i w_i x_i; MLE: the sample, w_i = k_i and c = 0.
         if softplus:
             w = np.where((kinds[sel] == EEKind.MLE_KINVPI)[:, None], inv_pi[rows], valid[rows])
-            terms = x[rows], w, r[rows].astype(float), np.zeros((len(rows), target.shape[1]))
+            terms = x[rows], w, (r == 1)[rows], np.zeros((len(rows), target.shape[1]))
         else:
             d = np.where(valid_r, 1.0 / pi_r, 0.0)
             c = target[sel] - _rows_dot(d, x_r)[rows]
-            terms = x_r[rows], d[rows], np.ones((len(rows), d.shape[1])), c
+            terms = x_r[rows], d[rows], np.broadcast_to(True, (len(rows), d.shape[1])), c
         lam_hat[sel], codes[sel], iterations[sel], rn[sel], part = _block_newton(
-            *terms, softplus, lam[sel], tol[sel], short[sel], controls
+            *terms, softplus, lam[sel], tol[sel], short[sel], controls, work
         )
         for b, rows_b in zip(np.flatnonzero(sel), part):
             trace[b] = rows_b

@@ -74,6 +74,19 @@ def test_non_finite_pair_values_rejected(tmp_path, capsys, line, key):
     assert capsys.readouterr().err == f"error: {key}: values must be finite\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, value):
+    # A NaN tol passes no residual test and an infinite one passes every
+    # residual: both are rejected with the key named, like a negative one.
+    with pytest.raises(ValueError, match="tol"):
+        RunConfig(tol=float(value))
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"tol = {value}\n")
+    rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: tol: must be positive and finite\n"
+
+
 def test_config_hash_tracks_content():
     a = RunConfig()
     b = RunConfig(rho=0.3)
@@ -321,6 +334,23 @@ def test_fit_accepts_the_good_rows(tmp_path):
     path.write_text("\n".join(_GOOD_FIT_ROWS + ["e,0.5,1,4.0,3.0"]) + "\n")
     rc = main(["fit", "--input", str(path), "--totals", "20,85", "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def test_fit_target_off_the_span_of_collinear_respondents(tmp_path):
+    # The three respondents all have x1 = 4, so their rows (1, 4) span a
+    # line. cal_U's target (20, 85) leaves c = (14, 61) off that line: F
+    # falls linearly along v = (4, -1), so no solution exists (diverged).
+    # cal_S's c = (6, 24) lies on it, and its singular Hessian stays a
+    # solver failure that no certificate explains.
+    rows = ["unit,pi,r,x1,y", "a,0.5,1,4.0,3.0", "b,0.5,0,5.0,", "c,0.5,1,4.0,2.5", "d,0.5,0,3.0,",
+            "e,0.5,1,4.0,3.0", "f,0.5,0,4.0,"]
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit", "--input", str(path), "--totals", "20,85", "--out", str(out)]) == 0
+    status = {ln.split(",")[0]: ln.split(",")[5] for ln in (out / "estimates.csv").read_text().splitlines()[1:]}
+    assert status["cal_U"] == "diverged"
+    assert status["cal_S"] == "singular_jacobian"
 
 
 @pytest.mark.parametrize("command", ["fit", "trace"])

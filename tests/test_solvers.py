@@ -18,7 +18,7 @@ from nwacal import (
     solve,
     solve_block,
 )
-from nwacal.solvers import _cholesky_solve, _has_certificate
+from nwacal.solvers import _cholesky_solve, _has_certificate, _outer_rows
 
 
 def _logit(p):
@@ -336,20 +336,15 @@ def _padded(equations):
     return kinds, np.array(rep), x, pi, r, valid, x_r, pi_r, valid_r, np.array([eq.target for eq in equations])
 
 
-def test_trace_rows_in_a_mixed_stack():
-    # Equations that stop at different iterations share a stack, and one that
-    # has stopped may stay in it, frozen, while others run on. Each must get
-    # the trace rows, iterations and status of its stack of one, and no rows
-    # after it stopped. The calibration equations share one sample, whose
-    # respondent rows are the longest and need no padding, so their rows
-    # match exactly; the MLE stack differs from stacks of one by rounding in
-    # the sums (about 1e-14 on residual norms of about 10).
+def _mixed_equations():
+    """Four MLE and six calibration equations, each stopping at its own
+    iteration: separated, ordinary and cone-edge fits."""
     x, pi, r = _separated(quasi=True)
     x_o, pi_o, r_o, _ = random_instance(3, n=20)
     edge = _cone_edge(0)
     x_c, pi_c, r_c = edge.x, edge.pi, edge.r
     inner = (x_c[r_c == 1] / pi_c[r_c == 1, None]).sum(axis=0)
-    equations = [
+    return [
         EstimatingEquation.mle(*_separated(quasi=False)),
         EstimatingEquation.mle(x, pi, r, survey_weighted=True),
         EstimatingEquation.mle(x_o, pi_o, r_o),
@@ -360,6 +355,17 @@ def test_trace_rows_in_a_mixed_stack():
         EstimatingEquation.cal_sample(x_c, pi_c, r_c),
         EstimatingEquation.cal_population(x_c, pi_c, r_c, _target_from(np.array([0.3, 0.1]), x_c, pi_c, r_c)),
     ]
+
+
+def test_trace_rows_in_a_mixed_stack():
+    # Equations that stop at different iterations share a stack, and one that
+    # has stopped may stay in it, frozen, while others run on. Each must get
+    # the trace rows, iterations and status of its stack of one, and no rows
+    # after it stopped. The calibration equations share one sample, whose
+    # respondent rows are the longest and need no padding, so their rows
+    # match exactly; the MLE stack differs from stacks of one by rounding in
+    # the sums (about 1e-14 on residual norms of about 10).
+    equations = _mixed_equations()
     controls = SolverControls(trace=True)
     block = solve_block(*_padded(equations), controls)
     assert len(set(block.iterations.tolist())) == len(equations)
@@ -373,6 +379,81 @@ def test_trace_rows_in_a_mixed_stack():
             assert np.array_equal(got, want), b
         else:
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12), b
+
+
+@pytest.mark.parametrize("stack", ["mle", "calibration", "mixed"])
+def test_solve_block_writes_nothing_into_its_inputs(stack):
+    # The Newton loop computes in its own workspace: every argument of
+    # solve_block keeps its bytes. The mixed stack's calibration equations
+    # stop at six different iterations, so that stack is cut mid-run.
+    if stack == "mixed":
+        equations = _mixed_equations()
+    else:
+        equations = []
+        for seed in range(6):
+            x, pi, r, _ = random_instance(seed, n=30 + 5 * seed)
+            equations += (
+                [EstimatingEquation.mle(x, pi, r), EstimatingEquation.mle(x, pi, r, survey_weighted=True)]
+                if stack == "mle"
+                else [EstimatingEquation.cal_sample(x, pi, r),
+                      EstimatingEquation.cal_population(x, pi, r, _target_from(np.array([0.3, 0.1]), x, pi, r))]
+            )
+    kinds, *arrays = _padded(equations)
+    before = [a.copy() for a in arrays]
+    block = solve_block(kinds, *arrays)
+    if stack == "mixed":
+        it = block.iterations[4:]
+        assert 2 * np.count_nonzero(it < it.max()) >= len(it)
+    assert kinds == [eq.kind for eq in equations]
+    for a, b in zip(arrays, before):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_solve_block_memory_peak():
+    # The tracemalloc peak of solve_block on a 40 x 2000 x 2 MLE stack, in
+    # units U of one (B, n) float array, B n 8 bytes. Held through the
+    # Newton loop: 1/pi of the samples (one row per equation: 1 U), the
+    # gathered x (q = 2: 2 U), the weights (1 U), r as bool (U/8), the
+    # products x_i x_i' (q^2: 4 U) and the three workspace buffers (3 U),
+    # 11.125 U in all. A pass adds ~r (U/8) and, while backtracking, one
+    # gather of w or g over the pending equations (at most 1 U): 12.25 U,
+    # and the bound leaves U/4 for the small arrays. A loop that allocates
+    # its per-row terms anew on every pass peaks at 19.2 U here.
+    import tracemalloc
+
+    B, n, q = 40, 2000, 2
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.ones((B, n, 1)), rng.normal(4.0, 1.0, (B, n, q - 1))], axis=2)
+    pi = rng.uniform(0.2, 0.9, (B, n))
+    r = (rng.random((B, n)) < 1.0 / (1.0 + np.exp(-(x @ [0.1, 0.4])))).astype(np.int64)
+    args = (
+        [EEKind.MLE_K1, EEKind.MLE_KINVPI] * (B // 2), np.arange(B), x, pi, r, np.ones((B, n), dtype=bool),
+        np.zeros((B, 0, q)), np.ones((B, 0)), np.zeros((B, 0), dtype=bool), np.zeros((B, q)),
+    )
+    solve_block(*args)
+    tracemalloc.start()
+    try:
+        fit = solve_block(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fit.status == FitStatus.CONVERGED).all()
+    assert peak <= 12.5 * B * n * 8, peak / (B * n * 8)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_outer_rows_matches_einsum(q):
+    # Each entry is one IEEE product, as einsum's is, overflow and underflow
+    # included. (For q >= 3 einsum adds its products to +0, so a product
+    # that underflows to -0 reads +0 there: the test compares values.)
+    rng = np.random.default_rng(q)
+    x = rng.normal(size=(3, 50, q)) * 10.0 ** rng.integers(-200, 200, size=(3, 50, q))
+    x[0, :4], x[1, :4] = 0.0, -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.einsum("...i,...j->...ij", x, x).reshape(3, 50, q * q)
+        got = _outer_rows(x)
+    assert np.isinf(want).any() and (want == 0.0).any()
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_converged_fit_takes_the_final_newton_step():
@@ -545,8 +626,9 @@ def test_equation_rejects_non_finite_data(bad):
 
 
 def test_controls_validation():
-    with pytest.raises(ValueError):
-        SolverControls(tol=0.0)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            SolverControls(tol=tol)
     with pytest.raises(ValueError):
         SolverControls(max_iter=0)
 
