@@ -12,13 +12,13 @@ from nwacal import GenConfig, Variant, generate_population, linearization_gap, s
 from nwacal.montecarlo import Scenario
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--reps", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=314159)
     ap.add_argument("--sizes", default="100,400", help="comma-separated sample sizes")
     ap.add_argument("--rho", type=float, default=0.6)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     pop = generate_population(GenConfig(N=1000, rho=args.rho, seed=42))
     sizes = [int(s) for s in args.sizes.split(",")]

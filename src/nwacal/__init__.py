@@ -32,11 +32,9 @@ from .solvers import (
     FitResult,
     FitStatus,
     SolverControls,
-    calib_residual,
     jacobian,
     residual,
     response_probabilities,
-    score_mle,
     solve,
     solve_block,
 )

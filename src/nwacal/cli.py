@@ -2,8 +2,10 @@
 
 Subcommands: ``study`` (the full six-scenario simulation), ``scenario`` (one
 configured cell), ``fit`` (one-shot estimation from a user CSV), and
-``trace`` (solver iteration diagnostics). The CLI is a thin shell: every
-number it prints comes from the montecarlo/variance operations.
+``trace`` (solver iteration diagnostics). The CLI is a thin shell over the
+Monte Carlo engine: ``study`` and ``scenario`` call run_study, and ``fit``
+and ``trace`` fit their file as a stack of one sample, every variant in one
+solve_block call, and evaluate it as the engine evaluates a replicate.
 """
 
 from __future__ import annotations
@@ -18,18 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .designs import DesignKind, DesignSpec, poisson_design, srs_design
-from .estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
+from .estimators import FITTED_VARIANTS, Variant
 from .montecarlo import (
+    VARIANTS,
     Scenario,
     StudyReport,
     TAG_POPULATION,
+    _evaluate,
+    _fit,
+    _Stack,
     mix_seed,
     run_study,
     write_raw_records,
 )
 from .population import GenConfig, Population, generate_population
-from .solvers import SolverControls, _cholesky_solve, solve
-from .variance import var_hat
+from .solvers import FitStatus, SolverControls, _cholesky_solve
 
 __all__ = ["RunConfig", "parse_config", "run_full_study", "main"]
 
@@ -401,12 +406,15 @@ def _cmd_fit(args, trace: bool = False) -> int:
     path = Path(args.input)
     units, pi, r, aux, y = _read_fit_csv(path)
     totals = _parse_totals(args.totals, aux.shape[1]) if args.totals else None
-    if args.variants:
+    if args.variants is not None:
         names = args.variants.split(",")
+        if "" in names:
+            what = f"name in {args.variants!r}" if args.variants else "list"
+            raise ValueError(f"--variants: empty {what}")
         unknown = sorted(set(names) - {v.value for v in FITTED_VARIANTS})
         if unknown:
             raise ValueError(f"--variants: unknown {', '.join(unknown)}")
-        variants = tuple(Variant(v) for v in names)
+        variants = tuple(dict.fromkeys(Variant(v) for v in names))
         if Variant.CAL_U in variants and totals is None:
             raise ValueError(
                 f"--variants {Variant.CAL_U.value} needs --totals "
@@ -424,29 +432,29 @@ def _cmd_fit(args, trace: bool = False) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    fits = {v: solve(estimating_equation(v, aux, pi, r, totals), controls) for v in variants}
+    # The file is a stack of one sample, and every variant is one equation
+    # of one solve_block call, fitted whatever its number of respondents.
+    st, first = _Stack.of_one(aux, pi, y, r), np.zeros(1, dtype=np.intp)
+    _, _, fits = _fit(st, first, np.array([VARIANTS.index(v) for v in variants]), totals, controls)
     if trace:
-        for variant, fit in fits.items():
+        for variant, status, iterations, rows in zip(variants, fits.status, fits.iterations, fits.trace):
             with (out_dir / f"trace_{variant.value}.csv").open("w") as fh:
                 fh.write("iteration,residual_norm,step_size\n")
-                for it, rn, step in fit.trace:
+                for it, rn, step in rows:
                     fh.write(f"{it},{rn:.17g},{step:.17g}\n")
-            print(f"{variant.value}: status={fit.status.value} iterations={fit.iterations}")
+            print(f"{variant.value}: status={status.value} iterations={iterations}")
         return 0
 
-    mask = r == 1
-    n, n_r = len(units), int(mask.sum())
-    resp_units = [u for u, keep in zip(units, mask.tolist()) if keep]
-    pi_r, x_r, y_r = pi[mask], aux[mask], y[mask]
+    n, n_r = len(units), int(st.n_r[0])
+    resp_units = [u for u, keep in zip(units, (r == 1).tolist()) if keep]
     # A one-shot fit carries no joint-inclusion information; treat the units
     # as independently drawn (Poisson design), which zeroes the pair term.
-    design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(np.sum(pi_r)))
+    design = DesignSpec(kind=DesignKind.POISSON, pi=st.pi_r[0], n_target=float(np.sum(st.pi_r[0])))
     results = {}
-    for variant, fit in ((v, f) for v, f in fits.items() if f.converged):
+    for j, variant in ((j, v) for j, v in enumerate(variants) if fits.status[j] is FitStatus.CONVERGED):
         try:
             with np.errstate(over="raise"):
-                record = nwa_estimate(variant, pi_r, y_r, fit.p_hat[mask], fit)
-                results[variant] = record, var_hat(variant, design, pi_r, x_r, y_r, fit.p_hat[mask])
+                results[variant] = _evaluate(variant, design, st, first, fits.lambda_hat[j : j + 1])
         except FloatingPointError:
             raise ValueError(f"{variant.value}: the total or its variance overflows float64 (rescale y)") from None
     with (out_dir / "estimates.csv").open("w") as fh_est, (
@@ -455,17 +463,18 @@ def _cmd_fit(args, trace: bool = False) -> int:
         fh_est.write("variant,value,n,n_r,max_weight,status,iterations\n")
         fh_w.write("unit,variant,weight\n")
         fh_v.write("variant,v_sam,v_nr,v_total,ci_low,ci_high\n")
-        for variant, fit in fits.items():
+        for variant, status, iterations in zip(variants, fits.status, fits.iterations):
             name = variant.value
-            if not fit.converged:
-                fh_est.write(f"{name},nan,{n},{n_r},nan,{fit.status.value},{fit.iterations}\n")
-                print(f"{name}: {fit.status.value} after {fit.iterations} iterations")
+            if variant not in results:
+                fh_est.write(f"{name},nan,{n},{n_r},nan,{status.value},{iterations}\n")
+                print(f"{name}: {status.value} after {iterations} iterations")
                 continue
-            record, ve = results[variant]
-            fh_est.write(record.csv_row(n, n_r) + "\n")
-            fh_w.write(_weights_csv(resp_units, name, record.weights))
-            fh_v.write(ve.csv_row(variant, record.value) + "\n")
-            print(f"{name}: total={record.value:.6g} (n_r={n_r})")
+            values, w = results[variant]
+            value, v_sam, v_nr, lo, hi, max_w = values[0].tolist()
+            fh_est.write(f"{name},{value:.17g},{n},{n_r},{max_w:.17g},{status.value},{iterations}\n")
+            fh_w.write(_weights_csv(resp_units, name, w[0]))
+            fh_v.write(f"{name},{v_sam:.17g},{v_nr:.17g},{v_sam + v_nr:.17g},{lo:.17g},{hi:.17g}\n")
+            print(f"{name}: total={value:.6g} (n_r={n_r})")
     return 0
 
 

@@ -78,16 +78,6 @@ class EstimateRecord:
     variant: Variant
     value: float
     weights: np.ndarray
-    fit: FitResult | None = None
-
-    def csv_row(self, n: int, n_r: int) -> str:
-        max_w = float(np.max(self.weights)) if self.weights.size else float("nan")
-        status = self.fit.status.value if self.fit is not None else ""
-        iters = self.fit.iterations if self.fit is not None else 0
-        return (
-            f"{self.variant.value},{self.value:.17g},{n},{n_r},"
-            f"{max_w:.17g},{status},{iters}"
-        )
 
 
 def ht_estimate(pi_s: np.ndarray, y_s: np.ndarray) -> float:
@@ -126,7 +116,7 @@ def nwa_estimate(
     y_r = np.asarray(y_r, dtype=float)
     p_hat_r = np.asarray(p_hat_r, dtype=float)
     w = 1.0 / (pi_r * p_hat_r)
-    return EstimateRecord(variant=variant, value=float(w @ y_r), weights=w, fit=fit)
+    return EstimateRecord(variant=variant, value=float(w @ y_r), weights=w)
 
 
 def _solve_normal_equations(

@@ -26,7 +26,7 @@ from .designs import DesignSpec
 from .estimators import VARIANT_TO_EEKIND, Variant, linearized_block
 from .population import Population
 from .response import _draw_replicates
-from .solvers import EEKind, FitStatus, SolverControls, response_probabilities, solve_block
+from .solvers import EEKind, FitStatus, SolverControls, _rows_dot, _sample_stack, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
 __all__ = [
@@ -159,7 +159,8 @@ class _Stack(NamedTuple):
     """A block's samples (x, pi, y, the true p, r) and respondents (x_r,
     pi_r, y_r and the true p_r) as arrays padded to a common length, with
     masks of the real rows. Padding rows (x = 0, y = 0, pi = 1, r = 0,
-    p = 1) add exact zeros to every sum the engine takes."""
+    p = 1) add exact zeros to every sum the engine takes. p and p_r are
+    None where the true probabilities are unknown."""
 
     n_s: np.ndarray
     n_r: np.ndarray
@@ -174,6 +175,14 @@ class _Stack(NamedTuple):
     y_r: np.ndarray
     p_r: np.ndarray
     valid_r: np.ndarray
+
+    @classmethod
+    def of_one(cls, x: np.ndarray, pi: np.ndarray, y: np.ndarray, r: np.ndarray) -> _Stack:
+        """The stack of one sample (x, pi, y, r), as solve takes it, with
+        unknown true probabilities."""
+        x, pi, r, valid, x_r, pi_r, valid_r = _sample_stack(x, pi, r)
+        n_s, n_r = valid.sum(axis=1), valid_r.sum(axis=1)
+        return cls(n_s, n_r, x, pi, y[None], None, r, valid, x_r, pi_r, y[r[0] == 1][None], None, valid_r)
 
 
 def _unit_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
@@ -203,27 +212,25 @@ def _stack_draws(scenario: Scenario, indices: range, columns: tuple[np.ndarray, 
 _KINDS = np.array([VARIANT_TO_EEKIND.get(v) for v in VARIANTS], dtype=object)
 
 
-def _fit(scenario: Scenario, st: _Stack, columns: np.ndarray):
-    """Fit the variant columns ``columns`` of every replicate of a block
-    that has at least q respondents.
+def _fit(st: _Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray | None, controls: SolverControls):
+    """Fit the variant columns ``columns`` of the replicates ``rows`` of a
+    stack, with ``totals`` the population totals of the auxiliaries (read
+    only by population-level calibration).
 
-    All the equations go to solve_block as one stack, on the block's own
+    All the equations go to solve_block as one stack, on the stack's own
     sample and respondent stacks. Returns (replicate, variant column) of
-    each equation and the BlockFit.
+    each equation, variant-major, and the BlockFit.
     """
-    pop = scenario.population
-    rows = np.flatnonzero(st.n_r >= pop.n_aux)
     # Equation j fits variant column fit_v[j] on replicate fit_b[j].
     fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
     kinds = _KINDS[fit_v]
-    target = np.zeros((fit_b.size, pop.n_aux))
-    target[kinds == EEKind.CAL_POPULATION] = pop.aux.sum(axis=0)
-    cal_s = kinds == EEKind.CAL_SAMPLE
+    target = np.zeros((fit_b.size, st.x.shape[2]))
+    cal_u, cal_s = kinds == EEKind.CAL_POPULATION, kinds == EEKind.CAL_SAMPLE
+    if cal_u.any():
+        target[cal_u] = totals
     if cal_s.any():
-        target[cal_s] = ((1.0 / st.pi)[:, None, :] @ st.x)[fit_b[cal_s], 0]
-    fits = solve_block(
-        kinds, fit_b, st.x, st.pi, st.r, st.valid, st.x_r, st.pi_r, st.valid_r, target, scenario.controls
-    )
+        target[cal_s] = _rows_dot(1.0 / st.pi, st.x)[fit_b[cal_s]]
+    fits = solve_block(kinds, fit_b, st.x, st.pi, st.r, st.valid, st.x_r, st.pi_r, st.valid_r, target, controls)
     return fit_b, fit_v, fits
 
 
@@ -235,6 +242,20 @@ def _estimates(st: _Stack, b: np.ndarray, lam: np.ndarray):
     p_hat = np.where(valid_r, response_probabilities(x_r, lam), 1.0)
     w = 1.0 / (pi_r * p_hat)
     return rows, p_hat, w, np.sum(w * y_r, axis=1)
+
+
+def _evaluate(variant: Variant, design: DesignSpec, st: _Stack, b: np.ndarray, lam: np.ndarray):
+    """The raw-CSV values (_FIELDS) of ``variant`` on replicates ``b`` from
+    their converged fits ``lam``: the estimate, the variance components of
+    var_hat_block, the 95% interval (NaN where the variance is negative or
+    not finite) and the largest weight; and the weights (B, m)."""
+    (pi_r, x_r, y_r, valid_r), p_hat, w, estimate = _estimates(st, b, lam)
+    v_sam, v_nr, _ = var_hat_block(variant, design, pi_r, x_r, y_r, p_hat)
+    v_total = v_sam + v_nr
+    with np.errstate(invalid="ignore"):
+        half = Z_95 * np.sqrt(np.where(np.isfinite(v_total) & (v_total >= 0.0), v_total, np.nan))
+    values = np.column_stack([estimate, v_sam, v_nr, estimate - half, estimate + half, _row_max(w, valid_r)])
+    return values, w
 
 
 def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
@@ -250,22 +271,17 @@ def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
     values[:, true_p, 0] = np.sum(st.y_r * w_true, axis=1)
     values[:, true_p, 5] = _row_max(w_true, st.valid_r)
 
-    status[np.outer(st.n_r < scenario.population.n_aux, _FITTED)] = STATUSES.index(STATUS_DEGENERATE)
-    fit_b, fit_v, fits = _fit(scenario, st, np.flatnonzero(_FITTED))
+    # A replicate with fewer than q respondents is degenerate: not fitted.
+    degenerate = st.n_r < scenario.population.n_aux
+    status[np.outer(degenerate, _FITTED)] = STATUSES.index(STATUS_DEGENERATE)
+    totals = scenario.population.aux.sum(axis=0)
+    fit_b, fit_v, fits = _fit(st, np.flatnonzero(~degenerate), np.flatnonzero(_FITTED), totals, scenario.controls)
     status[fit_b, fit_v] = [_STATUS_CODE[s] for s in fits.status]
     iterations[fit_b, fit_v] = fits.iterations
     ok = fits.status == FitStatus.CONVERGED
     for vi in np.flatnonzero(np.bincount(fit_v[ok], minlength=V)):
         j = ok & (fit_v == vi)
-        b = fit_b[j]
-        (pi_r, x_r, y_r, valid_r), p_hat, w, estimate = _estimates(st, b, fits.lambda_hat[j])
-        v_sam, v_nr, _ = var_hat_block(VARIANTS[vi], scenario.design, pi_r, x_r, y_r, p_hat)
-        v_total = v_sam + v_nr
-        with np.errstate(invalid="ignore"):
-            half = Z_95 * np.sqrt(np.where(np.isfinite(v_total) & (v_total >= 0.0), v_total, np.nan))
-        values[b, vi] = np.column_stack(
-            [estimate, v_sam, v_nr, estimate - half, estimate + half, _row_max(w, valid_r)]
-        )
+        values[fit_b[j], vi] = _evaluate(VARIANTS[vi], scenario.design, st, fit_b[j], fits.lambda_hat[j])[0]
     return ReplicateColumns(st.n_s, st.n_r, status, values, iterations)
 
 
@@ -451,7 +467,8 @@ def linearization_gap(
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, L, BLOCK):
         st = _stack_draws(scenario, range(start, min(start + BLOCK, L)), columns)
-        fit_b, fit_v, fits = _fit(scenario, st, asked)
+        rows = np.flatnonzero(st.n_r >= pop.n_aux)
+        fit_b, fit_v, fits = _fit(st, rows, asked, pop.aux.sum(axis=0), scenario.controls)
         ok = fits.status == FitStatus.CONVERGED
         for variant in gaps:
             j = ok & (fit_v == VARIANTS.index(variant))

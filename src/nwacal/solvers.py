@@ -17,7 +17,8 @@ a proof: a converged fit writes c as a strictly positive combination of the
 rows, so a finite solution exists; a diverged one has a direction along
 which F never increases, so none does (for the MLE kinds, separation).
 solve_block runs the iteration on a stack of equations and gives every
-equation its status; solve is its stack of one.
+equation its status; solve is its stack of one, and residual and jacobian
+evaluate its terms for the stack of one.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "FitStatus",
     "FitResult",
     "FitNotConvergedError",
-    "score_mle",
-    "calib_residual",
     "residual",
     "jacobian",
     "solve",
@@ -135,8 +134,8 @@ class EstimatingEquation:
     def cal_sample(cls, x, pi, r) -> "EstimatingEquation":
         x = np.atleast_2d(np.asarray(x, dtype=float))
         pi = np.asarray(pi, dtype=float)
-        target = (x / pi[:, None]).sum(axis=0)
-        return cls(kind=EEKind.CAL_SAMPLE, x=x, pi=pi, r=r, target=target)
+        # sum_i x_i/pi_i by the engine's own product, so solve and the engine fit one target.
+        return cls(kind=EEKind.CAL_SAMPLE, x=x, pi=pi, r=r, target=_rows_dot(1.0 / pi[None], x[None])[0])
 
 
 @dataclass(frozen=True)
@@ -184,49 +183,6 @@ class FitResult:
         return self.status is FitStatus.CONVERGED
 
 
-def score_mle(lam, x, pi, r, survey_weighted: bool = False) -> np.ndarray:
-    """MLE score sum_S k_i (r_i - f_i) x_i with k = 1 or 1/pi."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    pi = np.asarray(pi, dtype=float)
-    r = np.asarray(r, dtype=float)
-    f = expit(x @ np.asarray(lam, dtype=float))
-    k = 1.0 / pi if survey_weighted else np.ones_like(pi)
-    return (k * (r - f)) @ x
-
-
-def calib_residual(lam, x_r, pi_r, target) -> np.ndarray:
-    """Calibration residual sum_{S_r} x_i/(pi_i f_i) - target in raking form."""
-    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
-    pi_r = np.asarray(pi_r, dtype=float)
-    eta = x_r @ np.asarray(lam, dtype=float)
-    with np.errstate(over="ignore"):
-        inv_f = 1.0 + np.exp(-eta)
-    return (inv_f / pi_r) @ x_r - np.asarray(target, dtype=float)
-
-
-def residual(lam, eq: EstimatingEquation) -> np.ndarray:
-    """Residual of the estimating equation at lam (zero at a solution)."""
-    if eq.kind in (EEKind.MLE_K1, EEKind.MLE_KINVPI):
-        return score_mle(lam, eq.x, eq.pi, eq.r, survey_weighted=eq.kind is EEKind.MLE_KINVPI)
-    mask = eq.r == 1
-    return calib_residual(lam, eq.x[mask], eq.pi[mask], eq.target)
-
-
-def jacobian(lam, eq: EstimatingEquation) -> np.ndarray:
-    """Analytical Jacobian of the residual with respect to lam."""
-    lam = np.asarray(lam, dtype=float)
-    if eq.kind in (EEKind.MLE_K1, EEKind.MLE_KINVPI):
-        f = expit(eq.x @ lam)
-        k = 1.0 / eq.pi if eq.kind is EEKind.MLE_KINVPI else np.ones_like(eq.pi)
-        u = k * f * (1.0 - f)
-        return -(eq.x * u[:, None]).T @ eq.x
-    mask = eq.r == 1
-    x_r = eq.x[mask]
-    with np.errstate(over="ignore"):
-        g = np.exp(-(x_r @ lam)) / eq.pi[mask]
-    return -(x_r * g[:, None]).T @ x_r
-
-
 def response_probabilities(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Fitted probabilities expit(x_i.lam), clipped into the open interval so
     reweighting never divides by zero. A stack of coefficient rows (B, q)
@@ -242,9 +198,10 @@ def _row_terms(eta: np.ndarray, w: np.ndarray, r: np.ndarray, softplus: bool, g:
     Returns (u, h, g): the residual -grad F is sum_i u_i x_i - c and the
     Hessian sum_i h_i x_i x_i'; g is |r_i - f_i| = sigma(-a_i.lam) for
     softplus and w_i exp(-a_i.lam) for exp. The MLE terms come from
-    f = expit(x.lam) = 1/(1 + exp(-eta)) in the r - f form of score_mle,
-    with r boolean; u takes eta's storage. The exp terms are one array in
-    eta's storage (u = h = g), and the buffers are left as they were.
+    f = expit(x.lam) = 1/(1 + exp(-eta)) in the r - f form of the score
+    sum_i k_i (r_i - f_i) x_i, with r boolean; u takes eta's storage. The
+    exp terms are one array in eta's storage (u = h = g), and the buffers
+    are left as they were.
     """
     e = np.exp(np.negative(eta, out=eta), out=eta)
     if softplus:
@@ -527,6 +484,19 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
                 ]
 
 
+def _terms(softplus: bool, kinds, rep, x, inv_pi, r, valid, x_r, pi_r, valid_r, target):
+    """The terms (x, w, r, c) of the F of each equation of one family
+    (softplus: the MLE kinds; exp: calibration), from the arguments of
+    solve_block with inv_pi, the 1/pi of the real rows, in place of pi.
+    Padding rows have w = 0. Calibration: the respondents, w_i = 1/pi_i and
+    c = target - sum_i w_i x_i; MLE: the sample, w_i = k_i and c = 0."""
+    if softplus:
+        w = np.where((kinds == EEKind.MLE_KINVPI)[:, None], inv_pi[rep], valid[rep])
+        return x[rep], w, (r == 1)[rep], np.zeros(target.shape)
+    d = np.where(valid_r, 1.0 / pi_r, 0.0)
+    return x_r[rep], d[rep], np.broadcast_to(True, (len(rep), d.shape[1])), target - _rows_dot(d, x_r)[rep]
+
+
 class BlockFit(NamedTuple):
     """Outcome of solve_block, indexed by equation: the coefficients, the
     FitStatus, the Newton iterations, the residual norm at the last iterate
@@ -594,17 +564,7 @@ def solve_block(
     for sel, softplus in ((cal, False), (~cal, True)):
         if not sel.any():
             continue
-        rows = rep[sel]
-        # The terms (x, w, r, c) of each equation's F; padding rows have
-        # w = 0. Calibration: the respondents, w_i = 1/pi_i and
-        # c = target - sum_i w_i x_i; MLE: the sample, w_i = k_i and c = 0.
-        if softplus:
-            w = np.where((kinds[sel] == EEKind.MLE_KINVPI)[:, None], inv_pi[rows], valid[rows])
-            terms = x[rows], w, (r == 1)[rows], np.zeros((len(rows), target.shape[1]))
-        else:
-            d = np.where(valid_r, 1.0 / pi_r, 0.0)
-            c = target[sel] - _rows_dot(d, x_r)[rows]
-            terms = x_r[rows], d[rows], np.broadcast_to(True, (len(rows), d.shape[1])), c
+        terms = _terms(softplus, kinds[sel], rep[sel], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[sel])
         lam_hat[sel], codes[sel], iterations[sel], rn[sel], part = _block_newton(
             *terms, softplus, lam[sel], tol[sel], short[sel], controls, work
         )
@@ -631,13 +591,7 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     times its diagonal entry), the rule that also flags singular gamma
     systems in the variance estimators.
     """
-    # Only the calibration kinds read the respondent stack.
-    resp = (eq.r == 1) & (eq.kind in _CAL_KINDS)
-    fit = solve_block(
-        [eq.kind], [0], eq.x[None], eq.pi[None], eq.r[None], np.ones((1, len(eq.r)), dtype=bool),
-        eq.x[resp][None], eq.pi[resp][None], np.ones((1, int(resp.sum())), dtype=bool),
-        eq.target[None], controls,
-    )
+    fit = solve_block([eq.kind], [0], *_sample_stack(eq.x, eq.pi, eq.r), eq.target[None], controls)
     lam = fit.lambda_hat[0]
     return FitResult(
         lambda_hat=lam,
@@ -647,3 +601,38 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
         residual_norm=float(fit.residual_norm[0]),
         trace=tuple(fit.trace[0]),
     )
+
+
+def _sample_stack(x: np.ndarray, pi: np.ndarray, r: np.ndarray):
+    """The sample stack (x, pi, r, valid) and respondent stack (x_r, pi_r,
+    valid_r) of solve_block for the one sample (x, pi, r), without padding."""
+    resp = r == 1
+    return (x[None], pi[None], r[None], np.ones((1, len(r)), dtype=bool),
+            x[resp][None], pi[resp][None], np.ones((1, int(resp.sum())), dtype=bool))
+
+
+def _terms_at(lam, eq: EstimatingEquation):
+    """The rows x (1, n, q) of eq's F and, at lam, its residual (1, q) and
+    Hessian weights h (1, n): the terms that solve_block builds and
+    _block_newton evaluates, for the stack of one."""
+    x, pi, *rest = _sample_stack(eq.x, eq.pi, eq.r)
+    softplus = eq.kind not in _CAL_KINDS
+    x, w, r, c = _terms(softplus, np.array([eq.kind]), [0], x, 1.0 / pi, *rest, eq.target[None])
+    eta = _matvec(x, np.asarray(lam, dtype=float)[None])
+    with np.errstate(over="ignore"):
+        u, h, _ = _row_terms(eta, w, r, softplus, np.empty_like(eta), np.empty_like(eta))
+    return x, _rows_dot(u, x) - c, h
+
+
+def residual(lam, eq: EstimatingEquation) -> np.ndarray:
+    """Residual -grad F = sum_i u_i x_i - c of the estimating equation at lam
+    (zero at a solution), from the solver's own per-row terms."""
+    return _terms_at(lam, eq)[1][0]
+
+
+def jacobian(lam, eq: EstimatingEquation) -> np.ndarray:
+    """Jacobian -sum_i h_i x_i x_i' of the residual with respect to lam,
+    from the solver's own per-row terms."""
+    x, _, h = _terms_at(lam, eq)
+    q = x.shape[-1]
+    return -_rows_dot(h, _outer_rows(x))[0].reshape(q, q)

@@ -64,14 +64,6 @@ class VarianceEstimate:
     def total(self) -> float:
         return self.v_sam + self.v_nr
 
-    def csv_row(self, variant: Variant, estimate: float) -> str:
-        ci = confidence_interval(estimate, self.total) if math.isfinite(self.total) else None
-        lo, hi = ci if ci is not None else (math.nan, math.nan)
-        return (
-            f"{variant.value},{self.v_sam:.17g},{self.v_nr:.17g},"
-            f"{self.total:.17g},{lo:.17g},{hi:.17g}"
-        )
-
 
 @dataclass(frozen=True)
 class TheoreticalVariance:

@@ -1,4 +1,5 @@
-"""Independent oracles used by the tests: brute-force minimizers and finite differences.
+"""Independent oracles used by the tests: brute-force minimizers, finite
+differences, and the paper's estimating equations in their own form.
 
 Kept free of any solver internals so the checks stay meaningful.
 """
@@ -80,6 +81,35 @@ def write_raw_records_loop(path, cols, header_comment=None) -> None:
                 else:
                     fields = (estimate, v_sam, v_nr, lo, hi, number(max_w))
                 fh.write(f"{i},{variant.value},{','.join(map(fmt, fields))},{status}\n")
+
+
+def score_mle(lam, x, pi, r, survey_weighted: bool = False) -> np.ndarray:
+    """The paper's MLE score sum_S k_i (r_i - f_i) x_i with f = expit(x.lam)
+    and k = 1 or 1/pi."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    pi = np.asarray(pi, dtype=float)
+    with np.errstate(over="ignore"):
+        f = 1.0 / (1.0 + np.exp(-(x @ np.asarray(lam, dtype=float))))
+    k = 1.0 / pi if survey_weighted else np.ones_like(pi)
+    return (k * (np.asarray(r, dtype=float) - f)) @ x
+
+
+def calib_residual(lam, x_r, pi_r, target) -> np.ndarray:
+    """The paper's calibration residual sum_{S_r} x_i/(pi_i f_i) - target in
+    raking form, 1/f_i = 1 + exp(-x_i.lam)."""
+    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
+    with np.errstate(over="ignore"):
+        inv_f = 1.0 + np.exp(-(x_r @ np.asarray(lam, dtype=float)))
+    return (inv_f / np.asarray(pi_r, dtype=float)) @ x_r - np.asarray(target, dtype=float)
+
+
+def paper_residual(lam, eq: EstimatingEquation) -> np.ndarray:
+    """The residual of eq at lam by the paper's formulas: score_mle for the
+    MLE kinds, calib_residual over the respondents for calibration."""
+    if eq.kind.value.startswith("mle"):
+        return score_mle(lam, eq.x, eq.pi, eq.r, survey_weighted=eq.kind.value == "mle_kinvpi")
+    mask = eq.r == 1
+    return calib_residual(lam, eq.x[mask], eq.pi[mask], eq.target)
 
 
 def fd_jacobian(lam, eq: EstimatingEquation, h: float = 1e-6) -> np.ndarray:

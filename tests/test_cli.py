@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from oracles import read_fit_csv_lines
 
 import nwacal
-from nwacal import solve
+from nwacal import DesignKind, DesignSpec, confidence_interval, solve, var_hat
 from nwacal.cli import RunConfig, _read_fit_csv, _weights_csv, config_hash, main, parse_config, study_scenarios
 from nwacal.estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
 
@@ -126,6 +127,57 @@ def test_fit_subcommand(tmp_path):
     var_lines = (out / "variance.csv").read_text().splitlines()
     assert var_lines[0] == "variant,v_sam,v_nr,v_total,ci_low,ci_high"
     assert len(var_lines) == 4
+
+
+# One respondent, inside the range of the nonrespondents' x1: fewer than q = 2
+# respondents, yet the MLE fits have a finite solution.
+_ONE_RESPONDENT_ROWS = ["unit,pi,r,x1,y", "a,0.5,1,4.0,3.0", "b,0.4,0,5.0,", "c,0.5,0,3.0,", "d,0.25,0,4.5,"]
+
+
+def _write_one_respondent_csv(path):
+    path.write_text("\n".join(_ONE_RESPONDENT_ROWS) + "\n")
+
+
+@pytest.mark.parametrize("write", [_write_fit_csv, _write_one_respondent_csv])
+@pytest.mark.parametrize("totals", [None, "120,485"])
+def test_fit_rows_match_the_step_api(tmp_path, write, totals):
+    # Every row of estimates.csv and variance.csv against the fit redone
+    # through the public step API: solve, nwa_estimate, var_hat and
+    # confidence_interval, on the independent-draws (Poisson) design.
+    path = tmp_path / "units.csv"
+    write(path)
+    out = tmp_path / "o"
+    assert main(["fit", "--input", str(path), "--out", str(out)] + (["--totals", totals] if totals else [])) == 0
+    units, pi, r, aux, y = read_fit_csv_lines(path)
+    tot = None if totals is None else np.array([float(v) for v in totals.split(",")])
+    mask = r == 1
+    pi_r, x_r, y_r = pi[mask], aux[mask], y[mask]
+    design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
+    estimates = {ln.split(",")[0]: ln.split(",") for ln in (out / "estimates.csv").read_text().splitlines()[1:]}
+    variances = {ln.split(",")[0]: ln.split(",") for ln in (out / "variance.csv").read_text().splitlines()[1:]}
+    variants = [v for v in FITTED_VARIANTS if v is not Variant.CAL_U or tot is not None]
+    assert list(estimates) == [v.value for v in variants]
+
+    def same(cells, want):
+        assert [float(c) for c in cells] == pytest.approx(want, rel=1e-13, abs=0.0, nan_ok=True)
+
+    for variant in variants:
+        fit = solve(estimating_equation(variant, aux, pi, r, tot))
+        row = estimates[variant.value]
+        assert row[2:4] + row[5:] == [str(len(units)), str(mask.sum()), fit.status.value, str(fit.iterations)]
+        if not fit.converged:
+            assert row[1] == row[4] == "nan" and variant.value not in variances
+            continue
+        record = nwa_estimate(variant, pi_r, y_r, fit.p_hat[mask], fit)
+        ve = var_hat(variant, design, pi_r, x_r, y_r, fit.p_hat[mask])
+        ci = confidence_interval(record.value, ve.total) or (math.nan, math.nan)
+        same([row[1], row[4]], [record.value, np.max(record.weights)])
+        same(variances[variant.value][1:], [ve.v_sam, ve.v_nr, ve.total, *ci])
+    if write is _write_one_respondent_csv:
+        # Fewer than q respondents: fitted, not degenerate, and the singular
+        # gamma system leaves v_nr and the interval NaN.
+        assert estimates["mle_1"][5] == "converged"
+        assert variances["mle_1"][2:] == ["nan"] * 4
 
 
 def test_fit_with_population_totals(tmp_path):
@@ -276,6 +328,20 @@ def test_fit_rejects_unknown_variant(tmp_path, capsys):
     rc = main(["fit", "--input", str(path), "--variants", "cal_S,ht", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "error: --variants: unknown ht\n"
+
+
+@pytest.mark.parametrize(
+    "variants, message",
+    [("", "empty list"), (",", "empty name in ','"), ("cal_S,", "empty name in 'cal_S,'"),
+     ("mle_1,,cal_S", "empty name in 'mle_1,,cal_S'")],
+)
+def test_fit_rejects_an_empty_variant_list_or_name(tmp_path, capsys, variants, message):
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(_GOOD_FIT_ROWS) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit", "--input", str(path), f"--variants={variants}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --variants: {message}\n"
+    assert not out.exists()
 
 
 # Each bad row or --totals value, and the message it stops fit with.

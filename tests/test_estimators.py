@@ -298,17 +298,3 @@ def test_linearized_gap_shrinks_with_sample_size(study_population):
         )
         gaps[n] = linearization_gap(sc, (Variant.CAL_S,))[Variant.CAL_S]
     assert gaps[240] < gaps[60]
-
-
-def test_estimate_record_csv_row(small_population):
-    d = srs_design(200, 20)
-    s = draw_sample(d, 2)
-    y_s = small_population.y[s.indices]
-    fit = _converged_dummy_fit(np.full(s.size, 0.8))
-    rec = nwa_estimate(Variant.CAL_S, s.pi_s, y_s, fit.p_hat, fit)
-    row = rec.csv_row(n=20, n_r=20)
-    cells = row.split(",")
-    assert cells[0] == "cal_S"
-    assert float(cells[1]) == rec.value
-    assert cells[2] == "20" and cells[3] == "20"
-    assert cells[5] == "converged"

@@ -1,0 +1,24 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_linearization_diagnostic_prints_one_gap_line_per_variant(capsys):
+    script = _load("linearization_diagnostic")
+    assert script.main(["--reps", "30", "--sizes", "60,120"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "median |plug-in - linearized| / N over 30 replicates"
+    assert lines[1].split() == ["variant", "n=60", "n=120"]
+    rows = [ln.split() for ln in lines[2:]]
+    assert [row[0] for row in rows] == ["mle_1", "cal_U", "cal_S"]
+    for row in rows:
+        gaps = [float(v) for v in row[1:]]
+        assert len(gaps) == 2 and all(0.0 < g < 1.0 for g in gaps), row

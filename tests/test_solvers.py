@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from oracles import calibration_margin, fd_jacobian, grid_minimizer
+from oracles import calib_residual, calibration_margin, fd_jacobian, grid_minimizer, paper_residual, score_mle
 
 from nwacal import (
     EEKind,
     EstimatingEquation,
     FitStatus,
     SolverControls,
-    calib_residual,
     jacobian,
     residual,
-    score_mle,
     solve,
     solve_block,
 )
-from nwacal.solvers import _cholesky_solve, _has_certificate, _outer_rows
+from nwacal.solvers import _cholesky_solve, _has_certificate, _matvec, _outer_rows, _row_terms, _rows_dot, _terms
 
 
 def _logit(p):
@@ -499,6 +497,45 @@ def test_jacobian_matches_finite_differences(seed):
         analytic = jacobian(lam, eq)
         numeric = fd_jacobian(lam, eq)
         assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_matches_the_paper_equations_on_padded_stacks(seed):
+    # The residual Newton uses, sum_i u_i x_i - c from the terms solve_block
+    # builds on padded sample and respondent stacks, equals the paper's MLE
+    # score and calibration residual on each equation's own rows, for all
+    # four kinds; residual(lam, eq), the stack of one, equals both.
+    rng = np.random.default_rng(seed)
+    R, q = 5, 3
+    sizes = rng.integers(4, 12, R)
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    x = np.where(valid[..., None], np.dstack([np.ones(valid.shape), rng.normal(0.0, 1.0, (*valid.shape, q - 1))]), 0.0)
+    pi = np.where(valid, rng.uniform(0.2, 0.9, valid.shape), 1.0)
+    r = (valid & (rng.random(valid.shape) < 0.6)).astype(np.int64)
+    valid_r = np.arange(r.sum(axis=1).max()) < r.sum(axis=1)[:, None]
+    x_r, pi_r = np.zeros((*valid_r.shape, q)), np.ones(valid_r.shape)
+    x_r[valid_r], pi_r[valid_r] = x[r == 1], pi[r == 1]
+    kinds = np.repeat(np.array(list(EEKind), dtype=object), R)
+    rep = np.tile(np.arange(R), len(EEKind))
+    target = np.zeros((len(kinds), q))
+    target[kinds == EEKind.CAL_POPULATION] = rng.uniform(50.0, 100.0, (R, q))
+    target[kinds == EEKind.CAL_SAMPLE] = (x / pi[..., None]).sum(axis=1)
+    lam = rng.normal(0.0, 0.5, (len(kinds), q))
+    inv_pi = np.where(valid, 1.0 / pi, 0.0)
+    for softplus in (False, True):
+        sel = np.flatnonzero([(k in (EEKind.MLE_K1, EEKind.MLE_KINVPI)) == softplus for k in kinds])
+        xs, w, rs, c = _terms(softplus, kinds[sel], rep[sel], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[sel])
+        eta = _matvec(xs, lam[sel])
+        u, _, _ = _row_terms(eta, w, rs, softplus, np.empty_like(eta), np.empty_like(eta))
+        got = _rows_dot(u, xs) - c
+        for j, b in enumerate(sel):
+            k = rep[b]
+            eq = EstimatingEquation(kinds[b], x[k, valid[k]], pi[k, valid[k]], r[k, valid[k]], target[b])
+            want = paper_residual(lam[b], eq)
+            bound = float((np.abs(eq.x).sum(axis=1) / eq.pi).sum() * np.exp(np.abs(eq.x @ lam[b])).max())
+            atol = 1e-13 * (bound + np.abs(eq.target).sum())
+            np.testing.assert_allclose(got[j], want, rtol=0.0, atol=atol, err_msg=str(kinds[b]))
+            np.testing.assert_allclose(residual(lam[b], eq), want, rtol=0.0, atol=atol, err_msg=str(kinds[b]))
 
 
 def test_calibration_jacobian_negative_definite():

@@ -282,14 +282,3 @@ def test_confidence_interval_length_identity():
     for v in (0.1, 4.0, 123.4):
         lo, hi = confidence_interval(0.0, v)
         assert hi - lo == pytest.approx(2 * 1.96 * math.sqrt(v), rel=1e-14)
-
-
-def test_variance_csv_row():
-    pi_r, x_r, y_r, p_hat_r = _toy_respondents(30, m=5)
-    design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
-    ve = var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
-    row = ve.csv_row(Variant.CAL_S, estimate=100.0)
-    cells = row.split(",")
-    assert cells[0] == "cal_S"
-    assert float(cells[3]) == pytest.approx(ve.total, rel=1e-15)
-    assert float(cells[5]) > float(cells[4])
