@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""What one cold study block allocates.
+
+Builds a population and an SRSWOR design (by default at the sizes of the
+perfbench large-srs workload: N = 20000, n = 2000, one block of 20
+replicates), then runs the block once in this fresh process: its draws,
+then its fits, estimates and variances, then its fits alone again on the
+same draws (warm). For each stage it prints the tracemalloc peak and the
+process's minor page faults (ru_minflt, counted with tracemalloc on); then
+the process's peak RSS (ru_maxrss).
+
+    PYTHONPATH=src python scripts/block_footprint.py [--N 20000 --n 2000 --reps 20]
+"""
+
+import argparse
+import resource
+import tracemalloc
+
+import numpy as np
+
+from nwacal import GenConfig, generate_population, srs_design
+from nwacal.montecarlo import _FITTED, Scenario, _fit, _run_block, _stack_draws, _unit_columns
+
+
+def _stage(name: str, run):
+    """run() with tracemalloc on: prints its traced peak and its minor page
+    faults, and returns its result."""
+    tracemalloc.reset_peak()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    result = run()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    print(f"{name:<16}{tracemalloc.get_traced_memory()[1] / 2**20:>16.3f}{faults:>10}")
+    return result
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--N", type=int, default=20_000, help="population size")
+    ap.add_argument("--n", type=int, default=2_000, help="sample size")
+    ap.add_argument("--reps", type=int, default=20, help="replicates in the block (at most 64)")
+    ap.add_argument("--rho", type=float, default=0.6)
+    ap.add_argument("--seed", type=int, default=3000)
+    args = ap.parse_args(argv)
+    if not 1 <= args.reps <= 64:
+        ap.error("--reps must lie in [1, 64], one block")
+
+    pop = generate_population(GenConfig(N=args.N, rho=args.rho, seed=args.seed))
+    scenario = Scenario(population=pop, design=srs_design(args.N, args.n), reps=args.reps, master_seed=args.seed)
+    columns = _unit_columns(scenario)
+
+    print(f"one block of {args.reps} replicates: srs N={args.N} n={args.n} rho={args.rho} seed={args.seed}")
+    print(f"{'stage':<16}{'traced_peak_mb':>16}{'minflt':>10}")
+    tracemalloc.start()
+    st = _stage("draws", lambda: _stack_draws(scenario, range(args.reps), columns))
+    _stage("fit_evaluate", lambda: _run_block(scenario, st))
+    rows = np.flatnonzero(st.n_r >= pop.n_aux)
+    _stage("fit_warm", lambda: _fit(st, rows, np.flatnonzero(_FITTED), pop.aux.sum(axis=0), scenario.controls))
+    tracemalloc.stop()
+    print(f"ru_maxrss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

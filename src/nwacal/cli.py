@@ -423,6 +423,10 @@ def _cmd_fit(args, trace: bool = False) -> int:
     else:
         # Population-level calibration runs only when its totals are given.
         variants = tuple(v for v in FITTED_VARIANTS if v is not Variant.CAL_U or totals is not None)
+    # Every fit's Hessian sums x_i x_i' with weights of about 1/pi_i: past float64 none can run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite((aux.T / pi) @ aux).all():
+            raise ValueError("the x columns overflow float64 in sum_i x_i x_i'/pi_i (rescale x)")
     # The package's one singularity rule, on the Gram matrix of the sample's
     # auxiliaries with each column scaled to a largest |x| of 1.
     z = aux / np.maximum(np.abs(aux).max(axis=0), np.finfo(float).tiny)

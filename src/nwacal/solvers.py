@@ -230,16 +230,15 @@ def _exists(ad: np.ndarray, ad_max, g: np.ndarray, softplus: bool, v: np.ndarray
 def _change(alpha, p, ad: np.ndarray, w: np.ndarray, g: np.ndarray, softplus: bool, v: np.ndarray):
     """F(lam + alpha delta) - F(lam) less its linear term, free of
     cancellation: sum_i w_i (phi(-a_i.lam - alpha a_i.delta) - phi(-a_i.lam))
-    for the equations p of a stack, with g from _row_terms and alpha of
-    shape (len(p), 1), in v's rows (mode "clip": take fills them unbuffered)."""
+    for the equations p of a stack, with g from _row_terms, w = g (exp)
+    or the weights (softplus) and alpha of shape (len(p), 1), in v's rows
+    (mode "clip": take fills them unbuffered)."""
     v = np.take(ad, p, axis=0, out=v[: len(p)], mode="clip")
     v *= -alpha
     np.expm1(v, out=v)
     if softplus:
         v *= g[p]
         np.log1p(v, out=v)
-    else:
-        w = g
     return (w[p][:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
@@ -282,22 +281,27 @@ def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
 #
 # Every equation is solved as part of a stack: each array carries a leading
 # stack axis, and samples of different sizes are padded to a common length
-# with rows that add exact zeros. solve is the stack of one.
+# with rows that add exact zeros. solve is the stack of one. A family's
+# equations sit on a grid of slots over the samples (see _slots).
+
+# exp(-x.lam) and x_i x_i' may overflow, and F(lam + alpha delta) - F(lam)
+# then be NaN: the loop and its terms leave that to the tests on results.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i w_i x_i per equation: (B, n) and (B, n, k) to (B, k)."""
-    return (w[:, None, :] @ x)[:, 0]
+    """sum_i w_i x_i per equation: (..., n) and (..., n, k) to (..., k)."""
+    return (w[..., None, :] @ x)[..., 0, :]
 
 
 def _matvec(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x_i.v_b per equation: (B, n, q) and (B, q) to (B, n), into out if given."""
+    """x_i.v per equation: (..., n, q) and (..., q) to (..., n), into out if given."""
     return np.matmul(x, v[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
 def _outer_rows(x: np.ndarray) -> np.ndarray:
-    """x_i x_i' per unit, flattened: (B, n, q) to (B, n, q*q), so that
-    sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (B, q, q).
+    """x_i x_i' per unit, flattened: (R, n, q) to (R, n, q*q), so that
+    sum_i w_i x_i x_i' = _rows_dot(w, _outer_rows(x)) reshaped to (..., q, q).
     Each entry is the one product x_ia x_ib, written in place column by
     column (a copy between the triangles of one array would be buffered)."""
     q = x.shape[-1]
@@ -368,15 +372,16 @@ _CONVERGED, _MAX_ITERATIONS, _SINGULAR, _DIVERGED = range(4)
 _STOPPED = len(_CODES)
 
 
-def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverControls, work):
+def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, ids, controls: SolverControls, work, out):
     """Newton's method with an Armijo line search on the convex
 
         F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,   a_i = (2 r_i - 1) x_i,
 
-    for each equation of a stack. The residual is -grad F and the Hessian
-    sum_i w_i phi''(-a_i.lam) a_i a_i' is minus the Jacobian. Each iteration
-    solves for the Newton direction delta with _cholesky_solve (a Hessian
-    singular by its rule: SINGULAR_JACOBIAN).
+    for each slot of a grid over R samples (see _terms; c, lam, tol, short
+    and ids hold slot (k, s) in row k R + s). The residual is -grad F and
+    the Hessian sum_i w_i phi''(-a_i.lam) a_i a_i' is minus the Jacobian.
+    Each iteration solves for the Newton direction delta with
+    _cholesky_solve (a Hessian singular by its rule: SINGULAR_JACOBIAN).
 
     CONVERGED needs ||residual||_inf <= tol and max_i s_i a_i.delta < 1:
     since c = sum_i u_i (1 - s_i a_i.delta) a_i with u_i = w_i phi'(-a_i.lam),
@@ -389,34 +394,34 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
     proof, is DIVERGED when _has_certificate finds a direction of the second
     kind. Equations marked ``short`` are DIVERGED before the first step.
 
-    An equation that stops stays in the stack, frozen, until at most half of
-    the stack is still running; the stack is then cut to the running ones.
-
-    r is boolean (all True for calibration, whose terms never read it).
-    Every pass writes its per-row terms (x.lam, u, g, h, a.delta) into three
-    (B, n) buffers in the flat float array ``work``, or their first rows once
-    the stack is cut; nothing else is written into the arguments.
-
-    Returns (lambda, status code into FitStatus, iterations, residual norm,
-    trace rows) per equation.
+    Slot e solves equation ids[e] (none if ids[e] < 0) and writes its
+    lambda, status code into FitStatus, iterations, residual norm and trace
+    rows into item ids[e] of each of the five ``out``. A slot that stops
+    stays in the grid, frozen, until at most half of the samples have a
+    slot still running; the grid is then cut to them. r is boolean (all
+    True for calibration, whose terms never read it). x_i x_i' is formed
+    once per sample. Every pass writes its per-row terms (x.lam, u, g, h,
+    a.delta) into three (K R, n) buffers in the flat float array ``work``,
+    or their first rows once the grid is cut; nothing else is written into
+    the arguments.
     """
-    B, q = lam.shape
-    xx = _outer_rows(x)
-    work = work[: 3 * w.size].reshape(3, *w.shape)
-    lam_out, rn_out = np.empty_like(lam), np.empty(B)
-    status_out, it_out = np.empty(B, dtype=np.int8), np.empty(B, dtype=np.int64)
-    traces = [[] for _ in range(B)]
-    ids = np.arange(B)
-    it = np.zeros(B, dtype=np.int64)
-    step = np.zeros(B)
-    running = np.ones(B, dtype=bool)
-    # exp(-x.lam) may overflow and F(lam + alpha delta) - F(lam) then be
-    # NaN; both fail the tests below.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    E, q = lam.shape
+    K, n = E // len(x), x.shape[1]
+
+    def grid(a):
+        return a.reshape(K, len(x), *a.shape[1:])
+
+    work = work[: 3 * E * n].reshape(3, E, n)
+    lam_out, status_out, it_out, rn_out, traces = out
+    it = np.zeros(E, dtype=np.int64)
+    step = np.zeros(E)
+    running = ids >= 0
+    with np.errstate(**_QUIET):
+        xx = _outer_rows(x)
         while True:
             eta, g_buf, h_buf = work[:, : len(ids)]
-            u, h, g = _row_terms(_matvec(x, lam, out=eta), w, r, softplus, g_buf, h_buf)
-            res = _rows_dot(u, x) - c
+            u, h, g = _row_terms(_matvec(x, grid(lam), out=grid(eta)), w, r, softplus, grid(g_buf), grid(h_buf))
+            res = _rows_dot(u, x).reshape(-1, q) - c
             rn = np.abs(res).max(axis=1)
             if controls.trace:
                 for k in np.flatnonzero(running & (it > 0)):
@@ -426,9 +431,10 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
             ok = np.isfinite(delta).all(axis=1)
             # a_i.delta takes u's storage, read only by res (softplus), or
             # g's buffer, which the exp terms leave unused.
-            ad = _matvec(x, delta, out=eta if softplus else g_buf)
+            ad = _matvec(x, grid(delta), out=grid(eta if softplus else g_buf))
             if softplus:
                 np.negative(ad, out=ad, where=~r)
+            ad, g = ad.reshape(len(ids), n), g.reshape(len(ids), n)
             ad_min, ad_max = ad.min(axis=1, initial=np.inf), ad.max(axis=1, initial=-np.inf)
             near = running & ok & (rn <= tol)
             exists = near & _exists(ad, ad_max, g, softplus, h_buf) if near.any() else near
@@ -453,7 +459,8 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
                 p = np.flatnonzero(pending)
                 a = alpha[p]
                 # h is read by the Hessian alone (softplus) or is g (exp).
-                change = _change(a[:, None], p, ad, w, g, softplus, h_buf) + a * cd[p]
+                weights = w.reshape(-1, n) if softplus else g
+                change = _change(a[:, None], p, ad, weights, g, softplus, h_buf) + a * cd[p]
                 rejected = p[~(change <= _ARMIJO * a * slope[p])]
                 alpha[rejected] *= 0.5
                 moving = alpha[rejected] >= floor[rejected]
@@ -462,8 +469,9 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
                 status[rejected[~moving]] = _MAX_ITERATIONS
             unproved = (status == _MAX_ITERATIONS) | (status == _SINGULAR) | (near & (status < 0))
             for k in np.flatnonzero(unproved):
-                rows = w[k] > 0.0
-                a_k = np.where(r[k, rows, None], x[k, rows], -x[k, rows])
+                j, s = divmod(k, len(x))
+                rows = w[j % len(w), s] > 0.0
+                a_k = np.where(r[s, rows, None], x[s, rows], -x[s, rows])
                 if _has_certificate(a_k, c[k], (delta[k], lam[k])):
                     status[k] = _DIVERGED
             done = running & (status >= 0)
@@ -473,28 +481,43 @@ def _block_newton(x, w, r, c, softplus: bool, lam, tol, short, controls: SolverC
                 status_out[j], it_out[j], rn_out[j] = status[done], it[done], rn[done]
                 running &= ~done
                 if not running.any():
-                    return lam_out, status_out, it_out, rn_out, traces
+                    return
             if controls.trace:
                 step = alpha * np.abs(delta).max(axis=1)
             lam = np.where(running[:, None], lam + alpha[:, None] * delta, lam)
             it = it + 1
-            if 2 * np.count_nonzero(running) <= len(running):
-                ids, x, xx, w, r, c, tol, lam, it, step, short, running = [
-                    a[running] for a in (ids, x, xx, w, r, c, tol, lam, it, step, short, running)
+            keep = grid(running).any(axis=0)
+            if 2 * np.count_nonzero(keep) <= len(keep):
+                ids, c, tol, lam, it, step, short, running = [
+                    grid(a)[:, keep].reshape(-1, *a.shape[1:])
+                    for a in (ids, c, tol, lam, it, step, short, running)
                 ]
+                x, xx, r, w = x[keep], xx[keep], r[keep], w[:, keep]
 
 
-def _terms(softplus: bool, kinds, rep, x, inv_pi, r, valid, x_r, pi_r, valid_r, target):
-    """The terms (x, w, r, c) of the F of each equation of one family
-    (softplus: the MLE kinds; exp: calibration), from the arguments of
-    solve_block with inv_pi, the 1/pi of the real rows, in place of pi.
-    Padding rows have w = 0. Calibration: the respondents, w_i = 1/pi_i and
-    c = target - sum_i w_i x_i; MLE: the sample, w_i = k_i and c = 0."""
+def _slots(rep: np.ndarray, R: int) -> np.ndarray:
+    """The grid (K, R) of one family's equations: (k, s) indexes rep at the k-th on sample s, or is -1."""
+    counts = np.bincount(rep, minlength=R)
+    order = np.argsort(rep, kind="stable")
+    grid = np.full((counts.max(initial=0), R), -1)
+    grid[np.arange(len(rep)) - (np.cumsum(counts) - counts)[rep[order]], rep[order]] = order
+    return grid
+
+
+def _terms(softplus: bool, kinds, x, inv_pi, r, valid, x_r, pi_r, valid_r, target):
+    """The terms (x, w, r, c) of the F of one family's equations from
+    solve_block's stacks, with inv_pi the 1/pi of the real rows; slot (k, s)
+    has kind kinds[k R + s] and target[k R + s] on sample s. x (R, n, q;
+    C-ordered, so any layout runs one matrix kernel) and r (R, n) hold each
+    sample's rows once, w is (K, R, n) or, shared, (1, R, n), and c (K R, q);
+    padding rows have w = 0. MLE (softplus): the sample, w_i = k_i, c = 0;
+    calibration: the respondents, w_i = 1/pi_i, c = target - sum_i w_i x_i."""
     if softplus:
-        w = np.where((kinds == EEKind.MLE_KINVPI)[:, None], inv_pi[rep], valid[rep])
-        return x[rep], w, (r == 1)[rep], np.zeros(target.shape)
+        survey = (kinds == EEKind.MLE_KINVPI).reshape(-1, len(x), 1)
+        return np.ascontiguousarray(x), np.where(survey, inv_pi, valid), r == 1, np.zeros(target.shape)
     d = np.where(valid_r, 1.0 / pi_r, 0.0)
-    return x_r[rep], d[rep], np.broadcast_to(True, (len(rep), d.shape[1])), target - _rows_dot(d, x_r)[rep]
+    c = target.reshape(-1, len(x), target.shape[1]) - _rows_dot(d, x_r)
+    return np.ascontiguousarray(x_r), d[None], np.broadcast_to(True, d.shape), c.reshape(target.shape)
 
 
 class BlockFit(NamedTuple):
@@ -533,14 +556,13 @@ def solve_block(
     pi = 1, r = 0. Equation b has kind ``kinds[b]``, sample ``rep[b]`` and
     ``target[b]`` (B, q): it is EstimatingEquation(kinds[b], x[k, :n_k],
     pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b]. The MLE kinds
-    take their rows from the sample stack and the calibration kinds from
-    the respondent stack (which may be empty in a stack without
-    calibration), each by one gather; the per-sample totals (the
-    intercept-only start and sum_i x_i/pi_i over the respondents) are taken
-    once per sample row. Each equation takes the same steps and gets the
-    same status as it would alone, up to rounding in the sums: padding, and
-    numpy's stacked matrix products, can add in another order than a stack
-    of one.
+    read the sample stack and calibration the respondent stack (which may
+    be empty without calibration); the equations that share a sample read
+    its rows, x_i x_i' and weights 1/pi once (see _slots), and per-sample
+    totals are taken once per sample. Each equation takes the same steps
+    and gets the same status as it would alone, up to rounding in the
+    sums: padding, and numpy's stacked matrix products, can add in another
+    order than a stack of one. Sharing a sample changes no bit.
     An equation with no respondents, or with no nonrespondents unless it is
     a population-level calibration, has no finite solution: it is DIVERGED
     after no iterations, at lambda0 (zero by default).
@@ -555,21 +577,18 @@ def solve_block(
     else:
         lam = np.where(short[:, None], 0.0, _initial_points(kinds, rep, inv_pi, r, valid, target))
     tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
-    lam_hat, codes = np.empty_like(lam), np.empty(len(lam), dtype=np.int8)
-    iterations, rn = np.empty(len(lam), dtype=np.int64), np.empty(len(lam))
-    trace = [[] for _ in range(len(lam))]
+    out = np.empty_like(lam), *(np.empty(len(lam), t) for t in (np.int8, np.int64, float)), [[] for _ in lam]
     cal = np.array([k in _CAL_KINDS for k in kinds], dtype=bool)
-    # One workspace for the larger stack serves both: the second touches no new pages.
-    work = np.empty(3 * max(np.count_nonzero(cal) * x_r.shape[1], np.count_nonzero(~cal) * x.shape[1]))
-    for sel, softplus in ((cal, False), (~cal, True)):
-        if not sel.any():
-            continue
-        terms = _terms(softplus, kinds[sel], rep[sel], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[sel])
-        lam_hat[sel], codes[sel], iterations[sel], rn[sel], part = _block_newton(
-            *terms, softplus, lam[sel], tol[sel], short[sel], controls, work
-        )
-        for b, rows_b in zip(np.flatnonzero(sel), part):
-            trace[b] = rows_b
+    families = [(b, _slots(rep[b], len(x)), softplus) for b, softplus in
+                ((np.flatnonzero(cal), False), (np.flatnonzero(~cal), True)) if b.size]
+    # One workspace for the larger grid serves both: the second touches no new pages.
+    work = np.empty(3 * max((g.size * (x if sp else x_r).shape[1] for _, g, sp in families), default=0))
+    for b, grid, softplus in families:
+        # An absent slot (-1) reads the last equation's terms; it never runs.
+        eq = np.where(grid.ravel() < 0, -1, b[grid.ravel()])
+        terms = _terms(softplus, kinds[eq], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[eq])
+        _block_newton(*terms, softplus, lam[eq], tol[eq], short[eq], eq, controls, work, out)
+    lam_hat, codes, iterations, rn, trace = out
     return BlockFit(lam_hat, np.array(_CODES, dtype=object)[codes], iterations, rn, trace)
 
 
@@ -612,27 +631,24 @@ def _sample_stack(x: np.ndarray, pi: np.ndarray, r: np.ndarray):
 
 
 def _terms_at(lam, eq: EstimatingEquation):
-    """The rows x (1, n, q) of eq's F and, at lam, its residual (1, q) and
-    Hessian weights h (1, n): the terms that solve_block builds and
-    _block_newton evaluates, for the stack of one."""
+    """The residual sum_i u_i x_i - c and Jacobian -sum_i h_i x_i x_i' of eq at lam: the
+    terms that solve_block builds and _block_newton evaluates (as it does), for the stack of one."""
     x, pi, *rest = _sample_stack(eq.x, eq.pi, eq.r)
     softplus = eq.kind not in _CAL_KINDS
-    x, w, r, c = _terms(softplus, np.array([eq.kind]), [0], x, 1.0 / pi, *rest, eq.target[None])
-    eta = _matvec(x, np.asarray(lam, dtype=float)[None])
-    with np.errstate(over="ignore"):
+    x, w, r, c = _terms(softplus, np.array([eq.kind]), x, 1.0 / pi, *rest, eq.target[None])
+    with np.errstate(**_QUIET):
+        eta = _matvec(x, np.asarray(lam, dtype=float)[None, None])
         u, h, _ = _row_terms(eta, w, r, softplus, np.empty_like(eta), np.empty_like(eta))
-    return x, _rows_dot(u, x) - c, h
+        return _rows_dot(u, x)[0, 0] - c[0], -_rows_dot(h, _outer_rows(x))[0, 0].reshape(len(c[0]), -1)
 
 
 def residual(lam, eq: EstimatingEquation) -> np.ndarray:
     """Residual -grad F = sum_i u_i x_i - c of the estimating equation at lam
     (zero at a solution), from the solver's own per-row terms."""
-    return _terms_at(lam, eq)[1][0]
+    return _terms_at(lam, eq)[0]
 
 
 def jacobian(lam, eq: EstimatingEquation) -> np.ndarray:
     """Jacobian -sum_i h_i x_i x_i' of the residual with respect to lam,
     from the solver's own per-row terms."""
-    x, _, h = _terms_at(lam, eq)
-    q = x.shape[-1]
-    return -_rows_dot(h, _outer_rows(x))[0].reshape(q, q)
+    return _terms_at(lam, eq)[1]

@@ -463,6 +463,27 @@ def test_fit_overflow_is_one_line_error(tmp_path, capsys, y):
     assert not (out / "estimates.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "trace"])
+@pytest.mark.parametrize("x1", ["1e300", "2e160"])
+def test_fit_rejects_x_that_overflows(tmp_path, capsys, command, x1):
+    # x1 = 1e300 overflows its own square; 2e160 only the sum
+    # sum_i x_i x_i'/pi_i (4e320 / pi): either is one error line, given
+    # before any fit, with no numpy warning and nothing written.
+    rows = [
+        "unit,pi,r,x1,y", f"a,0.5,1,{x1},3.0", "b,0.25,0,-4.0,", "c,0.5,1,5.5,2.5", f"d,0.2,0,-{x1},",
+        "e,0.5,1,3.0,1.0", "f,0.5,0,4.2,",
+    ]
+    path = tmp_path / "units.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--input", str(path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the x columns overflow float64 in sum_i x_i x_i'/pi_i (rescale x)\n"
+    assert not out.exists()
+
+
 def _mostly(valid, bad):
     """valid nineteen times in twenty, else bad."""
     return st.integers(0, 19).flatmap(lambda k: bad if k == 0 else valid)

@@ -22,3 +22,18 @@ def test_linearization_diagnostic_prints_one_gap_line_per_variant(capsys):
     for row in rows:
         gaps = [float(v) for v in row[1:]]
         assert len(gaps) == 2 and all(0.0 < g < 1.0 for g in gaps), row
+
+
+def test_block_footprint_prints_each_stage(capsys):
+    script = _load("block_footprint")
+    assert script.main(["--N", "2000", "--n", "200", "--reps", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "one block of 4 replicates: srs N=2000 n=200 rho=0.6 seed=3000"
+    assert lines[1].split() == ["stage", "traced_peak_mb", "minflt"]
+    rows = [ln.split() for ln in lines[2:5]]
+    assert [row[0] for row in rows] == ["draws", "fit_evaluate", "fit_warm"]
+    for _, peak, faults in rows:
+        assert float(peak) > 0.0 and int(faults) >= 0
+    key, rss = lines[5].split()
+    assert key == "ru_maxrss_mb" and float(rss) > 0.0
+    assert len(lines) == 6

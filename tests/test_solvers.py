@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from nwacal import (
     solve,
     solve_block,
 )
-from nwacal.solvers import _cholesky_solve, _has_certificate, _matvec, _outer_rows, _row_terms, _rows_dot, _terms
+from nwacal.solvers import (
+    _cholesky_solve, _has_certificate, _matvec, _outer_rows, _row_terms, _rows_dot, _slots, _terms,
+)
 
 
 def _logit(p):
@@ -334,6 +337,49 @@ def _padded(equations):
     return kinds, np.array(rep), x, pi, r, valid, x_r, pi_r, valid_r, np.array([eq.target for eq in equations])
 
 
+def test_equations_sharing_a_sample_change_no_bit():
+    # Samples carrying one, two and three equations of a family, both MLE
+    # kinds in one slot, absent slots and rep out of order: solve_block
+    # lays each family out on a grid of slots over the samples, and each
+    # equation must get exactly the lambda, status, iterations, residual
+    # norm and trace rows that it gets on a sample row of its own.
+    sep, quasi = _separated(quasi=False), _separated(quasi=True)
+    mid, wide = random_instance(3, n=20)[:3], random_instance(4, n=37)[:3]
+    small = random_instance(5, n=11)[:3]
+    edge = _cone_edge(0)
+    cone = (edge.x, edge.pi, edge.r)
+    inner = (edge.x[edge.r == 1] / edge.pi[edge.r == 1, None]).sum(axis=0)
+    mle, cal_s = EstimatingEquation.mle, EstimatingEquation.cal_sample
+
+    def cal_u(sample, target):
+        return EstimatingEquation.cal_population(*sample, target)
+
+    equations = [
+        mle(*sep), mle(*quasi, survey_weighted=True), mle(*quasi),
+        mle(*mid), mle(*mid, survey_weighted=True), mle(*mid),
+        mle(*wide, survey_weighted=True), mle(*small),
+        cal_s(*mid), cal_u(mid, _target_from(np.array([0.3, 0.1]), *mid)),
+        cal_u(cone, edge.target), cal_u(cone, edge.target + 1e-4 * inner), cal_s(*cone),
+        cal_s(*wide), cal_u(small, _target_from(np.array([-0.2, 0.2]), *small)),
+    ]
+    equations = [equations[k] for k in np.random.default_rng(7).permutation(len(equations))]
+    kinds, rep, *stacks, target = _padded(equations)
+    assert list(rep) != sorted(rep)
+    mle_eq = np.flatnonzero([k in (EEKind.MLE_K1, EEKind.MLE_KINVPI) for k in kinds])
+    grid = _slots(rep[mle_eq], len(stacks[0]))
+    assert grid.shape[0] == 3 and (grid < 0).any()
+    assert any(len({kinds[mle_eq[j]] for j in row[row >= 0]}) == 2 for row in grid)
+    controls = SolverControls(trace=True)
+    shared = solve_block(kinds, rep, *stacks, target, controls)
+    own = solve_block(kinds, np.arange(len(rep)), *(a[rep] for a in stacks), target, controls)
+    assert {FitStatus.CONVERGED, FitStatus.DIVERGED} == set(shared.status)
+    assert len(set(shared.iterations.tolist())) > 4
+    assert shared.status.tolist() == own.status.tolist()
+    for got, want in zip(shared[:4], own[:4]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert shared.trace == own.trace
+
+
 def _mixed_equations():
     """Four MLE and six calibration equations, each stopping at its own
     iteration: separated, ordinary and cone-edge fits."""
@@ -439,6 +485,42 @@ def test_solve_block_memory_peak():
     assert peak <= 12.5 * B * n * 8, peak / (B * n * 8)
 
 
+def test_solve_block_memory_peak_on_shared_samples():
+    # The tracemalloc peak of solve_block on 40 MLE equations, both kinds on
+    # each of 20 samples of n = 2000 (q = 2), in units U of one (B, n) float
+    # array for the B = 40 equations, B n 8 bytes. The rows x come in once
+    # per sample. Held through the Newton loop: 1/pi of the samples (U/2),
+    # the weights of each equation (1 U), r as bool per sample (U/16), the
+    # products x_i x_i' per sample (q^2 / 2 = 2 U) and the three workspace
+    # buffers (3 U), 6.5625 U in all. A pass adds ~r (U/16) and, while
+    # backtracking, one gather of w or g over the pending equations (at
+    # most 1 U): 7.625 U, and the bound leaves U/4 for the small arrays. The
+    # cut to the one sample still running after four iterations copies its
+    # rows, products and weights (3.5 U / 20). A stack that gathers x and
+    # forms x_i x_i' once per equation peaks at 11.0 U here.
+    import tracemalloc
+
+    B, R, n, q = 40, 20, 2000, 2
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.ones((R, n, 1)), rng.normal(4.0, 1.0, (R, n, q - 1))], axis=2)
+    pi = rng.uniform(0.2, 0.9, (R, n))
+    r = (rng.random((R, n)) < 1.0 / (1.0 + np.exp(-(x @ [0.1, 0.4])))).astype(np.int64)
+    args = (
+        [EEKind.MLE_K1, EEKind.MLE_KINVPI] * R, np.repeat(np.arange(R), 2), x, pi, r, np.ones((R, n), dtype=bool),
+        np.zeros((R, 0, q)), np.ones((R, 0)), np.zeros((R, 0), dtype=bool), np.zeros((B, q)),
+    )
+    solve_block(*args)
+    tracemalloc.start()
+    try:
+        fit = solve_block(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (fit.status == FitStatus.CONVERGED).all()
+    assert set(fit.iterations.tolist()) == {4, 5}
+    assert peak <= 7.875 * B * n * 8, peak / (B * n * 8)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_outer_rows_matches_einsum(q):
     # Each entry is one IEEE product, as einsum's is, overflow and underflow
@@ -473,6 +555,26 @@ def test_converged_fit_takes_the_final_newton_step():
             assert after <= max(1e-3 * fit.residual_norm, 1e-12 * scale), (seed, eq.kind)
             stepped += fit.residual_norm > 1e-12 * scale
     assert stepped
+
+
+@pytest.mark.parametrize("kind", list(EEKind))
+def test_overflowing_x_warns_nothing(kind):
+    # x_i x_i' overflows float64 at x = +-1e300: the solver and its
+    # residual and Jacobian form the products under the loop's
+    # floating-point rules, so the fit reports singular_jacobian and the
+    # Jacobian holds -inf, with no numpy warning.
+    x = np.column_stack([np.ones(6), [1e300, -1e300, 2e299, -3e299, 5e299, 1e300]])
+    pi, r = np.full(6, 0.5), np.array([1, 0, 1, 0, 1, 0])
+    eq = EstimatingEquation(kind, x, pi, r, [10.0, 1e300] if kind is EEKind.CAL_POPULATION else [0.0, 0.0])
+    if kind is EEKind.CAL_SAMPLE:
+        eq = EstimatingEquation.cal_sample(x, pi, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = solve(eq)
+        jac = jacobian(np.zeros(2), eq)
+        res = residual(np.zeros(2), eq)
+    assert fit.status is FitStatus.SINGULAR_JACOBIAN and fit.iterations == 0
+    assert jac[1, 1] == -np.inf and np.isfinite(res).all()
 
 
 def test_jacobian_single_unit_hand_value():
@@ -524,11 +626,14 @@ def test_residual_matches_the_paper_equations_on_padded_stacks(seed):
     inv_pi = np.where(valid, 1.0 / pi, 0.0)
     for softplus in (False, True):
         sel = np.flatnonzero([(k in (EEKind.MLE_K1, EEKind.MLE_KINVPI)) == softplus for k in kinds])
-        xs, w, rs, c = _terms(softplus, kinds[sel], rep[sel], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[sel])
-        eta = _matvec(xs, lam[sel])
+        grid = _slots(rep[sel], R)
+        assert grid.shape == (2, R) and (grid >= 0).all()
+        slot = sel[grid.ravel()]
+        xs, w, rs, c = _terms(softplus, kinds[slot], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[slot])
+        eta = _matvec(xs, lam[slot].reshape(2, R, q))
         u, _, _ = _row_terms(eta, w, rs, softplus, np.empty_like(eta), np.empty_like(eta))
-        got = _rows_dot(u, xs) - c
-        for j, b in enumerate(sel):
+        got = _rows_dot(u, xs).reshape(-1, q) - c
+        for j, b in enumerate(slot):
             k = rep[b]
             eq = EstimatingEquation(kinds[b], x[k, valid[k]], pi[k, valid[k]], r[k, valid[k]], target[b])
             want = paper_residual(lam[b], eq)
