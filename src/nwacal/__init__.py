@@ -42,11 +42,7 @@ from .estimators import (
     EstimateRecord,
     estimating_equation,
     Variant,
-    gamma_cal_population,
-    gamma_cal_sample,
-    gamma_hat_cal,
-    gamma_hat_mle,
-    gamma_mle_sample,
+    gamma,
     ht_estimate,
     linearized_block,
     linearized_estimate,

@@ -3,23 +3,25 @@
 Six estimator variants are tracked: the full-sample HT estimator, the
 two-phase estimator with true response probabilities, and the four
 reweighted variants whose response probabilities come from a fitted
-estimating equation. The linearized forms and their gamma coefficients
-require true response probabilities (and, for the population-level variant,
-full-population data), so they live behind a simulation-diagnostics
-boundary and are never part of production estimation.
+estimating equation. The linearized forms need true response probabilities
+(and, for the population-level variant, full-population data), so they are
+simulation diagnostics only; their gamma system, over the respondents with
+the fitted probabilities, also serves the variance estimators.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .population import Population
 from .designs import Sample
 from .response import RespondentSet
-from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult, _cholesky_solve
+from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult, _CAL_KINDS, _cholesky_solve
 
 __all__ = [
     "Variant",
@@ -28,11 +30,7 @@ __all__ = [
     "ht_estimate",
     "two_phase_estimate",
     "nwa_estimate",
-    "gamma_cal_population",
-    "gamma_cal_sample",
-    "gamma_mle_sample",
-    "gamma_hat_mle",
-    "gamma_hat_cal",
+    "gamma",
     "linearized_block",
     "linearized_estimate",
 ]
@@ -138,48 +136,51 @@ def _solve_normal_equations(
     return None if np.isnan(g).any() else g
 
 
-def gamma_cal_population(pop: Population) -> np.ndarray | None:
-    """Population regression coefficient with weights (1 - p_i), over all of U."""
-    w = 1.0 - pop.true_p
-    return _solve_normal_equations(pop.aux, pop.y, w, w)
+class _Linearization(NamedTuple):
+    """A fitted variant's estimator to first order, read off its estimating
+    equation's kind: the total of the fitted values scale_i x_i'gamma plus
+    the HT total of the residuals y_i - scale_i x_i'gamma. The scale is
+    k pi p for the MLE kinds, with k = 1/pi for the survey-weighted score
+    (as solvers._terms weights it) and 1 otherwise, and 1 for calibration.
+    Population-level calibration knows the fitted total over U, so its
+    sampling component runs on the residuals; the others run on y."""
+
+    k_inv_pi: bool
+    mle: bool
+    population_level: bool
+
+    @classmethod
+    def of(cls, variant: Variant) -> "_Linearization":
+        kind = VARIANT_TO_EEKIND.get(variant)
+        if kind is None:
+            raise ValueError(f"variant {variant.value} fits no response model, so it has no linearization")
+        return cls(kind is EEKind.MLE_KINVPI, kind not in _CAL_KINDS, kind is EEKind.CAL_POPULATION)
+
+    def k(self, pi):
+        return 1.0 / pi if self.k_inv_pi else 1.0
+
+    def scale(self, pi, p):
+        return self.k(pi) * pi * p if self.mle else 1.0
 
 
-def gamma_cal_sample(x_s, y_s, pi_s, p_s) -> np.ndarray | None:
-    """Sample-level coefficient with weights (1 - p_i)/pi_i over S."""
-    x_s = np.atleast_2d(np.asarray(x_s, dtype=float))
-    w = (1.0 - np.asarray(p_s, dtype=float)) / np.asarray(pi_s, dtype=float)
-    return _solve_normal_equations(x_s, np.asarray(y_s, dtype=float), w, w)
+def gamma(variant: Variant, x: np.ndarray, y: np.ndarray, pi, p: np.ndarray, level: str):
+    """The gamma of a fitted variant's linearization: the solution of
 
+        [sum_i omega_i a_i x_i x_i'] gamma = sum_i omega_i b_i x_i y_i,
 
-def gamma_mle_sample(x_s, y_s, pi_s, p_s, survey_weighted: bool = False) -> np.ndarray | None:
-    """Sample-level MLE coefficient: [sum k p(1-p) xx^T]^{-1} sum (1-p)/pi x y."""
-    x_s = np.atleast_2d(np.asarray(x_s, dtype=float))
-    pi_s = np.asarray(pi_s, dtype=float)
-    p_s = np.asarray(p_s, dtype=float)
-    k = 1.0 / pi_s if survey_weighted else np.ones_like(pi_s)
-    w_matrix = k * p_s * (1.0 - p_s)
-    w_rhs = (1.0 - p_s) / pi_s
-    return _solve_normal_equations(x_s, np.asarray(y_s, dtype=float), w_matrix, w_rhs)
-
-
-def gamma_hat_mle(x_r, y_r, pi_r, p_hat_r, survey_weighted: bool = False) -> np.ndarray | None:
-    """Respondent plug-in MLE coefficient: [sum k(1-p) xx^T]^{-1} sum (1/pi)((1-p)/p) x y."""
-    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
-    pi_r = np.asarray(pi_r, dtype=float)
-    p_hat_r = np.asarray(p_hat_r, dtype=float)
-    k = 1.0 / pi_r if survey_weighted else np.ones_like(pi_r)
-    w_matrix = k * (1.0 - p_hat_r)
-    w_rhs = (1.0 - p_hat_r) / (pi_r * p_hat_r)
-    return _solve_normal_equations(x_r, np.asarray(y_r, dtype=float), w_matrix, w_rhs)
-
-
-def gamma_hat_cal(x_r, y_r, pi_r, p_hat_r) -> np.ndarray | None:
-    """Respondent plug-in calibration coefficient with weights (1/pi)((1-p)/p)."""
-    x_r = np.atleast_2d(np.asarray(x_r, dtype=float))
-    w = (1.0 - np.asarray(p_hat_r, dtype=float)) / (
-        np.asarray(pi_r, dtype=float) * np.asarray(p_hat_r, dtype=float)
-    )
-    return _solve_normal_equations(x_r, np.asarray(y_r, dtype=float), w, w)
+    with b = 1 - p, and a = k pi p (1 - p) for the MLE kinds or a = b for
+    calibration (Kim & Riddles 2012; Deville & Sarndal 1992). The sums run
+    at one of three levels: over U with omega = 1 (level "U"), over S with
+    omega = 1/pi ("S") or over the respondents with omega = 1/(pi p) ("S_r",
+    with p the fitted p_hat). a is written with the factors of pi p that
+    omega leaves; calibration reads no pi at level "U". Arrays are (n,) and
+    (n, q), or a stack (B, n) and (B, n, q): a system singular by the
+    solver's Cholesky rule gives None, or a NaN row of the stack."""
+    lin = _Linearization.of(variant)
+    d, kept = {"U": (1.0, (pi, p)), "S": (pi, (p,)), "S_r": (pi * p, ())}[level]
+    b = (1.0 - p) / d
+    a = math.prod(kept, start=lin.k(pi)) * (1.0 - p) if lin.mle else b
+    return _solve_normal_equations(x, y, a, b)
 
 
 def linearized_block(
@@ -190,44 +191,26 @@ def linearized_block(
     pi_s: np.ndarray,
     p_s: np.ndarray,
     r: np.ndarray,
-    gamma: np.ndarray | None = None,
+    coef: np.ndarray | None = None,
 ) -> np.ndarray:
     """First-order expansion of a reweighted estimator around the true model,
-    for a stack of samples.
+    for a stack of samples: the fitted total plus the HT total of the
+    residuals, with gamma at level "U" for population-level calibration and
+    at level "S" otherwise.
 
     Arrays are (B, n) and (B, n, q) over the sampled units of B replicates,
     padded to a common n with rows x = 0, y = 0, pi = 1, p = 1, r = 0, which
-    add exact zeros. ``gamma`` ((q,) or (B, q)) replaces the coefficients
-    the variant computes from the data: the sample-level gamma systems, as
-    one stack, or the population-level one. Returns the B estimates, NaN
-    where the gamma system is singular.
+    add exact zeros. ``coef`` ((q,) or (B, q)) replaces the gamma the
+    variant computes from the data. Returns the B estimates, NaN where the
+    gamma system is singular.
     """
-    if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
-        sw = variant is Variant.MLE_KINVPI
-        if gamma is None:
-            gamma = gamma_mle_sample(x_s, y_s, pi_s, p_s, survey_weighted=sw)
-        k = 1.0 / pi_s if sw else np.ones_like(pi_s)
-        scale = k * pi_s * p_s
-    elif variant is Variant.CAL_U:
-        if gamma is None:
-            gamma = gamma_cal_population(pop)
-        if gamma is None:
-            gamma = np.full(pop.n_aux, np.nan)
-        scale = 1.0
-    elif variant is Variant.CAL_S:
-        if gamma is None:
-            gamma = gamma_cal_sample(x_s, y_s, pi_s, p_s)
-        scale = 1.0
-    else:
-        raise ValueError(f"no linearized form for variant {variant}")
-    gamma = np.broadcast_to(gamma, (len(x_s), x_s.shape[-1]))
-    fitted = scale * (x_s @ gamma[..., None])[..., 0]
-    # The total of the fitted values (known over U for the population-level
-    # variant, its HT estimate otherwise) plus the expanded residuals.
-    if variant is Variant.CAL_U:
-        fitted_total = gamma @ pop.aux.sum(axis=0)
-    else:
-        fitted_total = np.sum(fitted / pi_s, axis=-1)
+    lin = _Linearization.of(variant)
+    if coef is None:
+        coef = (gamma(variant, pop.aux, pop.y, 1.0, pop.true_p, "U") if lin.population_level
+                else gamma(variant, x_s, y_s, pi_s, p_s, "S"))
+    coef = np.broadcast_to(np.nan if coef is None else coef, (len(x_s), x_s.shape[-1]))
+    fitted = lin.scale(pi_s, p_s) * (x_s @ coef[..., None])[..., 0]
+    fitted_total = coef @ pop.aux.sum(axis=0) if lin.population_level else np.sum(fitted / pi_s, axis=-1)
     return fitted_total + np.sum(r / (pi_s * p_s) * (y_s - fitted), axis=-1)
 
 

@@ -135,7 +135,9 @@ class EstimatingEquation:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         pi = np.asarray(pi, dtype=float)
         # sum_i x_i/pi_i by the engine's own product, so solve and the engine fit one target.
-        return cls(kind=EEKind.CAL_SAMPLE, x=x, pi=pi, r=r, target=_rows_dot(1.0 / pi[None], x[None])[0])
+        with np.errstate(**_QUIET):
+            target = _rows_dot(1.0 / pi[None], x[None])[0]
+        return cls(kind=EEKind.CAL_SAMPLE, x=x, pi=pi, r=r, target=target)
 
 
 @dataclass(frozen=True)
@@ -516,7 +518,8 @@ def _terms(softplus: bool, kinds, x, inv_pi, r, valid, x_r, pi_r, valid_r, targe
         survey = (kinds == EEKind.MLE_KINVPI).reshape(-1, len(x), 1)
         return np.ascontiguousarray(x), np.where(survey, inv_pi, valid), r == 1, np.zeros(target.shape)
     d = np.where(valid_r, 1.0 / pi_r, 0.0)
-    c = target.reshape(-1, len(x), target.shape[1]) - _rows_dot(d, x_r)
+    with np.errstate(**_QUIET):
+        c = target.reshape(-1, len(x), target.shape[1]) - _rows_dot(d, x_r)
     return np.ascontiguousarray(x_r), d[None], np.broadcast_to(True, d.shape), c.reshape(target.shape)
 
 

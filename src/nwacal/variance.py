@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignKind, DesignSpec
-from .estimators import (
-    FITTED_VARIANTS,
-    Variant,
-    _solve_normal_equations,
-    gamma_cal_population,
-    gamma_hat_cal,
-    gamma_hat_mle,
-)
+from .estimators import FITTED_VARIANTS, Variant, _Linearization, gamma
 from .population import Population
 
 __all__ = [
@@ -117,33 +110,24 @@ def var_hat_block(
 
     Arrays are (B, m) and (B, m, q) over the respondents of B replicates,
     padded to a common m with rows x = 0, y = 0, pi = 1, p_hat = 1, which add
-    exact zeros. Returns (v_sam, v_nr, gamma_hat). The gamma
-    systems are solved as one stack; a singular one (a non-finite entry or
-    a Cholesky pivot lost to rounding) leaves gamma_hat a NaN row and every
-    component that needs it NaN. The full-response edge (every p_hat = 1)
-    takes gamma_hat = 0, since every (1 - p_hat) weight vanishes and any
-    coefficient gives the same (zero) nonresponse component.
+    exact zeros. Returns (v_sam, v_nr, gamma_hat), with gamma_hat the
+    variant's gamma at level "S_r". The gamma systems are solved as one stack;
+    a singular one (a non-finite entry or a Cholesky pivot lost to rounding)
+    leaves gamma_hat a NaN row and every component that needs it NaN. The
+    full-response edge (every p_hat = 1) takes gamma_hat = 0, since every
+    (1 - p_hat) weight vanishes and any coefficient gives the same (zero)
+    nonresponse component.
     """
-    if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
-        survey_weighted = variant is Variant.MLE_KINVPI
-        gamma = gamma_hat_mle(x_r, y_r, pi_r, p_hat_r, survey_weighted=survey_weighted)
-        k = 1.0 / pi_r if survey_weighted else np.ones_like(pi_r)
-        scale = k * pi_r * p_hat_r
-    elif variant in (Variant.CAL_U, Variant.CAL_S):
-        gamma = gamma_hat_cal(x_r, y_r, pi_r, p_hat_r)
-        scale = 1.0
-    else:
-        raise ValueError(f"no variance estimator for variant {variant}")
+    lin = _Linearization.of(variant)
+    gamma_hat = gamma(variant, x_r, y_r, pi_r, p_hat_r, "S_r")
     full_response = np.all(p_hat_r == 1.0, axis=-1)
-    gamma = np.where(np.isnan(gamma) & full_response[:, None], 0.0, gamma)
-    resid = y_r - scale * (x_r @ gamma[..., None])[..., 0]
-    # The population-level variant tracks the HT total of the residuals in
-    # both components; the others keep the raw-y sampling variance.
-    sam = resid if variant is Variant.CAL_U else y_r
+    gamma_hat = np.where(np.isnan(gamma_hat) & full_response[:, None], 0.0, gamma_hat)
+    resid = y_r - lin.scale(pi_r, p_hat_r) * (x_r @ gamma_hat[..., None])[..., 0]
+    sam = resid if lin.population_level else y_r
     single = np.sum((1.0 - pi_r) / pi_r**2 * sam**2 / p_hat_r, axis=-1)
     v_sam = single + _cross_term(design, sam / (pi_r * p_hat_r))
     v_nr = np.sum((1.0 - p_hat_r) / (pi_r * p_hat_r) ** 2 * resid**2, axis=-1)
-    return v_sam, v_nr, gamma
+    return v_sam, v_nr, gamma_hat
 
 
 def var_hat(
@@ -159,9 +143,9 @@ def var_hat(
         np.asarray(a, dtype=float)[None]
         for a in (pi_r, np.atleast_2d(np.asarray(x_r, dtype=float)), y_r, p_hat_r)
     ]
-    v_sam, v_nr, gamma = var_hat_block(variant, design, *stack)
-    singular = bool(np.isnan(gamma).any())
-    return VarianceEstimate(v_sam=float(v_sam[0]), v_nr=float(v_nr[0]), gamma_hat=None if singular else gamma[0])
+    v_sam, v_nr, gamma_hat = var_hat_block(variant, design, *stack)
+    singular = bool(np.isnan(gamma_hat).any())
+    return VarianceEstimate(v_sam=float(v_sam[0]), v_nr=float(v_nr[0]), gamma_hat=None if singular else gamma_hat[0])
 
 
 def var_hat_mle(
@@ -217,8 +201,9 @@ def theoretical_variance(
 
     Sampling component: per-unit closed form for Poisson, the classical
     N^2 (1-f)/n S_z^2 for SRSWOR, with z the raw y or the population
-    regression residual depending on the variant. Nonresponse component:
-    the design expectation of the conditional variance, a single sum over U.
+    residual of the variant's linearization (gamma at level "U"), as the
+    variant says. Nonresponse component: the design expectation of the
+    conditional variance, a single sum over U.
     """
     pi = design.pi
     p = pop.true_p
@@ -228,20 +213,14 @@ def theoretical_variance(
 
     # The population residual of the variant's linearization. Under full
     # response every (1 - p) weight, and with it the gamma system, vanishes.
-    resid = y
+    resid = z = y
     if variant in FITTED_VARIANTS and not full_response:
-        if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
-            # Design expectation of the sample-level MLE gamma system.
-            k = 1.0 / pi if variant is Variant.MLE_KINVPI else np.ones_like(pi)
-            scale = k * pi * p
-            gamma = _solve_normal_equations(pop.aux, y, scale * (1.0 - p), 1.0 - p)
-        else:
-            scale = 1.0
-            gamma = gamma_cal_population(pop)
-        if gamma is None:
+        lin = _Linearization.of(variant)
+        g = gamma(variant, pop.aux, y, pi, p, "U")
+        if g is None:
             raise ValueError("singular population gamma system")
-        resid = y - scale * (pop.aux @ gamma)
-    z = resid if variant is Variant.CAL_U else y
+        resid = y - lin.scale(pi, p) * (pop.aux @ g)
+        z = resid if lin.population_level else y
 
     if design.kind is DesignKind.POISSON:
         v_sam = float(np.sum((1.0 - pi) / pi * z**2))
@@ -250,12 +229,7 @@ def theoretical_variance(
         s2 = float(np.var(z, ddof=1))
         v_sam = N * N * (1.0 - f) / design.n_target * s2
 
-    if variant is Variant.HT or full_response:
-        v_nr = 0.0
-    elif variant is Variant.TRUE_P or variant in FITTED_VARIANTS:
-        v_nr = float(np.sum((1.0 - p) / (pi * p) * resid**2))
-    else:
-        raise ValueError(f"no variance decomposition for variant {variant}")
+    v_nr = 0.0 if variant is Variant.HT or full_response else float(np.sum((1.0 - p) / (pi * p) * resid**2))
 
     return TheoreticalVariance(variant=variant, v_sam=v_sam, v_nr=v_nr)
 

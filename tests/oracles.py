@@ -112,6 +112,38 @@ def paper_residual(lam, eq: EstimatingEquation) -> np.ndarray:
     return calib_residual(lam, eq.x[mask], eq.pi[mask], eq.target)
 
 
+def gamma_normal_equations(variant: Variant, x, y, pi, p, level: str) -> np.ndarray:
+    """gamma of a fitted variant's linearization from the paper's normal
+    equations at one level, written out as scalar sums: with b_i the weight
+    of x_i y_i and a_i that of x_i x_i', gamma solves
+    [sum_i a_i x_i x_i'] gamma = sum_i b_i x_i y_i, where
+
+        level  MLE (k = 1, or 1/pi for mle_invpi)     calibration
+        U      a = k pi p (1 - p),  b = 1 - p           a = b = 1 - p
+        S      a = k p (1 - p),     b = (1 - p)/pi      a = b = (1 - p)/pi
+        S_r    a = k (1 - p),       b = (1 - p)/(pi p)  a = b = (1 - p)/(pi p)
+
+    over U, the sample S or the respondents S_r; p is the fitted p_hat over S_r."""
+    n, q = len(y), len(x[0])
+    lhs, rhs = np.zeros((q, q)), np.zeros(q)
+    for i in range(n):
+        pi_i, p_i = float(pi[i]), float(p[i])
+        if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
+            k = 1.0 / pi_i if variant is Variant.MLE_KINVPI else 1.0
+            a, b = {
+                "U": (k * pi_i * p_i * (1.0 - p_i), 1.0 - p_i),
+                "S": (k * p_i * (1.0 - p_i), (1.0 - p_i) / pi_i),
+                "S_r": (k * (1.0 - p_i), (1.0 - p_i) / (pi_i * p_i)),
+            }[level]
+        else:
+            a = b = {"U": 1.0 - p_i, "S": (1.0 - p_i) / pi_i, "S_r": (1.0 - p_i) / (pi_i * p_i)}[level]
+        for j in range(q):
+            rhs[j] += b * x[i][j] * y[i]
+            for m in range(q):
+                lhs[j, m] += a * x[i][j] * x[i][m]
+    return np.linalg.solve(lhs, rhs)
+
+
 def fd_jacobian(lam, eq: EstimatingEquation, h: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian of the estimating-equation residual."""
     lam = np.asarray(lam, dtype=float)

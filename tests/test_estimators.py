@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import gamma_normal_equations
 
 from nwacal import (
     EstimatingEquation,
@@ -13,18 +14,17 @@ from nwacal import (
     Variant,
     draw_response,
     draw_sample,
-    gamma_cal_population,
-    gamma_cal_sample,
-    gamma_hat_cal,
-    gamma_hat_mle,
-    gamma_mle_sample,
+    gamma,
     generate_population,
     ht_estimate,
+    linearized_block,
     linearized_estimate,
     nwa_estimate,
     solve,
     srs_design,
     two_phase_estimate,
+    var_hat,
+    var_hat_block,
 )
 from nwacal.estimators import _solve_normal_equations
 from nwacal.montecarlo import mix_seed
@@ -120,6 +120,11 @@ def test_nwa_refuses_unconverged_fit():
         nwa_estimate(Variant.CAL_U, np.full(3, 0.5), np.ones(3), bad.p_hat, bad)
 
 
+def _gamma_over_u(pop):
+    # Calibration's population-level system reads no pi.
+    return gamma(Variant.CAL_U, pop.aux, pop.y, 1.0, pop.true_p, "U")
+
+
 def _linear_population(seed=15, N=300, beta=(2.0, 0.75)):
     pop = generate_population(GenConfig(N=N, seed=seed))
     y = pop.aux @ np.asarray(beta)
@@ -166,7 +171,7 @@ def test_estimate_value_permutation_invariant(small_population):
 def test_gamma_recovers_exact_linear_fit():
     beta = np.array([1.5, -0.5])
     pop = _linear_population(beta=tuple(beta))
-    gamma = gamma_cal_population(pop)
+    gamma = _gamma_over_u(pop)
     assert np.allclose(gamma, beta, atol=1e-10)
 
 
@@ -178,7 +183,7 @@ def test_gamma_constant_p_equals_unweighted_solution():
     pop = Population(
         aux=x, y=y, true_lambda=None, true_p=np.full(n, 0.7), rho=0.0
     )
-    gamma = gamma_cal_population(pop)
+    gamma = _gamma_over_u(pop)
     unweighted = np.linalg.solve(x.T @ x, x.T @ y)
     assert np.allclose(gamma, unweighted, atol=1e-12)
 
@@ -190,7 +195,7 @@ def test_gamma_small_instance_cramer_oracle():
     y = rng.normal(4, 1, N)
     p = rng.uniform(0.5, 0.9, N)
     pop = Population(aux=x, y=y, true_lambda=None, true_p=p, rho=0.0)
-    gamma = gamma_cal_population(pop)
+    gamma = _gamma_over_u(pop)
     # Cramer's rule on the 2x2 weighted normal equations.
     w = 1.0 - p
     a11 = np.sum(w * x[:, 0] * x[:, 0])
@@ -208,7 +213,7 @@ def test_gamma_singular_system_flagged():
     pop = Population(
         aux=x, y=np.ones(4), true_lambda=None, true_p=np.full(4, 0.5), rho=0.0
     )
-    assert gamma_cal_population(pop) is None
+    assert _gamma_over_u(pop) is None
 
 
 def test_stacked_normal_equations_share_the_solver_singular_rule():
@@ -237,24 +242,59 @@ def test_stacked_normal_equations_share_the_solver_singular_rule():
 
 
 def test_gamma_coefficients_bundle(study_population, study_srs):
+    # the sample coefficient approximates the population one
     pop = study_population
     s = draw_sample(study_srs, 40)
     p_s = pop.true_p[s.indices]
-    resp = draw_response(s, p_s, 41)
-    mask = resp.resp_mask
-    x_s = pop.aux[s.indices]
-    y_s = pop.y[s.indices]
-    fit = solve(EstimatingEquation.cal_sample(x_s, s.pi_s, resp.r))
-    respondents = (x_s[mask], y_s[mask], s.pi_s[mask], fit.p_hat[mask])
-    gamma_calU_n = gamma_cal_population(pop)
-    gamma_calS_n = gamma_cal_sample(x_s, y_s, s.pi_s, p_s)
-    assert gamma_calU_n is not None
-    assert gamma_calS_n is not None
-    assert gamma_mle_sample(x_s, y_s, s.pi_s, p_s) is not None
-    assert gamma_hat_cal(*respondents) is not None
-    assert gamma_hat_mle(*respondents) is not None
-    # the sample coefficient approximates the population one
+    gamma_calU_n = _gamma_over_u(pop)
+    gamma_calS_n = gamma(Variant.CAL_S, pop.aux[s.indices], pop.y[s.indices], s.pi_s, p_s, "S")
     assert np.allclose(gamma_calS_n, gamma_calU_n, atol=0.5)
+
+
+@pytest.mark.parametrize("level", ["U", "S", "S_r"])
+@pytest.mark.parametrize("variant", [Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S])
+def test_gamma_matches_the_paper_normal_equations(study_population, study_poisson, variant, level):
+    # Unequal pi (Poisson) and, over S_r, a fitted p_hat, against the scalar
+    # sums of tests/oracles.py; one system alone and in a padded stack.
+    pop = study_population
+    s = draw_sample(study_poisson, 40)
+    if level == "U":
+        x, y, pi, p = pop.aux, pop.y, study_poisson.pi, pop.true_p
+    elif level == "S":
+        x, y, pi, p = pop.aux[s.indices], pop.y[s.indices], s.pi_s, pop.true_p[s.indices]
+    else:
+        x_s, pi_s = pop.aux[s.indices], s.pi_s
+        resp = draw_response(s, pop.true_p[s.indices], 41)
+        fit = solve(EstimatingEquation.cal_sample(x_s, pi_s, resp.r))
+        mask = resp.resp_mask
+        x, y, pi, p = x_s[mask], pop.y[s.indices][mask], pi_s[mask], fit.p_hat[mask]
+    want = gamma_normal_equations(variant, x, y, pi, p, level)
+    got = gamma(variant, x, y, pi, p, level)
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def pad(a, v):
+        return np.concatenate([a, np.full((3, *a.shape[1:]), v)])[None]
+
+    stacked = gamma(variant, pad(x, 0.0), pad(y, 0.0), pad(pi, 1.0), pad(p, 1.0), level)[0]
+    assert np.allclose(stacked, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("variant", [Variant.HT, Variant.TRUE_P])
+def test_unfitted_variants_have_no_variance_or_linearization(study_population, study_srs, variant):
+    pop = study_population
+    s = draw_sample(study_srs, 50)
+    resp = draw_response(s, pop.true_p[s.indices], 51)
+    x, y, pi, p = pop.aux[s.indices], pop.y[s.indices], s.pi_s, pop.true_p[s.indices]
+    calls = (
+        lambda: var_hat(variant, study_srs, pi, x, y, p),
+        lambda: var_hat_block(variant, study_srs, pi[None], x[None], y[None], p[None]),
+        lambda: linearized_block(variant, pop, x[None], y[None], pi[None], p[None], resp.r[None].astype(float)),
+        lambda: linearized_estimate(variant, pop, s, resp),
+        lambda: gamma(variant, x, y, pi, p, "S"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"variant {variant.value} fits no response model"):
+            call()
 
 
 def test_linearized_cal_U_exact_for_linear_y():

@@ -577,6 +577,20 @@ def test_overflowing_x_warns_nothing(kind):
     assert jac[1, 1] == -np.inf and np.isfinite(res).all()
 
 
+def test_calibration_targets_at_the_float64_limit_warn_nothing():
+    # sum_i x_i/pi_i overflows at x1 = +-1e308, pi = 0.5: the sample-level
+    # target is infinite and refused, and the population-level fit's c is
+    # infinite, so its Hessian is singular before the first step.
+    x = np.column_stack([np.ones(4), [1e308, -1e308, 1e308, -1e308]])
+    pi, r = np.full(4, 0.5), np.array([1, 0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="auxiliaries and target must be finite"):
+            EstimatingEquation.cal_sample(x, pi, r)
+        fit = solve(EstimatingEquation.cal_population(x, pi, r, [8.0, 0.0]))
+    assert fit.status is FitStatus.SINGULAR_JACOBIAN and fit.iterations == 0
+
+
 def test_jacobian_single_unit_hand_value():
     eq = EstimatingEquation.mle(x=[[1.0]], pi=[0.5], r=[1])
     got = jacobian(np.array([0.0]), eq)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import gamma_normal_equations
 
 from nwacal import (
     DesignKind,
@@ -11,8 +12,6 @@ from nwacal import (
     confidence_interval,
     draw_response,
     draw_sample,
-    gamma_hat_cal,
-    gamma_hat_mle,
     joint_inclusion,
     poisson_design,
     srs_design,
@@ -35,7 +34,8 @@ def _srs_pair_coeff(design):
 
 def _brute_force_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=False):
     # Literal transcription of the written formulas, scalar loops only.
-    gamma = gamma_hat_mle(x_r, y_r, pi_r, p_hat_r, survey_weighted=survey_weighted)
+    variant = Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1
+    gamma = gamma_normal_equations(variant, x_r, y_r, pi_r, p_hat_r, "S_r")
     m = len(pi_r)
     v_sam = 0.0
     for i in range(m):
@@ -58,7 +58,8 @@ def _brute_force_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=False):
 
 
 def _brute_force_cal(design, pi_r, x_r, y_r, p_hat_r, population_level):
-    gamma = gamma_hat_cal(x_r, y_r, pi_r, p_hat_r)
+    variant = Variant.CAL_U if population_level else Variant.CAL_S
+    gamma = gamma_normal_equations(variant, x_r, y_r, pi_r, p_hat_r, "S_r")
     e = np.array([y_r[i] - float(x_r[i] @ gamma) for i in range(len(y_r))])
     base = e if population_level else y_r
     m = len(pi_r)
