@@ -2,14 +2,16 @@
 """What one cold study block allocates.
 
 Builds a population and an SRSWOR design (by default at the sizes of the
-perfbench large-srs workload: N = 20000, n = 2000, one block of 20
-replicates), then runs the block once in this fresh process: its draws,
-then its fits, estimates and variances, then its fits alone again on the
-same draws (warm). For each stage it prints the tracemalloc peak and the
-process's minor page faults (ru_minflt, counted with tracemalloc on); then
-the process's peak RSS (ru_maxrss).
+perfbench large-srs workload: N = 20000, n = 2000), then runs the engine's
+first block of it once in this fresh process: as many replicates as
+montecarlo.block_replicates gives the design (BLOCK_UNITS sampled units at
+n). It runs the block's draws, then its fits, estimates and variances,
+then its fits alone again on the same draws (warm). For each stage it
+prints the tracemalloc peak and the process's minor page faults
+(ru_minflt, counted with tracemalloc on); then the process's peak RSS
+(ru_maxrss).
 
-    PYTHONPATH=src python scripts/block_footprint.py [--N 20000 --n 2000 --reps 20]
+    PYTHONPATH=src python scripts/block_footprint.py [--N 20000 --n 2000]
 """
 
 import argparse
@@ -19,7 +21,7 @@ import tracemalloc
 import numpy as np
 
 from nwacal import GenConfig, generate_population, srs_design
-from nwacal.montecarlo import _FITTED, Scenario, _fit, _run_block, _stack_draws, _unit_columns
+from nwacal.montecarlo import _FITTED, Scenario, _fit, _run_block, _stack_draws, _unit_columns, block_replicates
 
 
 def _stage(name: str, run):
@@ -37,21 +39,21 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--N", type=int, default=20_000, help="population size")
     ap.add_argument("--n", type=int, default=2_000, help="sample size")
-    ap.add_argument("--reps", type=int, default=20, help="replicates in the block (at most 64)")
     ap.add_argument("--rho", type=float, default=0.6)
     ap.add_argument("--seed", type=int, default=3000)
     args = ap.parse_args(argv)
-    if not 1 <= args.reps <= 64:
-        ap.error("--reps must lie in [1, 64], one block")
 
     pop = generate_population(GenConfig(N=args.N, rho=args.rho, seed=args.seed))
-    scenario = Scenario(population=pop, design=srs_design(args.N, args.n), reps=args.reps, master_seed=args.seed)
+    design = srs_design(args.N, args.n)
+    reps = block_replicates(design)
+    scenario = Scenario(population=pop, design=design, reps=reps, master_seed=args.seed)
     columns = _unit_columns(scenario)
 
-    print(f"one block of {args.reps} replicates: srs N={args.N} n={args.n} rho={args.rho} seed={args.seed}")
+    print(f"one block of {reps} replicates, {reps * args.n} sampled units: "
+          f"srs N={args.N} n={args.n} rho={args.rho} seed={args.seed}")
     print(f"{'stage':<16}{'traced_peak_mb':>16}{'minflt':>10}")
     tracemalloc.start()
-    st = _stage("draws", lambda: _stack_draws(scenario, range(args.reps), columns))
+    st = _stage("draws", lambda: _stack_draws(scenario, range(reps), columns))
     _stage("fit_evaluate", lambda: _run_block(scenario, st))
     rows = np.flatnonzero(st.n_r >= pop.n_aux)
     _stage("fit_warm", lambda: _fit(st, rows, np.flatnonzero(_FITTED), pop.aux.sum(axis=0), scenario.controls))

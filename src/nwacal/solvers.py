@@ -90,7 +90,8 @@ class EstimatingEquation:
     The target is the zero vector for the MLE kinds, the population totals of
     the auxiliaries for population-level calibration, and the full-sample HT
     totals for sample-level calibration. Calibration kinds need at least q
-    respondents spanning R^q for the Jacobian to be invertible.
+    respondents spanning R^q for the Jacobian to be invertible, and refuse
+    data whose target - sum_i x_i/pi_i over the respondents overflows.
     """
 
     kind: EEKind
@@ -115,6 +116,12 @@ class EstimatingEquation:
             raise ValueError("auxiliaries and target must be finite")
         if not np.all((r == 0) | (r == 1)):
             raise ValueError("r must be 0/1")
+        if self.kind in _CAL_KINDS:
+            # c = target - sum_i x_i/pi_i over the respondents, by solve_block's own product.
+            with np.errstate(**_QUIET):
+                c = target - _rows_dot(1.0 / pi[r == 1][None], x[r == 1][None])[0]
+            if not np.all(np.isfinite(c)):
+                raise ValueError("target - sum_i x_i/pi_i over the respondents overflows float64 (rescale x)")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "r", r)

@@ -41,6 +41,7 @@ from nwacal.montecarlo import (
     VARIANTS,
     ReplicateColumns,
     Scenario,
+    block_replicates,
     mix_seed,
     run_study,
 )
@@ -412,15 +413,19 @@ def test_criterion_9_linearization_gap_shrinks():
     _report("9", ok, "; ".join(details))
 
 
-def test_criterion_10_study_determinism_across_threads(tmp_path):
+def test_criterion_10_study_determinism_across_threads(tmp_path, pool_tasks):
     # Determinism is independent of the replicate count; run the full study
     # pipeline at a reduced L under 1 and 8 workers and require byte-identical
-    # outputs.
+    # outputs. L spans two blocks of every cell (n = 100), so that under 8
+    # workers each of the six cells runs its two blocks in the pool.
     out1 = tmp_path / "t1"
     out8 = tmp_path / "t8"
-    base = ["study", "--reps", "300", "--seed", "1729", "--emit-raw"]
+    reps = 3 * block_replicates(srs_design(1000, 100)) // 2
+    base = ["study", "--reps", str(reps), "--seed", "1729", "--emit-raw"]
     assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
+    assert pool_tasks() == [(False, 0, 2)] * 6
     assert main(base + ["--threads", "8", "--out", str(out8)]) == 0
+    assert pool_tasks() == [(True, 0, 1)] * 6 + [(True, 1, 2)] * 6
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out8.iterdir())
     mismatched = [

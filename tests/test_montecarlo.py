@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_pool_ran
 from oracles import calibration_margin, draw_replicates_loop, mle_margin, write_raw_records_loop
 
 from nwacal import (
@@ -13,6 +14,7 @@ from nwacal import (
     draw_sample,
     generate_population,
     ht_estimate,
+    montecarlo,
     poisson_design,
     solve,
     srs_design,
@@ -28,7 +30,7 @@ from nwacal.estimators import (
     nwa_estimate,
 )
 from nwacal.montecarlo import (
-    BLOCK,
+    BLOCK_UNITS,
     STATUS_DEGENERATE,
     STATUS_OK,
     STATUSES,
@@ -40,6 +42,7 @@ from nwacal.montecarlo import (
     _block_seeds,
     _stack_draws,
     _unit_columns,
+    block_replicates,
     coverage_rate,
     linearization_gap,
     mix_seed,
@@ -157,10 +160,12 @@ def test_study_report_deterministic(study_population, study_srs):
         assert ma.max_weight == mb.max_weight
 
 
-def test_parallel_equals_serial(study_population, study_srs):
-    sc = _scenario(study_population, study_srs, reps=60)
+def test_parallel_equals_serial(study_population, study_srs, pool_tasks):
+    sc = _scenario(study_population, study_srs, reps=2 * block_replicates(study_srs) + 7)
     serial = run_study(sc, threads=1)
+    assert pool_tasks() == [(False, 0, 3)]
     parallel = run_study(sc, threads=4)
+    assert_pool_ran(pool_tasks(), 3)
     for v in VARIANTS:
         ms, mp_ = serial.metrics[v], parallel.metrics[v]
         assert ms.rb == mp_.rb
@@ -187,10 +192,12 @@ def test_failure_accounting_excludes_per_variant(study_population):
     assert np.isfinite(cols.values[failed, HT, 0]).all()
 
 
-def test_unbiasedness_of_reference_estimators(small_population):
+def test_unbiasedness_of_reference_estimators(small_population, pool_tasks):
     design = srs_design(small_population.size, 30)
     sc = _scenario(small_population, design, reps=800, seed=8)
+    n_blocks = -(-sc.reps // block_replicates(design))
     report = run_study(sc, threads=2)
+    assert_pool_ran(pool_tasks(), n_blocks)
     Y = small_population.total
     for v in (Variant.HT, Variant.TRUE_P):
         m = report.metrics[v]
@@ -285,14 +292,26 @@ def _scalar_replicate(scenario, index):
     return out
 
 
+#: The step-API comparisons run the study cells (n = 100) in blocks of 64
+#: replicates, at a unit budget of their own, so that 96 replicates span two
+#: blocks whatever BLOCK_UNITS is.
+SMALL_BUDGET = 6_400
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_UNITS", SMALL_BUDGET)
+
+
 @pytest.fixture(scope="module")
 def study_cells():
-    return study_scenarios(RunConfig(reps=BLOCK + BLOCK // 2))
+    return study_scenarios(RunConfig(reps=96))
 
 
 @pytest.mark.parametrize("cell", range(6))
-def test_block_engine_matches_scalar_step_api(study_cells, cell):
+def test_block_engine_matches_scalar_step_api(study_cells, cell, small_blocks):
     design_name, rho, scenario = study_cells[cell]
+    assert block_replicates(scenario.design) == 64
     cols = _replicates(scenario)
     statuses = set()
     for i in range(scenario.reps):
@@ -312,14 +331,14 @@ def test_block_engine_matches_scalar_step_api(study_cells, cell):
 
 
 @pytest.mark.parametrize("cell", [0, 3])
-def test_respondent_stack_holds_each_equations_respondents(study_cells, cell):
+def test_respondent_stack_holds_each_equations_respondents(study_cells, cell, small_blocks):
     # solve_block takes a calibration equation's rows from the engine's
     # respondent stack: row b must be eq.x[eq.r == 1] of replicate b's
     # step-API equation, with its pi, y and true p, in sample order, then
     # padding rows x = 0, pi = 1, y = 0, p = 1 that add exact zeros.
     _, _, scenario = study_cells[cell]
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
-    indices = range(BLOCK, scenario.reps)
+    indices = range(block_replicates(design), scenario.reps)
     st = _stack_draws(scenario, indices, _unit_columns(scenario))
     width = st.x_r.shape[1]
     for b, index in enumerate(indices):
@@ -341,13 +360,14 @@ def test_respondent_stack_holds_each_equations_respondents(study_cells, cell):
 
 
 @pytest.mark.parametrize("cell", range(6))
-def test_linearized_block_matches_linearized_estimate(study_cells, cell):
+def test_linearized_block_matches_linearized_estimate(study_cells, cell, small_blocks):
     # The stacked linearized estimator on the engine's padded draws against
     # the stack of one on the public draws of each replicate.
     _, _, scenario = study_cells[cell]
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
-    for start in range(0, scenario.reps, BLOCK):
-        indices = range(start, min(start + BLOCK, scenario.reps))
+    size = block_replicates(design)
+    for start in range(0, scenario.reps, size):
+        indices = range(start, min(start + size, scenario.reps))
         st = _stack_draws(scenario, indices, _unit_columns(scenario))
         for variant in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S):
             got = linearized_block(variant, pop, st.x, st.y, st.pi, st.p, st.r)
@@ -358,9 +378,9 @@ def test_linearized_block_matches_linearized_estimate(study_cells, cell):
                 assert got[b] == pytest.approx(want, rel=1e-12, abs=0.0), (index, variant)
 
 
-def test_linearization_gap_draws_each_block_once(monkeypatch, study_population, study_srs):
-    from nwacal import montecarlo
-
+@pytest.fixture
+def block_draws(monkeypatch):
+    """The replicates of each _draw_replicates call since the fixture began."""
     draws = []
     draw = montecarlo._draw_replicates
 
@@ -369,23 +389,60 @@ def test_linearization_gap_draws_each_block_once(monkeypatch, study_population, 
         return draw(design, p, seeds)
 
     monkeypatch.setattr(montecarlo, "_draw_replicates", counted)
-    scenario = Scenario(population=study_population, design=study_srs, reps=150, master_seed=3)
+    return draws
+
+
+def test_linearization_gap_draws_each_block_once(block_draws, study_population, study_srs):
+    size = block_replicates(study_srs)
+    scenario = Scenario(population=study_population, design=study_srs, reps=2 * size + 7, master_seed=3)
     gaps = linearization_gap(scenario, (Variant.MLE_K1, Variant.CAL_U, Variant.CAL_S))
-    assert draws == [BLOCK, BLOCK, 150 - 2 * BLOCK]
+    assert block_draws == [size, size, 7]
     assert set(gaps) == {Variant.MLE_K1, Variant.CAL_U, Variant.CAL_S}
 
 
+@pytest.mark.parametrize("n", [100, 2_000])
+def test_blocks_hold_a_budget_of_sampled_units(block_draws, n):
+    # A block holds BLOCK_UNITS // n replicates at the design's expected
+    # sample size n: 200 at the study's n = 100 and 10 at n = 2,000 under
+    # the budget of 20,000 units, so its arrays take about the same memory
+    # at either size. run_study and linearization_gap cut the same blocks.
+    pop = generate_population(GenConfig(N=10 * n, rho=0.6, seed=5))
+    design = srs_design(pop.size, n) if n == 100 else poisson_design(pop, float(n))
+    size = BLOCK_UNITS // n
+    assert block_replicates(design) == size
+    scenario = _scenario(pop, design, reps=2 * size + 3, seed=4)
+    run_study(scenario)
+    study_draws = block_draws[:]
+    linearization_gap(scenario, (Variant.CAL_S,))
+    assert study_draws == [size, size, 3]
+    assert block_draws == study_draws * 2
+
+
+def test_block_replicates_depend_on_the_design_alone(study_population):
+    # At least one replicate, however large the sample; the expected size
+    # of a Poisson design need not be a whole number.
+    assert block_replicates(srs_design(study_population.size, 999)) == BLOCK_UNITS // 999
+    assert block_replicates(srs_design(BLOCK_UNITS + 2, BLOCK_UNITS + 1)) == 1
+    assert block_replicates(poisson_design(study_population, 62.5)) == int(BLOCK_UNITS // 62.5)
+
+
 def test_study_identical_for_any_worker_count_across_blocks(
-    tmp_path, study_population, study_poisson
+    tmp_path, study_population, study_poisson, pool_tasks
 ):
-    sc = _scenario(study_population, study_poisson, reps=2 * BLOCK + 7, seed=3)
+    reps = 2 * block_replicates(study_poisson) + 7
+    sc = _scenario(study_population, study_poisson, reps=reps, seed=3)
     outputs = []
     for threads in (1, 2, 3):
         report, cols = run_study(sc, threads=threads, return_records=True)
+        tasks = pool_tasks()
+        if threads == 1:
+            assert tasks == [(False, 0, 3)]
+        else:
+            assert_pool_ran(tasks, 3)
         path = tmp_path / f"raw{threads}.csv"
         write_raw_records(path, cols)
         outputs.append((report, path.read_bytes()))
-    assert cols.status.shape == (2 * BLOCK + 7, len(VARIANTS))
+    assert cols.status.shape == (reps, len(VARIANTS))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
 

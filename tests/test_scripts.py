@@ -25,10 +25,14 @@ def test_linearization_diagnostic_prints_one_gap_line_per_variant(capsys):
 
 
 def test_block_footprint_prints_each_stage(capsys):
+    # The engine's own block: BLOCK_UNITS // n replicates of n sampled units.
+    from nwacal.montecarlo import BLOCK_UNITS
+
     script = _load("block_footprint")
-    assert script.main(["--N", "2000", "--n", "200", "--reps", "4"]) == 0
+    assert script.main(["--N", "2000", "--n", "200"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "one block of 4 replicates: srs N=2000 n=200 rho=0.6 seed=3000"
+    reps = BLOCK_UNITS // 200
+    assert lines[0] == f"one block of {reps} replicates, {reps * 200} sampled units: srs N=2000 n=200 rho=0.6 seed=3000"
     assert lines[1].split() == ["stage", "traced_peak_mb", "minflt"]
     rows = [ln.split() for ln in lines[2:5]]
     assert [row[0] for row in rows] == ["draws", "fit_evaluate", "fit_warm"]

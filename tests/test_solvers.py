@@ -579,16 +579,21 @@ def test_overflowing_x_warns_nothing(kind):
 
 def test_calibration_targets_at_the_float64_limit_warn_nothing():
     # sum_i x_i/pi_i overflows at x1 = +-1e308, pi = 0.5: the sample-level
-    # target is infinite and refused, and the population-level fit's c is
-    # infinite, so its Hessian is singular before the first step.
+    # target is infinite and refused, and the population-level equation's
+    # c = target - sum_i x_i/pi_i over the respondents is infinite, so it is
+    # refused before Newton starts (not reported as a singular Jacobian).
     x = np.column_stack([np.ones(4), [1e308, -1e308, 1e308, -1e308]])
     pi, r = np.full(4, 0.5), np.array([1, 0, 1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="auxiliaries and target must be finite"):
             EstimatingEquation.cal_sample(x, pi, r)
-        fit = solve(EstimatingEquation.cal_population(x, pi, r, [8.0, 0.0]))
-    assert fit.status is FitStatus.SINGULAR_JACOBIAN and fit.iterations == 0
+        with pytest.raises(ValueError, match="over the respondents overflows float64"):
+            EstimatingEquation.cal_population(x, pi, r, [8.0, 0.0])
+        # A finite sum (-1.8e308) still overflows c against a target of 1e308.
+        x[:, 1] = [-0.6e308, 1e308, -0.3e308, 1.0]
+        with pytest.raises(ValueError, match="over the respondents overflows float64"):
+            EstimatingEquation.cal_population(x, pi, r, [8.0, 1e308])
 
 
 def test_jacobian_single_unit_hand_value():
