@@ -50,7 +50,6 @@ from .estimators import (
     two_phase_estimate,
 )
 from .variance import (
-    TheoreticalVariance,
     VarianceEstimate,
     confidence_interval,
     theoretical_variance,

@@ -3,9 +3,12 @@
 Subcommands: ``study`` (the full six-scenario simulation), ``scenario`` (one
 configured cell), ``fit`` (one-shot estimation from a user CSV), and
 ``trace`` (solver iteration diagnostics). The CLI is a thin shell over the
-Monte Carlo engine: ``study`` and ``scenario`` call run_study, and ``fit``
-and ``trace`` fit their file as a stack of one sample, every variant in one
-solve_block call, and evaluate it as the engine evaluates a replicate.
+Monte Carlo engine: ``study`` and ``scenario`` run their cells through one
+loop over run_study and differ only in what they write (the tables, or
+report.csv), and ``fit`` and ``trace`` fit their file as a stack of one
+sample, every variant in one solve_block call, and evaluate it as the
+engine evaluates a replicate. A config key is a RunConfig field, parsed as
+the type of its default.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -91,32 +94,26 @@ class RunConfig:
         return SolverControls(tol=self.tol, max_iter=self.max_iter)
 
 
-_PAIR_KEYS = {"mu", "lam"}
-_INT_KEYS = {"N", "n", "reps", "seed", "max_iter", "threads"}
-_FLOAT_KEYS = {"rho", "tol"}
-_BOOL_KEYS = {"emit_raw"}
-_STR_KEYS = {"design", "out"}
-_ALL_KEYS = _PAIR_KEYS | _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
+#: The config keys: the RunConfig fields, each parsed as the type of its default.
+_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
+    """The value of ``key = raw``, of the type of the key's RunConfig default."""
+    kind = type(getattr(RunConfig, key))
     try:
-        if key in _PAIR_KEYS:
+        if kind is tuple:
             parts = [float(v) for v in raw.split(",")]
             if len(parts) != 2:
                 raise ValueError
             return tuple(parts)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError
-        return raw
+        return kind(raw)
     except ValueError:
         raise ValueError(f"{key}: cannot parse value {raw!r}") from None
 
@@ -137,13 +134,13 @@ def parse_config(path: str | Path | None, overrides: dict | None = None) -> RunC
             if not sep:
                 raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
             key = key.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEYS:
                 raise ValueError(f"unknown config key {key!r} (line {lineno})")
             values[key] = _coerce(key, raw.strip())
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = val
     return RunConfig(**values)
@@ -169,9 +166,10 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _fmt4(v) -> str:
+    """A table cell: empty for None, an int as it is, a float to 4 digits."""
     if v is None:
         return ""
-    return f"{v:.4g}"
+    return str(v) if isinstance(v, int) else f"{v:.4g}"
 
 
 def _build_design(design: str, cfg: RunConfig, pop: Population) -> DesignSpec:
@@ -253,46 +251,47 @@ def study_scenarios(cfg: RunConfig) -> list[tuple[str, float, Scenario]]:
     return cells
 
 
-def run_full_study(cfg: RunConfig) -> int:
-    """Run all six scenarios (three correlations x two designs) and write tables."""
+def _run(cfg: RunConfig, cells, write_outputs) -> int:
+    """The run loop of study and scenario: run_study on every (design, rho,
+    scenario, raw file name) cell, with its raw CSV when asked, then
+    write_outputs(out_dir, header, results) and the text tables on stdout."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"master_seed={cfg.seed} config_hash={config_hash(cfg)}"
     results: list[tuple[str, float, StudyReport]] = []
-    for design_name, rho, scenario in study_scenarios(cfg):
+    for design_name, rho, scenario, raw_name in cells:
         report, records = run_study(scenario, threads=cfg.threads, return_records=True)
         if cfg.emit_raw:
-            write_raw_records(out_dir / f"raw_{design_name}_rho{rho:.4g}.csv", records, header_comment=header)
+            write_raw_records(out_dir / raw_name, records, header_comment=header)
         results.append((design_name, rho, report))
-    _write_tables(out_dir, header, results)
+    write_outputs(out_dir, header, results)
     print(format_study_text(results))
     return 0
 
 
+def run_full_study(cfg: RunConfig) -> int:
+    """Run all six scenarios (three correlations x two designs) and write tables."""
+    cells = [(d, rho, sc, f"raw_{d}_rho{rho:.4g}.csv") for d, rho, sc in study_scenarios(cfg)]
+    return _run(cfg, cells, _write_tables)
+
+
+#: The columns of report.csv after the variant: VariantMetrics fields.
+_REPORT_COLUMNS = (
+    "n_ok", "failure_rate", "rb", "rrvar", "mc_variance", "mean_variance_estimate",
+    "variance_rb", "mean_ci_length", "coverage", "max_weight",
+)
+
+
+def _write_report(out_dir: Path, header: str, results: list[tuple[str, float, StudyReport]]) -> None:
+    [(_, _, report)] = results
+    rows = [",".join([v.value, *(_fmt4(getattr(m, f)) for f in _REPORT_COLUMNS)]) + "\n" for v, m in report.metrics.items()]
+    (out_dir / "report.csv").write_text(f"# {header}\n" + ",".join(["variant", *_REPORT_COLUMNS]) + "\n" + "".join(rows))
+
+
 def _run_one_scenario(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    header = f"master_seed={cfg.seed} config_hash={config_hash(cfg)}"
     pop = _population_for(cfg, cfg.rho, STUDY_RHOS.index(cfg.rho) if cfg.rho in STUDY_RHOS else 0)
     scenario = _scenario_for(cfg, pop, _build_design(cfg.design, cfg, pop), 0)
-    report, records = run_study(scenario, threads=cfg.threads, return_records=True)
-    if cfg.emit_raw:
-        write_raw_records(out_dir / "raw.csv", records, header_comment=header)
-    with (out_dir / "report.csv").open("w") as fh:
-        fh.write(f"# {header}\n")
-        fh.write(
-            "variant,n_ok,failure_rate,rb,rrvar,mc_variance,"
-            "mean_variance_estimate,variance_rb,mean_ci_length,coverage,max_weight\n"
-        )
-        for variant, m in report.metrics.items():
-            fh.write(
-                f"{variant.value},{m.n_ok},{_fmt4(m.failure_rate)},{_fmt4(m.rb)},"
-                f"{_fmt4(m.rrvar)},{_fmt4(m.mc_variance)},{_fmt4(m.mean_variance_estimate)},"
-                f"{_fmt4(m.variance_rb)},{_fmt4(m.mean_ci_length)},{_fmt4(m.coverage)},"
-                f"{_fmt4(m.max_weight)}\n"
-            )
-    print(format_study_text([(cfg.design, cfg.rho, report)]))
-    return 0
+    return _run(cfg, [(cfg.design, cfg.rho, scenario, "raw.csv")], _write_report)
 
 
 class _CellError(ValueError):
@@ -496,19 +495,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "reps": args.reps,
-        "design": args.design,
-        "rho": args.rho,
-        "out": args.out,
-        "threads": args.threads,
-        "emit_raw": args.emit_raw,
-    }
-    return parse_config(args.config, overrides)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="nwacal",
@@ -539,10 +525,10 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "study":
-            return run_full_study(_config_from_args(args))
-        if args.command == "scenario":
-            return _run_one_scenario(_config_from_args(args))
+        if args.command in ("study", "scenario"):
+            # The flags are the config keys of their dest names; unset ones are None.
+            cfg = parse_config(args.config, {k: v for k, v in vars(args).items() if k in _KEYS})
+            return (run_full_study if args.command == "study" else _run_one_scenario)(cfg)
         if args.command == "fit":
             return _cmd_fit(args, trace=False)
         return _cmd_fit(args, trace=True)

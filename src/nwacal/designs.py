@@ -2,7 +2,8 @@
 
 Two designs are supported: simple random sampling without replacement and
 Poisson sampling with inclusion probabilities proportional to 1/x1^2 (clamped
-away from 0 and 1 and renormalized to the target expected size).
+into [PI_MIN, 1] and renormalized to the target expected size). A Sample
+stores only its unit indices and reads their probabilities from the design.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class Sample:
-    """A realized sample: selected unit indices with their inclusion probabilities."""
+    """A realized sample: the selected unit indices of a design, and their
+    inclusion probabilities pi_s read from it."""
 
     indices: np.ndarray
-    pi_s: np.ndarray
     design: DesignSpec
 
     def __post_init__(self):
@@ -76,14 +77,14 @@ class Sample:
         ordered = np.sort(idx)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("sample indices must be distinct")
-        pi_s = np.array(self.pi_s, dtype=float, copy=True)
-        pi_s.flags.writeable = False
-        if pi_s.shape != idx.shape:
-            raise ValueError("pi_s must align with indices")
-        if not np.array_equal(pi_s, self.design.pi[idx]):
-            raise ValueError("pi_s inconsistent with the design")
+        # Checked here, so that reading pi_s can never be the first failure.
+        if ordered.size and not (0 <= ordered[0] and ordered[-1] < self.design.size):
+            raise ValueError(f"sample indices must lie in [0, {self.design.size})")
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "pi_s", pi_s)
+
+    @property
+    def pi_s(self) -> np.ndarray:
+        return self.design.pi[self.indices]
 
     @property
     def size(self) -> int:
@@ -98,10 +99,10 @@ def srs_design(N: int, n: int) -> DesignSpec:
     return DesignSpec(kind=DesignKind.SRSWOR, pi=pi, n_target=float(n))
 
 
-def poisson_design(pop: Population, n: float, pi_min: float = PI_MIN) -> DesignSpec:
+def poisson_design(pop: Population, n: float) -> DesignSpec:
     """Poisson design with inclusion probabilities proportional to 1/x1^2.
 
-    Raw probabilities n*w/sum(w) are clamped into [pi_min, 1]; the unclamped
+    Raw probabilities n*w/sum(w) are clamped into [PI_MIN, 1]; the unclamped
     ones are rescaled so the expected sample size stays n, iterating until no
     new unit hits a bound.
     """
@@ -116,19 +117,19 @@ def poisson_design(pop: Population, n: float, pi_min: float = PI_MIN) -> DesignS
     at_lo = np.zeros(pop.size, dtype=bool)
     while True:
         free = ~(at_hi | at_lo)
-        remaining = n - at_hi.sum() * 1.0 - at_lo.sum() * pi_min
+        remaining = n - at_hi.sum() * 1.0 - at_lo.sum() * PI_MIN
         if not free.any() or remaining <= 0.0:
             raise ValueError("degenerate input: clamping cannot reach the target size")
         pi[free] = remaining * w[free] / w[free].sum()
         pi[at_hi] = 1.0
-        pi[at_lo] = pi_min
+        pi[at_lo] = PI_MIN
         new_hi = free & (pi > 1.0)
         if new_hi.any():
             # Clamp the upper bound first: the mass it frees can lift units
             # that only looked sub-floor because a dominant weight hogged it.
             at_hi |= new_hi
             continue
-        new_lo = free & (pi < pi_min)
+        new_lo = free & (pi < PI_MIN)
         if not new_lo.any():
             break
         at_lo |= new_lo
@@ -198,7 +199,7 @@ def draw_sample(design: DesignSpec, seed: int) -> Sample:
     independent Bernoulli(pi_i) per unit.
     """
     chosen, _ = _sample_units(design, [checked_seed(seed)])
-    return Sample(indices=chosen, pi_s=design.pi[chosen], design=design)
+    return Sample(indices=chosen, design=design)
 
 
 def joint_inclusion(design: DesignSpec, i: int, j: int) -> float:

@@ -73,7 +73,6 @@ def estimating_equation(
 class EstimateRecord:
     """A total estimate with the final per-unit weights that produced it."""
 
-    variant: Variant
     value: float
     weights: np.ndarray
 
@@ -114,7 +113,7 @@ def nwa_estimate(
     y_r = np.asarray(y_r, dtype=float)
     p_hat_r = np.asarray(p_hat_r, dtype=float)
     w = 1.0 / (pi_r * p_hat_r)
-    return EstimateRecord(variant=variant, value=float(w @ y_r), weights=w)
+    return EstimateRecord(value=float(w @ y_r), weights=w)
 
 
 def _solve_normal_equations(

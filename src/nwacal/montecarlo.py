@@ -20,7 +20,7 @@ one column per variant of VARIANTS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -333,7 +333,6 @@ def coverage_rate(intervals, true_total: float) -> float | None:
 class VariantMetrics:
     """Study aggregates for one variant (None where undefined)."""
 
-    variant: Variant
     n_ok: int
     n_failed: int
     failure_rate: float
@@ -343,21 +342,16 @@ class VariantMetrics:
     mean_variance_estimate: float | None
     variance_rb: float | None
     mean_ci_length: float | None
-    n_ci: int
     coverage: float | None
     max_weight: float | None
 
 
 @dataclass(frozen=True)
 class StudyReport:
-    """Monte Carlo aggregates over all replicates of one scenario."""
+    """Monte Carlo aggregates over all replicates of one scenario: the
+    metrics of each variant, in VARIANTS order. The scenario holds the rest."""
 
-    true_total: float
-    reps: int
-    master_seed: int
-    design_kind: str
-    rho: float
-    metrics: dict[Variant, VariantMetrics] = field(default_factory=dict)
+    metrics: dict[Variant, VariantMetrics]
 
 
 def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
@@ -368,8 +362,6 @@ def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
         estimates, v_sam, v_nr, lo, hi, max_w = cols.values[ok, vi].T
         n_ok = int(ok.sum())
         n_failed = ok.size - n_ok
-        rb = relative_bias(estimates, y_total) if n_ok else None
-        rr = rrvar(estimates, y_total) if n_ok else None
         mc_var = float(np.var(estimates, ddof=1)) if n_ok >= 2 else None
         v_totals = v_sam + v_nr
         v_totals = v_totals[np.isfinite(v_totals)]
@@ -383,28 +375,19 @@ def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
         lengths = (hi - lo)[has_ci]
         weights = max_w[~np.isnan(max_w)]
         metrics[variant] = VariantMetrics(
-            variant=variant,
             n_ok=n_ok,
             n_failed=n_failed,
             failure_rate=n_failed / ok.size,
-            rb=rb,
-            rrvar=rr,
+            rb=relative_bias(estimates, y_total),
+            rrvar=rrvar(estimates, y_total),
             mc_variance=mc_var,
             mean_variance_estimate=mean_v,
             variance_rb=var_rb,
             mean_ci_length=float(np.mean(lengths)) if lengths.size else None,
-            n_ci=int(has_ci.sum()),
             coverage=coverage_rate(np.column_stack([lo, hi])[has_ci], y_total),
             max_weight=float(np.max(weights)) if weights.size else None,
         )
-    return StudyReport(
-        true_total=y_total,
-        reps=scenario.reps,
-        master_seed=scenario.master_seed,
-        design_kind=scenario.design.kind.value,
-        rho=scenario.population.rho,
-        metrics=metrics,
-    )
+    return StudyReport(metrics=metrics)
 
 
 def run_study(
@@ -432,6 +415,11 @@ def run_study(
     return (report, cols) if return_records else report
 
 
+#: Replicates per chunk of write_raw_records: it holds one chunk's fields as
+#: Python strings at a time, so its memory does not grow with the replicates.
+_RAW_CHUNK = 500
+
+
 def write_raw_records(path, records: ReplicateColumns, header_comment: str | None = None) -> None:
     """Write per-replicate outcomes to CSV with round-trippable floats.
 
@@ -448,22 +436,22 @@ def write_raw_records(path, records: ReplicateColumns, header_comment: str | Non
     blank[..., 4] = blank[..., 3]  # an interval is formed whole or not at all
     as_number = np.array([[True, f, f, False, False, False] for f in _FITTED])
     blank &= ~(as_number & (records.status == _OK)[..., None])
-    cells = ["" if b else f"{v:.17g}" for v, b in zip(records.values.ravel().tolist(), blank.ravel().tolist())]
     names = [v.value for v in VARIANTS]
-    rows = [
-        f"{k // V},{names[k % V]},{','.join(cells[F * k:F * k + F])},{STATUSES[code]}\n"
-        for k, code in enumerate(records.status.ravel().tolist())
-    ]
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         fh.write("replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
-        fh.write("".join(rows))
+        for start in range(0, len(records.status), _RAW_CHUNK):
+            chunk = slice(start, start + _RAW_CHUNK)
+            values, blanks = records.values[chunk].ravel().tolist(), blank[chunk].ravel().tolist()
+            cells = ["" if b else f"{v:.17g}" for v, b in zip(values, blanks)]
+            fh.write("".join(
+                f"{start + k // V},{names[k % V]},{','.join(cells[F * k:F * k + F])},{STATUSES[code]}\n"
+                for k, code in enumerate(records.status[chunk].ravel().tolist())
+            ))
 
 
-def linearization_gap(
-    scenario: Scenario, variants: tuple[Variant, ...], reps: int | None = None
-) -> dict[Variant, float]:
+def linearization_gap(scenario: Scenario, variants: tuple[Variant, ...]) -> dict[Variant, float]:
     """Median of |reweighted - linearized| / N over converged replicates,
     for each fitted variant in ``variants``.
 
@@ -474,12 +462,11 @@ def linearization_gap(
     whose gamma system is singular, are skipped.
     """
     pop = scenario.population
-    L = reps if reps is not None else scenario.reps
     columns, size = _unit_columns(scenario), block_replicates(scenario.design)
     asked = np.array([VARIANTS.index(v) for v in variants])
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
-    for start in range(0, L, size):
-        st = _stack_draws(scenario, range(start, min(start + size, L)), columns)
+    for start in range(0, scenario.reps, size):
+        st = _stack_draws(scenario, range(start, min(start + size, scenario.reps)), columns)
         rows = np.flatnonzero(st.n_r >= pop.n_aux)
         fit_b, fit_v, fits = _fit(st, rows, asked, pop.aux.sum(axis=0), scenario.controls)
         ok = fits.status == FitStatus.CONVERGED

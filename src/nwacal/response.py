@@ -1,4 +1,5 @@
-"""Response mechanism: independent Bernoulli response per sampled unit."""
+"""Response mechanism: independent Bernoulli response per sampled unit. A
+RespondentSet stores the sample and its indicators r, and no derived copies."""
 
 from __future__ import annotations
 
@@ -17,14 +18,11 @@ class RespondentSet:
     """Realized response indicators over a sample.
 
     ``r`` aligns with ``sample.indices``; ``respondents`` and
-    ``nonrespondents`` hold the corresponding unit indices and partition the
-    sample.
+    ``nonrespondents`` are read from the two and partition the sample.
     """
 
     sample: Sample
     r: np.ndarray
-    respondents: np.ndarray
-    nonrespondents: np.ndarray
 
     def __post_init__(self):
         r = np.array(self.r, dtype=np.int64, copy=True)
@@ -33,17 +31,15 @@ class RespondentSet:
             raise ValueError("r must align with the sample")
         if not np.all((r == 0) | (r == 1)):
             raise ValueError("r must be 0/1")
-        resp = np.array(self.respondents, dtype=np.int64, copy=True)
-        nonresp = np.array(self.nonrespondents, dtype=np.int64, copy=True)
-        resp.flags.writeable = False
-        nonresp.flags.writeable = False
-        if not np.array_equal(resp, self.sample.indices[r == 1]):
-            raise ValueError("respondents inconsistent with r")
-        if not np.array_equal(nonresp, self.sample.indices[r == 0]):
-            raise ValueError("nonrespondents inconsistent with r")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "respondents", resp)
-        object.__setattr__(self, "nonrespondents", nonresp)
+
+    @property
+    def respondents(self) -> np.ndarray:
+        return self.sample.indices[self.r == 1]
+
+    @property
+    def nonrespondents(self) -> np.ndarray:
+        return self.sample.indices[self.r == 0]
 
     @property
     def n_respondents(self) -> int:
@@ -74,12 +70,7 @@ def draw_response(sample: Sample, p: np.ndarray, seed: int) -> RespondentSet:
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("response probabilities must lie in (0, 1]")
     r = _respond(p, np.array([p.size]), [checked_seed(seed)])
-    return RespondentSet(
-        sample=sample,
-        r=r,
-        respondents=sample.indices[r == 1],
-        nonrespondents=sample.indices[r == 0],
-    )
+    return RespondentSet(sample=sample, r=r)
 
 
 def _draw_replicates(design: DesignSpec, p: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ component (a single sum of squared residuals, hence nonnegative). For Poisson
 designs the pair term vanishes identically and is short-circuited to an exact
 zero. The theoretical decomposition evaluates both components in closed form
 from the full population and true probabilities, for oracle use in tests and
-simulations only.
+simulations only; it returns the same VarianceEstimate as the estimators.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .population import Population
 __all__ = [
     "Z_95",
     "VarianceEstimate",
-    "TheoreticalVariance",
     "var_hat_ht",
     "var_hat",
     "var_hat_block",
@@ -52,19 +51,6 @@ class VarianceEstimate:
     v_sam: float
     v_nr: float
     gamma_hat: np.ndarray | None
-
-    @property
-    def total(self) -> float:
-        return self.v_sam + self.v_nr
-
-
-@dataclass(frozen=True)
-class TheoreticalVariance:
-    """Exact variance decomposition under known design and probabilities."""
-
-    variant: Variant
-    v_sam: float
-    v_nr: float
 
     @property
     def total(self) -> float:
@@ -196,14 +182,15 @@ def theoretical_variance(
     pop: Population,
     design: DesignSpec,
     variant: Variant,
-) -> TheoreticalVariance:
+) -> VarianceEstimate:
     """Exact two-phase variance decomposition under known p and design.
 
     Sampling component: per-unit closed form for Poisson, the classical
     N^2 (1-f)/n S_z^2 for SRSWOR, with z the raw y or the population
     residual of the variant's linearization (gamma at level "U"), as the
     variant says. Nonresponse component: the design expectation of the
-    conditional variance, a single sum over U.
+    conditional variance, a single sum over U. gamma_hat is that population
+    gamma, or None where none enters (ht, p, full response).
     """
     pi = design.pi
     p = pop.true_p
@@ -214,6 +201,7 @@ def theoretical_variance(
     # The population residual of the variant's linearization. Under full
     # response every (1 - p) weight, and with it the gamma system, vanishes.
     resid = z = y
+    g = None
     if variant in FITTED_VARIANTS and not full_response:
         lin = _Linearization.of(variant)
         g = gamma(variant, pop.aux, y, pi, p, "U")
@@ -231,7 +219,7 @@ def theoretical_variance(
 
     v_nr = 0.0 if variant is Variant.HT or full_response else float(np.sum((1.0 - p) / (pi * p) * resid**2))
 
-    return TheoreticalVariance(variant=variant, v_sam=v_sam, v_nr=v_nr)
+    return VarianceEstimate(v_sam=v_sam, v_nr=v_nr, gamma_hat=g)
 
 
 def confidence_interval(estimate: float, variance: float) -> tuple[float, float] | None:

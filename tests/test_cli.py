@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +14,16 @@ from oracles import read_fit_csv_lines
 
 import nwacal
 from nwacal import DesignKind, DesignSpec, confidence_interval, solve, var_hat
-from nwacal.cli import RunConfig, _read_fit_csv, _weights_csv, config_hash, main, parse_config, study_scenarios
+from nwacal.cli import (
+    _HASHED_KEYS,
+    RunConfig,
+    _read_fit_csv,
+    _weights_csv,
+    config_hash,
+    main,
+    parse_config,
+    study_scenarios,
+)
 from nwacal.estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
 
 
@@ -86,6 +96,49 @@ def test_tol_must_be_positive_and_finite(tmp_path, capsys, value):
     rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "error: tol: must be positive and finite\n"
+
+
+#: Every RunConfig key written as text in a config file, and the value it
+#: must parse to; the non-default ones first, then every spelling of a bool.
+_CONFIG_CASES = [
+    ("N", "2000", 2000), ("n", "50", 50), ("mu", "3.5, 4.5", (3.5, 4.5)), ("rho", "0.3", 0.3),
+    ("lam", "0.2,0.3", (0.2, 0.3)), ("design", "poisson", "poisson"), ("reps", "77", 77),
+    ("seed", "5", 5), ("tol", "1e-6", 1e-6), ("max_iter", "20", 20), ("threads", "3", 3),
+    ("out", "elsewhere", "elsewhere"),
+    *(("emit_raw", text, True) for text in ("true", "yes", "1")),
+    *(("emit_raw", text, False) for text in ("false", "no", "0")),
+]
+
+
+def test_config_cases_cover_every_key():
+    assert {key for key, _, _ in _CONFIG_CASES} == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key, text, value", _CONFIG_CASES)
+def test_config_file_value_takes_the_type_of_its_default(tmp_path, key, text, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = {text}\n")
+    got, default = getattr(parse_config(path), key), getattr(RunConfig(), key)
+    assert got == value
+    assert type(got) is type(default)
+    if isinstance(default, tuple):
+        assert [type(v) for v in got] == [float, float]
+
+
+@pytest.mark.parametrize("line", ["emit_raw = maybe", "N = 1.5", "seed = x", "mu = 1,2,3", "tol = small"])
+def test_unparseable_config_value_names_its_key(tmp_path, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(line + "\n")
+    key, raw = (part.strip() for part in line.split("="))
+    with pytest.raises(ValueError, match=f"^{key}: cannot parse value {raw!r}$"):
+        parse_config(path)
+
+
+def test_every_config_key_is_hashed_or_run_only():
+    # A field in neither set would silently drop out of config_hash.
+    run_only = {"threads", "out", "emit_raw"}
+    assert not run_only & set(_HASHED_KEYS)
+    assert sorted(f.name for f in dataclasses.fields(RunConfig)) == sorted([*_HASHED_KEYS, *run_only])
 
 
 def test_config_hash_tracks_content():

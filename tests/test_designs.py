@@ -169,6 +169,19 @@ def test_poisson_inclusion_frequencies():
 
 def test_sample_validation(study_srs):
     with pytest.raises(ValueError):
-        Sample(indices=np.array([1, 1]), pi_s=np.array([0.1, 0.1]), design=study_srs)
-    with pytest.raises(ValueError):
-        Sample(indices=np.array([1, 2]), pi_s=np.array([0.5, 0.1]), design=study_srs)
+        Sample(indices=np.array([1, 1]), design=study_srs)
+
+
+@pytest.mark.parametrize("index", [-1, 1000, 2**40])
+def test_sample_rejects_an_index_outside_the_population(study_srs, index):
+    # pi_s is read from the design, so an index outside [0, N) must fail when
+    # the sample is built, not at the first read of pi_s.
+    with pytest.raises(ValueError, match=r"\[0, 1000\)"):
+        Sample(indices=np.array([3, index]), design=study_srs)
+
+
+def test_sample_reads_pi_s_from_the_design(study_poisson):
+    s = Sample(indices=np.array([999, 0, 17]), design=study_poisson)
+    assert np.array_equal(s.pi_s, study_poisson.pi[[999, 0, 17]])
+    empty = Sample(indices=np.array([], dtype=np.int64), design=study_poisson)
+    assert empty.size == 0 and empty.pi_s.shape == (0,)

@@ -246,6 +246,17 @@ def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
     assert ",nan,nan,,," in (tmp_path / "new1.csv").read_text()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_raw_csv_chunks_match_the_record_writer(tmp_path, monkeypatch, study_population, chunk):
+    # 150 replicates span several chunks, the last one partial unless the
+    # chunk is 1; the replicate numbers carry on across chunk boundaries.
+    cols = _replicates(_scenario(study_population, poisson_design(study_population, 100.0), reps=150, seed=5))
+    monkeypatch.setattr(montecarlo, "_RAW_CHUNK", chunk)
+    write_raw_records(tmp_path / "new.csv", cols, header_comment="seed=5")
+    write_raw_records_loop(tmp_path / "old.csv", cols, header_comment="seed=5")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_scenario_validation(study_population, study_srs):
     with pytest.raises(ValueError):
         Scenario(population=study_population, design=study_srs, reps=0, master_seed=1)

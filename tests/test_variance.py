@@ -9,9 +9,11 @@ from nwacal import (
     DesignSpec,
     Population,
     Variant,
+    VarianceEstimate,
     confidence_interval,
     draw_response,
     draw_sample,
+    gamma,
     joint_inclusion,
     poisson_design,
     srs_design,
@@ -231,6 +233,21 @@ def test_theoretical_full_response_no_nonresponse_variance(small_population):
     for v in (Variant.TRUE_P, Variant.MLE_K1, Variant.CAL_U, Variant.CAL_S):
         tv = theoretical_variance(ones, design, v)
         assert tv.v_nr == 0.0
+
+
+def test_theoretical_variance_is_a_variance_estimate_with_the_population_gamma(small_population):
+    pop = small_population
+    design = poisson_design(pop, 30.0)
+    for v in Variant:
+        tv = theoretical_variance(pop, design, v)
+        assert isinstance(tv, VarianceEstimate)
+        assert tv.total == tv.v_sam + tv.v_nr
+        if v in (Variant.HT, Variant.TRUE_P):
+            assert tv.gamma_hat is None
+        else:
+            assert np.array_equal(tv.gamma_hat, gamma(v, pop.aux, pop.y, design.pi, pop.true_p, "U"))
+    ones = Population(aux=pop.aux, y=pop.y, true_lambda=None, true_p=np.ones(pop.size), rho=pop.rho)
+    assert theoretical_variance(ones, design, Variant.CAL_S).gamma_hat is None
 
 
 def test_theoretical_truep_poisson_closed_form(small_population):
