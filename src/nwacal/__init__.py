@@ -12,8 +12,6 @@ from .population import (
     Population,
     generate_population,
     logistic_probs,
-    population_from_csv,
-    population_to_csv,
 )
 from .designs import (
     DesignKind,
@@ -45,7 +43,6 @@ from .estimators import (
     gamma,
     ht_estimate,
     linearized_block,
-    linearized_estimate,
     nwa_estimate,
     two_phase_estimate,
 )

@@ -19,8 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .population import Population
-from .designs import Sample
-from .response import RespondentSet
 from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult, _CAL_KINDS, _cholesky_solve
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "nwa_estimate",
     "gamma",
     "linearized_block",
-    "linearized_estimate",
 ]
 
 
@@ -116,25 +113,6 @@ def nwa_estimate(
     return EstimateRecord(value=float(w @ y_r), weights=w)
 
 
-def _solve_normal_equations(
-    x: np.ndarray, y: np.ndarray, w_matrix: np.ndarray, w_rhs: np.ndarray
-) -> np.ndarray | None:
-    """Solve [sum w_matrix_i x_i x_i^T] g = sum w_rhs_i x_i y_i.
-
-    The sums run over the units, the second-to-last axis of x; a leading
-    axis indexes a stack of independent systems. The system is solved by
-    the solver's Cholesky factorization, whose rule decides which systems
-    are singular (a non-finite entry, or a pivot lost to rounding): a
-    single system then gives None, a stack gives a NaN row.
-    """
-    a = (np.swapaxes(x, -1, -2) * w_matrix[..., None, :]) @ x
-    b = ((w_rhs * y)[..., None, :] @ x)[..., 0, :]
-    if x.ndim == 3:
-        return _cholesky_solve(a, b)
-    g = _cholesky_solve(a[None], b[None])[0]
-    return None if np.isnan(g).any() else g
-
-
 class _Linearization(NamedTuple):
     """A fitted variant's estimator to first order, read off its estimating
     equation's kind: the total of the fitted values scale_i x_i'gamma plus
@@ -173,13 +151,18 @@ def gamma(variant: Variant, x: np.ndarray, y: np.ndarray, pi, p: np.ndarray, lev
     omega = 1/pi ("S") or over the respondents with omega = 1/(pi p) ("S_r",
     with p the fitted p_hat). a is written with the factors of pi p that
     omega leaves; calibration reads no pi at level "U". Arrays are (n,) and
-    (n, q), or a stack (B, n) and (B, n, q): a system singular by the
-    solver's Cholesky rule gives None, or a NaN row of the stack."""
+    (n, q), giving gamma (q,), or a stack (B, n) and (B, n, q), giving (B, q).
+    The systems are solved by the solver's Cholesky factorization, whose
+    rule decides which are singular (a non-finite entry, or a pivot lost to
+    rounding): a singular system gives a NaN gamma."""
     lin = _Linearization.of(variant)
     d, kept = {"U": (1.0, (pi, p)), "S": (pi, (p,)), "S_r": (pi * p, ())}[level]
     b = (1.0 - p) / d
     a = math.prod(kept, start=lin.k(pi)) * (1.0 - p) if lin.mle else b
-    return _solve_normal_equations(x, y, a, b)
+    lhs = (np.swapaxes(x, -1, -2) * a[..., None, :]) @ x
+    rhs = ((b * y)[..., None, :] @ x)[..., 0, :]
+    q = x.shape[-1]
+    return _cholesky_solve(lhs.reshape(-1, q, q), rhs.reshape(-1, q)).reshape(rhs.shape)
 
 
 def linearized_block(
@@ -207,32 +190,8 @@ def linearized_block(
     if coef is None:
         coef = (gamma(variant, pop.aux, pop.y, 1.0, pop.true_p, "U") if lin.population_level
                 else gamma(variant, x_s, y_s, pi_s, p_s, "S"))
-    coef = np.broadcast_to(np.nan if coef is None else coef, (len(x_s), x_s.shape[-1]))
+    coef = np.broadcast_to(coef, (len(x_s), x_s.shape[-1]))
     fitted = lin.scale(pi_s, p_s) * (x_s @ coef[..., None])[..., 0]
     fitted_total = coef @ pop.aux.sum(axis=0) if lin.population_level else np.sum(fitted / pi_s, axis=-1)
     return fitted_total + np.sum(r / (pi_s * p_s) * (y_s - fitted), axis=-1)
 
-
-def linearized_estimate(
-    variant: Variant,
-    pop: Population,
-    sample: Sample,
-    resp: RespondentSet,
-    gamma: np.ndarray | None = None,
-) -> float:
-    """First-order expansion of a reweighted estimator around the true model:
-    a stack of one for linearized_block.
-
-    Simulation-only diagnostic: uses the true response probabilities, and the
-    population-level variant also reads the whole population. When ``gamma``
-    is omitted it is computed from the same data; a singular gamma system
-    raises ValueError.
-    """
-    idx = sample.indices
-    lin = linearized_block(
-        variant, pop, pop.aux[idx][None], pop.y[idx][None], sample.pi_s[None],
-        pop.true_p[idx][None], resp.r[None].astype(float), gamma,
-    )[0]
-    if np.isnan(lin):
-        raise ValueError(f"singular gamma system for the {variant.value} linearization")
-    return float(lin)

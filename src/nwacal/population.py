@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +19,6 @@ __all__ = [
     "expit",
     "logistic_probs",
     "generate_population",
-    "population_to_csv",
-    "population_from_csv",
 ]
 
 
@@ -54,11 +51,11 @@ class Population:
     ------
     aux : (N, q) matrix whose first column is identically 1.
     y : study variable, length N.
-    true_lambda : coefficient vector of the response model, or None when the
-        population was loaded from an external fixture that did not record it.
+    true_lambda : coefficient vector of the response model, or None for a
+        population built by hand with no logistic model behind it.
     true_p : per-unit response probabilities; equal to the logistic model
         evaluated at ``true_lambda`` whenever that vector is present.
-    rho : correlation used by the generator (NaN for external fixtures).
+    rho : correlation used by the generator (NaN when none was used).
     total : sum of y, cached at construction via compensated summation.
     """
 
@@ -237,56 +234,3 @@ def generate_population(cfg: GenConfig) -> Population:
     lam = np.asarray(cfg.lam, dtype=float)
     p = logistic_probs(aux, lam)
     return Population(aux=aux, y=y, true_lambda=lam, true_p=p, rho=rho)
-
-
-def population_to_csv(pop: Population, path: str | Path) -> None:
-    """Write a population as ``unit,x1,y,p_true`` rows.
-
-    Generator metadata (lambda, rho) goes into a leading comment so the file
-    round-trips into an identical Population. Values are printed with 17
-    significant digits so doubles survive the text round trip.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        if pop.true_lambda is not None:
-            lam_txt = ",".join(f"{v:.17g}" for v in pop.true_lambda)
-            fh.write(f"# lambda={lam_txt} rho={pop.rho:.17g}\n")
-        fh.write("unit,x1,y,p_true\n")
-        for i in range(pop.size):
-            fh.write(f"{i},{pop.aux[i, 1]:.17g},{pop.y[i]:.17g},{pop.true_p[i]:.17g}\n")
-
-
-def population_from_csv(path: str | Path) -> Population:
-    """Read a ``unit,x1,y,p_true`` file back into a Population.
-
-    Accepts files without the metadata comment (cross-implementation
-    fixtures); those populations carry ``true_lambda=None``.
-    """
-    path = Path(path)
-    lam = None
-    rho = math.nan
-    rows: list[tuple[float, float, float]] = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    key, _, val = tok.partition("=")
-                    if key == "lambda":
-                        lam = np.array([float(v) for v in val.split(",")])
-                    elif key == "rho":
-                        rho = float(val)
-                continue
-            if line.startswith("unit,"):
-                continue
-            _, x1, y, p = line.split(",")
-            rows.append((float(x1), float(y), float(p)))
-    if not rows:
-        raise ValueError(f"no population rows found in {path}")
-    x1s = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
-    ps = np.array([r[2] for r in rows])
-    aux = np.column_stack([np.ones(len(rows)), x1s])
-    return Population(aux=aux, y=ys, true_lambda=lam, true_p=ps, rho=rho)

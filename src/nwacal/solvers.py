@@ -152,14 +152,12 @@ class SolverControls:
     """Newton iteration controls.
 
     tol is relative to max(1, ||target||_inf); a fit converges once the
-    residual is within it and the existence test holds (see solve). lambda0
-    replaces the intercept-only starting point, and trace records every
-    iteration in FitResult.trace.
+    residual is within it and the existence test holds (see solve). trace
+    records every iteration in FitResult.trace.
     """
 
     tol: float = 1e-8
     max_iter: int = 50
-    lambda0: np.ndarray | None = None
     trace: bool = False
 
     def __post_init__(self):
@@ -575,17 +573,14 @@ def solve_block(
     order than a stack of one. Sharing a sample changes no bit.
     An equation with no respondents, or with no nonrespondents unless it is
     a population-level calibration, has no finite solution: it is DIVERGED
-    after no iterations, at lambda0 (zero by default).
+    after no iterations, at zero.
     """
     kinds = np.asarray(kinds, dtype=object)
     rep = np.asarray(rep, dtype=np.intp)
     inv_pi = np.where(valid, 1.0 / pi, 0.0)
     n_r = r.sum(axis=1)
     short = (n_r == 0)[rep] | ((n_r == valid.sum(axis=1))[rep] & (kinds != EEKind.CAL_POPULATION))
-    if controls.lambda0 is not None:
-        lam = np.broadcast_to(np.asarray(controls.lambda0, dtype=float), target.shape).copy()
-    else:
-        lam = np.where(short[:, None], 0.0, _initial_points(kinds, rep, inv_pi, r, valid, target))
+    lam = np.where(short[:, None], 0.0, _initial_points(kinds, rep, inv_pi, r, valid, target))
     tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
     out = np.empty_like(lam), *(np.empty(len(lam), t) for t in (np.int8, np.int64, float)), [[] for _ in lam]
     cal = np.array([k in _CAL_KINDS for k in kinds], dtype=bool)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DesignKind, DesignSpec
+from .designs import DesignKind, DesignSpec, joint_inclusion
 from .estimators import FITTED_VARIANTS, Variant, _Linearization, gamma
 from .population import Population
 
@@ -42,10 +42,10 @@ class VarianceEstimate:
     """Sampling + nonresponse variance components for one reweighted total.
 
     A singular gamma system (by the solver's Cholesky rule, see
-    estimators._solve_normal_equations) leaves the dependent pieces NaN with
-    ``gamma_hat=None``; the sampling component of the
-    sample-level variants never needs gamma and stays usable. ``v_sam`` may
-    be negative under SRSWOR in pathological samples and is reported as-is.
+    estimators.gamma) leaves ``gamma_hat`` and the dependent pieces NaN; the
+    sampling component of the sample-level variants never needs gamma and
+    stays usable. ``v_sam`` may be negative under SRSWOR in pathological
+    samples and is reported as-is.
     """
 
     v_sam: float
@@ -67,10 +67,8 @@ def _cross_term(design: DesignSpec, u: np.ndarray):
     """
     if design.kind is DesignKind.POISSON:
         return 0.0
-    N = design.size
-    n = design.n_target
-    pi_ij = n * (n - 1.0) / (N * (N - 1.0))
-    pi_i = n / N
+    pi_ij = joint_inclusion(design, 0, 1)
+    pi_i = design.pi[0]
     coeff = (pi_ij - pi_i * pi_i) / pi_ij
     total = np.sum(u, axis=-1)
     return coeff * (total * total - np.sum(u * u, axis=-1))
@@ -130,8 +128,7 @@ def var_hat(
         for a in (pi_r, np.atleast_2d(np.asarray(x_r, dtype=float)), y_r, p_hat_r)
     ]
     v_sam, v_nr, gamma_hat = var_hat_block(variant, design, *stack)
-    singular = bool(np.isnan(gamma_hat).any())
-    return VarianceEstimate(v_sam=float(v_sam[0]), v_nr=float(v_nr[0]), gamma_hat=None if singular else gamma_hat[0])
+    return VarianceEstimate(v_sam=float(v_sam[0]), v_nr=float(v_nr[0]), gamma_hat=gamma_hat[0])
 
 
 def var_hat_mle(
@@ -205,7 +202,7 @@ def theoretical_variance(
     if variant in FITTED_VARIANTS and not full_response:
         lin = _Linearization.of(variant)
         g = gamma(variant, pop.aux, y, pi, p, "U")
-        if g is None:
+        if np.isnan(g).any():
             raise ValueError("singular population gamma system")
         resid = y - lin.scale(pi, p) * (pop.aux @ g)
         z = resid if lin.population_level else y

@@ -18,7 +18,6 @@ from nwacal import (
     generate_population,
     ht_estimate,
     linearized_block,
-    linearized_estimate,
     nwa_estimate,
     solve,
     srs_design,
@@ -26,7 +25,6 @@ from nwacal import (
     var_hat,
     var_hat_block,
 )
-from nwacal.estimators import _solve_normal_equations
 from nwacal.montecarlo import mix_seed
 
 
@@ -213,7 +211,7 @@ def test_gamma_singular_system_flagged():
     pop = Population(
         aux=x, y=np.ones(4), true_lambda=None, true_p=np.full(4, 0.5), rho=0.0
     )
-    assert _gamma_over_u(pop) is None
+    assert np.isnan(_gamma_over_u(pop)).all()
 
 
 def test_stacked_normal_equations_share_the_solver_singular_rule():
@@ -232,11 +230,14 @@ def test_stacked_normal_equations_share_the_solver_singular_rule():
     w[1] = 0.0
     x[2, 3, 1] = np.nan
     y[3, 5] = np.inf
-    g = _solve_normal_equations(x, y, w, w)
+    # cal_S at level "S" with pi = 1 weighs both sides by 1 - p.
+    p = 1.0 - w
+    g = gamma(Variant.CAL_S, x, y, 1.0, p, "S")
     assert np.isnan(g[:4]).all()
     for b in range(4, B):
-        a = (x[b].T * w[b]) @ x[b]
-        want = np.linalg.solve(a, (w[b] * y[b]) @ x[b])
+        wb = 1.0 - p[b]
+        a = (x[b].T * wb) @ x[b]
+        want = np.linalg.solve(a, (wb * y[b]) @ x[b])
         tol = 1e-13 * np.linalg.cond(a) * np.abs(want).max()
         assert np.all(np.abs(g[b] - want) <= tol), b
 
@@ -289,7 +290,6 @@ def test_unfitted_variants_have_no_variance_or_linearization(study_population, s
         lambda: var_hat(variant, study_srs, pi, x, y, p),
         lambda: var_hat_block(variant, study_srs, pi[None], x[None], y[None], p[None]),
         lambda: linearized_block(variant, pop, x[None], y[None], pi[None], p[None], resp.r[None].astype(float)),
-        lambda: linearized_estimate(variant, pop, s, resp),
         lambda: gamma(variant, x, y, pi, p, "S"),
     )
     for call in calls:
@@ -302,7 +302,10 @@ def test_linearized_cal_U_exact_for_linear_y():
     d = srs_design(pop.size, 40)
     s = draw_sample(d, 10)
     resp = draw_response(s, pop.true_p[s.indices], 11)
-    got = linearized_estimate(Variant.CAL_U, pop, s, resp)
+    idx = s.indices
+    got = linearized_block(
+        Variant.CAL_U, pop, pop.aux[idx][None], pop.y[idx][None], s.pi_s[None], pop.true_p[idx][None], resp.r[None]
+    )[0]
     assert got == pytest.approx(pop.total, rel=1e-10)
 
 
@@ -317,10 +320,12 @@ def test_linearized_full_response_equals_ht(small_population):
     d = srs_design(pop.size, 40)
     s = draw_sample(d, 12)
     resp = draw_response(s, np.ones(s.size), 13)
+    idx = s.indices
+    x, y, pi, p, r = pop.aux[idx][None], pop.y[idx][None], s.pi_s[None], ones.true_p[idx][None], resp.r[None]
     ht = ht_estimate(s.pi_s, pop.y[s.indices])
-    for gamma in (np.zeros(2), np.array([1.5, -2.0])):
+    for coef in (np.zeros(2), np.array([1.5, -2.0])):
         for variant in (Variant.CAL_S, Variant.MLE_K1, Variant.MLE_KINVPI):
-            got = linearized_estimate(variant, ones, s, resp, gamma=gamma)
+            got = linearized_block(variant, ones, x, y, pi, p, r, coef=coef)[0]
             assert got == pytest.approx(ht, rel=1e-10)
 
 

@@ -26,7 +26,6 @@ from nwacal.estimators import (
     VARIANT_TO_EEKIND,
     estimating_equation,
     linearized_block,
-    linearized_estimate,
     nwa_estimate,
 )
 from nwacal.montecarlo import (
@@ -373,7 +372,7 @@ def test_respondent_stack_holds_each_equations_respondents(study_cells, cell, sm
 @pytest.mark.parametrize("cell", range(6))
 def test_linearized_block_matches_linearized_estimate(study_cells, cell, small_blocks):
     # The stacked linearized estimator on the engine's padded draws against
-    # the stack of one on the public draws of each replicate.
+    # an unpadded stack of one on the public draws of each replicate.
     _, _, scenario = study_cells[cell]
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
     size = block_replicates(design)
@@ -385,7 +384,11 @@ def test_linearized_block_matches_linearized_estimate(study_cells, cell, small_b
             for b, index in enumerate(indices):
                 sample = draw_sample(design, mix_seed(seed, index, TAG_SAMPLING))
                 resp = draw_response(sample, pop.true_p[sample.indices], mix_seed(seed, index, TAG_RESPONSE))
-                want = linearized_estimate(variant, pop, sample, resp)
+                idx = sample.indices
+                want = linearized_block(
+                    variant, pop, pop.aux[idx][None], pop.y[idx][None], sample.pi_s[None],
+                    pop.true_p[idx][None], resp.r[None],
+                )[0]
                 assert got[b] == pytest.approx(want, rel=1e-12, abs=0.0), (index, variant)
 
 

@@ -12,8 +12,6 @@ from nwacal import (
     Population,
     generate_population,
     logistic_probs,
-    population_from_csv,
-    population_to_csv,
 )
 from nwacal.cli import STUDY_RHOS, RunConfig
 from nwacal.montecarlo import TAG_POPULATION, mix_seed
@@ -188,27 +186,6 @@ def test_population_invariant_violations():
 def test_population_arrays_read_only(study_population):
     with pytest.raises(ValueError):
         study_population.y[0] = 99.0
-
-
-def test_csv_round_trip(tmp_path):
-    pop = generate_population(GenConfig(N=50, seed=3))
-    path = tmp_path / "pop.csv"
-    population_to_csv(pop, path)
-    back = population_from_csv(path)
-    assert np.array_equal(back.aux, pop.aux)
-    assert np.array_equal(back.y, pop.y)
-    assert np.array_equal(back.true_p, pop.true_p)
-    assert np.array_equal(back.true_lambda, pop.true_lambda)
-    assert back.rho == pop.rho
-
-
-def test_csv_without_metadata(tmp_path):
-    path = tmp_path / "fixture.csv"
-    path.write_text("unit,x1,y,p_true\n0,4.0,3.5,0.8\n1,5.0,4.5,0.9\n")
-    pop = population_from_csv(path)
-    assert pop.true_lambda is None
-    assert pop.size == 2
-    assert pop.total == 8.0
 
 
 def _ulps(a, b):

@@ -1,7 +1,11 @@
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import nwacal.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name: str):
@@ -41,3 +45,17 @@ def test_block_footprint_prints_each_stage(capsys):
     key, rss = lines[5].split()
     assert key == "ru_maxrss_mb" and float(rss) > 0.0
     assert len(lines) == 6
+
+
+def test_benchmark_names_stay_bound(monkeypatch):
+    # perfbench/workloads.py imports nwacal names, and the benchmark times a
+    # study by wrapping the names nwacal.cli binds (perfbench/layers.py):
+    # us_per_replicate is the time inside cli.run_study over the replicates.
+    # Deleting a name workloads.py imports breaks every benchmark run; a name
+    # cli no longer binds records no time and would read as a speed-up.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    importlib.import_module("workloads")
+    sys.modules.pop("workloads")
+    for name in ("run_study", "write_raw_records", "generate_population", "srs_design", "poisson_design"):
+        assert callable(getattr(nwacal.cli, name, None)), name

@@ -794,12 +794,11 @@ def test_controls_validation():
         SolverControls(max_iter=0)
 
 
-def test_lambda0_override_and_trace():
+def test_trace_records_every_iteration():
     x, pi, r, _ = random_instance(10)
-    eq = EstimatingEquation.mle(x, pi, r)
-    controls = SolverControls(lambda0=np.array([0.0, 0.0]), trace=True)
-    fit = solve(eq, controls)
+    fit = solve(EstimatingEquation.mle(x, pi, r), SolverControls(trace=True))
     assert fit.converged
+    assert fit.iterations > 0
     assert len(fit.trace) == fit.iterations
     iters, res_norms, steps = zip(*fit.trace)
     assert list(iters) == list(range(1, fit.iterations + 1))
@@ -808,12 +807,17 @@ def test_lambda0_override_and_trace():
 
 
 def test_singular_jacobian_detected():
-    # Collinear auxiliaries make the score Jacobian rank deficient. The
-    # intercept-only start would solve this instance directly, so force a
-    # start that needs a Newton step.
-    x = np.column_stack([np.ones(10), np.full(10, 2.0)])
+    # Collinear auxiliaries make the score Jacobian rank deficient at every
+    # lambda, the intercept-only start included, so no Newton step is taken.
     pi = np.full(10, 0.5)
-    r = np.array([1, 0] * 5)
-    controls = SolverControls(lambda0=np.array([1.0, -1.0]))
-    fit = solve(EstimatingEquation.mle(x, pi, r), controls)
-    assert fit.status is FitStatus.SINGULAR_JACOBIAN
+    x1 = np.arange(10.0)
+    constant = np.column_stack([np.ones(10), np.full(10, 2.0)])
+    instances = [
+        (constant, [1, 0] * 5),
+        (constant, [1, 1, 1, 0, 0, 1, 0, 1, 1, 1]),
+        (np.column_stack([np.ones(10), x1, 1.0 + x1]), [1, 1, 1, 0, 0, 1, 0, 1, 1, 1]),
+    ]
+    for x, r in instances:
+        fit = solve(EstimatingEquation.mle(x, pi, np.array(r)))
+        assert fit.status is FitStatus.SINGULAR_JACOBIAN
+        assert fit.iterations == 0

@@ -19,6 +19,7 @@ from nwacal import (
     srs_design,
     theoretical_variance,
     two_phase_estimate,
+    var_hat,
     var_hat_calS,
     var_hat_calU,
     var_hat_ht,
@@ -208,6 +209,23 @@ def test_sampling_component_can_be_negative_under_srswor():
     assert got.v_sam < 0.0
     if got.total < 0.0:
         assert confidence_interval(0.0, got.total) is None
+
+
+@pytest.mark.parametrize("variant", [Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S])
+def test_var_hat_singular_gamma_is_a_nan_row(variant):
+    # x1 is constant over the respondents, so the gamma system is exactly
+    # collinear: gamma_hat and every component that needs it read NaN, while
+    # the sampling component of the variants that run it on y stays finite.
+    m = 6
+    pi_r = np.full(m, 0.4)
+    x_r = np.column_stack([np.ones(m), np.full(m, 2.0)])
+    y_r = np.linspace(1.0, 3.0, m)
+    p_hat_r = np.full(m, 0.6)
+    design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
+    got = var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
+    assert got.gamma_hat.shape == (2,) and np.isnan(got.gamma_hat).all()
+    assert math.isnan(got.v_nr)
+    assert math.isnan(got.v_sam) == (variant is Variant.CAL_U)
 
 
 @pytest.mark.parametrize("variant", [Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S])
