@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 
 from nwacal import GenConfig, generate_population, srs_design
-from nwacal.montecarlo import _FITTED, Scenario, _fit, _run_block, _stack_draws, _unit_columns, block_replicates
+from nwacal.montecarlo import _FITTED, Scenario, _fit, _run_block, _stack_draws, block_replicates
 
 
 def _stage(name: str, run):
@@ -47,13 +47,12 @@ def main(argv: list[str] | None = None) -> int:
     design = srs_design(args.N, args.n)
     reps = block_replicates(design)
     scenario = Scenario(population=pop, design=design, reps=reps, master_seed=args.seed)
-    columns = _unit_columns(scenario)
 
     print(f"one block of {reps} replicates, {reps * args.n} sampled units: "
           f"srs N={args.N} n={args.n} rho={args.rho} seed={args.seed}")
     print(f"{'stage':<16}{'traced_peak_mb':>16}{'minflt':>10}")
     tracemalloc.start()
-    st = _stage("draws", lambda: _stack_draws(scenario, range(reps), columns))
+    st = _stage("draws", lambda: _stack_draws(scenario, range(reps)))
     _stage("fit_evaluate", lambda: _run_block(scenario, st))
     rows = np.flatnonzero(st.n_r >= pop.n_aux)
     _stage("fit_warm", lambda: _fit(st, rows, np.flatnonzero(_FITTED), pop.aux.sum(axis=0), scenario.controls))

@@ -153,11 +153,11 @@ class ReplicateColumns(NamedTuple):
         return cls(*(np.concatenate(f) for f in zip(*parts)))
 
 
-def _pad(units: np.ndarray, sizes: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+def _pad(units: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated per-replicate unit indices as a (B, max size) array,
-    padded with the index ``fill``, and its mask of real rows."""
+    padded with unit 0, and its mask of real rows."""
     valid = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    idx = np.full(valid.shape, fill, dtype=np.int64)
+    idx = np.zeros(valid.shape, dtype=np.int64)
     idx[valid] = units
     return idx, valid
 
@@ -198,27 +198,28 @@ class _Stack(NamedTuple):
         return cls(n_s, n_r, x, pi, y[None], None, r, valid, x_r, pi_r, y[r[0] == 1][None], None, valid_r)
 
 
-def _unit_columns(scenario: Scenario) -> tuple[np.ndarray, ...]:
-    """The population's (aux, pi, y, true p), each extended by the padding
-    row (x = 0, pi = 1, y = 0, p = 1) at index N, so that one gather pads."""
-    pop = scenario.population
-    return (np.vstack([pop.aux, np.zeros(pop.n_aux)]), np.append(scenario.design.pi, 1.0),
-            np.append(pop.y, 0.0), np.append(pop.true_p, 1.0))
+def _gather(scenario: Scenario, u: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, pi, y, true p) of the padded unit indices ``u``, with the
+    padding rows (outside ``valid``) set in place to x = 0, pi = 1, y = 0, p = 1."""
+    pop, pad = scenario.population, ~valid
+    columns = pop.aux[u], scenario.design.pi[u], pop.y[u], pop.true_p[u]
+    for column, fill in zip(columns, (0.0, 1.0, 0.0, 1.0)):
+        column[pad] = fill
+    return columns
 
 
-def _stack_draws(scenario: Scenario, indices: range, columns: tuple[np.ndarray, ...]) -> _Stack:
+def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
     """The padded samples and respondents of the replicates ``indices``,
-    gathered from the extended ``columns`` of _unit_columns."""
-    design, seed, fill = scenario.design, scenario.master_seed, scenario.population.size
+    gathered from the population and design, with r as booleans."""
+    seed = scenario.master_seed
     seeds = np.column_stack([_block_seeds(seed, indices, TAG_SAMPLING), _block_seeds(seed, indices, TAG_RESPONSE)])
-    units, r_all, n_s = _draw_replicates(design, scenario.population.true_p, seeds)
-    u, valid = _pad(units, n_s, fill)
-    r = np.zeros(valid.shape, dtype=np.int64)
+    units, r_all, n_s = _draw_replicates(scenario.design, scenario.population.true_p, seeds)
+    u, valid = _pad(units, n_s)
+    r = np.zeros(valid.shape, dtype=bool)
     r[valid] = r_all
     n_r = r.sum(axis=1)
-    u_r, valid_r = _pad(units[r_all == 1], n_r, fill)
-    aux, pi, y, p = columns
-    return _Stack(n_s, n_r, aux[u], pi[u], y[u], p[u], r, valid, aux[u_r], pi[u_r], y[u_r], p[u_r], valid_r)
+    u_r, valid_r = _pad(units[r_all == 1], n_r)
+    return _Stack(n_s, n_r, *_gather(scenario, u, valid), r, valid, *_gather(scenario, u_r, valid_r), valid_r)
 
 
 #: The EEKind of each variant column of VARIANTS (None where unfitted).
@@ -283,6 +284,7 @@ def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
     w_true = 1.0 / (st.pi_r * st.p_r)
     values[:, true_p, 0] = np.sum(st.y_r * w_true, axis=1)
     values[:, true_p, 5] = _row_max(w_true, st.valid_r)
+    del w_true  # not held through the fits
 
     # A replicate with fewer than q respondents is degenerate: not fitted.
     degenerate = st.n_r < scenario.population.n_aux
@@ -301,9 +303,9 @@ def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
 def _run_blocks(args: tuple[Scenario, int, int]) -> ReplicateColumns:
     """Blocks first..last-1 of a scenario's replicates."""
     scenario, first, last = args
-    columns, size = _unit_columns(scenario), block_replicates(scenario.design)
+    size = block_replicates(scenario.design)
     blocks = (range(k * size, min((k + 1) * size, scenario.reps)) for k in range(first, last))
-    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b, columns)) for b in blocks])
+    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
 
 
 def relative_bias(values: np.ndarray, true_total: float) -> float | None:
@@ -462,11 +464,11 @@ def linearization_gap(scenario: Scenario, variants: tuple[Variant, ...]) -> dict
     whose gamma system is singular, are skipped.
     """
     pop = scenario.population
-    columns, size = _unit_columns(scenario), block_replicates(scenario.design)
+    size = block_replicates(scenario.design)
     asked = np.array([VARIANTS.index(v) for v in variants])
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, scenario.reps, size):
-        st = _stack_draws(scenario, range(start, min(start + size, scenario.reps)), columns)
+        st = _stack_draws(scenario, range(start, min(start + size, scenario.reps)))
         rows = np.flatnonzero(st.n_r >= pop.n_aux)
         fit_b, fit_v, fits = _fit(st, rows, asked, pop.aux.sum(axis=0), scenario.controls)
         ok = fits.status == FitStatus.CONVERGED

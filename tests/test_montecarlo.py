@@ -6,6 +6,7 @@ from conftest import assert_pool_ran
 from oracles import calibration_margin, draw_replicates_loop, mle_margin, write_raw_records_loop
 
 from nwacal import (
+    DesignKind,
     GenConfig,
     Population,
     Variant,
@@ -40,7 +41,6 @@ from nwacal.montecarlo import (
     Scenario,
     _block_seeds,
     _stack_draws,
-    _unit_columns,
     block_replicates,
     coverage_rate,
     linearization_gap,
@@ -342,31 +342,37 @@ def test_block_engine_matches_scalar_step_api(study_cells, cell, small_blocks):
 
 @pytest.mark.parametrize("cell", [0, 3])
 def test_respondent_stack_holds_each_equations_respondents(study_cells, cell, small_blocks):
-    # solve_block takes a calibration equation's rows from the engine's
-    # respondent stack: row b must be eq.x[eq.r == 1] of replicate b's
-    # step-API equation, with its pi, y and true p, in sample order, then
-    # padding rows x = 0, pi = 1, y = 0, p = 1 that add exact zeros.
+    # The engine's sample stack: row b must be replicate b's public draws
+    # (x, pi, y, true p and r) in sample order. solve_block takes a
+    # calibration equation's rows from its respondent stack: row b must be
+    # eq.x[eq.r == 1] of replicate b's step-API equation, with its pi, y
+    # and true p, in sample order. Both stacks end in padding rows x = 0,
+    # pi = 1, y = 0, p = 1 (and r = 0) that add exact zeros.
     _, _, scenario = study_cells[cell]
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
     indices = range(block_replicates(design), scenario.reps)
-    st = _stack_draws(scenario, indices, _unit_columns(scenario))
-    width = st.x_r.shape[1]
+    st = _stack_draws(scenario, indices)
+    assert st.r.dtype == bool
     for b, index in enumerate(indices):
         sample = draw_sample(design, mix_seed(seed, index, TAG_SAMPLING))
         resp = draw_response(sample, pop.true_p[sample.indices], mix_seed(seed, index, TAG_RESPONSE))
         eq = estimating_equation(Variant.CAL_S, pop.aux[sample.indices], sample.pi_s, resp.r)
         keep = eq.r == 1
-        m = int(keep.sum())
-        assert (st.n_r[b], width) == (m, st.n_r.max()), index
-        assert st.valid_r[b].tolist() == [True] * m + [False] * (width - m), index
-        for got, want, fill in (
-            (st.x_r[b], eq.x[keep], 0.0),
-            (st.pi_r[b], eq.pi[keep], 1.0),
-            (st.y_r[b], pop.y[sample.indices][keep], 0.0),
-            (st.p_r[b], pop.true_p[sample.indices][keep], 1.0),
+        y, p = pop.y[sample.indices], pop.true_p[sample.indices]
+        for n_b, width, valid, rows in (
+            (st.n_s, st.valid.shape[1], st.valid,
+             ((st.x, eq.x, 0.0), (st.pi, eq.pi, 1.0), (st.y, y, 0.0), (st.p, p, 1.0), (st.r, keep, False))),
+            (st.n_r, st.valid_r.shape[1], st.valid_r,
+             ((st.x_r, eq.x[keep], 0.0), (st.pi_r, eq.pi[keep], 1.0), (st.y_r, y[keep], 0.0), (st.p_r, p[keep], 1.0))),
         ):
-            assert np.array_equal(got[:m], want), index
-            assert np.all(got[m:] == fill), index
+            m = len(rows[0][1])
+            assert (n_b[b], width) == (m, n_b.max()), index
+            assert valid[b].tolist() == [True] * m + [False] * (width - m), index
+            for got, want, fill in rows:
+                assert np.array_equal(got[b, :m], want), index
+                assert np.all(got[b, m:] == fill), index
+    # The sample stack of a Poisson cell has padding rows to check.
+    assert design.kind is DesignKind.SRSWOR or not st.valid.all()
 
 
 @pytest.mark.parametrize("cell", range(6))
@@ -378,7 +384,7 @@ def test_linearized_block_matches_linearized_estimate(study_cells, cell, small_b
     size = block_replicates(design)
     for start in range(0, scenario.reps, size):
         indices = range(start, min(start + size, scenario.reps))
-        st = _stack_draws(scenario, indices, _unit_columns(scenario))
+        st = _stack_draws(scenario, indices)
         for variant in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S):
             got = linearized_block(variant, pop, st.x, st.y, st.pi, st.p, st.r)
             for b, index in enumerate(indices):
@@ -438,6 +444,30 @@ def test_block_replicates_depend_on_the_design_alone(study_population):
     assert block_replicates(srs_design(study_population.size, 999)) == BLOCK_UNITS // 999
     assert block_replicates(srs_design(BLOCK_UNITS + 2, BLOCK_UNITS + 1)) == 1
     assert block_replicates(poisson_design(study_population, 62.5)) == int(BLOCK_UNITS // 62.5)
+
+
+def test_run_study_holds_no_copy_of_the_population():
+    # The tracemalloc peak of run_study on one block of 3 SRSWOR replicates
+    # of n = 50 from N = 200,000 units (q = 2), bounded by one float column
+    # of the population, N 8 bytes = 1.6 MB. The block's stacks hold 150
+    # sampled units at (q + 3) 8 bytes each for x, pi, y and the true p;
+    # its fits, estimates and variances take a few times that, the O(m^2)
+    # pair terms included: about 0.05 MB in all. A run that copies the
+    # population's columns aux, pi, y and true p, N (q + 3) 8 = 8 MB, or
+    # any one of them, exceeds the bound.
+    import tracemalloc
+
+    N = 200_000
+    pop = generate_population(GenConfig(N=N, rho=0.6, seed=5))
+    scenario = _scenario(pop, srs_design(N, 50), reps=3, seed=7)
+    run_study(scenario)
+    tracemalloc.start()
+    try:
+        run_study(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * 8, peak / (N * 8)
 
 
 def test_study_identical_for_any_worker_count_across_blocks(
