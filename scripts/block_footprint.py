@@ -21,7 +21,7 @@ import tracemalloc
 import numpy as np
 
 from nwacal import GenConfig, generate_population, srs_design
-from nwacal.montecarlo import _FITTED, Scenario, _fit, _run_block, _stack_draws, block_replicates
+from nwacal.montecarlo import VARIANTS, Scenario, _fit, _run_block, _stack_draws, block_replicates
 
 
 def _stage(name: str, run):
@@ -51,11 +51,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"one block of {reps} replicates, {reps * args.n} sampled units: "
           f"srs N={args.N} n={args.n} rho={args.rho} seed={args.seed}")
     print(f"{'stage':<16}{'traced_peak_mb':>16}{'minflt':>10}")
+    totals = pop.aux.sum(axis=0)
+    fitted = np.flatnonzero([v.fitted for v in VARIANTS])
     tracemalloc.start()
     st = _stage("draws", lambda: _stack_draws(scenario, range(reps)))
-    _stage("fit_evaluate", lambda: _run_block(scenario, st))
+    _stage("fit_evaluate", lambda: _run_block(scenario, st, totals))
     rows = np.flatnonzero(st.n_r >= pop.n_aux)
-    _stage("fit_warm", lambda: _fit(st, rows, np.flatnonzero(_FITTED), pop.aux.sum(axis=0), scenario.controls))
+    _stage("fit_warm", lambda: _fit(st, rows, fitted, totals, scenario.controls))
     tracemalloc.stop()
     print(f"ru_maxrss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
     return 0

@@ -24,7 +24,6 @@ from .designs import (
 )
 from .response import RespondentSet, draw_response
 from .solvers import (
-    EEKind,
     EstimatingEquation,
     FitNotConvergedError,
     FitResult,

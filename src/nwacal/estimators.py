@@ -11,15 +11,13 @@ the fitted probabilities, also serves the variance estimators.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .population import Population
-from .solvers import EEKind, EstimatingEquation, FitNotConvergedError, FitResult, _CAL_KINDS, _cholesky_solve
+from .solvers import EstimatingEquation, FitNotConvergedError, FitResult, Variant, _cholesky_solve, _require_fitted
 
 __all__ = [
     "Variant",
@@ -33,24 +31,8 @@ __all__ = [
 ]
 
 
-class Variant(enum.Enum):
-    HT = "ht"
-    TRUE_P = "p"
-    MLE_K1 = "mle_1"
-    MLE_KINVPI = "mle_invpi"
-    CAL_U = "cal_U"
-    CAL_S = "cal_S"
-
-
-#: Variants whose weights come from a fitted estimating equation.
-FITTED_VARIANTS = (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S)
-
-VARIANT_TO_EEKIND = {
-    Variant.MLE_K1: EEKind.MLE_K1,
-    Variant.MLE_KINVPI: EEKind.MLE_KINVPI,
-    Variant.CAL_U: EEKind.CAL_POPULATION,
-    Variant.CAL_S: EEKind.CAL_SAMPLE,
-}
+#: Variants whose weights come from a fitted estimating equation, in Variant order.
+FITTED_VARIANTS = tuple(v for v in Variant if v.fitted)
 
 
 def estimating_equation(
@@ -58,12 +40,12 @@ def estimating_equation(
 ) -> EstimatingEquation:
     """The estimating equation that fits a variant's response probabilities
     over one sample; population-level calibration needs the totals."""
-    kind = VARIANT_TO_EEKIND[variant]
-    if kind is EEKind.CAL_POPULATION:
+    _require_fitted(variant)
+    if variant.mle:
+        return EstimatingEquation.mle(x_s, pi_s, r, survey_weighted=variant.k_inv_pi)
+    if variant.population_level:
         return EstimatingEquation.cal_population(x_s, pi_s, r, population_totals)
-    if kind is EEKind.CAL_SAMPLE:
-        return EstimatingEquation.cal_sample(x_s, pi_s, r)
-    return EstimatingEquation.mle(x_s, pi_s, r, survey_weighted=kind is EEKind.MLE_KINVPI)
+    return EstimatingEquation.cal_sample(x_s, pi_s, r)
 
 
 @dataclass(frozen=True)
@@ -113,31 +95,20 @@ def nwa_estimate(
     return EstimateRecord(value=float(w @ y_r), weights=w)
 
 
-class _Linearization(NamedTuple):
-    """A fitted variant's estimator to first order, read off its estimating
-    equation's kind: the total of the fitted values scale_i x_i'gamma plus
-    the HT total of the residuals y_i - scale_i x_i'gamma. The scale is
-    k pi p for the MLE kinds, with k = 1/pi for the survey-weighted score
-    (as solvers._terms weights it) and 1 otherwise, and 1 for calibration.
-    Population-level calibration knows the fitted total over U, so its
-    sampling component runs on the residuals; the others run on y."""
+def _k(variant: Variant, pi):
+    """The score weight k of an MLE variant, as solvers._terms weights it:
+    1/pi for mle_invpi, 1 otherwise."""
+    return 1.0 / pi if variant.k_inv_pi else 1.0
 
-    k_inv_pi: bool
-    mle: bool
-    population_level: bool
 
-    @classmethod
-    def of(cls, variant: Variant) -> "_Linearization":
-        kind = VARIANT_TO_EEKIND.get(variant)
-        if kind is None:
-            raise ValueError(f"variant {variant.value} fits no response model, so it has no linearization")
-        return cls(kind is EEKind.MLE_KINVPI, kind not in _CAL_KINDS, kind is EEKind.CAL_POPULATION)
-
-    def k(self, pi):
-        return 1.0 / pi if self.k_inv_pi else 1.0
-
-    def scale(self, pi, p):
-        return self.k(pi) * pi * p if self.mle else 1.0
+def _scale(variant: Variant, pi, p):
+    """The scale of a fitted variant's fitted values scale_i x_i'gamma. Its
+    estimator to first order is the total of the fitted values plus the HT
+    total of the residuals y_i - scale_i x_i'gamma; the scale is k pi p for
+    the MLE variants and 1 for calibration. cal_U knows the fitted total
+    over U, so its sampling component runs on the residuals; the others run
+    on y."""
+    return _k(variant, pi) * pi * p if variant.mle else 1.0
 
 
 def gamma(variant: Variant, x: np.ndarray, y: np.ndarray, pi, p: np.ndarray, level: str):
@@ -145,7 +116,7 @@ def gamma(variant: Variant, x: np.ndarray, y: np.ndarray, pi, p: np.ndarray, lev
 
         [sum_i omega_i a_i x_i x_i'] gamma = sum_i omega_i b_i x_i y_i,
 
-    with b = 1 - p, and a = k pi p (1 - p) for the MLE kinds or a = b for
+    with b = 1 - p, and a = k pi p (1 - p) for the MLE variants or a = b for
     calibration (Kim & Riddles 2012; Deville & Sarndal 1992). The sums run
     at one of three levels: over U with omega = 1 (level "U"), over S with
     omega = 1/pi ("S") or over the respondents with omega = 1/(pi p) ("S_r",
@@ -155,10 +126,10 @@ def gamma(variant: Variant, x: np.ndarray, y: np.ndarray, pi, p: np.ndarray, lev
     The systems are solved by the solver's Cholesky factorization, whose
     rule decides which are singular (a non-finite entry, or a pivot lost to
     rounding): a singular system gives a NaN gamma."""
-    lin = _Linearization.of(variant)
+    _require_fitted(variant)
     d, kept = {"U": (1.0, (pi, p)), "S": (pi, (p,)), "S_r": (pi * p, ())}[level]
     b = (1.0 - p) / d
-    a = math.prod(kept, start=lin.k(pi)) * (1.0 - p) if lin.mle else b
+    a = math.prod(kept, start=_k(variant, pi)) * (1.0 - p) if variant.mle else b
     lhs = (np.swapaxes(x, -1, -2) * a[..., None, :]) @ x
     rhs = ((b * y)[..., None, :] @ x)[..., 0, :]
     q = x.shape[-1]
@@ -186,12 +157,12 @@ def linearized_block(
     variant computes from the data. Returns the B estimates, NaN where the
     gamma system is singular.
     """
-    lin = _Linearization.of(variant)
+    _require_fitted(variant)
     if coef is None:
-        coef = (gamma(variant, pop.aux, pop.y, 1.0, pop.true_p, "U") if lin.population_level
+        coef = (gamma(variant, pop.aux, pop.y, 1.0, pop.true_p, "U") if variant.population_level
                 else gamma(variant, x_s, y_s, pi_s, p_s, "S"))
     coef = np.broadcast_to(coef, (len(x_s), x_s.shape[-1]))
-    fitted = lin.scale(pi_s, p_s) * (x_s @ coef[..., None])[..., 0]
-    fitted_total = coef @ pop.aux.sum(axis=0) if lin.population_level else np.sum(fitted / pi_s, axis=-1)
+    fitted = _scale(variant, pi_s, p_s) * (x_s @ coef[..., None])[..., 0]
+    fitted_total = coef @ pop.aux.sum(axis=0) if variant.population_level else np.sum(fitted / pi_s, axis=-1)
     return fitted_total + np.sum(r / (pi_s * p_s) * (y_s - fitted), axis=-1)
 

@@ -26,10 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignSpec
-from .estimators import VARIANT_TO_EEKIND, Variant, linearized_block
+from .estimators import Variant, linearized_block
 from .population import Population
 from .response import _draw_replicates
-from .solvers import EEKind, FitStatus, SolverControls, _rows_dot, _sample_stack, response_probabilities, solve_block
+from .solvers import FitStatus, SolverControls, _rows_dot, _sample_stack, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
 __all__ = [
@@ -121,8 +121,7 @@ def block_replicates(design: DesignSpec) -> int:
 
 #: Every estimator variant of a study, in the order of the variant axis of
 #: ReplicateColumns, of the report's metrics and of the raw CSV.
-VARIANTS = (Variant.HT, Variant.TRUE_P, Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S)
-_FITTED = np.array([v in VARIANT_TO_EEKIND for v in VARIANTS])
+VARIANTS = tuple(Variant)
 
 #: Per-replicate numeric fields of each variant, in raw-CSV order.
 _FIELDS = ("estimate", "v_sam", "v_nr", "ci_low", "ci_high", "max_w")
@@ -222,10 +221,6 @@ def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
     return _Stack(n_s, n_r, *_gather(scenario, u, valid), r, valid, *_gather(scenario, u_r, valid_r), valid_r)
 
 
-#: The EEKind of each variant column of VARIANTS (None where unfitted).
-_KINDS = np.array([VARIANT_TO_EEKIND.get(v) for v in VARIANTS], dtype=object)
-
-
 def _fit(st: _Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray | None, controls: SolverControls):
     """Fit the variant columns ``columns`` of the replicates ``rows`` of a
     stack, with ``totals`` the population totals of the auxiliaries (read
@@ -237,13 +232,12 @@ def _fit(st: _Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray |
     """
     # Equation j fits variant column fit_v[j] on replicate fit_b[j].
     fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
-    kinds = _KINDS[fit_v]
     target = np.zeros((fit_b.size, st.x.shape[2]))
-    cal_u, cal_s = kinds == EEKind.CAL_POPULATION, kinds == EEKind.CAL_SAMPLE
-    if cal_u.any():
-        target[cal_u] = totals
-    if cal_s.any():
-        target[cal_s] = _rows_dot(1.0 / st.pi, st.x)[fit_b[cal_s]]
+    for column in columns:
+        variant, j = VARIANTS[column], fit_v == column
+        if not variant.mle:
+            target[j] = totals if variant.population_level else _rows_dot(1.0 / st.pi, st.x)[fit_b[j]]
+    kinds = np.array(VARIANTS, dtype=object)[fit_v]
     fits = solve_block(kinds, fit_b, st.x, st.pi, st.r, st.valid, st.x_r, st.pi_r, st.valid_r, target, controls)
     return fit_b, fit_v, fits
 
@@ -272,8 +266,9 @@ def _evaluate(variant: Variant, design: DesignSpec, st: _Stack, b: np.ndarray, l
     return values, w
 
 
-def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
-    """Fit, estimate and evaluate every variant for a block's draws."""
+def _run_block(scenario: Scenario, st: _Stack, totals: np.ndarray) -> ReplicateColumns:
+    """Fit, estimate and evaluate every variant for a block's draws, with
+    ``totals`` the population totals of the auxiliaries."""
     B, V = len(st.n_s), len(VARIANTS)
     status = np.full((B, V), _OK, dtype=np.int8)
     values = np.full((B, V, len(_FIELDS)), np.nan)
@@ -288,9 +283,9 @@ def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
 
     # A replicate with fewer than q respondents is degenerate: not fitted.
     degenerate = st.n_r < scenario.population.n_aux
-    status[np.outer(degenerate, _FITTED)] = STATUSES.index(STATUS_DEGENERATE)
-    totals = scenario.population.aux.sum(axis=0)
-    fit_b, fit_v, fits = _fit(st, np.flatnonzero(~degenerate), np.flatnonzero(_FITTED), totals, scenario.controls)
+    fitted = np.array([v.fitted for v in VARIANTS])
+    status[np.outer(degenerate, fitted)] = STATUSES.index(STATUS_DEGENERATE)
+    fit_b, fit_v, fits = _fit(st, np.flatnonzero(~degenerate), np.flatnonzero(fitted), totals, scenario.controls)
     status[fit_b, fit_v] = [_STATUS_CODE[s] for s in fits.status]
     iterations[fit_b, fit_v] = fits.iterations
     ok = fits.status == FitStatus.CONVERGED
@@ -301,11 +296,13 @@ def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
 
 
 def _run_blocks(args: tuple[Scenario, int, int]) -> ReplicateColumns:
-    """Blocks first..last-1 of a scenario's replicates."""
+    """Blocks first..last-1 of a scenario's replicates, with the population
+    totals summed once for all of them."""
     scenario, first, last = args
     size = block_replicates(scenario.design)
+    totals = scenario.population.aux.sum(axis=0)
     blocks = (range(k * size, min((k + 1) * size, scenario.reps)) for k in range(first, last))
-    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
+    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b), totals) for b in blocks])
 
 
 def relative_bias(values: np.ndarray, true_total: float) -> float | None:
@@ -436,7 +433,7 @@ def write_raw_records(path, records: ReplicateColumns, header_comment: str | Non
     V, F = len(VARIANTS), len(_FIELDS)
     blank = np.isnan(records.values)
     blank[..., 4] = blank[..., 3]  # an interval is formed whole or not at all
-    as_number = np.array([[True, f, f, False, False, False] for f in _FITTED])
+    as_number = np.array([[True, v.fitted, v.fitted, False, False, False] for v in VARIANTS])
     blank &= ~(as_number & (records.status == _OK)[..., None])
     names = [v.value for v in VARIANTS]
     with open(path, "w", newline="") as fh:
@@ -466,11 +463,12 @@ def linearization_gap(scenario: Scenario, variants: tuple[Variant, ...]) -> dict
     pop = scenario.population
     size = block_replicates(scenario.design)
     asked = np.array([VARIANTS.index(v) for v in variants])
+    totals = pop.aux.sum(axis=0)
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, scenario.reps, size):
         st = _stack_draws(scenario, range(start, min(start + size, scenario.reps)))
         rows = np.flatnonzero(st.n_r >= pop.n_aux)
-        fit_b, fit_v, fits = _fit(st, rows, asked, pop.aux.sum(axis=0), scenario.controls)
+        fit_b, fit_v, fits = _fit(st, rows, asked, totals, scenario.controls)
         ok = fits.status == FitStatus.CONVERGED
         for variant in gaps:
             j = ok & (fit_v == VARIANTS.index(variant))

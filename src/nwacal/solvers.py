@@ -1,21 +1,22 @@
 """Newton solver for the response-probability estimating equations.
 
-Four equation kinds are supported: the maximum-likelihood score over the full
-sample (unit weights or survey weights 1/pi) and calibration of the
-respondent-weighted auxiliary totals against a population-level or
-sample-level target. Each equation is the gradient of a convex function
+Each fitted variant (see Variant) solves one estimating equation: the
+maximum-likelihood score over the full sample (mle_1 with unit weights,
+mle_invpi with survey weights 1/pi) or calibration of the respondent-weighted
+auxiliary totals against a population-level (cal_U) or sample-level (cal_S)
+target. Each equation is the gradient of a convex function
 
     F(lam) = sum_i w_i phi(-a_i.lam) + c.lam,
 
 and is solved by one Newton iteration with an Armijo line search on F.
 Calibration (raking, Deville & Sarndal 1992) has rows a_i = x_i over the
 respondents, w_i = 1/pi_i, phi = exp and c = target - sum_i w_i a_i. The MLE
-kinds have rows a_i = x_i for respondents and -x_i for nonrespondents over
-the whole sample, w_i = k_i (1 or 1/pi_i), phi = softplus and c = 0, so F is
-the k-weighted negative log-likelihood. CONVERGED and DIVERGED each rest on
-a proof: a converged fit writes c as a strictly positive combination of the
-rows, so a finite solution exists; a diverged one has a direction along
-which F never increases, so none does (for the MLE kinds, separation).
+variants have rows a_i = x_i for respondents and -x_i for nonrespondents
+over the whole sample, w_i = k_i (1 or 1/pi_i), phi = softplus and c = 0, so
+F is the k-weighted negative log-likelihood. CONVERGED and DIVERGED each rest
+on a proof: a converged fit writes c as a strictly positive combination of
+the rows, so a finite solution exists; a diverged one has a direction along
+which F never increases, so none does (for the MLE variants, separation).
 solve_block runs the iteration on a stack of equations and gives every
 equation its status; solve is its stack of one, and residual and jacobian
 evaluate its terms for the stack of one.
@@ -32,7 +33,7 @@ import numpy as np
 from .population import expit
 
 __all__ = [
-    "EEKind",
+    "Variant",
     "EstimatingEquation",
     "SolverControls",
     "FitStatus",
@@ -62,14 +63,33 @@ _EPS = float(np.finfo(float).eps)
 _PIVOT_RTOL = 16.0 * _EPS
 
 
-class EEKind(enum.Enum):
-    MLE_K1 = "mle_k1"
-    MLE_KINVPI = "mle_kinvpi"
-    CAL_POPULATION = "cal_population"
-    CAL_SAMPLE = "cal_sample"
+class Variant(enum.Enum):
+    """The six estimators of a total; a value is the name in every output.
+    The fitted ones take their response probabilities from an estimating
+    equation: the maximum-likelihood score (mle: phi = softplus in F, with
+    score weights k_i = 1/pi_i where k_inv_pi, else 1) or raking calibration
+    (phi = exp) of the respondents' auxiliary totals to the population totals
+    over U (population_level) or to the HT totals over the sample."""
+
+    #            value        fitted mle    k_inv_pi population_level
+    HT =         "ht",        False, False, False,   False
+    TRUE_P =     "p",         False, False, False,   False
+    MLE_K1 =     "mle_1",     True,  True,  False,   False
+    MLE_KINVPI = "mle_invpi", True,  True,  True,    False
+    CAL_U =      "cal_U",     True,  False, False,   True
+    CAL_S =      "cal_S",     True,  False, False,   False
+
+    def __new__(cls, value: str, fitted: bool, mle: bool, k_inv_pi: bool, population_level: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.fitted, member.mle, member.k_inv_pi, member.population_level = fitted, mle, k_inv_pi, population_level
+        return member
 
 
-_CAL_KINDS = (EEKind.CAL_POPULATION, EEKind.CAL_SAMPLE)
+def _require_fitted(variant: Variant) -> None:
+    """Refuse a variant that fits no response model (ValueError)."""
+    if not variant.fitted:
+        raise ValueError(f"variant {variant.value} fits no response model")
 
 
 class FitStatus(enum.Enum):
@@ -87,20 +107,22 @@ class FitNotConvergedError(RuntimeError):
 class EstimatingEquation:
     """Per-unit data (x_i, pi_i, r_i) over the sample plus the equation target.
 
-    The target is the zero vector for the MLE kinds, the population totals of
-    the auxiliaries for population-level calibration, and the full-sample HT
-    totals for sample-level calibration. Calibration kinds need at least q
-    respondents spanning R^q for the Jacobian to be invertible, and refuse
+    kind is the fitted Variant whose equation this is; an unfitted one is
+    refused (ValueError). The target is the zero vector for the MLE
+    variants, the population totals of the auxiliaries for cal_U, and the
+    full-sample HT totals for cal_S. The calibration variants need at least
+    q respondents spanning R^q for the Jacobian to be invertible, and refuse
     data whose target - sum_i x_i/pi_i over the respondents overflows.
     """
 
-    kind: EEKind
+    kind: Variant
     x: np.ndarray
     pi: np.ndarray
     r: np.ndarray
     target: np.ndarray
 
     def __post_init__(self):
+        _require_fitted(self.kind)
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         pi = np.asarray(self.pi, dtype=float)
         r = np.asarray(self.r, dtype=np.int64)
@@ -116,7 +138,7 @@ class EstimatingEquation:
             raise ValueError("auxiliaries and target must be finite")
         if not np.all((r == 0) | (r == 1)):
             raise ValueError("r must be 0/1")
-        if self.kind in _CAL_KINDS:
+        if not self.kind.mle:
             # c = target - sum_i x_i/pi_i over the respondents, by solve_block's own product.
             with np.errstate(**_QUIET):
                 c = target - _rows_dot(1.0 / pi[r == 1][None], x[r == 1][None])[0]
@@ -130,12 +152,12 @@ class EstimatingEquation:
     @classmethod
     def mle(cls, x, pi, r, survey_weighted: bool = False) -> "EstimatingEquation":
         q = np.atleast_2d(np.asarray(x)).shape[1]
-        kind = EEKind.MLE_KINVPI if survey_weighted else EEKind.MLE_K1
+        kind = Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1
         return cls(kind=kind, x=x, pi=pi, r=r, target=np.zeros(q))
 
     @classmethod
     def cal_population(cls, x, pi, r, population_totals) -> "EstimatingEquation":
-        return cls(kind=EEKind.CAL_POPULATION, x=x, pi=pi, r=r, target=population_totals)
+        return cls(kind=Variant.CAL_U, x=x, pi=pi, r=r, target=population_totals)
 
     @classmethod
     def cal_sample(cls, x, pi, r) -> "EstimatingEquation":
@@ -144,7 +166,7 @@ class EstimatingEquation:
         # sum_i x_i/pi_i by the engine's own product, so solve and the engine fit one target.
         with np.errstate(**_QUIET):
             target = _rows_dot(1.0 / pi[None], x[None])[0]
-        return cls(kind=EEKind.CAL_SAMPLE, x=x, pi=pi, r=r, target=target)
+        return cls(kind=Variant.CAL_S, x=x, pi=pi, r=r, target=target)
 
 
 @dataclass(frozen=True)
@@ -358,14 +380,16 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(x, axis=1)
 
 
-def _initial_points(kinds: np.ndarray, rep: np.ndarray, inv_pi, r, valid, target) -> np.ndarray:
+def _initial_points(unweighted, population_level, rep: np.ndarray, inv_pi, r, valid, target) -> np.ndarray:
     """The intercept-only solution of each equation of a stack, from the
     totals of its sample (row rep of the sample stack, with inv_pi the 1/pi
     of its real rows): a cheap globalization that starts Newton at the
-    correct overall response level."""
+    correct overall response level. ``unweighted`` marks mle_1 and
+    ``population_level`` cal_U. Only the equations' samples are divided by
+    their sizes, so an empty sample that no equation fits divides nothing."""
     resp_total = np.where(r == 1, inv_pi, 0.0).sum(axis=1)[rep]
-    denom = np.where(kinds == EEKind.CAL_POPULATION, target[:, 0], inv_pi.sum(axis=1)[rep])
-    frac = np.where(kinds == EEKind.MLE_K1, (r.sum(axis=1) / valid.sum(axis=1))[rep], resp_total / denom)
+    denom = np.where(population_level, target[:, 0], inv_pi.sum(axis=1)[rep])
+    frac = np.where(unweighted, r.sum(axis=1)[rep] / valid.sum(axis=1)[rep], resp_total / denom)
     frac = np.clip(frac, 1e-6, 1.0 - 1e-6)
     lam0 = np.zeros(target.shape)
     lam0[:, 0] = np.log(frac / (1.0 - frac))
@@ -511,16 +535,17 @@ def _slots(rep: np.ndarray, R: int) -> np.ndarray:
     return grid
 
 
-def _terms(softplus: bool, kinds, x, inv_pi, r, valid, x_r, pi_r, valid_r, target):
+def _terms(softplus: bool, survey, x, inv_pi, r, valid, x_r, pi_r, valid_r, target):
     """The terms (x, w, r, c) of the F of one family's equations from
     solve_block's stacks, with inv_pi the 1/pi of the real rows; slot (k, s)
-    has kind kinds[k R + s] and target[k R + s] on sample s. x (R, n, q;
+    has target[k R + s] on sample s and, where survey[k R + s] holds (an
+    mle_invpi equation), score weights 1/pi. x (R, n, q;
     C-ordered, so any layout runs one matrix kernel) and r (R, n) hold each
     sample's rows once, w is (K, R, n) or, shared, (1, R, n), and c (K R, q);
     padding rows have w = 0. MLE (softplus): the sample, w_i = k_i, c = 0;
     calibration: the respondents, w_i = 1/pi_i, c = target - sum_i w_i x_i."""
     if softplus:
-        survey = (kinds == EEKind.MLE_KINVPI).reshape(-1, len(x), 1)
+        survey = survey.reshape(-1, len(x), 1)
         return np.ascontiguousarray(x), np.where(survey, inv_pi, valid), r == 1, np.zeros(target.shape)
     d = np.where(valid_r, 1.0 / pi_r, 0.0)
     with np.errstate(**_QUIET):
@@ -561,37 +586,38 @@ def solve_block(
     ``x_r`` (R, m, q) and ``pi_r``, ``valid_r`` (R, m): row k of the second
     holds the units of row k of the first with r = 1, in the same order.
     Padding rows are False in ``valid`` and ``valid_r`` and hold x = 0,
-    pi = 1, r = 0. Equation b has kind ``kinds[b]``, sample ``rep[b]`` and
-    ``target[b]`` (B, q): it is EstimatingEquation(kinds[b], x[k, :n_k],
-    pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b]. The MLE kinds
-    read the sample stack and calibration the respondent stack (which may
-    be empty without calibration); the equations that share a sample read
-    its rows, x_i x_i' and weights 1/pi once (see _slots), and per-sample
-    totals are taken once per sample. Each equation takes the same steps
-    and gets the same status as it would alone, up to rounding in the
-    sums: padding, and numpy's stacked matrix products, can add in another
-    order than a stack of one. Sharing a sample changes no bit.
+    pi = 1, r = 0. Equation b fits the variant ``kinds[b]`` on sample
+    ``rep[b]`` with ``target[b]`` (B, q): it is EstimatingEquation(kinds[b],
+    x[k, :n_k], pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b]. The MLE
+    variants read the sample stack and calibration the respondent stack
+    (which may be empty without calibration); the equations that share a
+    sample read its rows, x_i x_i' and weights 1/pi once (see _slots), and
+    per-sample totals are taken once per sample. Each equation takes the
+    same steps and gets the same status as it would alone, up to rounding
+    in the sums: padding, and numpy's stacked matrix products, can add in
+    another order than a stack of one. Sharing a sample changes no bit.
     An equation with no respondents, or with no nonrespondents unless it is
-    a population-level calibration, has no finite solution: it is DIVERGED
-    after no iterations, at zero.
+    a cal_U equation, has no finite solution: it is DIVERGED after no
+    iterations, at zero.
     """
-    kinds = np.asarray(kinds, dtype=object)
     rep = np.asarray(rep, dtype=np.intp)
+    mle = np.fromiter((k.mle for k in kinds), bool, len(kinds))
+    survey = np.fromiter((k.k_inv_pi for k in kinds), bool, len(kinds))
+    at_u = np.fromiter((k.population_level for k in kinds), bool, len(kinds))
     inv_pi = np.where(valid, 1.0 / pi, 0.0)
     n_r = r.sum(axis=1)
-    short = (n_r == 0)[rep] | ((n_r == valid.sum(axis=1))[rep] & (kinds != EEKind.CAL_POPULATION))
-    lam = np.where(short[:, None], 0.0, _initial_points(kinds, rep, inv_pi, r, valid, target))
+    short = (n_r == 0)[rep] | ((n_r == valid.sum(axis=1))[rep] & ~at_u)
+    lam = np.where(short[:, None], 0.0, _initial_points(mle & ~survey, at_u, rep, inv_pi, r, valid, target))
     tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
     out = np.empty_like(lam), *(np.empty(len(lam), t) for t in (np.int8, np.int64, float)), [[] for _ in lam]
-    cal = np.array([k in _CAL_KINDS for k in kinds], dtype=bool)
     families = [(b, _slots(rep[b], len(x)), softplus) for b, softplus in
-                ((np.flatnonzero(cal), False), (np.flatnonzero(~cal), True)) if b.size]
+                ((np.flatnonzero(~mle), False), (np.flatnonzero(mle), True)) if b.size]
     # One workspace for the larger grid serves both: the second touches no new pages.
     work = np.empty(3 * max((g.size * (x if sp else x_r).shape[1] for _, g, sp in families), default=0))
     for b, grid, softplus in families:
         # An absent slot (-1) reads the last equation's terms; it never runs.
         eq = np.where(grid.ravel() < 0, -1, b[grid.ravel()])
-        terms = _terms(softplus, kinds[eq], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[eq])
+        terms = _terms(softplus, survey[eq], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[eq])
         _block_newton(*terms, softplus, lam[eq], tol[eq], short[eq], eq, controls, work, out)
     lam_hat, codes, iterations, rn, trace = out
     return BlockFit(lam_hat, np.array(_CODES, dtype=object)[codes], iterations, rn, trace)
@@ -605,8 +631,8 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     and a Newton step that proves a finite solution exists. Non-convergence
     is reported through the status, never raised. DIVERGED means the
     equation has no finite solution: no respondents, a full respondent set
-    for the MLE kinds or for sample-level calibration, or a direction along
-    which F never increases (for the MLE kinds, complete or quasi-complete
+    for the MLE variants or for cal_S, or a direction along
+    which F never increases (for the MLE variants, complete or quasi-complete
     separation; for calibration, a target outside the interior of the cone
     of respondent auxiliaries). SINGULAR_JACOBIAN and MAX_ITERATIONS are
     solver failures that no such certificate explains. SINGULAR_JACOBIAN
@@ -639,8 +665,8 @@ def _terms_at(lam, eq: EstimatingEquation):
     """The residual sum_i u_i x_i - c and Jacobian -sum_i h_i x_i x_i' of eq at lam: the
     terms that solve_block builds and _block_newton evaluates (as it does), for the stack of one."""
     x, pi, *rest = _sample_stack(eq.x, eq.pi, eq.r)
-    softplus = eq.kind not in _CAL_KINDS
-    x, w, r, c = _terms(softplus, np.array([eq.kind]), x, 1.0 / pi, *rest, eq.target[None])
+    softplus = eq.kind.mle
+    x, w, r, c = _terms(softplus, np.array([eq.kind.k_inv_pi]), x, 1.0 / pi, *rest, eq.target[None])
     with np.errstate(**_QUIET):
         eta = _matvec(x, np.asarray(lam, dtype=float)[None, None])
         u, h, _ = _row_terms(eta, w, r, softplus, np.empty_like(eta), np.empty_like(eta))

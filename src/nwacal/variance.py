@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import DesignKind, DesignSpec, joint_inclusion
-from .estimators import FITTED_VARIANTS, Variant, _Linearization, gamma
+from .estimators import Variant, _scale, gamma
 from .population import Population
 
 __all__ = [
@@ -102,12 +102,11 @@ def var_hat_block(
     (1 - p_hat) weight vanishes and any coefficient gives the same (zero)
     nonresponse component.
     """
-    lin = _Linearization.of(variant)
     gamma_hat = gamma(variant, x_r, y_r, pi_r, p_hat_r, "S_r")
     full_response = np.all(p_hat_r == 1.0, axis=-1)
     gamma_hat = np.where(np.isnan(gamma_hat) & full_response[:, None], 0.0, gamma_hat)
-    resid = y_r - lin.scale(pi_r, p_hat_r) * (x_r @ gamma_hat[..., None])[..., 0]
-    sam = resid if lin.population_level else y_r
+    resid = y_r - _scale(variant, pi_r, p_hat_r) * (x_r @ gamma_hat[..., None])[..., 0]
+    sam = resid if variant.population_level else y_r
     single = np.sum((1.0 - pi_r) / pi_r**2 * sam**2 / p_hat_r, axis=-1)
     v_sam = single + _cross_term(design, sam / (pi_r * p_hat_r))
     v_nr = np.sum((1.0 - p_hat_r) / (pi_r * p_hat_r) ** 2 * resid**2, axis=-1)
@@ -199,13 +198,12 @@ def theoretical_variance(
     # response every (1 - p) weight, and with it the gamma system, vanishes.
     resid = z = y
     g = None
-    if variant in FITTED_VARIANTS and not full_response:
-        lin = _Linearization.of(variant)
+    if variant.fitted and not full_response:
         g = gamma(variant, pop.aux, y, pi, p, "U")
         if np.isnan(g).any():
             raise ValueError("singular population gamma system")
-        resid = y - lin.scale(pi, p) * (pop.aux @ g)
-        z = resid if lin.population_level else y
+        resid = y - _scale(variant, pi, p) * (pop.aux @ g)
+        z = resid if variant.population_level else y
 
     if design.kind is DesignKind.POISSON:
         v_sam = float(np.sum((1.0 - pi) / pi * z**2))

@@ -105,9 +105,9 @@ def calib_residual(lam, x_r, pi_r, target) -> np.ndarray:
 
 def paper_residual(lam, eq: EstimatingEquation) -> np.ndarray:
     """The residual of eq at lam by the paper's formulas: score_mle for the
-    MLE kinds, calib_residual over the respondents for calibration."""
-    if eq.kind.value.startswith("mle"):
-        return score_mle(lam, eq.x, eq.pi, eq.r, survey_weighted=eq.kind.value == "mle_kinvpi")
+    MLE variants, calib_residual over the respondents for calibration."""
+    if eq.kind in (Variant.MLE_K1, Variant.MLE_KINVPI):
+        return score_mle(lam, eq.x, eq.pi, eq.r, survey_weighted=eq.kind is Variant.MLE_KINVPI)
     mask = eq.r == 1
     return calib_residual(lam, eq.x[mask], eq.pi[mask], eq.target)
 
@@ -167,9 +167,9 @@ def grid_minimizer(eq: EstimatingEquation, lo=-5.0, hi=5.0, coarse=400, rounds=1
 
     def norms(avals, bvals):
         mask = eq.r == 1
-        if eq.kind.value.startswith("mle"):
+        if eq.kind in (Variant.MLE_K1, Variant.MLE_KINVPI):
             x, pi, r = eq.x, eq.pi, eq.r.astype(float)
-            k = 1.0 / pi if eq.kind.value == "mle_kinvpi" else np.ones_like(pi)
+            k = 1.0 / pi if eq.kind is Variant.MLE_KINVPI else np.ones_like(pi)
             grid = np.stack(np.meshgrid(avals, bvals, indexing="ij"), axis=-1)
             eta = np.tensordot(grid, x.T, axes=([2], [0]))
             f = 1.0 / (1.0 + np.exp(-eta))

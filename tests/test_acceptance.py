@@ -45,7 +45,6 @@ from nwacal.montecarlo import (
     mix_seed,
     run_study,
 )
-from nwacal.solvers import EEKind
 from nwacal.variance import _cross_term
 
 L_FULL = 10_000
@@ -175,7 +174,6 @@ def test_criterion_1_exact_calibration_identities():
 
 def test_criterion_2_solver_grid_oracle():
     rng = np.random.default_rng(2024)
-    kinds = list(EEKind)
     solved = 0
     worst_gap = 0.0
     worst_jac = 0.0
@@ -189,16 +187,16 @@ def test_criterion_2_solver_grid_oracle():
         r = (rng.random(n) < 0.7).astype(np.int64)
         if not 0 < r.sum() < n:
             continue
-        kind = kinds[solved % 4]
+        kind = NWA_VARIANTS[solved % 4]
         lam_star = rng.uniform(-1.2, 1.2, 2)
         mask = r == 1
-        if kind is EEKind.CAL_POPULATION:
+        if kind is Variant.CAL_U:
             inv_f = 1.0 + np.exp(-(x[mask] @ lam_star))
             eq = EstimatingEquation.cal_population(x, pi, r, (inv_f / pi[mask]) @ x[mask])
-        elif kind is EEKind.CAL_SAMPLE:
+        elif kind is Variant.CAL_S:
             eq = EstimatingEquation.cal_sample(x, pi, r)
         else:
-            eq = EstimatingEquation.mle(x, pi, r, survey_weighted=kind is EEKind.MLE_KINVPI)
+            eq = EstimatingEquation.mle(x, pi, r, survey_weighted=kind is Variant.MLE_KINVPI)
         fit = solve(eq)
         if not fit.converged or np.max(np.abs(fit.lambda_hat)) > 4.0:
             continue

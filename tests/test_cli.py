@@ -349,6 +349,40 @@ def test_scenario_subcommand(tmp_path):
     assert len(raw) == 2 + 25 * 6
 
 
+@pytest.mark.parametrize("config", [
+    # Poisson samples that can be empty: an empty sample is degenerate, never
+    # fitted, and none of its totals is divided.
+    "design = poisson\nn = 1",
+    "design = poisson\nN = 5\nn = 2",
+    # Each key near its edge.
+    "N = 2\nn = 1",
+    "N = 10\nn = 9",
+    "design = poisson\nn = 999",
+    "lam = 50,50",
+    "lam = -50,0",
+    "lam = 0,-30",
+    "lam = 700,0",
+    "mu = 1e200,1e200",
+    "rho = 0.9999999999",
+    "max_iter = 1",
+    "tol = 1e-300",
+    "seed = 18446744073709551615",
+], ids=lambda config: config.replace("\n", ", "))
+def test_scenario_at_the_edges_runs_without_a_warning(tmp_path, config):
+    path = tmp_path / "run.cfg"
+    path.write_text(config + "\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["scenario", "--config", str(path), "--reps", "40", "--out", str(out), "--emit-raw"])
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "raw.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 40 * 6
+    if config.startswith("design = poisson\nN = 5"):
+        # An empty sample's ht total is 0.
+        assert ["ht", "0"] in [row[1:3] for row in rows]
+
+
 def test_study_structure_and_determinism(tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

@@ -14,6 +14,7 @@ from nwacal import (
     Variant,
     draw_response,
     draw_sample,
+    estimating_equation,
     gamma,
     generate_population,
     ht_estimate,
@@ -290,7 +291,11 @@ def test_unfitted_variants_have_no_variance_or_linearization(study_population, s
         lambda: var_hat(variant, study_srs, pi, x, y, p),
         lambda: var_hat_block(variant, study_srs, pi[None], x[None], y[None], p[None]),
         lambda: linearized_block(variant, pop, x[None], y[None], pi[None], p[None], resp.r[None].astype(float)),
+        lambda: linearized_block(variant, pop, x[None], y[None], pi[None], p[None], resp.r[None], coef=np.ones(2)),
         lambda: gamma(variant, x, y, pi, p, "S"),
+        # Nor an estimating equation: EstimatingEquation takes a fitted variant.
+        lambda: EstimatingEquation(variant, x, pi, resp.r, np.zeros(2)),
+        lambda: estimating_equation(variant, x, pi, resp.r, pop.aux.sum(axis=0)),
     )
     for call in calls:
         with pytest.raises(ValueError, match=f"variant {variant.value} fits no response model"):

@@ -24,7 +24,7 @@ from nwacal import (
 )
 from nwacal.cli import RunConfig, study_scenarios
 from nwacal.estimators import (
-    VARIANT_TO_EEKIND,
+    FITTED_VARIANTS,
     estimating_equation,
     linearized_block,
     nwa_estimate,
@@ -558,7 +558,7 @@ def test_fit_status_matches_lp_margin(cell):
         sample = draw_sample(design, s)
         resp = draw_response(sample, pop.true_p[sample.indices], t)
         margins = {}
-        for variant, kind in VARIANT_TO_EEKIND.items():
+        for variant in FITTED_VARIANTS:
             status = STATUSES[cols.status[i, VARIANTS.index(variant)]]
             if status == STATUS_DEGENERATE:
                 continue
@@ -566,7 +566,7 @@ def test_fit_status_matches_lp_margin(cell):
             eq = estimating_equation(
                 variant, pop.aux[sample.indices], sample.pi_s, resp.r, pop.aux.sum(axis=0)
             )
-            if kind.value.startswith("mle"):
+            if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):
                 margin = margins.setdefault("mle", mle_margin(eq))
             else:
                 margin = calibration_margin(eq)[0]

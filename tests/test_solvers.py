@@ -8,15 +8,16 @@ from conftest import random_instance
 from oracles import calib_residual, calibration_margin, fd_jacobian, grid_minimizer, paper_residual, score_mle
 
 from nwacal import (
-    EEKind,
     EstimatingEquation,
     FitStatus,
     SolverControls,
+    Variant,
     jacobian,
     residual,
     solve,
     solve_block,
 )
+from nwacal.estimators import FITTED_VARIANTS
 from nwacal.solvers import (
     _cholesky_solve, _has_certificate, _matvec, _outer_rows, _row_terms, _rows_dot, _slots, _terms,
 )
@@ -230,7 +231,7 @@ def test_stack_of_one_matches_padded_stack_of_64():
     # sample sizes in one padded stack of 64: each equation gets the status,
     # iterations and lambda that it gets as a stack of one.
     from nwacal.cli import RunConfig, study_scenarios
-    from nwacal.estimators import VARIANT_TO_EEKIND, estimating_equation
+    from nwacal.estimators import estimating_equation
     from nwacal.montecarlo import TAG_RESPONSE, TAG_SAMPLING, mix_seed
     from nwacal import draw_response, draw_sample
 
@@ -240,7 +241,7 @@ def test_stack_of_one_matches_padded_stack_of_64():
     for i in range(16):
         s = draw_sample(sc.design, mix_seed(sc.master_seed, i, TAG_SAMPLING))
         resp = draw_response(s, pop.true_p[s.indices], mix_seed(sc.master_seed, i, TAG_RESPONSE))
-        for variant in VARIANT_TO_EEKIND:
+        for variant in FITTED_VARIANTS:
             equations.append(
                 estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
             )
@@ -259,7 +260,7 @@ def test_permuted_samples_and_equations_give_the_same_fits():
     # the equations gives every equation the same status, iterations and
     # lambda, bit for bit.
     from nwacal.cli import RunConfig, study_scenarios
-    from nwacal.estimators import VARIANT_TO_EEKIND, estimating_equation
+    from nwacal.estimators import estimating_equation
     from nwacal.montecarlo import TAG_RESPONSE, TAG_SAMPLING, mix_seed
     from nwacal import draw_response, draw_sample
 
@@ -269,7 +270,7 @@ def test_permuted_samples_and_equations_give_the_same_fits():
     for i in range(12):
         s = draw_sample(sc.design, mix_seed(sc.master_seed, i, TAG_SAMPLING))
         resp = draw_response(s, pop.true_p[s.indices], mix_seed(sc.master_seed, i, TAG_RESPONSE))
-        for variant in VARIANT_TO_EEKIND:
+        for variant in FITTED_VARIANTS:
             equations.append(
                 estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
             )
@@ -365,7 +366,7 @@ def test_equations_sharing_a_sample_change_no_bit():
     equations = [equations[k] for k in np.random.default_rng(7).permutation(len(equations))]
     kinds, rep, *stacks, target = _padded(equations)
     assert list(rep) != sorted(rep)
-    mle_eq = np.flatnonzero([k in (EEKind.MLE_K1, EEKind.MLE_KINVPI) for k in kinds])
+    mle_eq = np.flatnonzero([k in (Variant.MLE_K1, Variant.MLE_KINVPI) for k in kinds])
     grid = _slots(rep[mle_eq], len(stacks[0]))
     assert grid.shape[0] == 3 and (grid < 0).any()
     assert any(len({kinds[mle_eq[j]] for j in row[row >= 0]}) == 2 for row in grid)
@@ -419,7 +420,7 @@ def test_trace_rows_in_a_mixed_stack():
         assert (block.status[b], block.iterations[b]) == (fit.status, fit.iterations), b
         assert [row[0] for row in block.trace[b]] == list(range(1, fit.iterations + 1)), b
         got, want = np.array(block.trace[b]), np.array(fit.trace)
-        if eq.kind in (EEKind.CAL_POPULATION, EEKind.CAL_SAMPLE):
+        if eq.kind in (Variant.CAL_U, Variant.CAL_S):
             assert np.array_equal(got, want), b
         else:
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12), b
@@ -471,7 +472,7 @@ def test_solve_block_memory_peak():
     pi = rng.uniform(0.2, 0.9, (B, n))
     r = (rng.random((B, n)) < 1.0 / (1.0 + np.exp(-(x @ [0.1, 0.4])))).astype(np.int64)
     args = (
-        [EEKind.MLE_K1, EEKind.MLE_KINVPI] * (B // 2), np.arange(B), x, pi, r, np.ones((B, n), dtype=bool),
+        [Variant.MLE_K1, Variant.MLE_KINVPI] * (B // 2), np.arange(B), x, pi, r, np.ones((B, n), dtype=bool),
         np.zeros((B, 0, q)), np.ones((B, 0)), np.zeros((B, 0), dtype=bool), np.zeros((B, q)),
     )
     solve_block(*args)
@@ -506,7 +507,7 @@ def test_solve_block_memory_peak_on_shared_samples():
     pi = rng.uniform(0.2, 0.9, (R, n))
     r = (rng.random((R, n)) < 1.0 / (1.0 + np.exp(-(x @ [0.1, 0.4])))).astype(np.int64)
     args = (
-        [EEKind.MLE_K1, EEKind.MLE_KINVPI] * R, np.repeat(np.arange(R), 2), x, pi, r, np.ones((R, n), dtype=bool),
+        [Variant.MLE_K1, Variant.MLE_KINVPI] * R, np.repeat(np.arange(R), 2), x, pi, r, np.ones((R, n), dtype=bool),
         np.zeros((R, 0, q)), np.ones((R, 0)), np.zeros((R, 0), dtype=bool), np.zeros((B, q)),
     )
     solve_block(*args)
@@ -557,7 +558,7 @@ def test_converged_fit_takes_the_final_newton_step():
     assert stepped
 
 
-@pytest.mark.parametrize("kind", list(EEKind))
+@pytest.mark.parametrize("kind", FITTED_VARIANTS)
 def test_overflowing_x_warns_nothing(kind):
     # x_i x_i' overflows float64 at x = +-1e300: the solver and its
     # residual and Jacobian form the products under the loop's
@@ -565,8 +566,8 @@ def test_overflowing_x_warns_nothing(kind):
     # Jacobian holds -inf, with no numpy warning.
     x = np.column_stack([np.ones(6), [1e300, -1e300, 2e299, -3e299, 5e299, 1e300]])
     pi, r = np.full(6, 0.5), np.array([1, 0, 1, 0, 1, 0])
-    eq = EstimatingEquation(kind, x, pi, r, [10.0, 1e300] if kind is EEKind.CAL_POPULATION else [0.0, 0.0])
-    if kind is EEKind.CAL_SAMPLE:
+    eq = EstimatingEquation(kind, x, pi, r, [10.0, 1e300] if kind is Variant.CAL_U else [0.0, 0.0])
+    if kind is Variant.CAL_S:
         eq = EstimatingEquation.cal_sample(x, pi, r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -636,19 +637,20 @@ def test_residual_matches_the_paper_equations_on_padded_stacks(seed):
     valid_r = np.arange(r.sum(axis=1).max()) < r.sum(axis=1)[:, None]
     x_r, pi_r = np.zeros((*valid_r.shape, q)), np.ones(valid_r.shape)
     x_r[valid_r], pi_r[valid_r] = x[r == 1], pi[r == 1]
-    kinds = np.repeat(np.array(list(EEKind), dtype=object), R)
-    rep = np.tile(np.arange(R), len(EEKind))
+    kinds = np.repeat(np.array(FITTED_VARIANTS, dtype=object), R)
+    rep = np.tile(np.arange(R), len(FITTED_VARIANTS))
     target = np.zeros((len(kinds), q))
-    target[kinds == EEKind.CAL_POPULATION] = rng.uniform(50.0, 100.0, (R, q))
-    target[kinds == EEKind.CAL_SAMPLE] = (x / pi[..., None]).sum(axis=1)
+    target[kinds == Variant.CAL_U] = rng.uniform(50.0, 100.0, (R, q))
+    target[kinds == Variant.CAL_S] = (x / pi[..., None]).sum(axis=1)
     lam = rng.normal(0.0, 0.5, (len(kinds), q))
     inv_pi = np.where(valid, 1.0 / pi, 0.0)
     for softplus in (False, True):
-        sel = np.flatnonzero([(k in (EEKind.MLE_K1, EEKind.MLE_KINVPI)) == softplus for k in kinds])
+        sel = np.flatnonzero([(k in (Variant.MLE_K1, Variant.MLE_KINVPI)) == softplus for k in kinds])
         grid = _slots(rep[sel], R)
         assert grid.shape == (2, R) and (grid >= 0).all()
         slot = sel[grid.ravel()]
-        xs, w, rs, c = _terms(softplus, kinds[slot], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[slot])
+        survey = kinds[slot] == Variant.MLE_KINVPI
+        xs, w, rs, c = _terms(softplus, survey, x, inv_pi, r, valid, x_r, pi_r, valid_r, target[slot])
         eta = _matvec(xs, lam[slot].reshape(2, R, q))
         u, _, _ = _row_terms(eta, w, rs, softplus, np.empty_like(eta), np.empty_like(eta))
         got = _rows_dot(u, xs).reshape(-1, q) - c
@@ -670,9 +672,10 @@ def test_calibration_jacobian_negative_definite():
     assert np.all(np.linalg.eigvalsh(jac) < 0.0)
 
 
-@pytest.mark.parametrize("kind", list(EEKind))
+@pytest.mark.parametrize("kind", FITTED_VARIANTS)
 def test_solve_matches_grid_oracle(kind):
-    # Tiny instance: Newton solution against brute-force grid refinement.
+    # Tiny instance: Newton solution against brute-force grid refinement, on
+    # the equation of the variant's classmethod, whose kind is that variant.
     rng = np.random.default_rng(17)
     x1 = rng.normal(0.0, 1.0, 8)
     x = np.column_stack([np.ones(8), x1])
@@ -680,13 +683,14 @@ def test_solve_matches_grid_oracle(kind):
     r = np.array([1, 1, 0, 1, 1, 0, 1, 1])
     lam_star = np.array([0.4, -0.3])
     mask = r == 1
-    if kind is EEKind.CAL_POPULATION:
+    if kind is Variant.CAL_U:
         inv_f = 1.0 + np.exp(-(x[mask] @ lam_star))
         eq = EstimatingEquation.cal_population(x, pi, r, (inv_f / pi[mask]) @ x[mask])
-    elif kind is EEKind.CAL_SAMPLE:
+    elif kind is Variant.CAL_S:
         eq = EstimatingEquation.cal_sample(x, pi, r)
     else:
-        eq = EstimatingEquation.mle(x, pi, r, survey_weighted=kind is EEKind.MLE_KINVPI)
+        eq = EstimatingEquation.mle(x, pi, r, survey_weighted=kind is Variant.MLE_KINVPI)
+    assert eq.kind is kind
     fit = solve(eq)
     assert fit.converged
     oracle = grid_minimizer(eq)
