@@ -456,7 +456,7 @@ def _cmd_fit(args, trace: bool = False) -> int:
     results = {}
     for j, variant in ((j, v) for j, v in enumerate(variants) if fits.status[j] is FitStatus.CONVERGED):
         try:
-            with np.errstate(over="raise"):
+            with np.errstate(over="raise", divide="raise"):
                 results[variant] = _evaluate(variant, design, st, first, fits.lambda_hat[j : j + 1])
         except FloatingPointError:
             raise ValueError(f"{variant.value}: the total or its variance overflows float64 (rescale y)") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import Population
+from .population import Population, _frozen
 from .streams import checked_seed, streams
 
 __all__ = [
@@ -47,9 +47,10 @@ class DesignSpec:
     n_target: float
 
     def __post_init__(self):
-        pi = np.array(self.pi, dtype=float, copy=True)
-        pi.flags.writeable = False
-        if np.any(pi <= 0.0) or np.any(pi > 1.0):
+        pi = _frozen(self.pi)
+        # Reductions add no array of length N; a fit with no respondents
+        # gives an empty pi, which has no min.
+        if pi.size and (pi.min() <= 0.0 or pi.max() > 1.0):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
         total = math.fsum(pi)
         if abs(total - self.n_target) > 1e-9 * max(1.0, abs(self.n_target)):
@@ -96,6 +97,7 @@ def srs_design(N: int, n: int) -> DesignSpec:
     if not 0 < n < N:
         raise ValueError(f"sample size n={n} must satisfy 0 < n < N={N}")
     pi = np.full(N, n / N)
+    pi.flags.writeable = False
     return DesignSpec(kind=DesignKind.SRSWOR, pi=pi, n_target=float(n))
 
 
@@ -104,35 +106,44 @@ def poisson_design(pop: Population, n: float) -> DesignSpec:
 
     Raw probabilities n*w/sum(w) are clamped into [PI_MIN, 1]; the unclamped
     ones are rescaled so the expected sample size stays n, iterating until no
-    new unit hits a bound.
+    new unit hits a bound. Beyond pi it holds the weights, the free units'
+    weights and two masks.
     """
     if not 0 < n < pop.size:
         raise ValueError(f"expected size n={n} must satisfy 0 < n < N={pop.size}")
     x1 = pop.aux[:, 1]
-    if np.any(x1 == 0.0):
+    if not x1.all():
         raise ValueError("degenerate input: some x1 is exactly 0, weights 1/x1^2 undefined")
-    w = 1.0 / (x1 * x1)
+    w = np.multiply(x1, x1)
+    np.divide(1.0, w, out=w)
     pi = np.empty(pop.size)
-    at_hi = np.zeros(pop.size, dtype=bool)
-    at_lo = np.zeros(pop.size, dtype=bool)
+    free = np.ones(pop.size, dtype=bool)
+    new = np.empty(pop.size, dtype=bool)
+    n_hi = n_lo = 0
     while True:
-        free = ~(at_hi | at_lo)
-        remaining = n - at_hi.sum() * 1.0 - at_lo.sum() * PI_MIN
+        remaining = n - n_hi - n_lo * PI_MIN
         if not free.any() or remaining <= 0.0:
             raise ValueError("degenerate input: clamping cannot reach the target size")
-        pi[free] = remaining * w[free] / w[free].sum()
-        pi[at_hi] = 1.0
-        pi[at_lo] = PI_MIN
-        new_hi = free & (pi > 1.0)
-        if new_hi.any():
-            # Clamp the upper bound first: the mass it frees can lift units
-            # that only looked sub-floor because a dominant weight hogged it.
-            at_hi |= new_hi
-            continue
-        new_lo = free & (pi < PI_MIN)
-        if not new_lo.any():
-            break
-        at_lo |= new_lo
+        w_free = w[free]
+        total = w_free.sum()
+        w_free *= remaining
+        w_free /= total
+        pi[free] = w_free
+        del w_free  # not held through the next compress
+        # Clamp the upper bound first: the mass it frees can lift units that
+        # only looked sub-floor because a dominant weight hogged it.
+        np.greater(pi, 1.0, out=new)
+        new &= free
+        if new.any():
+            pi[new], n_hi = 1.0, n_hi + int(new.sum())
+        else:
+            np.less(pi, PI_MIN, out=new)
+            new &= free
+            if not new.any():
+                break
+            pi[new], n_lo = PI_MIN, n_lo + int(new.sum())
+        free ^= new
+    pi.flags.writeable = False
     return DesignSpec(kind=DesignKind.POISSON, pi=pi, n_target=float(n))
 
 

@@ -163,6 +163,6 @@ def linearized_block(
                 else gamma(variant, x_s, y_s, pi_s, p_s, "S"))
     coef = np.broadcast_to(coef, (len(x_s), x_s.shape[-1]))
     fitted = _scale(variant, pi_s, p_s) * (x_s @ coef[..., None])[..., 0]
-    fitted_total = coef @ pop.aux.sum(axis=0) if variant.population_level else np.sum(fitted / pi_s, axis=-1)
+    fitted_total = coef @ pop.aux_total if variant.population_level else np.sum(fitted / pi_s, axis=-1)
     return fitted_total + np.sum(r / (pi_s * p_s) * (y_s - fitted), axis=-1)
 

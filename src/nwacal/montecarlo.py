@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .designs import DesignSpec
-from .estimators import Variant, linearized_block
+from .estimators import Variant, gamma, linearized_block
 from .population import Population
 from .response import _draw_replicates
 from .solvers import FitStatus, SolverControls, _rows_dot, _sample_stack, response_probabilities, solve_block
@@ -266,9 +266,8 @@ def _evaluate(variant: Variant, design: DesignSpec, st: _Stack, b: np.ndarray, l
     return values, w
 
 
-def _run_block(scenario: Scenario, st: _Stack, totals: np.ndarray) -> ReplicateColumns:
-    """Fit, estimate and evaluate every variant for a block's draws, with
-    ``totals`` the population totals of the auxiliaries."""
+def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
+    """Fit, estimate and evaluate every variant for a block's draws."""
     B, V = len(st.n_s), len(VARIANTS)
     status = np.full((B, V), _OK, dtype=np.int8)
     values = np.full((B, V, len(_FIELDS)), np.nan)
@@ -285,7 +284,9 @@ def _run_block(scenario: Scenario, st: _Stack, totals: np.ndarray) -> ReplicateC
     degenerate = st.n_r < scenario.population.n_aux
     fitted = np.array([v.fitted for v in VARIANTS])
     status[np.outer(degenerate, fitted)] = STATUSES.index(STATUS_DEGENERATE)
-    fit_b, fit_v, fits = _fit(st, np.flatnonzero(~degenerate), np.flatnonzero(fitted), totals, scenario.controls)
+    fit_b, fit_v, fits = _fit(
+        st, np.flatnonzero(~degenerate), np.flatnonzero(fitted), scenario.population.aux_total, scenario.controls
+    )
     status[fit_b, fit_v] = [_STATUS_CODE[s] for s in fits.status]
     iterations[fit_b, fit_v] = fits.iterations
     ok = fits.status == FitStatus.CONVERGED
@@ -296,13 +297,11 @@ def _run_block(scenario: Scenario, st: _Stack, totals: np.ndarray) -> ReplicateC
 
 
 def _run_blocks(args: tuple[Scenario, int, int]) -> ReplicateColumns:
-    """Blocks first..last-1 of a scenario's replicates, with the population
-    totals summed once for all of them."""
+    """Blocks first..last-1 of a scenario's replicates."""
     scenario, first, last = args
     size = block_replicates(scenario.design)
-    totals = scenario.population.aux.sum(axis=0)
     blocks = (range(k * size, min((k + 1) * size, scenario.reps)) for k in range(first, last))
-    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b), totals) for b in blocks])
+    return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
 
 
 def relative_bias(values: np.ndarray, true_total: float) -> float | None:
@@ -457,24 +456,25 @@ def linearization_gap(scenario: Scenario, variants: tuple[Variant, ...]) -> dict
     Diagnostic for the first-order equivalence: the gap shrinks with the
     sample size. Each block of the scenario's replicates is drawn once and
     fits only the variants asked for; linearized_block takes the same stack
-    with the true probabilities. Replicates whose fit did not converge, or
-    whose gamma system is singular, are skipped.
+    with the true probabilities, and the population gamma of population-level
+    calibration, solved once per call. Replicates whose fit did not converge,
+    or whose gamma system is singular, are skipped.
     """
     pop = scenario.population
     size = block_replicates(scenario.design)
     asked = np.array([VARIANTS.index(v) for v in variants])
-    totals = pop.aux.sum(axis=0)
+    coef = {v: gamma(v, pop.aux, pop.y, 1.0, pop.true_p, "U") for v in variants if v.population_level}
     gaps: dict[Variant, list[float]] = {v: [] for v in variants}
     for start in range(0, scenario.reps, size):
         st = _stack_draws(scenario, range(start, min(start + size, scenario.reps)))
         rows = np.flatnonzero(st.n_r >= pop.n_aux)
-        fit_b, fit_v, fits = _fit(st, rows, asked, totals, scenario.controls)
+        fit_b, fit_v, fits = _fit(st, rows, asked, pop.aux_total, scenario.controls)
         ok = fits.status == FitStatus.CONVERGED
         for variant in gaps:
             j = ok & (fit_v == VARIANTS.index(variant))
             b = fit_b[j]
             estimate = _estimates(st, b, fits.lambda_hat[j])[3]
-            lin = linearized_block(variant, pop, st.x[b], st.y[b], st.pi[b], st.p[b], st.r[b])
+            lin = linearized_block(variant, pop, st.x[b], st.y[b], st.pi[b], st.p[b], st.r[b], coef=coef.get(variant))
             gap = np.abs(estimate - lin) / pop.size
             gaps[variant].extend(gap[~np.isnan(gap)].tolist())
     return {v: float(np.median(g)) for v, g in gaps.items() if g}

@@ -37,10 +37,24 @@ def logistic_probs(aux: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return expit(np.asarray(aux, dtype=float) @ np.asarray(lam, dtype=float))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
+    """``a`` itself when it is a read-only float64 array that owns its data
+    (as the generator and the designs hand over), else a read-only float64
+    copy, so that no caller's array can change a value after the checks."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=float, copy=True)
     a.flags.writeable = False
     return a
+
+
+#: Units per step of the generator and of the model check: working arrays
+#: stay this long whatever N is.
+_CHUNK = 4096
+
+
+def _chunks(n: int):
+    return (slice(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK))
 
 
 @dataclass(frozen=True)
@@ -57,6 +71,8 @@ class Population:
         evaluated at ``true_lambda`` whenever that vector is present.
     rho : correlation used by the generator (NaN when none was used).
     total : sum of y, cached at construction via compensated summation.
+    aux_total : column sums of aux, the population totals of the
+        auxiliaries, cached at construction.
     """
 
     aux: np.ndarray
@@ -65,6 +81,7 @@ class Population:
     true_p: np.ndarray
     rho: float
     total: float = field(init=False)
+    aux_total: np.ndarray = field(init=False)
 
     def __post_init__(self):
         aux = _frozen(np.atleast_2d(self.aux))
@@ -76,16 +93,19 @@ class Population:
             raise ValueError("population must contain at least one unit")
         if y.shape != (n,) or p.shape != (n,):
             raise ValueError("aux, y, and true_p must agree on the number of units")
-        if not np.all(aux[:, 0] == 1.0):
+        # Reductions and chunks, not comparisons of length N: the checks add
+        # no array of the population's length. A NaN fails the first check
+        # and passes the second, as elementwise comparisons would.
+        if not aux[:, 0].min() == 1.0 == aux[:, 0].max():
             raise ValueError("first auxiliary column must be identically 1")
         # The generator only ever produces interior probabilities; p == 1 is
         # tolerated so the degenerate full-response mechanism stays representable.
-        if np.any(p <= 0.0) or np.any(p > 1.0):
+        if p.min() <= 0.0 or p.max() > 1.0:
             raise ValueError("true_p must lie in (0, 1]")
         if lam is not None:
             if lam.shape != (q,):
                 raise ValueError("true_lambda length must match the auxiliary dimension")
-            if not np.allclose(p, logistic_probs(aux, lam), rtol=0.0, atol=1e-12):
+            if not all(np.allclose(p[c], logistic_probs(aux[c], lam), rtol=0.0, atol=1e-12) for c in _chunks(n)):
                 raise ValueError("true_p is inconsistent with the logistic model at true_lambda")
         if not (math.isnan(self.rho) or -1.0 <= self.rho <= 1.0):
             raise ValueError("rho must lie in [-1, 1]")
@@ -94,6 +114,9 @@ class Population:
         object.__setattr__(self, "true_p", p)
         object.__setattr__(self, "true_lambda", lam)
         object.__setattr__(self, "total", math.fsum(y))
+        aux_total = aux.sum(axis=0)
+        aux_total.flags.writeable = False
+        object.__setattr__(self, "aux_total", aux_total)
 
     @property
     def size(self) -> int:
@@ -222,15 +245,24 @@ def generate_population(cfg: GenConfig) -> Population:
     sqrt(1-rho^2)*z2 with independent standard normals. Response
     probabilities follow the logistic model at ``cfg.lam``. Deterministic
     for a fixed seed (PCG64 stream).
+
+    The outputs are allocated once and filled in chunks of _CHUNK units, so
+    the working set beyond them does not grow with N. z1 takes the first N
+    draws of the stream and z2 the next N; each draw is one 64-bit output,
+    so drawing a chunk at a time gives the same stream.
     """
     rng = np.random.default_rng(int(cfg.seed))
-    z1 = _standard_normal(rng, cfg.N)
-    z2 = _standard_normal(rng, cfg.N)
     mu_y, mu_x = float(cfg.mean_mu[0]), float(cfg.mean_mu[1])
     rho = float(cfg.rho)
-    y = mu_y + z1
-    x1 = mu_x + rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-    aux = np.column_stack([np.ones(cfg.N), x1])
     lam = np.asarray(cfg.lam, dtype=float)
-    p = logistic_probs(aux, lam)
+    y, aux, p = np.empty(cfg.N), np.ones((cfg.N, 2)), np.empty(cfg.N)
+    for c in _chunks(cfg.N):  # z1 waits in y until z2 is drawn
+        y[c] = _standard_normal(rng, c.stop - c.start)
+    for c in _chunks(cfg.N):
+        z1 = y[c]
+        aux[c, 1] = mu_x + rho * z1 + math.sqrt(1.0 - rho * rho) * _standard_normal(rng, c.stop - c.start)
+        y[c] = mu_y + z1
+        p[c] = logistic_probs(aux[c], lam)
+    for a in (aux, y, p, lam):  # handed over to Population without a copy
+        a.flags.writeable = False
     return Population(aux=aux, y=y, true_lambda=lam, true_p=p, rho=rho)

@@ -148,7 +148,8 @@ def test_config_hash_tracks_content():
     assert config_hash(a) != config_hash(b)
 
 
-def _write_fit_csv(path, with_y_gap=True):
+def _fit_columns():
+    """pi, r, x1 and y of the tests' 40-row fit input."""
     rng = np.random.default_rng(3)
     n = 40
     x1 = rng.normal(4, 1, n)
@@ -156,12 +157,16 @@ def _write_fit_csv(path, with_y_gap=True):
     p = 1 / (1 + np.exp(-(0.1 + 0.4 * x1)))
     r = (rng.random(n) < p).astype(int)
     y = 2.0 + 0.7 * x1 + rng.normal(0, 0.4, n)
+    return pi, r, x1, y
+
+
+def _write_fit_csv(path, columns=None):
+    pi, r, x1, y = _fit_columns() if columns is None else columns
     lines = ["unit,pi,r,x1,y"]
-    for i in range(n):
-        y_cell = f"{y[i]:.17g}" if (r[i] == 1 or not with_y_gap) else ""
+    for i in range(len(pi)):
+        y_cell = f"{y[i]:.17g}" if r[i] == 1 else ""
         lines.append(f"u{i},{pi[i]:.17g},{r[i]},{x1[i]:.17g},{y_cell}")
     path.write_text("\n".join(lines) + "\n")
-    return float(np.sum(1.0))
 
 
 def test_fit_subcommand(tmp_path):
@@ -569,6 +574,77 @@ def test_fit_rejects_x_that_overflows(tmp_path, capsys, command, x1):
     assert rc == 1
     assert capsys.readouterr().err == "error: the x columns overflow float64 in sum_i x_i x_i'/pi_i (rescale x)\n"
     assert not out.exists()
+
+
+def _fit_edges():
+    """The 40-row input with one column at an edge: each edge's name, its
+    columns (pi, r, x1, y) and the x scale, for --totals."""
+    pi, r, x1, y = _fit_columns()
+    first, some = np.arange(len(pi)) == 0, np.arange(len(pi)) % 3 == 0
+    return {
+        "pi_5e-324": ((np.where(first, 5e-324, pi), r, x1, y), 1.0),
+        "pi_1e-300": ((np.where(first, 1e-300, pi), r, x1, y), 1.0),
+        "pi_1_on_some": ((np.where(some, 1.0, pi), r, x1, y), 1.0),
+        "pi_1_on_all": ((np.ones_like(pi), r, x1, y), 1.0),
+        "x_times_2^500": ((pi, r, x1 * 2.0**500, y), 2.0**500),
+        "x_times_2^-500": ((pi, r, x1 * 2.0**-500, y), 2.0**-500),
+        "one_respondent": ((pi, first.astype(int), x1, y), 1.0),
+        "all_respondents": ((pi, np.ones_like(r), x1, y), 1.0),
+        "no_respondents": ((pi, np.zeros_like(r), x1, y), 1.0),
+        "constant_y": ((pi, r, x1, np.full_like(y, 3.0)), 1.0),
+        "y_times_1e300": ((pi, r, x1, y * 1e300), 1.0),
+    }
+
+
+# The edges that fit refuses, with the one line it prints; every other edge
+# exits 0.
+_FIT_EDGE_ERRORS = {
+    # x_1 x_1'/pi_1 overflows
+    "pi_5e-324": "the x columns overflow float64 in sum_i x_i x_i'/pi_i (rescale x)",
+    # (1 - pi_1)/pi_1^2 in the variance overflows
+    "pi_1e-300": "mle_1: the total or its variance overflows float64 (rescale y)",
+    "y_times_1e300": "mle_1: the total or its variance overflows float64 (rescale y)",
+}
+
+
+@pytest.mark.parametrize("totals", [False, True])
+@pytest.mark.parametrize("edge", list(_fit_edges()))
+def test_fit_at_the_file_edges_exits_cleanly(tmp_path, capsys, edge, totals):
+    # With numpy's warnings as errors, fit either writes outputs that are
+    # finite, or nan where the README says (value and max_weight of a fit
+    # that did not converge; the variance terms that need gamma, and the
+    # interval, when n_r < q), or prints one error line and no traceback.
+    columns, scale = _fit_edges()[edge]
+    path = tmp_path / "units.csv"
+    _write_fit_csv(path, columns)
+    out = tmp_path / "o"
+    argv = ["fit", "--input", str(path), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv + (["--totals", f"120,{485.0 * scale!r}"] if totals else []))
+    err = capsys.readouterr().err
+    if edge in _FIT_EDGE_ERRORS:
+        assert (rc, err) == (1, f"error: {_FIT_EDGE_ERRORS[edge]}\n")
+        return
+    assert (rc, err) == (0, "")
+    estimates = [ln.split(",") for ln in (out / "estimates.csv").read_text().splitlines()[1:]]
+    assert len(estimates) == 3 + totals
+    n_r, q = int(estimates[0][3]), 2
+    converged = set()
+    for variant, value, n, _, max_w, status, iterations in estimates:
+        assert int(n) == 40 and int(iterations) >= 0
+        if status == "converged":
+            converged.add(variant)
+            assert math.isfinite(float(value)) and float(max_w) > 0.0
+        else:
+            assert (value, max_w) == ("nan", "nan")
+    for variant, *fields in (ln.split(",") for ln in (out / "variance.csv").read_text().splitlines()[1:]):
+        assert variant in converged
+        v_sam, *rest = map(float, fields)
+        assert math.isfinite(v_sam)
+        assert all(math.isfinite(v) for v in rest) or (n_r < q and all(math.isnan(v) for v in rest))
+    weights = [float(ln.split(",")[2]) for ln in (out / "weights.csv").read_text().splitlines()[1:]]
+    assert all(math.isfinite(w) and w > 0.0 for w in weights)
 
 
 def _mostly(valid, bad):

@@ -1,18 +1,24 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import srswor_indices_loop
 
 from nwacal import (
+    DesignKind,
+    DesignSpec,
+    GenConfig,
     Population,
     Sample,
     draw_sample,
+    generate_population,
     joint_inclusion,
     poisson_design,
     srs_design,
 )
+from nwacal.population import _CHUNK
 
 
 def _toy_population(x1, y=None):
@@ -185,3 +191,52 @@ def test_sample_reads_pi_s_from_the_design(study_poisson):
     assert np.array_equal(s.pi_s, study_poisson.pi[[999, 0, 17]])
     empty = Sample(indices=np.array([], dtype=np.int64), design=study_poisson)
     assert empty.size == 0 and empty.pi_s.shape == (0,)
+
+
+def test_design_spec_copies_a_writeable_pi():
+    pi = np.full(4, 0.5)
+    design = DesignSpec(kind=DesignKind.POISSON, pi=pi, n_target=2.0)
+    pi[0] = 0.25
+    assert design.pi is not pi and design.pi[0] == 0.5 and not design.pi.flags.writeable
+    # The designs hand over the read-only array they build.
+    srs = srs_design(10, 2)
+    assert srs.pi.flags.owndata and not srs.pi.flags.writeable
+    assert DesignSpec(kind=srs.kind, pi=srs.pi, n_target=srs.n_target).pi is srs.pi
+
+
+def _traced_peak(build):
+    """build() and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_population_and_designs_hold_their_outputs_plus_one_chunk():
+    N = 200_000
+    column, chunk = 8 * N, 8 * _CHUNK
+    # Warm numpy's and the generator's first-call allocations outside the trace.
+    warm = generate_population(GenConfig(N=2 * _CHUNK + 1, seed=1))
+    poisson_design(warm, 100.0)
+    srs_design(warm.size, 100)
+
+    pop, peak = _traced_peak(lambda: generate_population(GenConfig(N=N, rho=0.6, seed=1)))
+    # The outputs are aux (two columns), y and true_p: four columns. The rest
+    # is one chunk: the draws, uniforms and output of _standard_normal, the
+    # masks and branch arrays of _ndtri and its logs as Python floats, then
+    # the transform and the logistic model; about 9.5 chunk-length float
+    # arrays at the peak. Any array of length N beyond the outputs (an
+    # unchunked draw or transform, or a copy in Population) adds a column,
+    # 1.6 MB, over the 0.5 MB allowed here.
+    assert peak <= 4 * column + 16 * chunk, peak / column
+
+    # pi is the output column. Working: the weights 1/x1^2 (one column), the
+    # free units' weights (at most one) and two boolean masks (N bytes each).
+    # 64 KiB covers numpy's reduction buffers (8,192 elements).
+    _, peak = _traced_peak(lambda: poisson_design(pop, 2_000.0))
+    assert peak <= 3.25 * column + 2**16, peak / column
+
+    # The output column alone: DesignSpec keeps the array srs_design builds.
+    _, peak = _traced_peak(lambda: srs_design(N, 2_000))
+    assert peak <= column + 2**16, peak / column

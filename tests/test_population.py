@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from decimal import Decimal
@@ -12,10 +13,11 @@ from nwacal import (
     Population,
     generate_population,
     logistic_probs,
+    poisson_design,
 )
 from nwacal.cli import STUDY_RHOS, RunConfig
 from nwacal.montecarlo import TAG_POPULATION, mix_seed
-from nwacal.population import _ndtri, _standard_normal, expit
+from nwacal.population import _CHUNK, _ndtri, _standard_normal, expit
 
 # Independent high-precision evaluation of 1/(1+e^-1.7) (mpmath, 25 digits).
 LOGISTIC_1P7 = 0.8455347349164652956660462
@@ -188,6 +190,24 @@ def test_population_arrays_read_only(study_population):
         study_population.y[0] = 99.0
 
 
+def test_population_keeps_only_read_only_arrays_that_own_their_data():
+    aux, y, p = np.ones((3, 2)), np.arange(3.0), np.full(3, 0.5)
+    aux[:, 1] = [1.0, 2.0, 3.0]
+    pop = Population(aux=aux, y=y, true_lambda=None, true_p=p, rho=0.0)
+    # Writeable arrays are copied: the caller's later writes do not reach them.
+    assert pop.aux is not aux and pop.y is not y and pop.true_p is not p
+    aux[0, 1], y[0], p[0] = 9.0, 9.0, 0.9
+    assert (pop.aux[0, 1], pop.y[0], pop.true_p[0]) == (1.0, 0.0, 0.5)
+    assert pop.aux_total.tolist() == [3.0, 6.0] and not pop.aux_total.flags.writeable
+    # A read-only float64 array that owns its data is kept; a read-only view
+    # of a writeable array, or another dtype, is copied.
+    for a in (aux, y, p):
+        a.flags.writeable = False
+    pop = Population(aux=aux, y=y[::-1].view(), true_lambda=None, true_p=p.astype(np.float32), rho=0.0)
+    assert pop.aux is aux and pop.y.flags.owndata and pop.true_p.dtype == np.float64
+    assert not (pop.aux.flags.writeable or pop.y.flags.writeable or pop.true_p.flags.writeable)
+
+
 def _ulps(a, b):
     """Distance between two float arrays in units of the larger one's last place."""
     return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
@@ -291,3 +311,49 @@ def test_study_populations_match_scipy_reference(rho_index):
     # the probability in [0.5, 1) by at most two.
     assert np.all(aux @ np.asarray(cfg.lam) > 0.0)
     assert _ulps(pop.true_p, p).max() <= 2.0
+
+
+@pytest.mark.parametrize("N", [3 * _CHUNK + 17, _CHUNK - 1])
+@pytest.mark.parametrize("rho_index", range(len(STUDY_RHOS)))
+def test_chunked_generator_matches_the_unchunked_reference(N, rho_index):
+    # The generator fills its outputs _CHUNK units at a time: across chunk
+    # boundaries, and with a single partial chunk, every bit is the one of
+    # the whole-array computation.
+    cfg = GenConfig(N=N, rho=STUDY_RHOS[rho_index], seed=mix_seed(RunConfig.seed, rho_index, TAG_POPULATION))
+    pop = generate_population(cfg)
+    aux, y, _ = _scipy_reference_population(cfg)
+    assert np.array_equal(pop.aux, aux)
+    assert np.array_equal(pop.y, y)
+    assert np.array_equal(pop.true_p, expit(aux @ np.asarray(cfg.lam)))
+    assert np.array_equal(pop.aux_total, aux.sum(axis=0))
+
+
+# sha256 of the bytes of aux, y, true_p and the poisson_design pi at n, as
+# the unchunked generator and design wrote them, for (N, rho, seed, n).
+_DIGESTS = {
+    (200_000, 0.6, 1729, 20_000.0): (
+        "9a321d80fa80dde7cbdf52840fae1d2b731252a368ae972b006fb0b67fc87496",
+        "cf940f73fd995edc245a98b09590949b9017ca27972299907feda9d923df17a9",
+        "b0074288377b8d9a1dc7f564952331563874fed5c9ab84a2e4afc26e064ff029",
+        "fa832625357b61e014a34ee9550e9fc126db02775c97e70ac8ae0d2b72362abb",
+    ),
+    (1_000, 0.3, 5, 100.0): (
+        "444cb9ff2b851fc87cc1426975729f659a8dc38b4494a4f312c38381ed540687",
+        "5ea36213a1b02298016b773833042c00151ad8ec7e52de9ae7fbe14668479e7e",
+        "96e2a5705b3de09a27b27119b61471d9ee7268566f5fd234ee95693dfa7b9e52",
+        "e180c1b02c1044368d494dccc856a341143c2613d28914a6f440c66cd93f5f37",
+    ),
+    (12_305, 0.8, 2024, 1234.5): (
+        "3338058ae4998d2e6608843cec95bf04bc75cee67099aeecd495cf16b5bfd6f2",
+        "9e2e442cbe055d1ef0b34718f8a0953025b7c7c0d2f8ded9f7c000e495292300",
+        "46f647f2872900cfbea58efb085a0f25c875d07cbdad668602b4ef295fd0d2cd",
+        "b03dea2019ff6e25665ffeb49dcbc2e243488b8dcf4153377522bd38c0bbe808",
+    ),
+}
+
+
+@pytest.mark.parametrize("N, rho, seed, n", list(_DIGESTS))
+def test_population_and_poisson_design_keep_their_bytes(N, rho, seed, n):
+    pop = generate_population(GenConfig(N=N, rho=rho, seed=seed))
+    arrays = (pop.aux, pop.y, pop.true_p, poisson_design(pop, n).pi)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == _DIGESTS[N, rho, seed, n]

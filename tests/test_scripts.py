@@ -38,13 +38,15 @@ def test_block_footprint_prints_each_stage(capsys):
     reps = BLOCK_UNITS // 200
     assert lines[0] == f"one block of {reps} replicates, {reps * 200} sampled units: srs N=2000 n=200 rho=0.6 seed=3000"
     assert lines[1].split() == ["stage", "traced_peak_mb", "minflt"]
-    rows = [ln.split() for ln in lines[2:5]]
-    assert [row[0] for row in rows] == ["draws", "fit_evaluate", "fit_warm"]
+    rows = [ln.split() for ln in lines[2:7]]
+    assert [row[0] for row in rows] == ["population", "design", "draws", "fit_evaluate", "fit_warm"]
     for _, peak, faults in rows:
         assert float(peak) > 0.0 and int(faults) >= 0
-    key, rss = lines[5].split()
+    # The population's own arrays, aux (N, 2), y and true_p, are 4 N floats.
+    assert float(rows[0][1]) >= 4 * 2000 * 8 / 2**20
+    key, rss = lines[7].split()
     assert key == "ru_maxrss_mb" and float(rss) > 0.0
-    assert len(lines) == 6
+    assert len(lines) == 8
 
 
 def test_benchmark_names_stay_bound(monkeypatch):
