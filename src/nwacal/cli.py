@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +74,10 @@ class RunConfig:
         for key in ("mu", "lam"):
             if not np.all(np.isfinite(getattr(self, key))):
                 raise ValueError(f"{key}: values must be finite")
+        # From 2^53 on, mu + 1 can equal mu in float64: the unit-variance
+        # draws added to mu round away.
+        if any(abs(m) >= 2.0**53 for m in self.mu):
+            raise ValueError("mu: values must be below 2^53 in magnitude, where mu + 1 != mu in float64")
         if not abs(self.rho) < 1.0:
             raise ValueError("rho: must satisfy |rho| < 1")
         if self.design not in ("srs", "poisson"):
@@ -303,50 +307,85 @@ class _CellError(ValueError):
 
 
 def _floats(cells: list[str]) -> np.ndarray:
-    """float() of every cell in one pass. A cell it cannot parse raises
-    _CellError with the cell's index and the message of float(cell.strip())."""
+    """float(cell.strip()) of every cell. float() takes the whole column in
+    one pass when it can. It strips none of the separators U+001C to U+001F,
+    which str.strip does, so a column it refuses is redone cell by cell; a
+    cell that still fails raises _CellError with its index and message."""
     try:
         return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
+        out = np.empty(len(cells))
         for row, cell in enumerate(cells):
             try:
-                float(cell.strip())
+                out[row] = float(cell.strip())
             except ValueError as exc:
                 raise _CellError(row, str(exc)) from None
-        raise
+        return out
+
+
+#: The line boundaries of str.splitlines other than "\n" (read_text has
+#: turned "\r" and "\r\n" into "\n").
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _read_fit_csv(path: Path):
     """Parse a unit,pi,r,x...,y file; any malformed or out-of-range value
     raises ValueError naming its line.
 
-    Blank lines and lines with # in column 1 are skipped, fields are
-    stripped, and a blank y marks a nonrespondent. The data rows are joined
-    and split once into a flat field list, and each column is converted by
-    one float() pass; a bad row is found from its index.
+    Lines are those of str.splitlines. Blank lines and lines with # in
+    column 1 are skipped, fields are stripped, and a blank y marks a
+    nonrespondent. One numpy scan of the text's bytes gives each line's
+    commas, first byte and last byte, and one split of the text at its
+    commas and newlines gives every line's fields in order. Only a line
+    with no comma can be blank, and str.strip decides it. Each column of
+    the kept rows is converted by one float() pass; a bad row is found from
+    its index.
     """
-    lines = path.read_text().splitlines()
-    linenos = [no for no, ln in enumerate(lines, start=1) if ln.strip() and ln[0] != "#"]
-    if not linenos:
+    text = path.read_text()
+    if any(c in text for c in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
+    # Every line ends in a "\n" of data, which holds one empty line more when
+    # the text ends in a newline; line i's fields are fields[at[i] : at[i + 1]].
+    data = np.frombuffer((text + "\n").encode(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    count = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
+    first, last = data[np.concatenate(([0], ends[:-1] + 1))], data[ends - 1]
+    del data
+    fields = text.replace("\n", ",").split(",")
+    del text  # not held beside the fields
+    at = np.concatenate(([0], np.cumsum(count + 1)))
+    kept = first != ord("#")
+    bare = np.flatnonzero(kept & (count == 0))
+    kept[bare] = [bool(fields[at[i]].strip()) for i in bare.tolist()]
+    kept_rows = np.flatnonzero(kept)
+    if not kept_rows.size:
         raise ValueError(f"{path} is empty: expected header unit,pi,r,x...,y")
-    if len(linenos) < len(lines):
-        lines = [lines[no - 1] for no in linenos]
-    header = [h.strip() for h in lines[0].split(",")]
+    head = fields[at[kept_rows[0]] : at[kept_rows[0] + 1]]
+    header = [h.strip() for h in head]
     if header[:3] != ["unit", "pi", "r"] or header[-1] != "y" or len(header) < 5:
         raise ValueError(
-            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0]!r}"
+            f"expected header unit,pi,r,x...,y with at least one x column, got {','.join(head)!r}"
         )
-    rows = lines[1:]
-    if not rows:
+    rows = kept_rows[1:]
+    if not rows.size:
         raise ValueError(f"{path} has no data rows")
     width = len(header)
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    ragged = np.flatnonzero(commas != width - 1)
-    if ragged.size:
-        # Rows before the first ragged one still report their own errors first.
-        rows = rows[: ragged[0]]
-    fields = ",".join(rows).split(",") if rows else []
-    y_cells = [c.strip() or "nan" for c in fields[width - 1 :: width]]
+    ragged = np.flatnonzero(count[rows] != width - 1)
+    # Rows before the first ragged one still report their own errors first.
+    rows_ok = rows[: ragged[0]] if ragged.size else rows
+    take = np.zeros(len(count), dtype=bool)
+    take[rows_ok] = True
+    fields = list(compress(fields, np.repeat(take, count + 1).tolist()))
+    # y, the last field, is blank where its line ends in a comma; where the
+    # line ends in whitespace, a control or a non-ASCII byte, str.strip
+    # decides. A blank y reads as NaN.
+    y_cells = fields[width - 1 :: width]
+    end = last[rows_ok]
+    blank = end == ord(",")
+    unsure = np.flatnonzero((end <= ord(" ")) | (end >= 128))
+    blank[unsure] = [not y_cells[i].strip() for i in unsure.tolist()]
+    for i in np.flatnonzero(blank).tolist():
+        y_cells[i] = "nan"
     # A row reports its first bad cell in the order y, pi, r, x...
     columns, errors = {}, []
     for order, k in enumerate((width - 1, *range(1, width - 1))):
@@ -356,10 +395,10 @@ def _read_fit_csv(path: Path):
             errors.append((exc.row, order, str(exc)))
     if errors:
         row, _, message = min(errors)
-        raise ValueError(f"line {linenos[row + 1]}: {message}")
+        raise ValueError(f"line {rows_ok[row] + 1}: {message}")
     if ragged.size:
-        i = ragged[0]
-        raise ValueError(f"line {linenos[i + 1]}: expected {width} fields, got {commas[i] + 1}")
+        i = rows[ragged[0]]
+        raise ValueError(f"line {i + 1}: expected {width} fields, got {count[i] + 1}")
     units = list(map(str.strip, fields[0::width]))
     pi, r, y = columns[1], columns[2], columns[width - 1]
     x = np.column_stack([columns[k] for k in range(3, width - 1)])
@@ -371,7 +410,7 @@ def _read_fit_csv(path: Path):
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"line {linenos[i + 1]}: {what} (unit {units[i]})")
+            raise ValueError(f"line {rows_ok[i] + 1}: {what} (unit {units[i]})")
     # The model's first auxiliary is the constant 1; the file carries only the
     # remaining x columns.
     aux = np.column_stack([np.ones(len(units)), x])
@@ -392,13 +431,143 @@ def _parse_totals(raw: str, q: int) -> np.ndarray:
     return totals
 
 
-def _weights_csv(units: list[str], name: str, weights: np.ndarray) -> str:
-    """The weights.csv rows f"{unit},{name},{w:.17g}" of one variant, formatted
-    by one %-template over all of them."""
-    cells = [None] * (2 * len(units))
-    cells[0::2] = units
-    cells[1::2] = weights.tolist()
-    return (f"%s,{name},%.17g\n" * len(units)) % tuple(cells)
+#: 10^0 .. 10^20, each exact in float64.
+_POW10 = np.array([float(10**k) for k in range(21)])
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64 a into hi + lo, each of at most 26
+    significant bits, so that products of halves are exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _times_pow10(v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(v 10^s) and p + e = v 10^s exactly: Dekker's
+    two-product (Dekker 1971, Numer. Math. 18, 224-242)."""
+    p = v * _POW10[s]
+    vh, vl = _halves(v)
+    ph, pl = _POW10_HI[s], _POW10_LO[s]
+    return p, ((vh * ph - p) + vh * pl + vl * ph) + vl * pl
+
+
+def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each v in [1e-4, 1e17): its 17 significant digits as the int64
+    d in [10^16, 10^17), rounded half to even as %.17g rounds them, and the
+    decimal exponent x of the rounded value, so that v ~ d 10^(x - 16)."""
+    # log10 can be one off next to a power of ten (log10(nextafter(1e17, 0))
+    # is 17.0): the exact product v 10^s, which must lie in [10^16, 10^17),
+    # corrects the power.
+    s = np.clip(16 - np.floor(np.log10(v)), 0, 20).astype(np.intp)
+    p, e = _times_pow10(v, s)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    fix = np.flatnonzero(low | high)
+    s[fix] += np.where(low[fix], 1, -1)
+    p[fix], e[fix] = _times_pow10(v[fix], s[fix])
+    # p >= 10^16 > 2^53 is an even integer, so rounding e half to even
+    # rounds p + e half to even. No v in the range rounds up to 10^17: the
+    # double below each power of ten is further than half a 17th digit.
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    return d, 16 - s
+
+
+#: The padding byte of the weights.csv canvas: no UTF-8 text holds it.
+_PAD = 0xFF
+#: The widest unit, in UTF-8 bytes, that takes a canvas cell: one long unit
+#: must not widen every row. A longer one's rows are written by f-strings.
+_UNIT_BYTES = 64
+
+
+def _unit_cells(units: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of every unit, one row each padded with _PAD, and the
+    rows of the units longer than _UNIT_BYTES (cut short here)."""
+    encoded = list(map(str.encode, units))
+    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
+    size = min(max(lengths.max(initial=0), 1), _UNIT_BYTES)
+    cells = np.fromiter(encoded, f"S{size}", len(encoded)).view(np.uint8).reshape(len(encoded), size)
+    cells[np.arange(size) >= lengths[:, None]] = _PAD
+    return cells, np.flatnonzero(lengths > size)
+
+
+def _weights_csv(
+    units: list[str], unit_cells: tuple[np.ndarray, np.ndarray], name: str, weights: np.ndarray
+) -> str:
+    """The weights.csv rows f"{unit},{name},{w:.17g}" of one variant, each
+    ended by a newline, byte for byte; unit_cells is _unit_cells(units).
+
+    Every row is laid out in one uint8 canvas and its _PAD bytes deleted:
+    the unit's bytes, ",name,", the weight and the newline. A weight with
+    |w| in [1e-4, 1e17), where %.17g writes fixed notation, is written from
+    its 17 digits (_digits17): the sign, then "0." and zeros before the
+    digits when x < 0, then the digits with a "." slot after each one that
+    can end the integer part; the fraction's trailing zeros, and a "." with
+    no fraction left, are _PAD. %.17g writes any other weight (0, -0, NaN,
+    inf, exponent notation), and an f-string the row of a unit longer than
+    _UNIT_BYTES.
+    """
+    cells, long = unit_cells
+    n = len(weights)
+    fixed = (np.abs(weights) >= 1e-4) & (np.abs(weights) < 1e17)
+    d, x = _digits17(np.where(fixed, np.abs(weights), 1.0))
+    x[~fixed] = 0
+    other = np.flatnonzero(~fixed)
+    texts = np.array([("%.17g" % w).encode() for w in weights[other].tolist()], dtype=bytes)
+    texts = texts.view(np.uint8).reshape(len(other), texts.itemsize)
+    xmin, xmax = int(x.min(initial=0)), int(x.max(initial=0))
+    lead = 1 - xmin if xmin < 0 else 0  # "0.", then -x - 1 zeros
+    first, slots = max(xmin, 0), max(min(xmax, 15) - max(xmin, 0) + 1, 0)
+    col = np.array([1 + lead + j + min(max(j - first, 0), slots) for j in range(17)])
+    sep = np.frombuffer(f",{name},".encode(), np.uint8)
+    u, k = cells.shape[1], len(sep)
+    width = max(1 + lead + 17 + slots, texts.shape[1])
+    canvas = np.full((n, u + k + width + 1), _PAD, np.uint8)
+    canvas[:, :u] = cells
+    canvas[:, u : u + k] = sep
+    canvas[:, -1] = ord("\n")
+    num = canvas[:, u + k : u + k + width]
+    num[weights < 0, 0] = ord("-")
+    if lead:
+        num[x < 0, 1:3] = np.frombuffer(b"0.", np.uint8)
+        for i in range(3, 1 + lead):
+            num[x < 2 - i, i] = ord("0")
+    # The digits from the last, in uint32: d's 9 low ones, then its 8 high ones.
+    high, low = np.divmod(d, 10**9)
+    high, low = high.astype(np.uint32), low.astype(np.uint32)
+    for j in range(16, 8, -1):
+        low, digit = np.divmod(low, np.uint32(10))
+        num[:, col[j]] = digit + ord("0")
+    num[:, col[8]] = low + ord("0")
+    for j in range(7, -1, -1):
+        high, digit = np.divmod(high, np.uint32(10))
+        num[:, col[j]] = digit + ord("0")
+    trailing = np.zeros(n, np.intp)  # the trailing zeros of d
+    ends_in_zero = np.flatnonzero(fixed & (num[:, col[16]] == ord("0")))
+    if ends_in_zero.size:
+        block = num[ends_in_zero[:, None], col]
+        zeros = np.logical_and.accumulate(block[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+        trailing[ends_in_zero] = zeros.sum(axis=1)
+        block[zeros & (np.arange(17) > x[ends_in_zero, None])] = _PAD
+        num[ends_in_zero[:, None], col] = block
+    for j in range(first, first + slots):
+        num[(x == j) & (trailing < 16 - j), col[j] + 1] = ord(".")
+    num[other] = _PAD
+    num[other, : texts.shape[1]] = np.where(texts == 0, _PAD, texts)
+    canvas[long] = _PAD
+    body = canvas.tobytes().translate(None, bytes([_PAD]))
+    if long.size:
+        # A long unit's row goes where its all-_PAD canvas row left nothing.
+        cuts = np.cumsum((canvas != _PAD).sum(axis=1))[long].tolist()
+        parts, start = [], 0
+        for i, w, cut in zip(long.tolist(), weights[long].tolist(), cuts):
+            parts += [body[start:cut], f"{units[i]},{name},{w:.17g}\n".encode()]
+            start = cut
+        body = b"".join(parts) + body[start:]
+    return body.decode()
 
 
 def _cmd_fit(args, trace: bool = False) -> int:
@@ -449,7 +618,8 @@ def _cmd_fit(args, trace: bool = False) -> int:
         return 0
 
     n, n_r = len(units), int(st.n_r[0])
-    resp_units = [u for u, keep in zip(units, (r == 1).tolist()) if keep]
+    resp_units = list(compress(units, (r == 1).tolist()))
+    unit_cells = _unit_cells(resp_units)
     # A one-shot fit carries no joint-inclusion information; treat the units
     # as independently drawn (Poisson design), which zeroes the pair term.
     design = DesignSpec(kind=DesignKind.POISSON, pi=st.pi_r[0], n_target=float(np.sum(st.pi_r[0])))
@@ -459,6 +629,17 @@ def _cmd_fit(args, trace: bool = False) -> int:
             with np.errstate(over="raise", divide="raise"):
                 results[variant] = _evaluate(variant, design, st, first, fits.lambda_hat[j : j + 1])
         except FloatingPointError:
+            # The variance's (1 - pi)/pi^2 overflows for a pi below about
+            # 1e-154, whatever y is; name that cause where it holds.
+            pi_r = st.pi_r[0]
+            with np.errstate(divide="ignore", over="ignore"):
+                tiny = np.flatnonzero(~np.isfinite((1.0 - pi_r) / pi_r**2))
+            if tiny.size:
+                i = tiny[0]
+                raise ValueError(
+                    f"{variant.value}: the variance overflows float64 at unit {resp_units[i]}, "
+                    f"whose pi = {pi_r[i]:.3g} is below about 1e-154 ((1 - pi)/pi^2 overflows)"
+                ) from None
             raise ValueError(f"{variant.value}: the total or its variance overflows float64 (rescale y)") from None
     with (out_dir / "estimates.csv").open("w") as fh_est, (
         out_dir / "weights.csv"
@@ -475,7 +656,7 @@ def _cmd_fit(args, trace: bool = False) -> int:
             values, w = results[variant]
             value, v_sam, v_nr, lo, hi, max_w = values[0].tolist()
             fh_est.write(f"{name},{value:.17g},{n},{n_r},{max_w:.17g},{status.value},{iterations}\n")
-            fh_w.write(_weights_csv(resp_units, name, w[0]))
+            fh_w.write(_weights_csv(resp_units, unit_cells, name, w[0]))
             fh_v.write(f"{name},{v_sam:.17g},{v_nr:.17g},{v_sam + v_nr:.17g},{lo:.17g},{hi:.17g}\n")
             print(f"{name}: total={value:.6g} (n_r={n_r})")
     return 0

@@ -48,9 +48,10 @@ class DesignSpec:
 
     def __post_init__(self):
         pi = _frozen(self.pi)
-        # Reductions add no array of length N; a fit with no respondents
-        # gives an empty pi, which has no min.
-        if pi.size and (pi.min() <= 0.0 or pi.max() > 1.0):
+        # Reductions add no array of length N, and a NaN, which min and max
+        # propagate, fails them; a fit with no respondents gives an empty pi,
+        # which has no min.
+        if pi.size and not (pi.min() > 0.0 and pi.max() <= 1.0):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
         total = math.fsum(pi)
         if abs(total - self.n_target) > 1e-9 * max(1.0, abs(self.n_target)):

@@ -94,13 +94,13 @@ class Population:
         if y.shape != (n,) or p.shape != (n,):
             raise ValueError("aux, y, and true_p must agree on the number of units")
         # Reductions and chunks, not comparisons of length N: the checks add
-        # no array of the population's length. A NaN fails the first check
-        # and passes the second, as elementwise comparisons would.
+        # no array of the population's length. Each is written so that a NaN,
+        # which min and max propagate, fails it.
         if not aux[:, 0].min() == 1.0 == aux[:, 0].max():
             raise ValueError("first auxiliary column must be identically 1")
         # The generator only ever produces interior probabilities; p == 1 is
         # tolerated so the degenerate full-response mechanism stays representable.
-        if p.min() <= 0.0 or p.max() > 1.0:
+        if not (p.min() > 0.0 and p.max() <= 1.0):
             raise ValueError("true_p must lie in (0, 1]")
         if lam is not None:
             if lam.shape != (q,):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,6 +19,7 @@ from nwacal.cli import (
     _HASHED_KEYS,
     RunConfig,
     _read_fit_csv,
+    _unit_cells,
     _weights_csv,
     config_hash,
     main,
@@ -83,6 +85,22 @@ def test_non_finite_pair_values_rejected(tmp_path, capsys, line, key):
     rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {key}: values must be finite\n"
+
+
+@pytest.mark.parametrize("mu", [(1e200, 4.0), (4.0, -(2.0**54)), (2.0**53, 2.0**53)])
+def test_mu_past_unit_resolution_rejected(tmp_path, capsys, mu):
+    # Where mu + 1 == mu, every unit-variance draw rounds away and every
+    # fitted variant fails without a cause: the key is refused instead.
+    message = "mu: values must be below 2^53 in magnitude, where mu + 1 != mu in float64"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(mu=mu)
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"mu = {mu[0]!r},{mu[1]!r}\n")
+    rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # The largest magnitude still resolved is accepted.
+    assert RunConfig(mu=(2.0**53 - 1.0, -(2.0**53 - 1.0))).mu[0] == 2.0**53 - 1.0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
@@ -367,7 +385,8 @@ def test_scenario_subcommand(tmp_path):
     "lam = -50,0",
     "lam = 0,-30",
     "lam = 700,0",
-    "mu = 1e200,1e200",
+    # 2^53 - 1: the largest mu accepted (mu = 1e200 is refused).
+    "mu = 9007199254740991,9007199254740991",
     "rho = 0.9999999999",
     "max_iter = 1",
     "tol = 1e-300",
@@ -601,8 +620,8 @@ def _fit_edges():
 _FIT_EDGE_ERRORS = {
     # x_1 x_1'/pi_1 overflows
     "pi_5e-324": "the x columns overflow float64 in sum_i x_i x_i'/pi_i (rescale x)",
-    # (1 - pi_1)/pi_1^2 in the variance overflows
-    "pi_1e-300": "mle_1: the total or its variance overflows float64 (rescale y)",
+    # (1 - pi_1)/pi_1^2 in the variance overflows: the error names the unit
+    "pi_1e-300": "mle_1: the variance overflows float64 at unit u0, whose pi = 1e-300 is below about 1e-154 ((1 - pi)/pi^2 overflows)",
     "y_times_1e300": "mle_1: the total or its variance overflows float64 (rescale y)",
 }
 
@@ -652,19 +671,22 @@ def _mostly(valid, bad):
     return st.integers(0, 19).flatmap(lambda k: bad if k == 0 else valid)
 
 
-_PAD = st.sampled_from(["", "", " ", "\t", "  "])
+_PAD = st.sampled_from(["", "", " ", "\t", "  ", "\x1f", "\u3000"])
 _NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 _BAD_NUMBER = st.sampled_from(
     ["abc", "nan", "-nan", "inf", "-Infinity", "1e999", "", " ", "1_0", "0x10", "1.5e", "--1", "\u0663"]
 )
-_UNIT = st.text(st.sampled_from("abz09_-%#. "), max_size=4)
+_UNIT = st.text(st.sampled_from("abz09_-%#. \xe9\u00a0\u4e2d\U0001f600"), max_size=4)
+# Every line boundary of str.splitlines; read_text turns "\r" and "\r\n" into "\n".
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 
 
 @st.composite
 def _fit_files(draw):
     """Text of a fit file: 1-3 x columns, padded fields, comment and blank
-    lines, CRLF or LF endings, bad values, and possibly two ragged rows
-    whose field counts cancel out."""
+    lines, every str.splitlines line boundary, non-ASCII units, blank and
+    whitespace-only y, bad values, and possibly two ragged rows whose field
+    counts cancel out."""
     def pad(cell):
         return draw(_PAD) + cell + draw(_PAD)
 
@@ -675,7 +697,7 @@ def _fit_files(draw):
         r = draw(_mostly(st.sampled_from(["0", "1", "1.0"]), st.sampled_from(["2", "-1", "0.5", "x"])))
         pi = draw(_mostly(st.floats(0.0, 1.0, exclude_min=True).map(repr), st.sampled_from(["0", "1.5"]) | _BAD_NUMBER))
         xs = [draw(_mostly(_NUMBER, _BAD_NUMBER)) for _ in range(q)]
-        blank_y = st.sampled_from(["", " ", "\t"])
+        blank_y = st.sampled_from(["", " ", "\t", "\x1f", "\xa0", "\u3000 "])
         y = draw(_mostly(blank_y | _NUMBER if r == "0" else _NUMBER, blank_y | _BAD_NUMBER))
         lines.append(",".join(map(pad, [draw(_UNIT), pi, r, *xs, y])))
     if len(lines) > 2 and draw(st.integers(0, 4)) == 0:
@@ -683,11 +705,13 @@ def _fit_files(draw):
         lines[i] += "," + draw(_NUMBER)
         lines[j] = lines[j].rpartition(",")[0]
     # Blank and comment lines; the last one is data, as # is not in column 1.
-    noise = st.sampled_from(["", " ", "\t", "#", "# note, with, commas", "#unit,pi,r,x1,y", " # data"])
+    noise = st.sampled_from(["", " ", "\t", "\x1f", "\u3000", "#", "# note, with, commas", "#unit,pi,r,x1,y", " # data"])
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(noise))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(map(str.__add__, lines, ends))
 
 
 def _read_or_message(reader, path):
@@ -715,12 +739,42 @@ def test_columnar_reader_matches_line_reader(tmp_path, text):
         assert a.tobytes() == b.tobytes()
 
 
-@given(rows=st.lists(st.tuples(_UNIT, st.floats()), max_size=30))
+# Units of any text, and some longer than the canvas takes (64 UTF-8 bytes).
+@given(rows=st.lists(st.tuples(_UNIT | st.text(max_size=3) | st.text(min_size=60, max_size=70), st.floats()), max_size=30))
 def test_weights_rows_match_per_row_formatting(rows):
     units = [u for u, _ in rows]
     weights = np.array([w for _, w in rows])
     want = "".join(f"{u},cal_S,{w:.17g}\n" for u, w in rows)
-    assert _weights_csv(units, "cal_S", weights) == want
+    assert _weights_csv(units, _unit_cells(units), "cal_S", weights) == want
+
+
+def _kernel_cases():
+    """Doubles for the weights.csv kernel: random bit patterns over the whole
+    range, each 10^k and its neighbours, exact ties of the 17th digit, and
+    0, -0, NaN, inf and subnormals."""
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+    fixed = rng.uniform(-4.0, 17.0, 100_000)
+    fixed = 10.0**fixed * rng.choice([-1.0, 1.0], fixed.size)
+    powers = np.array([float(f"1e{k}") for k in range(-5, 19)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # Halves of the 17th digit, .25 and .75 at 1e15, .125 to .875 at 1e14:
+    # the digits round half to even.
+    ties = np.concatenate([1e15 + np.arange(400) / 4 + 0.25, 1e14 + np.arange(400) / 8 + 0.125])
+    special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1e-310, 1e-4, 1e17])
+    cases = np.concatenate([bits, fixed, powers, ties, special])
+    return np.concatenate([cases, -cases])
+
+
+def test_weights_kernel_matches_percent_17g():
+    weights = _kernel_cases()
+    units = [f"u{i}" for i in range(weights.size)]
+    want = "".join(f"{u},mle_1,{w:.17g}\n" for u, w in zip(units, weights.tolist()))
+    assert _weights_csv(units, _unit_cells(units), "mle_1", weights) == want
+    # Every value in [1e-4, 1e17) is fixed notation, and the kernel writes it.
+    fixed = (np.abs(weights) >= 1e-4) & (np.abs(weights) < 1e17)
+    assert all("e" not in f"{w:.17g}" for w in weights[fixed].tolist())
+    assert fixed.sum() > 100_000
 
 
 def test_fit_weights_csv_matches_per_row_formatting(tmp_path):

@@ -173,6 +173,14 @@ def test_poisson_inclusion_frequencies():
     assert np.all(np.abs(freq - d.pi) <= band)
 
 
+@pytest.mark.parametrize("pi", [[0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]])
+def test_design_rejects_nan_probabilities(pi):
+    # nan <= 0 and nan > 1 are both False, and fsum of a NaN passes the
+    # size check: the range check must fail.
+    with pytest.raises(ValueError, match=r"inclusion probabilities must lie in \(0, 1\]"):
+        DesignSpec(kind=DesignKind.POISSON, pi=np.array(pi), n_target=1.0)
+
+
 def test_sample_validation(study_srs):
     with pytest.raises(ValueError):
         Sample(indices=np.array([1, 1]), design=study_srs)

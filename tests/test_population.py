@@ -185,6 +185,13 @@ def test_population_invariant_violations():
         )
 
 
+@pytest.mark.parametrize("true_p", [[0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]])
+def test_population_rejects_nan_probabilities(true_p):
+    # nan <= 0 and nan > 1 are both False: the range check must still fail.
+    with pytest.raises(ValueError, match=r"true_p must lie in \(0, 1\]"):
+        Population(aux=np.ones((2, 1)), y=np.zeros(2), true_lambda=None, true_p=np.array(true_p), rho=0.0)
+
+
 def test_population_arrays_read_only(study_population):
     with pytest.raises(ValueError):
         study_population.y[0] = 99.0

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -61,3 +62,14 @@ def test_benchmark_names_stay_bound(monkeypatch):
     sys.modules.pop("workloads")
     for name in ("run_study", "write_raw_records", "generate_population", "srs_design", "poisson_design"):
         assert callable(getattr(nwacal.cli, name, None)), name
+
+
+def test_fit_stages_prints_each_stage(capsys):
+    script = _load("fit_stages")
+    assert script.main(["--N", "2000", "--n", "200", "--runs", "1"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (result["N"], result["n"], result["runs"]) == (2000, 200, 1)
+    stages = [result[k] for k in ("read", "solve", "evaluate", "write")]
+    assert all(s > 0.0 for s in stages)
+    assert sum(stages) <= result["main"]
+    assert result["ru_maxrss_mb"] > 0.0
