@@ -29,6 +29,7 @@ from .solvers import (
     FitResult,
     FitStatus,
     SolverControls,
+    Stack,
     jacobian,
     residual,
     response_probabilities,
@@ -61,7 +62,6 @@ from .montecarlo import (
     VARIANTS,
     ReplicateColumns,
     Scenario,
-    StudyReport,
     VariantMetrics,
     coverage_rate,
     linearization_gap,

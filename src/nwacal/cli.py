@@ -27,17 +27,16 @@ from .estimators import FITTED_VARIANTS, Variant
 from .montecarlo import (
     VARIANTS,
     Scenario,
-    StudyReport,
     TAG_POPULATION,
+    VariantMetrics,
     _evaluate,
     _fit,
-    _Stack,
     mix_seed,
     run_study,
     write_raw_records,
 )
 from .population import GenConfig, Population, generate_population
-from .solvers import FitStatus, SolverControls, _cholesky_solve
+from .solvers import FitStatus, SolverControls, Stack, _cholesky_solve
 
 __all__ = ["RunConfig", "parse_config", "run_full_study", "main"]
 
@@ -214,15 +213,19 @@ _TABLES = (
 )
 
 
-def _table_rows(results: list[tuple[str, float, StudyReport]], variants, columns):
+#: The metrics of each run cell, with its design and rho, as run_study gives them.
+_Results = list[tuple[str, float, dict[Variant, VariantMetrics]]]
+
+
+def _table_rows(results: _Results, variants, columns):
     """(design, rho, variant name, formatted cells) per row of one table."""
-    for design, rho, report in results:
-        for variant in variants or report.metrics:
-            m = report.metrics[variant]
+    for design, rho, metrics in results:
+        for variant in variants or metrics:
+            m = metrics[variant]
             yield design, rho, variant.value, [_fmt4(getattr(m, field)) for field, _, _ in columns]
 
 
-def _write_tables(out_dir: Path, header: str, results: list[tuple[str, float, StudyReport]]) -> None:
+def _write_tables(out_dir: Path, header: str, results: _Results) -> None:
     for stem, _, variants, columns in _TABLES:
         head = ",".join(["design", "rho", "variant", *(field for field, _, _ in columns)])
         rows = [f"{d},{rho:.4g},{v},{','.join(cells)}\n" for d, rho, v, cells in _table_rows(results, variants, columns)]
@@ -230,7 +233,7 @@ def _write_tables(out_dir: Path, header: str, results: list[tuple[str, float, St
     (out_dir / "tables.txt").write_text(f"# {header}\n" + format_study_text(results))
 
 
-def format_study_text(results: list[tuple[str, float, StudyReport]]) -> str:
+def format_study_text(results: _Results) -> str:
     """Aligned text rendering of the point, weight, and variance tables."""
     lines: list[str] = []
     for _, title, variants, columns in _TABLES:
@@ -262,12 +265,12 @@ def _run(cfg: RunConfig, cells, write_outputs) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"master_seed={cfg.seed} config_hash={config_hash(cfg)}"
-    results: list[tuple[str, float, StudyReport]] = []
+    results: _Results = []
     for design_name, rho, scenario, raw_name in cells:
-        report, records = run_study(scenario, threads=cfg.threads, return_records=True)
+        metrics, records = run_study(scenario, threads=cfg.threads)
         if cfg.emit_raw:
-            write_raw_records(out_dir / raw_name, records, header_comment=header)
-        results.append((design_name, rho, report))
+            write_raw_records(out_dir / raw_name, records, header)
+        results.append((design_name, rho, metrics))
     write_outputs(out_dir, header, results)
     print(format_study_text(results))
     return 0
@@ -286,9 +289,9 @@ _REPORT_COLUMNS = (
 )
 
 
-def _write_report(out_dir: Path, header: str, results: list[tuple[str, float, StudyReport]]) -> None:
-    [(_, _, report)] = results
-    rows = [",".join([v.value, *(_fmt4(getattr(m, f)) for f in _REPORT_COLUMNS)]) + "\n" for v, m in report.metrics.items()]
+def _write_report(out_dir: Path, header: str, results: _Results) -> None:
+    [(_, _, metrics)] = results
+    rows = [",".join([v.value, *(_fmt4(getattr(m, f)) for f in _REPORT_COLUMNS)]) + "\n" for v, m in metrics.items()]
     (out_dir / "report.csv").write_text(f"# {header}\n" + ",".join(["variant", *_REPORT_COLUMNS]) + "\n" + "".join(rows))
 
 
@@ -606,7 +609,7 @@ def _cmd_fit(args, trace: bool = False) -> int:
 
     # The file is a stack of one sample, and every variant is one equation
     # of one solve_block call, fitted whatever its number of respondents.
-    st, first = _Stack.of_one(aux, pi, y, r), np.zeros(1, dtype=np.intp)
+    st, first = Stack.of_one(aux, pi, r, y), np.zeros(1, dtype=np.intp)
     _, _, fits = _fit(st, first, np.array([VARIANTS.index(v) for v in variants]), totals, controls)
     if trace:
         for variant, status, iterations, rows in zip(variants, fits.status, fits.iterations, fits.trace):

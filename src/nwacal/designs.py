@@ -9,7 +9,6 @@ stores only its unit indices and reads their probabilities from the design.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,7 @@ class DesignSpec:
         # which has no min.
         if pi.size and not (pi.min() > 0.0 and pi.max() <= 1.0):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
-        total = math.fsum(pi)
+        total = float(pi.sum())
         if abs(total - self.n_target) > 1e-9 * max(1.0, abs(self.n_target)):
             raise ValueError(
                 f"inclusion probabilities sum to {total}, expected n_target={self.n_target}"

@@ -29,7 +29,7 @@ from .designs import DesignSpec
 from .estimators import Variant, gamma, linearized_block
 from .population import Population
 from .response import _draw_replicates
-from .solvers import FitStatus, SolverControls, _rows_dot, _sample_stack, response_probabilities, solve_block
+from .solvers import FitStatus, SolverControls, Stack, _rows_dot, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "STATUSES",
     "ReplicateColumns",
     "VariantMetrics",
-    "StudyReport",
     "run_study",
     "relative_bias",
     "rrvar",
@@ -167,36 +166,6 @@ def _row_max(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(top), top, np.nan)
 
 
-class _Stack(NamedTuple):
-    """A block's samples (x, pi, y, the true p, r) and respondents (x_r,
-    pi_r, y_r and the true p_r) as arrays padded to a common length, with
-    masks of the real rows. Padding rows (x = 0, y = 0, pi = 1, r = 0,
-    p = 1) add exact zeros to every sum the engine takes. p and p_r are
-    None where the true probabilities are unknown."""
-
-    n_s: np.ndarray
-    n_r: np.ndarray
-    x: np.ndarray
-    pi: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    r: np.ndarray
-    valid: np.ndarray
-    x_r: np.ndarray
-    pi_r: np.ndarray
-    y_r: np.ndarray
-    p_r: np.ndarray
-    valid_r: np.ndarray
-
-    @classmethod
-    def of_one(cls, x: np.ndarray, pi: np.ndarray, y: np.ndarray, r: np.ndarray) -> _Stack:
-        """The stack of one sample (x, pi, y, r), as solve takes it, with
-        unknown true probabilities."""
-        x, pi, r, valid, x_r, pi_r, valid_r = _sample_stack(x, pi, r)
-        n_s, n_r = valid.sum(axis=1), valid_r.sum(axis=1)
-        return cls(n_s, n_r, x, pi, y[None], None, r, valid, x_r, pi_r, y[r[0] == 1][None], None, valid_r)
-
-
 def _gather(scenario: Scenario, u: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, ...]:
     """(x, pi, y, true p) of the padded unit indices ``u``, with the
     padding rows (outside ``valid``) set in place to x = 0, pi = 1, y = 0, p = 1."""
@@ -207,7 +176,7 @@ def _gather(scenario: Scenario, u: np.ndarray, valid: np.ndarray) -> tuple[np.nd
     return columns
 
 
-def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
+def _stack_draws(scenario: Scenario, indices: range) -> Stack:
     """The padded samples and respondents of the replicates ``indices``,
     gathered from the population and design, with r as booleans."""
     seed = scenario.master_seed
@@ -218,17 +187,17 @@ def _stack_draws(scenario: Scenario, indices: range) -> _Stack:
     r[valid] = r_all
     n_r = r.sum(axis=1)
     u_r, valid_r = _pad(units[r_all == 1], n_r)
-    return _Stack(n_s, n_r, *_gather(scenario, u, valid), r, valid, *_gather(scenario, u_r, valid_r), valid_r)
+    return Stack(n_s, n_r, *_gather(scenario, u, valid), r, valid, *_gather(scenario, u_r, valid_r), valid_r)
 
 
-def _fit(st: _Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray | None, controls: SolverControls):
+def _fit(st: Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray | None, controls: SolverControls):
     """Fit the variant columns ``columns`` of the replicates ``rows`` of a
     stack, with ``totals`` the population totals of the auxiliaries (read
     only by population-level calibration).
 
-    All the equations go to solve_block as one stack, on the stack's own
-    sample and respondent stacks. Returns (replicate, variant column) of
-    each equation, variant-major, and the BlockFit.
+    All the equations go to solve_block as one stack, on st itself.
+    Returns (replicate, variant column) of each equation, variant-major,
+    and the BlockFit.
     """
     # Equation j fits variant column fit_v[j] on replicate fit_b[j].
     fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
@@ -238,11 +207,11 @@ def _fit(st: _Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray |
         if not variant.mle:
             target[j] = totals if variant.population_level else _rows_dot(1.0 / st.pi, st.x)[fit_b[j]]
     kinds = np.array(VARIANTS, dtype=object)[fit_v]
-    fits = solve_block(kinds, fit_b, st.x, st.pi, st.r, st.valid, st.x_r, st.pi_r, st.valid_r, target, controls)
+    fits = solve_block(kinds, fit_b, st, target, controls)
     return fit_b, fit_v, fits
 
 
-def _estimates(st: _Stack, b: np.ndarray, lam: np.ndarray):
+def _estimates(st: Stack, b: np.ndarray, lam: np.ndarray):
     """The respondent rows (pi_r, x_r, y_r, valid_r) of replicates ``b``
     and, from their converged fits ``lam``, the fitted probabilities p_hat
     (1 on padding rows), the weights 1/(pi p_hat) and the totals."""
@@ -252,7 +221,7 @@ def _estimates(st: _Stack, b: np.ndarray, lam: np.ndarray):
     return rows, p_hat, w, np.sum(w * y_r, axis=1)
 
 
-def _evaluate(variant: Variant, design: DesignSpec, st: _Stack, b: np.ndarray, lam: np.ndarray):
+def _evaluate(variant: Variant, design: DesignSpec, st: Stack, b: np.ndarray, lam: np.ndarray):
     """The raw-CSV values (_FIELDS) of ``variant`` on replicates ``b`` from
     their converged fits ``lam``: the estimate, the variance components of
     var_hat_block, the 95% interval (NaN where the variance is negative or
@@ -266,7 +235,7 @@ def _evaluate(variant: Variant, design: DesignSpec, st: _Stack, b: np.ndarray, l
     return values, w
 
 
-def _run_block(scenario: Scenario, st: _Stack) -> ReplicateColumns:
+def _run_block(scenario: Scenario, st: Stack) -> ReplicateColumns:
     """Fit, estimate and evaluate every variant for a block's draws."""
     B, V = len(st.n_s), len(VARIANTS)
     status = np.full((B, V), _OK, dtype=np.int8)
@@ -332,7 +301,6 @@ class VariantMetrics:
     """Study aggregates for one variant (None where undefined)."""
 
     n_ok: int
-    n_failed: int
     failure_rate: float
     rb: float | None
     rrvar: float | None
@@ -344,22 +312,13 @@ class VariantMetrics:
     max_weight: float | None
 
 
-@dataclass(frozen=True)
-class StudyReport:
-    """Monte Carlo aggregates over all replicates of one scenario: the
-    metrics of each variant, in VARIANTS order. The scenario holds the rest."""
-
-    metrics: dict[Variant, VariantMetrics]
-
-
-def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
+def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> dict[Variant, VariantMetrics]:
     y_total = scenario.population.total
     metrics: dict[Variant, VariantMetrics] = {}
     for vi, variant in enumerate(VARIANTS):
         ok = cols.status[:, vi] == _OK
         estimates, v_sam, v_nr, lo, hi, max_w = cols.values[ok, vi].T
         n_ok = int(ok.sum())
-        n_failed = ok.size - n_ok
         mc_var = float(np.var(estimates, ddof=1)) if n_ok >= 2 else None
         v_totals = v_sam + v_nr
         v_totals = v_totals[np.isfinite(v_totals)]
@@ -374,8 +333,7 @@ def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
         weights = max_w[~np.isnan(max_w)]
         metrics[variant] = VariantMetrics(
             n_ok=n_ok,
-            n_failed=n_failed,
-            failure_rate=n_failed / ok.size,
+            failure_rate=(ok.size - n_ok) / ok.size,
             rb=relative_bias(estimates, y_total),
             rrvar=None if mc_var is None else math.sqrt(mc_var) / y_total,
             mc_variance=mc_var,
@@ -385,18 +343,17 @@ def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> StudyReport:
             coverage=coverage_rate(np.column_stack([lo, hi])[has_ci], y_total),
             max_weight=float(np.max(weights)) if weights.size else None,
         )
-    return StudyReport(metrics=metrics)
+    return metrics
 
 
-def run_study(
-    scenario: Scenario, threads: int = 1, return_records: bool = False
-) -> StudyReport | tuple[StudyReport, ReplicateColumns]:
+def run_study(scenario: Scenario, threads: int = 1) -> tuple[dict[Variant, VariantMetrics], ReplicateColumns]:
     """Run every replicate and aggregate; bit-identical for any worker count.
 
-    ``threads`` > 1 fans contiguous runs of whole blocks out to worker
-    processes; results are re-assembled in index order before aggregation,
-    so the report does not depend on scheduling. ``return_records`` also
-    returns the per-replicate results, row i being replicate i.
+    Returns the metrics of each variant, in VARIANTS order, and the
+    per-replicate results, row i being replicate i. ``threads`` > 1 fans
+    contiguous runs of whole blocks out to worker processes; results are
+    re-assembled in index order before aggregation, so neither depends on
+    scheduling.
     """
     n_blocks = -(-scenario.reps // block_replicates(scenario.design))
     if threads <= 1 or n_blocks < 2:
@@ -409,8 +366,7 @@ def run_study(
 
         with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
             cols = ReplicateColumns.concat(pool.map(_run_blocks, tasks))
-    report = _aggregate(scenario, cols)
-    return (report, cols) if return_records else report
+    return _aggregate(scenario, cols), cols
 
 
 #: Replicates per chunk of write_raw_records: it holds one chunk's fields as
@@ -418,8 +374,9 @@ def run_study(
 _RAW_CHUNK = 500
 
 
-def write_raw_records(path, records: ReplicateColumns, header_comment: str | None = None) -> None:
-    """Write per-replicate outcomes to CSV with round-trippable floats.
+def write_raw_records(path, records: ReplicateColumns, header: str) -> None:
+    """Write per-replicate outcomes to CSV with round-trippable floats,
+    after the comment line "# header".
 
     A field is empty where the outcome has no number: every field of a
     failed fit, the variances and interval of ``ht`` and ``p``, an interval
@@ -428,7 +385,7 @@ def write_raw_records(path, records: ReplicateColumns, header_comment: str | Non
     singular gamma system).
     """
     if not isinstance(records, ReplicateColumns):
-        raise TypeError("write_raw_records takes the records of run_study(..., return_records=True)")
+        raise TypeError("write_raw_records takes the ReplicateColumns of run_study")
     V, F = len(VARIANTS), len(_FIELDS)
     blank = np.isnan(records.values)
     blank[..., 4] = blank[..., 3]  # an interval is formed whole or not at all
@@ -436,9 +393,7 @@ def write_raw_records(path, records: ReplicateColumns, header_comment: str | Non
     blank &= ~(as_number & (records.status == _OK)[..., None])
     names = [v.value for v in VARIANTS]
     with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
+        fh.write(f"# {header}\nreplicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
         for start in range(0, len(records.status), _RAW_CHUNK):
             chunk = slice(start, start + _RAW_CHUNK)
             values, blanks = records.values[chunk].ravel().tolist(), blank[chunk].ravel().tolist()

@@ -48,8 +48,7 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-#: Units per step of the generator and of the model check: working arrays
-#: stay this long whatever N is.
+#: Units per step of the generator: working arrays stay this long whatever N is.
 _CHUNK = 4096
 
 
@@ -65,11 +64,7 @@ class Population:
     ------
     aux : (N, q) matrix whose first column is identically 1.
     y : study variable, length N.
-    true_lambda : coefficient vector of the response model, or None for a
-        population built by hand with no logistic model behind it.
-    true_p : per-unit response probabilities; equal to the logistic model
-        evaluated at ``true_lambda`` whenever that vector is present.
-    rho : correlation used by the generator (NaN when none was used).
+    true_p : per-unit response probabilities, in (0, 1].
     total : sum of y, cached at construction via compensated summation.
     aux_total : column sums of aux, the population totals of the
         auxiliaries, cached at construction.
@@ -77,9 +72,7 @@ class Population:
 
     aux: np.ndarray
     y: np.ndarray
-    true_lambda: np.ndarray | None
     true_p: np.ndarray
-    rho: float
     total: float = field(init=False)
     aux_total: np.ndarray = field(init=False)
 
@@ -87,14 +80,13 @@ class Population:
         aux = _frozen(np.atleast_2d(self.aux))
         y = _frozen(self.y)
         p = _frozen(self.true_p)
-        lam = None if self.true_lambda is None else _frozen(self.true_lambda)
-        n, q = aux.shape
+        n = aux.shape[0]
         if n < 1:
             raise ValueError("population must contain at least one unit")
         if y.shape != (n,) or p.shape != (n,):
             raise ValueError("aux, y, and true_p must agree on the number of units")
-        # Reductions and chunks, not comparisons of length N: the checks add
-        # no array of the population's length. Each is written so that a NaN,
+        # Reductions, not comparisons of length N: the checks add no array
+        # of the population's length. Each is written so that a NaN,
         # which min and max propagate, fails it.
         if not aux[:, 0].min() == 1.0 == aux[:, 0].max():
             raise ValueError("first auxiliary column must be identically 1")
@@ -102,17 +94,9 @@ class Population:
         # tolerated so the degenerate full-response mechanism stays representable.
         if not (p.min() > 0.0 and p.max() <= 1.0):
             raise ValueError("true_p must lie in (0, 1]")
-        if lam is not None:
-            if lam.shape != (q,):
-                raise ValueError("true_lambda length must match the auxiliary dimension")
-            if not all(np.allclose(p[c], logistic_probs(aux[c], lam), rtol=0.0, atol=1e-12) for c in _chunks(n)):
-                raise ValueError("true_p is inconsistent with the logistic model at true_lambda")
-        if not (math.isnan(self.rho) or -1.0 <= self.rho <= 1.0):
-            raise ValueError("rho must lie in [-1, 1]")
         object.__setattr__(self, "aux", aux)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "true_p", p)
-        object.__setattr__(self, "true_lambda", lam)
         object.__setattr__(self, "total", math.fsum(y))
         aux_total = aux.sum(axis=0)
         aux_total.flags.writeable = False
@@ -263,6 +247,6 @@ def generate_population(cfg: GenConfig) -> Population:
         aux[c, 1] = mu_x + rho * z1 + math.sqrt(1.0 - rho * rho) * _standard_normal(rng, c.stop - c.start)
         y[c] = mu_y + z1
         p[c] = logistic_probs(aux[c], lam)
-    for a in (aux, y, p, lam):  # handed over to Population without a copy
+    for a in (aux, y, p):  # handed over to Population without a copy
         a.flags.writeable = False
-    return Population(aux=aux, y=y, true_lambda=lam, true_p=p, rho=rho)
+    return Population(aux=aux, y=y, true_p=p)

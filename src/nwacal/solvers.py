@@ -43,6 +43,7 @@ __all__ = [
     "jacobian",
     "solve",
     "solve_block",
+    "Stack",
     "BlockFit",
     "response_probabilities",
 ]
@@ -318,6 +319,43 @@ def _has_certificate(a: np.ndarray, c: np.ndarray, directions) -> bool:
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
+class Stack(NamedTuple):
+    """R samples and their respondents, padded to common lengths: the
+    sample stack x (R, n, q) and pi, y, the true p, r and valid (R, n), and
+    the respondent stack x_r (R, m, q) and pi_r, y_r, p_r and valid_r
+    (R, m), whose row k holds the units of sample row k with r = 1, in the
+    same order. n_s and n_r (R,) count each sample's units and respondents
+    (r = 1), the real rows that valid and valid_r mark. Padding rows hold
+    x = 0, pi = 1, y = 0, p = 1, r = 0, so they add exact zeros to every sum
+    taken over them. solve_block reads neither y nor p; p and p_r are None
+    where the true probabilities are unknown, and y and y_r where no
+    estimate is asked."""
+
+    n_s: np.ndarray
+    n_r: np.ndarray
+    x: np.ndarray
+    pi: np.ndarray
+    y: np.ndarray | None
+    p: np.ndarray | None
+    r: np.ndarray
+    valid: np.ndarray
+    x_r: np.ndarray
+    pi_r: np.ndarray
+    y_r: np.ndarray | None
+    p_r: np.ndarray | None
+    valid_r: np.ndarray
+
+    @classmethod
+    def of_one(cls, x: np.ndarray, pi: np.ndarray, r: np.ndarray, y: np.ndarray | None = None) -> Stack:
+        """The stack of the one sample (x, pi, r, y), without padding, with
+        unknown true probabilities."""
+        resp = r == 1
+        n_s, n_r = len(r), int(resp.sum())
+        y, y_r = (None, None) if y is None else (y[None], y[resp][None])
+        return cls(np.array([n_s]), np.array([n_r]), x[None], pi[None], y, None, r[None], np.ones((1, n_s), bool),
+                   x[resp][None], pi[resp][None], y_r, None, np.ones((1, n_r), bool))
+
+
 def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_i w_i x_i per equation: (..., n) and (..., n, k) to (..., k)."""
     return (w[..., None, :] @ x)[..., 0, :]
@@ -380,16 +418,16 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(x, axis=1)
 
 
-def _initial_points(unweighted, population_level, rep: np.ndarray, inv_pi, r, valid, target) -> np.ndarray:
+def _initial_points(unweighted, population_level, rep: np.ndarray, inv_pi, st: Stack, target) -> np.ndarray:
     """The intercept-only solution of each equation of a stack, from the
-    totals of its sample (row rep of the sample stack, with inv_pi the 1/pi
-    of its real rows): a cheap globalization that starts Newton at the
-    correct overall response level. ``unweighted`` marks mle_1 and
-    ``population_level`` cal_U. Only the equations' samples are divided by
-    their sizes, so an empty sample that no equation fits divides nothing."""
-    resp_total = np.where(r == 1, inv_pi, 0.0).sum(axis=1)[rep]
+    totals of its sample (row rep of st, with inv_pi the 1/pi of its real
+    rows): a cheap globalization that starts Newton at the correct overall
+    response level. ``unweighted`` marks mle_1 and ``population_level``
+    cal_U. Only the equations' samples are divided by their sizes, so an
+    empty sample that no equation fits divides nothing."""
+    resp_total = np.where(st.r == 1, inv_pi, 0.0).sum(axis=1)[rep]
     denom = np.where(population_level, target[:, 0], inv_pi.sum(axis=1)[rep])
-    frac = np.where(unweighted, r.sum(axis=1)[rep] / valid.sum(axis=1)[rep], resp_total / denom)
+    frac = np.where(unweighted, st.n_r[rep] / st.n_s[rep], resp_total / denom)
     frac = np.clip(frac, 1e-6, 1.0 - 1e-6)
     lam0 = np.zeros(target.shape)
     lam0[:, 0] = np.log(frac / (1.0 - frac))
@@ -535,22 +573,22 @@ def _slots(rep: np.ndarray, R: int) -> np.ndarray:
     return grid
 
 
-def _terms(softplus: bool, survey, x, inv_pi, r, valid, x_r, pi_r, valid_r, target):
-    """The terms (x, w, r, c) of the F of one family's equations from
-    solve_block's stacks, with inv_pi the 1/pi of the real rows; slot (k, s)
-    has target[k R + s] on sample s and, where survey[k R + s] holds (an
-    mle_invpi equation), score weights 1/pi. x (R, n, q;
-    C-ordered, so any layout runs one matrix kernel) and r (R, n) hold each
-    sample's rows once, w is (K, R, n) or, shared, (1, R, n), and c (K R, q);
-    padding rows have w = 0. MLE (softplus): the sample, w_i = k_i, c = 0;
+def _terms(softplus: bool, survey, st: Stack, inv_pi, target):
+    """The terms (x, w, r, c) of the F of one family's equations on the
+    stack st, with inv_pi the 1/pi of its real rows; slot (k, s) has
+    target[k R + s] on sample s and, where survey[k R + s] holds (an
+    mle_invpi equation), score weights 1/pi. x (R, n, q; C-ordered, so any
+    layout runs one matrix kernel) and r (R, n) hold each sample's rows
+    once, w is (K, R, n) or, shared, (1, R, n), and c (K R, q); padding
+    rows have w = 0. MLE (softplus): the sample, w_i = k_i, c = 0;
     calibration: the respondents, w_i = 1/pi_i, c = target - sum_i w_i x_i."""
     if softplus:
-        survey = survey.reshape(-1, len(x), 1)
-        return np.ascontiguousarray(x), np.where(survey, inv_pi, valid), r == 1, np.zeros(target.shape)
-    d = np.where(valid_r, 1.0 / pi_r, 0.0)
+        survey = survey.reshape(-1, len(st.x), 1)
+        return np.ascontiguousarray(st.x), np.where(survey, inv_pi, st.valid), st.r == 1, np.zeros(target.shape)
+    d = np.where(st.valid_r, 1.0 / st.pi_r, 0.0)
     with np.errstate(**_QUIET):
-        c = target.reshape(-1, len(x), target.shape[1]) - _rows_dot(d, x_r)
-    return np.ascontiguousarray(x_r), d[None], np.broadcast_to(True, d.shape), c.reshape(target.shape)
+        c = target.reshape(-1, len(st.x), target.shape[1]) - _rows_dot(d, st.x_r)
+    return np.ascontiguousarray(st.x_r), d[None], np.broadcast_to(True, d.shape), c.reshape(target.shape)
 
 
 class BlockFit(NamedTuple):
@@ -566,58 +604,42 @@ class BlockFit(NamedTuple):
 
 
 def solve_block(
-    kinds,
-    rep: np.ndarray,
-    x: np.ndarray,
-    pi: np.ndarray,
-    r: np.ndarray,
-    valid: np.ndarray,
-    x_r: np.ndarray,
-    pi_r: np.ndarray,
-    valid_r: np.ndarray,
-    target: np.ndarray,
-    controls: SolverControls = SolverControls(),
+    kinds, rep: np.ndarray, stack: Stack, target: np.ndarray, controls: SolverControls = SolverControls()
 ) -> BlockFit:
-    """Solve a stack of estimating equations on a stack of R samples by
+    """Solve a stack of estimating equations on a Stack of R samples by
     Newton iteration on their convex F (see _block_newton).
 
-    The samples come as a padded sample stack, ``x`` (R, n, q) and ``pi``,
-    ``r``, ``valid`` (R, n), and the padded stack of their respondents,
-    ``x_r`` (R, m, q) and ``pi_r``, ``valid_r`` (R, m): row k of the second
-    holds the units of row k of the first with r = 1, in the same order.
-    Padding rows are False in ``valid`` and ``valid_r`` and hold x = 0,
-    pi = 1, r = 0. Equation b fits the variant ``kinds[b]`` on sample
-    ``rep[b]`` with ``target[b]`` (B, q): it is EstimatingEquation(kinds[b],
-    x[k, :n_k], pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b]. The MLE
-    variants read the sample stack and calibration the respondent stack
-    (which may be empty without calibration); the equations that share a
-    sample read its rows, x_i x_i' and weights 1/pi once (see _slots), and
-    per-sample totals are taken once per sample. Each equation takes the
-    same steps and gets the same status as it would alone, up to rounding
-    in the sums: padding, and numpy's stacked matrix products, can add in
-    another order than a stack of one. Sharing a sample changes no bit.
-    An equation with no respondents, or with no nonrespondents unless it is
-    a cal_U equation, has no finite solution: it is DIVERGED after no
-    iterations, at zero.
+    Equation b fits the variant ``kinds[b]`` on sample ``rep[b]`` with
+    ``target[b]`` (B, q): it is EstimatingEquation(kinds[b], x[k, :n_k],
+    pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b] and n_k = n_s[k] of
+    the stack. The MLE variants read the sample stack and calibration the
+    respondent stack (which may be empty without calibration); the
+    equations that share a sample read its rows, x_i x_i' and weights 1/pi
+    once (see _slots), and per-sample totals are taken once per sample.
+    Each equation takes the same steps and gets the same status as it would
+    alone, up to rounding in the sums: padding, and numpy's stacked matrix
+    products, can add in another order than a stack of one. Sharing a
+    sample changes no bit. An equation with no respondents, or with no
+    nonrespondents unless it is a cal_U equation, has no finite solution:
+    it is DIVERGED after no iterations, at zero.
     """
     rep = np.asarray(rep, dtype=np.intp)
     mle = np.fromiter((k.mle for k in kinds), bool, len(kinds))
     survey = np.fromiter((k.k_inv_pi for k in kinds), bool, len(kinds))
     at_u = np.fromiter((k.population_level for k in kinds), bool, len(kinds))
-    inv_pi = np.where(valid, 1.0 / pi, 0.0)
-    n_r = r.sum(axis=1)
-    short = (n_r == 0)[rep] | ((n_r == valid.sum(axis=1))[rep] & ~at_u)
-    lam = np.where(short[:, None], 0.0, _initial_points(mle & ~survey, at_u, rep, inv_pi, r, valid, target))
+    inv_pi = np.where(stack.valid, 1.0 / stack.pi, 0.0)
+    short = (stack.n_r == 0)[rep] | ((stack.n_r == stack.n_s)[rep] & ~at_u)
+    lam = np.where(short[:, None], 0.0, _initial_points(mle & ~survey, at_u, rep, inv_pi, stack, target))
     tol = controls.tol * np.maximum(1.0, np.max(np.abs(target), axis=1))
     out = np.empty_like(lam), *(np.empty(len(lam), t) for t in (np.int8, np.int64, float)), [[] for _ in lam]
-    families = [(b, _slots(rep[b], len(x)), softplus) for b, softplus in
+    families = [(b, _slots(rep[b], len(stack.x)), softplus) for b, softplus in
                 ((np.flatnonzero(~mle), False), (np.flatnonzero(mle), True)) if b.size]
     # One workspace for the larger grid serves both: the second touches no new pages.
-    work = np.empty(3 * max((g.size * (x if sp else x_r).shape[1] for _, g, sp in families), default=0))
+    work = np.empty(3 * max((g.size * (stack.x if sp else stack.x_r).shape[1] for _, g, sp in families), default=0))
     for b, grid, softplus in families:
         # An absent slot (-1) reads the last equation's terms; it never runs.
         eq = np.where(grid.ravel() < 0, -1, b[grid.ravel()])
-        terms = _terms(softplus, survey[eq], x, inv_pi, r, valid, x_r, pi_r, valid_r, target[eq])
+        terms = _terms(softplus, survey[eq], stack, inv_pi, target[eq])
         _block_newton(*terms, softplus, lam[eq], tol[eq], short[eq], eq, controls, work, out)
     lam_hat, codes, iterations, rn, trace = out
     return BlockFit(lam_hat, np.array(_CODES, dtype=object)[codes], iterations, rn, trace)
@@ -641,7 +663,7 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     times its diagonal entry), the rule that also flags singular gamma
     systems in the variance estimators.
     """
-    fit = solve_block([eq.kind], [0], *_sample_stack(eq.x, eq.pi, eq.r), eq.target[None], controls)
+    fit = solve_block([eq.kind], [0], Stack.of_one(eq.x, eq.pi, eq.r), eq.target[None], controls)
     lam = fit.lambda_hat[0]
     return FitResult(
         lambda_hat=lam,
@@ -653,20 +675,11 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     )
 
 
-def _sample_stack(x: np.ndarray, pi: np.ndarray, r: np.ndarray):
-    """The sample stack (x, pi, r, valid) and respondent stack (x_r, pi_r,
-    valid_r) of solve_block for the one sample (x, pi, r), without padding."""
-    resp = r == 1
-    return (x[None], pi[None], r[None], np.ones((1, len(r)), dtype=bool),
-            x[resp][None], pi[resp][None], np.ones((1, int(resp.sum())), dtype=bool))
-
-
 def _terms_at(lam, eq: EstimatingEquation):
     """The residual sum_i u_i x_i - c and Jacobian -sum_i h_i x_i x_i' of eq at lam: the
     terms that solve_block builds and _block_newton evaluates (as it does), for the stack of one."""
-    x, pi, *rest = _sample_stack(eq.x, eq.pi, eq.r)
-    softplus = eq.kind.mle
-    x, w, r, c = _terms(softplus, np.array([eq.kind.k_inv_pi]), x, 1.0 / pi, *rest, eq.target[None])
+    st, softplus = Stack.of_one(eq.x, eq.pi, eq.r), eq.kind.mle
+    x, w, r, c = _terms(softplus, np.array([eq.kind.k_inv_pi]), st, 1.0 / st.pi, eq.target[None])
     with np.errstate(**_QUIET):
         eta = _matvec(x, np.asarray(lam, dtype=float)[None, None])
         u, h, _ = _row_terms(eta, w, r, softplus, np.empty_like(eta), np.empty_like(eta))

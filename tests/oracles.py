@@ -50,7 +50,7 @@ def draw_replicates_loop(design: DesignSpec, p: np.ndarray, seeds):
     return np.concatenate(units), np.concatenate(r), np.array([u.size for u in units])
 
 
-def write_raw_records_loop(path, cols, header_comment=None) -> None:
+def write_raw_records_loop(path, cols, header: str) -> None:
     """The raw-CSV writer of the per-replicate outcome objects, one line per
     replicate and variant, reading the engine's columns row by row. A failed
     fit has no numbers; ``ht`` and ``p`` have an estimate and a largest
@@ -65,8 +65,7 @@ def write_raw_records_loop(path, cols, header_comment=None) -> None:
         return None if math.isnan(v) else v
 
     with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header}\n")
         fh.write("replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status\n")
         for i in range(len(cols.status)):
             for vi, variant in enumerate(VARIANTS):

@@ -81,12 +81,12 @@ def _columns(cols: ReplicateColumns, variant: Variant) -> Columns:
 
 @pytest.fixture(scope="session")
 def study_runs():
-    """The six study cells: per (design, rho) the scenario, its report, and
+    """The six study cells: per (design, rho) the scenario, its metrics per variant, and
     the per-replicate columns of the four fitted variants."""
     cfg = RunConfig(reps=L_FULL, threads=THREADS)
     runs = {}
     for design, rho, scenario in study_scenarios(cfg):
-        report, cols = run_study(scenario, threads=THREADS, return_records=True)
+        report, cols = run_study(scenario, threads=THREADS)
         columns = {v: _columns(cols, v) for v in NWA_VARIANTS}
         runs[(design, rho)] = (scenario, report, columns)
     return runs
@@ -224,7 +224,7 @@ def test_criterion_3_unbiasedness(study_reports):
     details = []
     ok = True
     for variant in (Variant.HT, Variant.TRUE_P) + NWA_VARIANTS:
-        m = report.metrics[variant]
+        m = report[variant]
         bound = 4.0 * m.rrvar / math.sqrt(m.n_ok)
         ok &= abs(m.rb) <= bound
         details.append(f"{variant.value}:|rb|={abs(m.rb):.1e}<= {bound:.1e}")
@@ -234,21 +234,21 @@ def test_criterion_3_unbiasedness(study_reports):
 def test_criterion_4_efficiency_ordering(study_reports):
     problems = []
     for (design, rho), report in study_reports.items():
-        rr_p = report.metrics[Variant.TRUE_P].rrvar
+        rr_p = report[Variant.TRUE_P].rrvar
         for variant in NWA_VARIANTS:
-            if report.metrics[variant].rrvar >= rr_p:
+            if report[variant].rrvar >= rr_p:
                 problems.append(
                     f"{design}/rho={rho}: {variant.value} rrvar "
-                    f"{report.metrics[variant].rrvar:.4f} >= truep {rr_p:.4f}"
+                    f"{report[variant].rrvar:.4f} >= truep {rr_p:.4f}"
                 )
     srs6 = study_reports[("srs", 0.6)]
-    cal_u = srs6.metrics[Variant.CAL_U].rrvar
-    others = [srs6.metrics[v].rrvar for v in NWA_VARIANTS if v is not Variant.CAL_U]
+    cal_u = srs6[Variant.CAL_U].rrvar
+    others = [srs6[v].rrvar for v in NWA_VARIANTS if v is not Variant.CAL_U]
     if not all(cal_u < o for o in others):
         problems.append(f"srs/0.6: cal_U rrvar {cal_u:.4f} not smallest of {others}")
     for rho in (0.6, 0.3):
         rep = study_reports[("poisson", rho)]
-        ratio = rep.metrics[Variant.CAL_U].rrvar / rep.metrics[Variant.CAL_S].rrvar
+        ratio = rep[Variant.CAL_U].rrvar / rep[Variant.CAL_S].rrvar
         if ratio > 0.5:
             problems.append(f"poisson/rho={rho}: cal_U/cal_S rrvar ratio {ratio:.3f} > 0.5")
     _report("4", not problems, "; ".join(problems) or "all orderings hold on six scenarios")
@@ -256,8 +256,8 @@ def test_criterion_4_efficiency_ordering(study_reports):
 
 def test_criterion_5_magnitude_bands(study_reports):
     report = study_reports[("srs", 0.6)]
-    rr_ht = report.metrics[Variant.HT].rrvar
-    rr_p = report.metrics[Variant.TRUE_P].rrvar
+    rr_ht = report[Variant.HT].rrvar
+    rr_p = report[Variant.TRUE_P].rrvar
     ok = 0.018 <= rr_ht <= 0.032 and 0.038 <= rr_p <= 0.062
     _report(
         "5",
@@ -268,7 +268,7 @@ def test_criterion_5_magnitude_bands(study_reports):
 
 def test_criterion_6a_strong_correlation_coverage(study_reports):
     report = study_reports[("srs", 0.6)]
-    crs = {v.value: report.metrics[v].coverage for v in NWA_VARIANTS}
+    crs = {v.value: report[v].coverage for v in NWA_VARIANTS}
     ok = all(0.93 <= cr <= 0.97 for cr in crs.values())
     _report("6a", ok, f"srs/0.6 coverage {crs} all in [0.93,0.97]")
 
@@ -299,7 +299,7 @@ def test_criterion_6b_weak_correlation_underestimation(study_runs):
         se_v = float(np.std(v_hat, ddof=1)) / math.sqrt(v_hat.size)
         bias = float(v_hat.mean()) - mc_var
         z = bias / math.hypot(se_mc, se_v)
-        coverage = report.metrics[variant].coverage
+        coverage = report[variant].coverage
         ok &= abs(z) <= 4.0 and 0.93 <= coverage <= 0.97
         details.append(
             f"{variant.value}: var bias {bias / mc_var:+.4f} (z={z:+.2f}), coverage {coverage:.4f}"
@@ -334,15 +334,15 @@ def test_criterion_8a_pathology_and_weight_ordering(study_reports):
     problems = []
     for rho in (0.6, 0.3, 0.0):
         rep = study_reports[("poisson", rho)]
-        if not rep.metrics[Variant.CAL_U].failure_rate > 0.0:
+        if not rep[Variant.CAL_U].failure_rate > 0.0:
             problems.append(f"poisson/rho={rho}: no cal_U failures observed")
         for v in (Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_S):
             for design in ("srs", "poisson"):
-                fr = study_reports[(design, rho)].metrics[v].failure_rate
+                fr = study_reports[(design, rho)][v].failure_rate
                 if fr != 0.0:
                     problems.append(f"{design}/rho={rho}: {v.value} failure rate {fr}")
-        mw_u = rep.metrics[Variant.CAL_U].max_weight
-        mw_s = rep.metrics[Variant.CAL_S].max_weight
+        mw_u = rep[Variant.CAL_U].max_weight
+        mw_s = rep[Variant.CAL_S].max_weight
         if not mw_u > mw_s:
             problems.append(f"poisson/rho={rho}: max weight cal_U {mw_u:.1f} <= cal_S {mw_s:.1f}")
     _report(

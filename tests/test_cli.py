@@ -323,17 +323,18 @@ def test_study_builds_each_population_once(monkeypatch):
     generate = cli.generate_population
 
     def counted(cfg):
-        built.append(cfg.rho)
-        return generate(cfg)
+        built.append((cfg.rho, generate(cfg)))
+        return built[-1][1]
 
     monkeypatch.setattr(cli, "generate_population", counted)
     cells = study_scenarios(RunConfig(reps=10))
-    assert built == [0.6, 0.3, 0.0]
+    assert [rho for rho, _ in built] == [0.6, 0.3, 0.0]
     assert [(d, rho) for d, rho, _ in cells] == [(d, rho) for d in ("srs", "poisson") for rho in (0.6, 0.3, 0.0)]
     for k in range(3):
         srs, poisson = cells[k][2], cells[k + 3][2]
         assert srs.population is poisson.population
-        assert srs.population.rho == cells[k][1]
+        # Each cell's population is the one generated at the cell's rho.
+        assert built[k][0] == cells[k][1] and built[k][1] is srs.population
     assert len({sc.master_seed for _, _, sc in cells}) == 6
 
 

@@ -27,9 +27,7 @@ def _toy_population(x1, y=None):
     return Population(
         aux=np.column_stack([np.ones(n), x1]),
         y=np.zeros(n) if y is None else np.asarray(y, dtype=float),
-        true_lambda=None,
         true_p=np.full(n, 0.5),
-        rho=0.0,
     )
 
 

@@ -127,9 +127,7 @@ def _gamma_over_u(pop):
 def _linear_population(seed=15, N=300, beta=(2.0, 0.75)):
     pop = generate_population(GenConfig(N=N, seed=seed))
     y = pop.aux @ np.asarray(beta)
-    return Population(
-        aux=pop.aux, y=y, true_lambda=pop.true_lambda, true_p=pop.true_p, rho=pop.rho
-    )
+    return Population(aux=pop.aux, y=y, true_p=pop.true_p)
 
 
 def test_calibration_transfer_exact_for_linear_y():
@@ -179,9 +177,7 @@ def test_gamma_constant_p_equals_unweighted_solution():
     n = 12
     x = np.column_stack([np.ones(n), rng.normal(4, 1, n)])
     y = rng.normal(4, 1, n)
-    pop = Population(
-        aux=x, y=y, true_lambda=None, true_p=np.full(n, 0.7), rho=0.0
-    )
+    pop = Population(aux=x, y=y, true_p=np.full(n, 0.7))
     gamma = _gamma_over_u(pop)
     unweighted = np.linalg.solve(x.T @ x, x.T @ y)
     assert np.allclose(gamma, unweighted, atol=1e-12)
@@ -193,7 +189,7 @@ def test_gamma_small_instance_cramer_oracle():
     x = np.column_stack([np.ones(N), rng.normal(4, 1, N)])
     y = rng.normal(4, 1, N)
     p = rng.uniform(0.5, 0.9, N)
-    pop = Population(aux=x, y=y, true_lambda=None, true_p=p, rho=0.0)
+    pop = Population(aux=x, y=y, true_p=p)
     gamma = _gamma_over_u(pop)
     # Cramer's rule on the 2x2 weighted normal equations.
     w = 1.0 - p
@@ -209,9 +205,7 @@ def test_gamma_small_instance_cramer_oracle():
 
 def test_gamma_singular_system_flagged():
     x = np.column_stack([np.ones(4), np.full(4, 2.0)])
-    pop = Population(
-        aux=x, y=np.ones(4), true_lambda=None, true_p=np.full(4, 0.5), rho=0.0
-    )
+    pop = Population(aux=x, y=np.ones(4), true_p=np.full(4, 0.5))
     assert np.isnan(_gamma_over_u(pop)).all()
 
 
@@ -319,9 +313,7 @@ def test_linearized_full_response_equals_ht(small_population):
     # only the HT sum, whatever gamma is used (the data-driven gamma system is
     # degenerate at p == 1, so pass one explicitly).
     pop = small_population
-    ones = Population(
-        aux=pop.aux, y=pop.y, true_lambda=None, true_p=np.ones(pop.size), rho=pop.rho
-    )
+    ones = Population(aux=pop.aux, y=pop.y, true_p=np.ones(pop.size))
     d = srs_design(pop.size, 40)
     s = draw_sample(d, 12)
     resp = draw_response(s, np.ones(s.size), 13)

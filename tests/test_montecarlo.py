@@ -17,6 +17,7 @@ from nwacal import (
     ht_estimate,
     montecarlo,
     poisson_design,
+    Stack,
     solve,
     srs_design,
     two_phase_estimate,
@@ -58,7 +59,7 @@ def _scenario(pop, design, reps=50, seed=11):
 
 
 def _replicates(scenario):
-    return run_study(scenario, return_records=True)[1]
+    return run_study(scenario)[1]
 
 
 HT, CAL_U = VARIANTS.index(Variant.HT), VARIANTS.index(Variant.CAL_U)
@@ -96,9 +97,7 @@ def test_replicates_differ_across_indices(study_population, study_srs):
 
 def test_full_response_population_flags_fitted_variants(study_population, study_srs):
     pop = study_population
-    ones = Population(
-        aux=pop.aux, y=pop.y, true_lambda=None, true_p=np.ones(pop.size), rho=pop.rho
-    )
+    ones = Population(aux=pop.aux, y=pop.y, true_p=np.ones(pop.size))
     cols = _replicates(_scenario(ones, study_srs, reps=1))
     assert cols.n_respondents[0] == cols.n_sampled[0] == 100
     for vi, v in enumerate(VARIANTS):
@@ -149,10 +148,10 @@ def test_identical_estimates_give_zero_spread():
 
 def test_study_report_deterministic(study_population, study_srs):
     sc = _scenario(study_population, study_srs, reps=40)
-    a = run_study(sc)
-    b = run_study(sc)
+    a, _ = run_study(sc)
+    b, _ = run_study(sc)
     for v in VARIANTS:
-        ma, mb = a.metrics[v], b.metrics[v]
+        ma, mb = a[v], b[v]
         assert ma.rb == mb.rb
         assert ma.rrvar == mb.rrvar
         assert ma.mean_ci_length == mb.mean_ci_length
@@ -161,12 +160,12 @@ def test_study_report_deterministic(study_population, study_srs):
 
 def test_parallel_equals_serial(study_population, study_srs, pool_tasks):
     sc = _scenario(study_population, study_srs, reps=2 * block_replicates(study_srs) + 7)
-    serial = run_study(sc, threads=1)
+    serial, _ = run_study(sc, threads=1)
     assert pool_tasks() == [(False, 0, 3)]
-    parallel = run_study(sc, threads=4)
+    parallel, _ = run_study(sc, threads=4)
     assert_pool_ran(pool_tasks(), 3)
     for v in VARIANTS:
-        ms, mp_ = serial.metrics[v], parallel.metrics[v]
+        ms, mp_ = serial[v], parallel[v]
         assert ms.rb == mp_.rb
         assert ms.rrvar == mp_.rrvar
         assert ms.variance_rb == mp_.variance_rb
@@ -181,13 +180,13 @@ def test_failure_accounting_excludes_per_variant(study_population):
     pop = study_population
     design = poisson_design(pop, 100.0)
     sc = _scenario(pop, design, reps=150, seed=5)
-    report, cols = run_study(sc, return_records=True)
-    m = report.metrics[Variant.CAL_U]
-    assert m.n_ok + m.n_failed == 150
-    assert report.metrics[Variant.CAL_S].failure_rate == 0.0
-    assert report.metrics[Variant.HT].n_ok == 150
+    metrics, cols = run_study(sc)
+    m = metrics[Variant.CAL_U]
+    assert metrics[Variant.CAL_S].failure_rate == 0.0
+    assert metrics[Variant.HT].n_ok == 150
     failed = cols.status[:, CAL_U] != STATUSES.index(STATUS_OK)
-    assert failed.sum() == m.n_failed
+    assert failed.sum() == 150 - m.n_ok > 0
+    assert m.failure_rate == failed.sum() / 150
     assert np.isfinite(cols.values[failed, HT, 0]).all()
 
 
@@ -195,11 +194,11 @@ def test_unbiasedness_of_reference_estimators(small_population, pool_tasks):
     design = srs_design(small_population.size, 30)
     sc = _scenario(small_population, design, reps=800, seed=8)
     n_blocks = -(-sc.reps // block_replicates(design))
-    report = run_study(sc, threads=2)
+    metrics, _ = run_study(sc, threads=2)
     assert_pool_ran(pool_tasks(), n_blocks)
     Y = small_population.total
     for v in (Variant.HT, Variant.TRUE_P):
-        m = report.metrics[v]
+        m = metrics[v]
         se_rel = m.rrvar / math.sqrt(m.n_ok)
         assert abs(m.rb) <= 4.0 * se_rel
 
@@ -208,15 +207,15 @@ def test_write_raw_records_round_trip(tmp_path, study_population, study_srs):
     sc = _scenario(study_population, study_srs, reps=5)
     cols = _replicates(sc)
     path = tmp_path / "raw.csv"
-    write_raw_records(path, cols, header_comment="seed=11")
+    write_raw_records(path, cols, "seed=11")
     lines = path.read_text().splitlines()
     assert lines[0] == "# seed=11"
     assert lines[1] == "replicate,variant,estimate,v_sam,v_nr,ci_low,ci_high,max_w,status"
     assert len(lines) == 2 + 5 * len(VARIANTS)
     cells = lines[2].split(",")
     assert float(cells[2]) == cols.values[0, HT, 0]  # 17 significant digits round-trip
-    with pytest.raises(TypeError, match="return_records=True"):
-        write_raw_records(path, tuple(cols))
+    with pytest.raises(TypeError, match="the ReplicateColumns of run_study"):
+        write_raw_records(path, tuple(cols), "seed=11")
 
 
 def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
@@ -239,8 +238,8 @@ def test_raw_csv_matches_the_record_writer(tmp_path, study_population):
     status[2, 2:] = [1, 2, 3, 4]
     hand = ReplicateColumns(np.full(3, 9), np.full(3, 5), status, values, np.ones((3, 6), int))
     for i, recs in enumerate((cols, hand)):
-        write_raw_records(tmp_path / f"new{i}.csv", recs, header_comment="seed=5")
-        write_raw_records_loop(tmp_path / f"old{i}.csv", recs, header_comment="seed=5")
+        write_raw_records(tmp_path / f"new{i}.csv", recs, "seed=5")
+        write_raw_records_loop(tmp_path / f"old{i}.csv", recs, "seed=5")
         assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
     assert ",nan,nan,,," in (tmp_path / "new1.csv").read_text()
 
@@ -251,8 +250,8 @@ def test_raw_csv_chunks_match_the_record_writer(tmp_path, monkeypatch, study_pop
     # chunk is 1; the replicate numbers carry on across chunk boundaries.
     cols = _replicates(_scenario(study_population, poisson_design(study_population, 100.0), reps=150, seed=5))
     monkeypatch.setattr(montecarlo, "_RAW_CHUNK", chunk)
-    write_raw_records(tmp_path / "new.csv", cols, header_comment="seed=5")
-    write_raw_records_loop(tmp_path / "old.csv", cols, header_comment="seed=5")
+    write_raw_records(tmp_path / "new.csv", cols, "seed=5")
+    write_raw_records_loop(tmp_path / "old.csv", cols, "seed=5")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -347,7 +346,8 @@ def test_respondent_stack_holds_each_equations_respondents(study_cells, cell, sm
     # calibration equation's rows from its respondent stack: row b must be
     # eq.x[eq.r == 1] of replicate b's step-API equation, with its pi, y
     # and true p, in sample order. Both stacks end in padding rows x = 0,
-    # pi = 1, y = 0, p = 1 (and r = 0) that add exact zeros.
+    # pi = 1, y = 0, p = 1 (and r = 0) that add exact zeros. Stack.of_one,
+    # the stack that solve and fit take, holds each field's real rows.
     _, _, scenario = study_cells[cell]
     pop, design, seed = scenario.population, scenario.design, scenario.master_seed
     indices = range(block_replicates(design), scenario.reps)
@@ -371,6 +371,15 @@ def test_respondent_stack_holds_each_equations_respondents(study_cells, cell, sm
             for got, want, fill in rows:
                 assert np.array_equal(got[b, :m], want), index
                 assert np.all(got[b, m:] == fill), index
+        one = Stack.of_one(eq.x, eq.pi, eq.r, y)
+        for name, got, want in zip(Stack._fields, one, st):
+            if name in ("p", "p_r"):
+                assert got is None  # of_one knows no true probabilities
+            elif name in ("n_s", "n_r"):
+                assert got.tolist() == [want[b]], (index, name)
+            else:
+                m = (st.n_r if name.endswith("_r") else st.n_s)[b]
+                assert np.array_equal(got, want[b, None, :m]), (index, name)
     # The sample stack of a Poisson cell has padding rows to check.
     assert design.kind is DesignKind.SRSWOR or not st.valid.all()
 
@@ -477,15 +486,15 @@ def test_study_identical_for_any_worker_count_across_blocks(
     sc = _scenario(study_population, study_poisson, reps=reps, seed=3)
     outputs = []
     for threads in (1, 2, 3):
-        report, cols = run_study(sc, threads=threads, return_records=True)
+        metrics, cols = run_study(sc, threads=threads)
         tasks = pool_tasks()
         if threads == 1:
             assert tasks == [(False, 0, 3)]
         else:
             assert_pool_ran(tasks, 3)
         path = tmp_path / f"raw{threads}.csv"
-        write_raw_records(path, cols)
-        outputs.append((report, path.read_bytes()))
+        write_raw_records(path, cols, "seed=3")
+        outputs.append((metrics, path.read_bytes()))
     assert cols.status.shape == (reps, len(VARIANTS))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]

@@ -116,9 +116,7 @@ def test_population_total_simple():
     pop = Population(
         aux=np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]),
         y=np.array([1.0, 2.0, 3.0]),
-        true_lambda=None,
         true_p=np.full(3, 0.5),
-        rho=0.0,
     )
     assert pop.total == 6.0
 
@@ -127,9 +125,7 @@ def test_population_total_zeros():
     pop = Population(
         aux=np.ones((4, 1)),
         y=np.zeros(4),
-        true_lambda=None,
         true_p=np.full(4, 0.5),
-        rho=0.0,
     )
     assert pop.total == 0.0
 
@@ -140,9 +136,7 @@ def test_population_total_matches_decimal_oracle():
     pop = Population(
         aux=np.ones((1000, 1)),
         y=y,
-        true_lambda=None,
         true_p=np.full(1000, 0.5),
-        rho=0.0,
     )
     oracle = float(sum(Decimal(float(v)) for v in y))
     assert pop.total == pytest.approx(oracle, rel=1e-12)
@@ -162,26 +156,13 @@ def test_population_invariant_violations():
         Population(
             aux=np.array([[2.0], [1.0]]),
             y=np.zeros(2),
-            true_lambda=None,
             true_p=np.full(2, 0.5),
-            rho=0.0,
         )
     with pytest.raises(ValueError):
         Population(
             aux=np.ones((2, 1)),
             y=np.zeros(2),
-            true_lambda=None,
             true_p=np.array([0.5, 0.0]),
-            rho=0.0,
-        )
-    # probabilities inconsistent with the stated coefficients
-    with pytest.raises(ValueError):
-        Population(
-            aux=np.array([[1.0, 1.0], [1.0, 2.0]]),
-            y=np.zeros(2),
-            true_lambda=np.array([0.0, 0.0]),
-            true_p=np.array([0.4, 0.6]),
-            rho=0.0,
         )
 
 
@@ -189,7 +170,7 @@ def test_population_invariant_violations():
 def test_population_rejects_nan_probabilities(true_p):
     # nan <= 0 and nan > 1 are both False: the range check must still fail.
     with pytest.raises(ValueError, match=r"true_p must lie in \(0, 1\]"):
-        Population(aux=np.ones((2, 1)), y=np.zeros(2), true_lambda=None, true_p=np.array(true_p), rho=0.0)
+        Population(aux=np.ones((2, 1)), y=np.zeros(2), true_p=np.array(true_p))
 
 
 def test_population_arrays_read_only(study_population):
@@ -200,7 +181,7 @@ def test_population_arrays_read_only(study_population):
 def test_population_keeps_only_read_only_arrays_that_own_their_data():
     aux, y, p = np.ones((3, 2)), np.arange(3.0), np.full(3, 0.5)
     aux[:, 1] = [1.0, 2.0, 3.0]
-    pop = Population(aux=aux, y=y, true_lambda=None, true_p=p, rho=0.0)
+    pop = Population(aux=aux, y=y, true_p=p)
     # Writeable arrays are copied: the caller's later writes do not reach them.
     assert pop.aux is not aux and pop.y is not y and pop.true_p is not p
     aux[0, 1], y[0], p[0] = 9.0, 9.0, 0.9
@@ -210,7 +191,7 @@ def test_population_keeps_only_read_only_arrays_that_own_their_data():
     # of a writeable array, or another dtype, is copied.
     for a in (aux, y, p):
         a.flags.writeable = False
-    pop = Population(aux=aux, y=y[::-1].view(), true_lambda=None, true_p=p.astype(np.float32), rho=0.0)
+    pop = Population(aux=aux, y=y[::-1].view(), true_p=p.astype(np.float32))
     assert pop.aux is aux and pop.y.flags.owndata and pop.true_p.dtype == np.float64
     assert not (pop.aux.flags.writeable or pop.y.flags.writeable or pop.true_p.flags.writeable)
 

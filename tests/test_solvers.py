@@ -11,6 +11,7 @@ from nwacal import (
     EstimatingEquation,
     FitStatus,
     SolverControls,
+    Stack,
     Variant,
     jacobian,
     residual,
@@ -274,13 +275,13 @@ def test_permuted_samples_and_equations_give_the_same_fits():
             equations.append(
                 estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
             )
-    kinds, rep, *stacks, target = _padded(equations)
-    assert len(stacks[0]) == 12
-    block = solve_block(kinds, rep, *stacks, target)
+    kinds, rep, stack, target = _padded(equations)
+    assert len(stack.x) == 12
+    block = solve_block(kinds, rep, stack, target)
     rng = np.random.default_rng(5)
     rows, order = rng.permutation(12), rng.permutation(len(equations))
     moved = np.argsort(rows)[rep][order]
-    permuted = solve_block(np.array(kinds, dtype=object)[order], moved, *(a[rows] for a in stacks), target[order])
+    permuted = solve_block(np.array(kinds, dtype=object)[order], moved, _rows(stack, rows), target[order])
     assert {FitStatus.CONVERGED, FitStatus.DIVERGED} <= set(block.status)
     assert permuted.status.tolist() == block.status[order].tolist()
     assert np.array_equal(permuted.iterations, block.iterations[order])
@@ -315,9 +316,9 @@ def test_cholesky_solve_matches_lapack(q):
 
 
 def _padded(equations):
-    """solve_block's arguments for a list of equations: one row of the
-    sample stack and of the respondent stack per distinct sample (x, pi, r),
-    each padded to its longest row, and the row of each equation."""
+    """solve_block's arguments for a list of equations: a Stack with one row
+    per distinct sample (x, pi, r), padded to the longest, and the row of
+    each equation."""
     samples, rep = [], []
     for eq in equations:
         data = (eq.x, eq.pi, eq.r)
@@ -335,7 +336,18 @@ def _padded(equations):
         x[k, :len(r_k)], pi[k, :len(r_k)], r[k, :len(r_k)], valid[k, :len(r_k)] = x_k, pi_k, r_k, True
         x_r[k, :resp.sum()], pi_r[k, :resp.sum()], valid_r[k, :resp.sum()] = x_k[resp], pi_k[resp], True
     kinds = [eq.kind for eq in equations]
-    return kinds, np.array(rep), x, pi, r, valid, x_r, pi_r, valid_r, np.array([eq.target for eq in equations])
+    return kinds, np.array(rep), _stack(x, pi, r, valid, x_r, pi_r, valid_r), np.array([eq.target for eq in equations])
+
+
+def _stack(x, pi, r, valid, x_r, pi_r, valid_r):
+    """The Stack of padded sample and respondent rows, with no y or p. The
+    respondent rows may be left empty where no calibration equation reads them."""
+    return Stack(valid.sum(axis=1), (r == 1).sum(axis=1), x, pi, None, None, r, valid, x_r, pi_r, None, None, valid_r)
+
+
+def _rows(stack, rows):
+    """The stack's samples ``rows``, in that order."""
+    return Stack(*(None if a is None else a[rows] for a in stack))
 
 
 def test_equations_sharing_a_sample_change_no_bit():
@@ -364,15 +376,15 @@ def test_equations_sharing_a_sample_change_no_bit():
         cal_s(*wide), cal_u(small, _target_from(np.array([-0.2, 0.2]), *small)),
     ]
     equations = [equations[k] for k in np.random.default_rng(7).permutation(len(equations))]
-    kinds, rep, *stacks, target = _padded(equations)
+    kinds, rep, stack, target = _padded(equations)
     assert list(rep) != sorted(rep)
     mle_eq = np.flatnonzero([k in (Variant.MLE_K1, Variant.MLE_KINVPI) for k in kinds])
-    grid = _slots(rep[mle_eq], len(stacks[0]))
+    grid = _slots(rep[mle_eq], len(stack.x))
     assert grid.shape[0] == 3 and (grid < 0).any()
     assert any(len({kinds[mle_eq[j]] for j in row[row >= 0]}) == 2 for row in grid)
     controls = SolverControls(trace=True)
-    shared = solve_block(kinds, rep, *stacks, target, controls)
-    own = solve_block(kinds, np.arange(len(rep)), *(a[rep] for a in stacks), target, controls)
+    shared = solve_block(kinds, rep, stack, target, controls)
+    own = solve_block(kinds, np.arange(len(rep)), _rows(stack, rep), target, controls)
     assert {FitStatus.CONVERGED, FitStatus.DIVERGED} == set(shared.status)
     assert len(set(shared.iterations.tolist())) > 4
     assert shared.status.tolist() == own.status.tolist()
@@ -443,9 +455,10 @@ def test_solve_block_writes_nothing_into_its_inputs(stack):
                 else [EstimatingEquation.cal_sample(x, pi, r),
                       EstimatingEquation.cal_population(x, pi, r, _target_from(np.array([0.3, 0.1]), x, pi, r))]
             )
-    kinds, *arrays = _padded(equations)
+    kinds, rep, st, target = _padded(equations)
+    arrays = [rep, *(a for a in st if a is not None), target]
     before = [a.copy() for a in arrays]
-    block = solve_block(kinds, *arrays)
+    block = solve_block(kinds, rep, st, target)
     if stack == "mixed":
         it = block.iterations[4:]
         assert 2 * np.count_nonzero(it < it.max()) >= len(it)
@@ -471,10 +484,9 @@ def test_solve_block_memory_peak():
     x = np.concatenate([np.ones((B, n, 1)), rng.normal(4.0, 1.0, (B, n, q - 1))], axis=2)
     pi = rng.uniform(0.2, 0.9, (B, n))
     r = (rng.random((B, n)) < 1.0 / (1.0 + np.exp(-(x @ [0.1, 0.4])))).astype(np.int64)
-    args = (
-        [Variant.MLE_K1, Variant.MLE_KINVPI] * (B // 2), np.arange(B), x, pi, r, np.ones((B, n), dtype=bool),
-        np.zeros((B, 0, q)), np.ones((B, 0)), np.zeros((B, 0), dtype=bool), np.zeros((B, q)),
-    )
+    no_rows = np.zeros((B, 0, q)), np.ones((B, 0)), np.zeros((B, 0), dtype=bool)
+    stack = _stack(x, pi, r, np.ones((B, n), dtype=bool), *no_rows)
+    args = [Variant.MLE_K1, Variant.MLE_KINVPI] * (B // 2), np.arange(B), stack, np.zeros((B, q))
     solve_block(*args)
     tracemalloc.start()
     try:
@@ -506,10 +518,9 @@ def test_solve_block_memory_peak_on_shared_samples():
     x = np.concatenate([np.ones((R, n, 1)), rng.normal(4.0, 1.0, (R, n, q - 1))], axis=2)
     pi = rng.uniform(0.2, 0.9, (R, n))
     r = (rng.random((R, n)) < 1.0 / (1.0 + np.exp(-(x @ [0.1, 0.4])))).astype(np.int64)
-    args = (
-        [Variant.MLE_K1, Variant.MLE_KINVPI] * R, np.repeat(np.arange(R), 2), x, pi, r, np.ones((R, n), dtype=bool),
-        np.zeros((R, 0, q)), np.ones((R, 0)), np.zeros((R, 0), dtype=bool), np.zeros((B, q)),
-    )
+    no_rows = np.zeros((R, 0, q)), np.ones((R, 0)), np.zeros((R, 0), dtype=bool)
+    stack = _stack(x, pi, r, np.ones((R, n), dtype=bool), *no_rows)
+    args = [Variant.MLE_K1, Variant.MLE_KINVPI] * R, np.repeat(np.arange(R), 2), stack, np.zeros((B, q))
     solve_block(*args)
     tracemalloc.start()
     try:
@@ -650,7 +661,7 @@ def test_residual_matches_the_paper_equations_on_padded_stacks(seed):
         assert grid.shape == (2, R) and (grid >= 0).all()
         slot = sel[grid.ravel()]
         survey = kinds[slot] == Variant.MLE_KINVPI
-        xs, w, rs, c = _terms(softplus, survey, x, inv_pi, r, valid, x_r, pi_r, valid_r, target[slot])
+        xs, w, rs, c = _terms(softplus, survey, _stack(x, pi, r, valid, x_r, pi_r, valid_r), inv_pi, target[slot])
         eta = _matvec(xs, lam[slot].reshape(2, R, q))
         u, _, _ = _row_terms(eta, w, rs, softplus, np.empty_like(eta), np.empty_like(eta))
         got = _rows_dot(u, xs).reshape(-1, q) - c

@@ -234,9 +234,7 @@ def test_theoretical_singular_population_system_raises(variant):
     pop = Population(
         aux=np.column_stack([np.ones(4), np.full(4, 2.0)]),
         y=np.ones(4),
-        true_lambda=None,
         true_p=np.full(4, 0.5),
-        rho=0.0,
     )
     with pytest.raises(ValueError, match="singular population gamma system"):
         theoretical_variance(pop, srs_design(4, 2), variant)
@@ -244,9 +242,7 @@ def test_theoretical_singular_population_system_raises(variant):
 
 def test_theoretical_full_response_no_nonresponse_variance(small_population):
     pop = small_population
-    ones = Population(
-        aux=pop.aux, y=pop.y, true_lambda=None, true_p=np.ones(pop.size), rho=pop.rho
-    )
+    ones = Population(aux=pop.aux, y=pop.y, true_p=np.ones(pop.size))
     design = srs_design(pop.size, 20)
     for v in (Variant.TRUE_P, Variant.MLE_K1, Variant.CAL_U, Variant.CAL_S):
         tv = theoretical_variance(ones, design, v)
@@ -264,7 +260,7 @@ def test_theoretical_variance_is_a_variance_estimate_with_the_population_gamma(s
             assert tv.gamma_hat is None
         else:
             assert np.array_equal(tv.gamma_hat, gamma(v, pop.aux, pop.y, design.pi, pop.true_p, "U"))
-    ones = Population(aux=pop.aux, y=pop.y, true_lambda=None, true_p=np.ones(pop.size), rho=pop.rho)
+    ones = Population(aux=pop.aux, y=pop.y, true_p=np.ones(pop.size))
     assert theoretical_variance(ones, design, Variant.CAL_S).gamma_hat is None
 
 
