@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -326,69 +326,40 @@ def _floats(cells: list[str]) -> np.ndarray:
         return out
 
 
-#: The line boundaries of str.splitlines other than "\n" (read_text has
-#: turned "\r" and "\r\n" into "\n").
-_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _read_fit_csv(path: Path):
     """Parse a unit,pi,r,x...,y file; any malformed or out-of-range value
     raises ValueError naming its line.
 
     Lines are those of str.splitlines. Blank lines and lines with # in
     column 1 are skipped, fields are stripped, and a blank y marks a
-    nonrespondent. One numpy scan of the text's bytes gives each line's
-    commas, first byte and last byte, and one split of the text at its
-    commas and newlines gives every line's fields in order. Only a line
-    with no comma can be blank, and str.strip decides it. Each column of
-    the kept rows is converted by one float() pass; a bad row is found from
-    its index.
+    nonrespondent. The data rows are joined and split once into a flat
+    field list, and each column is converted by one float() pass; a bad row
+    is found from its index.
     """
-    text = path.read_text()
-    if any(c in text for c in _OTHER_BREAKS):
-        text = "\n".join(text.splitlines())
-    # Every line ends in a "\n" of data, which holds one empty line more when
-    # the text ends in a newline; line i's fields are fields[at[i] : at[i + 1]].
-    data = np.frombuffer((text + "\n").encode(), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    count = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
-    first, last = data[np.concatenate(([0], ends[:-1] + 1))], data[ends - 1]
-    del data
-    fields = text.replace("\n", ",").split(",")
-    del text  # not held beside the fields
-    at = np.concatenate(([0], np.cumsum(count + 1)))
-    kept = first != ord("#")
-    bare = np.flatnonzero(kept & (count == 0))
-    kept[bare] = [bool(fields[at[i]].strip()) for i in bare.tolist()]
-    kept_rows = np.flatnonzero(kept)
-    if not kept_rows.size:
+    lines = path.read_text().splitlines()
+    linenos = [no for no, ln in enumerate(lines, start=1) if ln.strip() and ln[0] != "#"]
+    if not linenos:
         raise ValueError(f"{path} is empty: expected header unit,pi,r,x...,y")
-    head = fields[at[kept_rows[0]] : at[kept_rows[0] + 1]]
-    header = [h.strip() for h in head]
+    if len(linenos) < len(lines):
+        lines = [lines[no - 1] for no in linenos]
+    header = [h.strip() for h in lines[0].split(",")]
     if header[:3] != ["unit", "pi", "r"] or header[-1] != "y" or len(header) < 5:
         raise ValueError(
-            f"expected header unit,pi,r,x...,y with at least one x column, got {','.join(head)!r}"
+            f"expected header unit,pi,r,x...,y with at least one x column, got {lines[0]!r}"
         )
-    rows = kept_rows[1:]
-    if not rows.size:
+    rows = lines[1:]
+    del lines
+    if not rows:
         raise ValueError(f"{path} has no data rows")
     width = len(header)
-    ragged = np.flatnonzero(count[rows] != width - 1)
-    # Rows before the first ragged one still report their own errors first.
-    rows_ok = rows[: ragged[0]] if ragged.size else rows
-    take = np.zeros(len(count), dtype=bool)
-    take[rows_ok] = True
-    fields = list(compress(fields, np.repeat(take, count + 1).tolist()))
-    # y, the last field, is blank where its line ends in a comma; where the
-    # line ends in whitespace, a control or a non-ASCII byte, str.strip
-    # decides. A blank y reads as NaN.
-    y_cells = fields[width - 1 :: width]
-    end = last[rows_ok]
-    blank = end == ord(",")
-    unsure = np.flatnonzero((end <= ord(" ")) | (end >= 128))
-    blank[unsure] = [not y_cells[i].strip() for i in unsure.tolist()]
-    for i in np.flatnonzero(blank).tolist():
-        y_cells[i] = "nan"
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
+    ragged = np.flatnonzero(commas != width - 1)
+    if ragged.size:
+        # Rows before the first ragged one still report their own errors first.
+        rows = rows[: ragged[0]]
+    fields = ",".join(rows).split(",") if rows else []
+    del rows  # not held beside the fields
+    y_cells = [c.strip() or "nan" for c in fields[width - 1 :: width]]
     # A row reports its first bad cell in the order y, pi, r, x...
     columns, errors = {}, []
     for order, k in enumerate((width - 1, *range(1, width - 1))):
@@ -398,10 +369,10 @@ def _read_fit_csv(path: Path):
             errors.append((exc.row, order, str(exc)))
     if errors:
         row, _, message = min(errors)
-        raise ValueError(f"line {rows_ok[row] + 1}: {message}")
+        raise ValueError(f"line {linenos[row + 1]}: {message}")
     if ragged.size:
-        i = rows[ragged[0]]
-        raise ValueError(f"line {i + 1}: expected {width} fields, got {count[i] + 1}")
+        i = ragged[0]
+        raise ValueError(f"line {linenos[i + 1]}: expected {width} fields, got {commas[i] + 1}")
     units = list(map(str.strip, fields[0::width]))
     pi, r, y = columns[1], columns[2], columns[width - 1]
     x = np.column_stack([columns[k] for k in range(3, width - 1)])
@@ -413,7 +384,7 @@ def _read_fit_csv(path: Path):
     ):
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"line {rows_ok[i] + 1}: {what} (unit {units[i]})")
+            raise ValueError(f"line {linenos[i + 1]}: {what} (unit {units[i]})")
     # The model's first auxiliary is the constant 1; the file carries only the
     # remaining x columns.
     aux = np.column_stack([np.ones(len(units)), x])
@@ -434,8 +405,8 @@ def _parse_totals(raw: str, q: int) -> np.ndarray:
     return totals
 
 
-#: 10^0 .. 10^20, each exact in float64.
-_POW10 = np.array([float(10**k) for k in range(21)])
+#: 10^0 .. 10^16, each exact in float64.
+_POW10 = np.array([float(10**k) for k in range(17)])
 
 
 def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -459,13 +430,13 @@ def _times_pow10(v: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each v in [1e-4, 1e17): its 17 significant digits as the int64
+    """For each v in [1, 1e17): its 17 significant digits as the int64
     d in [10^16, 10^17), rounded half to even as %.17g rounds them, and the
     decimal exponent x of the rounded value, so that v ~ d 10^(x - 16)."""
     # log10 can be one off next to a power of ten (log10(nextafter(1e17, 0))
     # is 17.0): the exact product v 10^s, which must lie in [10^16, 10^17),
     # corrects the power.
-    s = np.clip(16 - np.floor(np.log10(v)), 0, 20).astype(np.intp)
+    s = np.clip(16 - np.floor(np.log10(v)), 0, 16).astype(np.intp)
     p, e = _times_pow10(v, s)
     low = (p < 1e16) | ((p == 1e16) & (e < 0))
     high = (p > 1e17) | ((p == 1e17) & (e >= 0))
@@ -504,40 +475,31 @@ def _weights_csv(
     ended by a newline, byte for byte; unit_cells is _unit_cells(units).
 
     Every row is laid out in one uint8 canvas and its _PAD bytes deleted:
-    the unit's bytes, ",name,", the weight and the newline. A weight with
-    |w| in [1e-4, 1e17), where %.17g writes fixed notation, is written from
-    its 17 digits (_digits17): the sign, then "0." and zeros before the
-    digits when x < 0, then the digits with a "." slot after each one that
-    can end the integer part; the fraction's trailing zeros, and a "." with
-    no fraction left, are _PAD. %.17g writes any other weight (0, -0, NaN,
-    inf, exponent notation), and an f-string the row of a unit longer than
-    _UNIT_BYTES.
+    the unit's bytes, ",name,", the weight and the newline. A weight in
+    [1, 1e17), every finite 1/(pi p_hat) that fit writes, is written from
+    its 17 digits (_digits17) with a "." slot after each digit that can end
+    the integer part; the fraction's trailing zeros, and a "." with no
+    fraction left, are _PAD. %.17g writes any other weight (below 1,
+    negative, NaN, inf, exponent notation), and an f-string the row of a
+    unit longer than _UNIT_BYTES.
     """
     cells, long = unit_cells
     n = len(weights)
-    fixed = (np.abs(weights) >= 1e-4) & (np.abs(weights) < 1e17)
-    d, x = _digits17(np.where(fixed, np.abs(weights), 1.0))
-    x[~fixed] = 0
+    fixed = (weights >= 1.0) & (weights < 1e17)
+    d, x = _digits17(np.where(fixed, weights, 1.0))
     other = np.flatnonzero(~fixed)
     texts = np.array([("%.17g" % w).encode() for w in weights[other].tolist()], dtype=bytes)
     texts = texts.view(np.uint8).reshape(len(other), texts.itemsize)
-    xmin, xmax = int(x.min(initial=0)), int(x.max(initial=0))
-    lead = 1 - xmin if xmin < 0 else 0  # "0.", then -x - 1 zeros
-    first, slots = max(xmin, 0), max(min(xmax, 15) - max(xmin, 0) + 1, 0)
-    col = np.array([1 + lead + j + min(max(j - first, 0), slots) for j in range(17)])
+    slots = min(int(x.max(initial=0)), 15) + 1
+    col = np.array([j + min(j, slots) for j in range(17)])
     sep = np.frombuffer(f",{name},".encode(), np.uint8)
     u, k = cells.shape[1], len(sep)
-    width = max(1 + lead + 17 + slots, texts.shape[1])
+    width = max(17 + slots, texts.shape[1])
     canvas = np.full((n, u + k + width + 1), _PAD, np.uint8)
     canvas[:, :u] = cells
     canvas[:, u : u + k] = sep
     canvas[:, -1] = ord("\n")
     num = canvas[:, u + k : u + k + width]
-    num[weights < 0, 0] = ord("-")
-    if lead:
-        num[x < 0, 1:3] = np.frombuffer(b"0.", np.uint8)
-        for i in range(3, 1 + lead):
-            num[x < 2 - i, i] = ord("0")
     # The digits from the last, in uint32: d's 9 low ones, then its 8 high ones.
     high, low = np.divmod(d, 10**9)
     high, low = high.astype(np.uint32), low.astype(np.uint32)
@@ -556,7 +518,7 @@ def _weights_csv(
         trailing[ends_in_zero] = zeros.sum(axis=1)
         block[zeros & (np.arange(17) > x[ends_in_zero, None])] = _PAD
         num[ends_in_zero[:, None], col] = block
-    for j in range(first, first + slots):
+    for j in range(slots):
         num[(x == j) & (trailing < 16 - j), col[j] + 1] = ord(".")
     num[other] = _PAD
     num[other, : texts.shape[1]] = np.where(texts == 0, _PAD, texts)

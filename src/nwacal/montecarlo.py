@@ -335,7 +335,7 @@ def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> dict[Variant, Vari
             n_ok=n_ok,
             failure_rate=(ok.size - n_ok) / ok.size,
             rb=relative_bias(estimates, y_total),
-            rrvar=None if mc_var is None else math.sqrt(mc_var) / y_total,
+            rrvar=rrvar(estimates, y_total),
             mc_variance=mc_var,
             mean_variance_estimate=mean_v,
             variance_rb=var_rb,

@@ -90,6 +90,8 @@ class Population:
         # which min and max propagate, fails it.
         if not aux[:, 0].min() == 1.0 == aux[:, 0].max():
             raise ValueError("first auxiliary column must be identically 1")
+        if not np.isfinite([aux.min(), aux.max(), y.min(), y.max()]).all():
+            raise ValueError("aux and y must be finite")
         # The generator only ever produces interior probabilities; p == 1 is
         # tolerated so the degenerate full-response mechanism stays representable.
         if not (p.min() > 0.0 and p.max() <= 1.0):

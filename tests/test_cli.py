@@ -663,8 +663,11 @@ def test_fit_at_the_file_edges_exits_cleanly(tmp_path, capsys, edge, totals):
         v_sam, *rest = map(float, fields)
         assert math.isfinite(v_sam)
         assert all(math.isfinite(v) for v in rest) or (n_r < q and all(math.isnan(v) for v in rest))
+    # Every weight is 1/(pi p_hat) with pi <= 1 and p_hat < 1: at least 1,
+    # the range the weights.csv kernel lays out from digits. pi = 1 on every
+    # row is the edge that comes closest.
     weights = [float(ln.split(",")[2]) for ln in (out / "weights.csv").read_text().splitlines()[1:]]
-    assert all(math.isfinite(w) and w > 0.0 for w in weights)
+    assert all(math.isfinite(w) and w >= 1.0 for w in weights)
 
 
 def _mostly(valid, bad):
@@ -752,7 +755,8 @@ def test_weights_rows_match_per_row_formatting(rows):
 def _kernel_cases():
     """Doubles for the weights.csv kernel: random bit patterns over the whole
     range, each 10^k and its neighbours, exact ties of the 17th digit, and
-    0, -0, NaN, inf and subnormals."""
+    0, -0, NaN, inf and subnormals, then more of [1, 1e17), where every
+    weight fit writes lies."""
     rng = np.random.default_rng(23)
     bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
     fixed = rng.uniform(-4.0, 17.0, 100_000)
@@ -763,7 +767,8 @@ def _kernel_cases():
     # the digits round half to even.
     ties = np.concatenate([1e15 + np.arange(400) / 4 + 0.25, 1e14 + np.arange(400) / 8 + 0.125])
     special = np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1e-310, 1e-4, 1e17])
-    cases = np.concatenate([bits, fixed, powers, ties, special])
+    inside = 10.0 ** rng.uniform(0.0, 17.0, 30_000)
+    cases = np.concatenate([bits, fixed, powers, ties, special, inside])
     return np.concatenate([cases, -cases])
 
 
@@ -772,8 +777,9 @@ def test_weights_kernel_matches_percent_17g():
     units = [f"u{i}" for i in range(weights.size)]
     want = "".join(f"{u},mle_1,{w:.17g}\n" for u, w in zip(units, weights.tolist()))
     assert _weights_csv(units, _unit_cells(units), "mle_1", weights) == want
-    # Every value in [1e-4, 1e17) is fixed notation, and the kernel writes it.
-    fixed = (np.abs(weights) >= 1e-4) & (np.abs(weights) < 1e17)
+    # Every value in [1, 1e17) is fixed notation, and the kernel lays it
+    # out from its digits; the rest go through %.17g.
+    fixed = (weights >= 1.0) & (weights < 1e17)
     assert all("e" not in f"{w:.17g}" for w in weights[fixed].tolist())
     assert fixed.sum() > 100_000
 

@@ -166,11 +166,33 @@ def test_population_invariant_violations():
         )
 
 
-@pytest.mark.parametrize("true_p", [[0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]])
-def test_population_rejects_nan_probabilities(true_p):
-    # nan <= 0 and nan > 1 are both False: the range check must still fail.
-    with pytest.raises(ValueError, match=r"true_p must lie in \(0, 1\]"):
-        Population(aux=np.ones((2, 1)), y=np.zeros(2), true_p=np.array(true_p))
+#: Values of one Population field (or of GenConfig's mean_mu) that must be
+#: refused, by field.
+_NONFINITE = {
+    "true_p": [[0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]],
+    "aux": [[[1.0, 2.0], [1.0, v]] for v in (np.nan, np.inf, -np.inf)],
+    "y": [[0.0, v] for v in (np.nan, np.inf, -np.inf)],
+    "mean_mu": [(np.nan, 4.0)],
+}
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [(f, v) for f, vs in _NONFINITE.items() for v in vs],
+    ids=[f"{f}{k}" for f, vs in _NONFINITE.items() for k in range(len(vs))],
+)
+def test_population_rejects_nan_probabilities(field, values):
+    # min and max carry a NaN or an infinity into the checks, and a NaN
+    # still fails them: nan <= 0 and nan > 1 are both False.
+    if field == "mean_mu":
+        with pytest.raises(ValueError, match="aux and y must be finite"):
+            generate_population(GenConfig(N=10, mean_mu=values))
+        return
+    columns = {"aux": np.ones((2, 2)), "y": np.zeros(2), "true_p": np.full(2, 0.5)}
+    columns[field] = np.array(values)
+    message = r"true_p must lie in \(0, 1\]" if field == "true_p" else "aux and y must be finite"
+    with pytest.raises(ValueError, match=message):
+        Population(**columns)
 
 
 def test_population_arrays_read_only(study_population):
