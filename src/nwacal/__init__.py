@@ -52,10 +52,7 @@ from .variance import (
     theoretical_variance,
     var_hat,
     var_hat_block,
-    var_hat_calS,
-    var_hat_calU,
     var_hat_ht,
-    var_hat_mle,
 )
 from .montecarlo import (
     STATUSES,
@@ -63,11 +60,8 @@ from .montecarlo import (
     ReplicateColumns,
     Scenario,
     VariantMetrics,
-    coverage_rate,
     linearization_gap,
     mix_seed,
-    relative_bias,
-    rrvar,
     run_study,
     write_raw_records,
 )

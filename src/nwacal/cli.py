@@ -283,10 +283,7 @@ def run_full_study(cfg: RunConfig) -> int:
 
 
 #: The columns of report.csv after the variant: VariantMetrics fields.
-_REPORT_COLUMNS = (
-    "n_ok", "failure_rate", "rb", "rrvar", "mc_variance", "mean_variance_estimate",
-    "variance_rb", "mean_ci_length", "coverage", "max_weight",
-)
+_REPORT_COLUMNS = tuple(f.name for f in fields(VariantMetrics))
 
 
 def _write_report(out_dir: Path, header: str, results: _Results) -> None:

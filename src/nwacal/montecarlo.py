@@ -45,9 +45,6 @@ __all__ = [
     "ReplicateColumns",
     "VariantMetrics",
     "run_study",
-    "relative_bias",
-    "rrvar",
-    "coverage_rate",
     "write_raw_records",
     "linearization_gap",
     "STATUS_OK",
@@ -273,29 +270,6 @@ def _run_blocks(args: tuple[Scenario, int, int]) -> ReplicateColumns:
     return ReplicateColumns.concat([_run_block(scenario, _stack_draws(scenario, b)) for b in blocks])
 
 
-def relative_bias(values: np.ndarray, true_total: float) -> float | None:
-    """(mean estimate - Y) / Y; None on an empty stream."""
-    if len(values) == 0:
-        return None
-    return (float(np.mean(values)) - true_total) / true_total
-
-
-def rrvar(values: np.ndarray, true_total: float) -> float | None:
-    """sqrt(sample variance of the estimates) / Y; None below two values."""
-    if len(values) < 2:
-        return None
-    return math.sqrt(float(np.var(values, ddof=1))) / true_total
-
-
-def coverage_rate(intervals, true_total: float) -> float | None:
-    """Fraction of intervals (pairs lo, hi) containing Y; None when no
-    interval was formed."""
-    ci = np.asarray(intervals, dtype=float).reshape(-1, 2)
-    if not len(ci):
-        return None
-    return float(np.mean((ci[:, 0] <= true_total) & (true_total <= ci[:, 1])))
-
-
 @dataclass(frozen=True)
 class VariantMetrics:
     """Study aggregates for one variant (None where undefined)."""
@@ -323,24 +297,22 @@ def _aggregate(scenario: Scenario, cols: ReplicateColumns) -> dict[Variant, Vari
         v_totals = v_sam + v_nr
         v_totals = v_totals[np.isfinite(v_totals)]
         mean_v = float(np.mean(v_totals)) if v_totals.size else None
-        var_rb = (
-            (mean_v - mc_var) / mc_var
-            if mean_v is not None and mc_var is not None and mc_var > 0.0
-            else None
-        )
+        var_rb = None
+        if mean_v is not None and mc_var is not None and mc_var > 0.0:
+            var_rb = (mean_v - mc_var) / mc_var
         has_ci = ~np.isnan(lo)
-        lengths = (hi - lo)[has_ci]
+        lo, hi = lo[has_ci], hi[has_ci]
         weights = max_w[~np.isnan(max_w)]
         metrics[variant] = VariantMetrics(
             n_ok=n_ok,
             failure_rate=(ok.size - n_ok) / ok.size,
-            rb=relative_bias(estimates, y_total),
-            rrvar=rrvar(estimates, y_total),
+            rb=(float(np.mean(estimates)) - y_total) / y_total if n_ok else None,
+            rrvar=math.sqrt(mc_var) / y_total if mc_var is not None else None,
             mc_variance=mc_var,
             mean_variance_estimate=mean_v,
             variance_rb=var_rb,
-            mean_ci_length=float(np.mean(lengths)) if lengths.size else None,
-            coverage=coverage_rate(np.column_stack([lo, hi])[has_ci], y_total),
+            mean_ci_length=float(np.mean(hi - lo)) if lo.size else None,
+            coverage=float(np.mean((lo <= y_total) & (y_total <= hi))) if lo.size else None,
             max_weight=float(np.max(weights)) if weights.size else None,
         )
     return metrics

@@ -249,6 +249,8 @@ def generate_population(cfg: GenConfig) -> Population:
         aux[c, 1] = mu_x + rho * z1 + math.sqrt(1.0 - rho * rho) * _standard_normal(rng, c.stop - c.start)
         y[c] = mu_y + z1
         p[c] = logistic_probs(aux[c], lam)
+        if p[c].min() == 0.0 and np.isfinite(aux[c, 1]).all():  # expit(t) is 0 for t < -709.8
+            raise ValueError("lam: some unit's response probability underflows to 0")
     for a in (aux, y, p):  # handed over to Population without a copy
         a.flags.writeable = False
     return Population(aux=aux, y=y, true_p=p)

@@ -11,6 +11,7 @@ simulations only; it returns the same VarianceEstimate as the estimators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,6 @@ __all__ = [
     "var_hat_ht",
     "var_hat",
     "var_hat_block",
-    "var_hat_mle",
-    "var_hat_calU",
-    "var_hat_calS",
     "theoretical_variance",
     "confidence_interval",
 ]
@@ -106,6 +104,7 @@ def var_hat_block(
     full_response = np.all(p_hat_r == 1.0, axis=-1)
     gamma_hat = np.where(np.isnan(gamma_hat) & full_response[:, None], 0.0, gamma_hat)
     resid = y_r - _scale(variant, pi_r, p_hat_r) * (x_r @ gamma_hat[..., None])[..., 0]
+    # Sampling term: cal_U linearizes to the HT total of the residuals, every other variant to y's.
     sam = resid if variant.population_level else y_r
     single = np.sum((1.0 - pi_r) / pi_r**2 * sam**2 / p_hat_r, axis=-1)
     v_sam = single + _cross_term(design, sam / (pi_r * p_hat_r))
@@ -130,48 +129,14 @@ def var_hat(
     return VarianceEstimate(v_sam=float(v_sam[0]), v_nr=float(v_nr[0]), gamma_hat=gamma_hat[0])
 
 
-def var_hat_mle(
-    design: DesignSpec,
-    pi_r: np.ndarray,
-    x_r: np.ndarray,
-    y_r: np.ndarray,
-    p_hat_r: np.ndarray,
-    survey_weighted: bool = False,
-) -> VarianceEstimate:
-    """Variance estimate for an MLE-reweighted total (k = 1 or 1/pi)."""
-    variant = Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1
-    return var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
+# The names perfbench/workloads.py imports, kept only until the benchmark
+# calls var_hat(variant, ...) itself (ROADMAP item 1).
+def var_hat_mle(*args, survey_weighted: bool = False) -> VarianceEstimate:
+    return var_hat(Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1, *args)
 
 
-def var_hat_calU(
-    design: DesignSpec,
-    pi_r: np.ndarray,
-    x_r: np.ndarray,
-    y_r: np.ndarray,
-    p_hat_r: np.ndarray,
-) -> VarianceEstimate:
-    """Variance estimate for the population-level calibration total.
-
-    Both components run over the residuals e_i = y_i - x_i.gamma_hat, since
-    the linearized estimator tracks the HT total of those residuals.
-    """
-    return var_hat(Variant.CAL_U, design, pi_r, x_r, y_r, p_hat_r)
-
-
-def var_hat_calS(
-    design: DesignSpec,
-    pi_r: np.ndarray,
-    x_r: np.ndarray,
-    y_r: np.ndarray,
-    p_hat_r: np.ndarray,
-) -> VarianceEstimate:
-    """Variance estimate for the sample-level calibration total.
-
-    The sampling component runs over the raw y values (the linearized
-    estimator keeps the full-sample HT sampling variance); the nonresponse
-    component uses the same residuals as the population-level variant.
-    """
-    return var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
+var_hat_calU = functools.partial(var_hat, Variant.CAL_U)
+var_hat_calS = functools.partial(var_hat, Variant.CAL_S)
 
 
 def theoretical_variance(

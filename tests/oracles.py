@@ -5,6 +5,7 @@ Kept free of any solver internals so the checks stay meaningful.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -272,8 +273,59 @@ def mle_margin(eq: EstimatingEquation) -> float:
     return float(out.fun)
 
 
+def _row_range(x1, mask):
+    """Smallest and largest x1 of each row over ``mask`` (inf, -inf where empty)."""
+    return np.where(mask, x1, np.inf).min(axis=1), np.where(mask, x1, -np.inf).max(axis=1)
+
+
+def mle_has_solution_q2(x1, r, valid):
+    """Whether each MLE equation with x = (1, x1) has a finite solution, for
+    padded (B, n) arrays of x1, the response indicators r (bool) and the mask of
+    real rows. The likelihood has a maximiser iff the data are not separated
+    or quasi-separated: the respondents' and the nonrespondents' ranges of x1
+    overlap, min_r x1 < max_nr x1 and min_nr x1 < max_r x1. The weights k
+    do not enter, so both MLE variants share the verdict. Exact: it only
+    compares the given doubles."""
+    lo_r, hi_r = _row_range(x1, valid & r)
+    lo_nr, hi_nr = _row_range(x1, valid & ~r)
+    return (lo_r < hi_nr) & (lo_nr < hi_r)
+
+
+def calibration_has_solution_q2(x1, pi, r, valid, target):
+    """Whether each calibration equation sum_r (x_i/pi_i)(1 + exp(-x_i.lam)) =
+    target with x = (1, x1) has a finite solution, for padded (B, n) arrays
+    and targets of shape (2,) or (B, 2), taken as given.
+
+    The rows x_i/pi_i are positive multiples of (1, x1_i), so their open cone
+    is the set of (c0, c1) with c0 > 0 and a slope c1/c0 strictly inside the
+    respondents' range of x1. A solution exists iff c = target - sum_r x_i/pi_i
+    lies in it: c0 > 0 and min_r x1 < c1/c0 < max_r x1, decided on the three
+    margins c0, c1 - c0 min_r x1 and c0 max_r x1 - c1. A margin within the
+    rounding bound of its float evaluation is decided again in exact rational
+    arithmetic on the given doubles."""
+    resp = valid & r
+    lo, hi = _row_range(x1, resp)
+    inv = np.where(resp, 1.0 / pi, 0.0)
+    target = np.broadcast_to(target, (len(x1), 2))
+    c0 = target[:, 0] - inv.sum(axis=1)
+    c1 = target[:, 1] - (inv * x1).sum(axis=1)
+    margins = np.column_stack([c0, c1 - c0 * lo, c0 * hi - c1])
+    # Each float sum of m terms is off by at most about m eps times its
+    # sum of magnitudes; 8 of those bound every margin's error here.
+    scale0 = np.abs(target[:, 0]) + inv.sum(axis=1)
+    scale1 = np.abs(target[:, 1]) + (inv * np.abs(x1)).sum(axis=1) + scale0 * np.abs(x1).max(axis=1)
+    bound = 8.0 * (x1.shape[1] + 2) * np.finfo(float).eps * np.column_stack([scale0, scale1, scale1])
+    verdict = (margins > 0.0).all(axis=1)
+    for b in np.flatnonzero((np.abs(margins) <= bound).any(axis=1)):
+        rows = np.flatnonzero(resp[b])
+        e0 = Fraction(target[b, 0]) - sum(1 / Fraction(pi[b, i]) for i in rows)
+        e1 = Fraction(target[b, 1]) - sum(Fraction(x1[b, i]) / Fraction(pi[b, i]) for i in rows)
+        verdict[b] = e0 > 0 and e0 * Fraction(lo[b]) < e1 < e0 * Fraction(hi[b])
+    return verdict
+
+
 def read_fit_csv_lines(path: Path):
-    """The fit-file reader before the columnar one: each kept line split,
+    """The fit-file reader written one line at a time: each kept line split,
     stripped and converted on its own. Returns (units, pi, r, aux, y) or
     raises ValueError naming the line, as nwacal.cli._read_fit_csv must."""
     lines = [

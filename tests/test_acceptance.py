@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import calibration_margin, fd_jacobian, grid_minimizer
+from oracles import (
+    calibration_has_solution_q2,
+    calibration_margin,
+    fd_jacobian,
+    grid_minimizer,
+    mle_has_solution_q2,
+)
 
 from nwacal import (
     EstimatingEquation,
@@ -41,6 +47,7 @@ from nwacal.montecarlo import (
     VARIANTS,
     ReplicateColumns,
     Scenario,
+    _stack_draws,
     block_replicates,
     mix_seed,
     run_study,
@@ -387,6 +394,43 @@ def test_criterion_8b_failure_rate_bands(study_runs):
         if not failures["poisson"] > failures["srs"]:
             problems.append(f"rho={rho}: poisson failures {failures['poisson']} <= srs {failures['srs']}")
     _report("8b", not problems, "; ".join(counts + problems))
+
+
+def test_every_fitted_status_matches_the_existence_verdict(study_runs):
+    # Every fit of the study that is not degenerate converges exactly where
+    # its equation has a solution and is reported diverged where it has none,
+    # by the closed form of q = 2 in tests/oracles.py, which shares no code
+    # with the solver. Each block is redrawn as the engine drew it.
+    problems, counts = [], []
+    for (design, rho), (scenario, _, columns) in study_runs.items():
+        size = block_replicates(scenario.design)
+        exists = {v: [] for v in NWA_VARIANTS}
+        for start in range(0, scenario.reps, size):
+            st = _stack_draws(scenario, range(start, min(start + size, scenario.reps)))
+            x1 = st.x[..., 1]
+            mle = mle_has_solution_q2(x1, st.r, st.valid)
+            exists[Variant.MLE_K1].append(mle)
+            exists[Variant.MLE_KINVPI].append(mle)
+            for variant, target in (
+                (Variant.CAL_U, scenario.population.aux_total),
+                (Variant.CAL_S, (st.x / st.pi[..., None]).sum(axis=1)),
+            ):
+                exists[variant].append(calibration_has_solution_q2(x1, st.pi, st.r, st.valid, target))
+        none = []
+        for variant, blocks in exists.items():
+            status = columns[variant].status
+            fitted = status != STATUS_DEGENERATE
+            want = np.where(np.concatenate(blocks), STATUS_OK, "diverged")
+            wrong = np.flatnonzero(fitted & (status != want))
+            if wrong.size:
+                i = wrong[0]
+                problems.append(
+                    f"{design}/rho={rho} {variant.value}: {wrong.size} disagree, "
+                    f"e.g. replicate {i} {status[i]} where {want[i]}"
+                )
+            none.append(f"{variant.value} {np.sum(fitted & (want != STATUS_OK))}")
+        counts.append(f"{design}/rho={rho}: no solution for " + ", ".join(none))
+    _report("status verdict", not problems, "; ".join(problems or counts))
 
 
 def test_criterion_9_linearization_gap_shrinks():

@@ -103,6 +103,18 @@ def test_mu_past_unit_resolution_rejected(tmp_path, capsys, mu):
     assert RunConfig(mu=(2.0**53 - 1.0, -(2.0**53 - 1.0))).mu[0] == 2.0**53 - 1.0
 
 
+@pytest.mark.parametrize(
+    "config", ["lam = -800,0", "lam = 0.1,-200", "mu = 4,3000\nlam = 0.1,-0.4"], ids=lambda c: c.replace("\n", ", ")
+)
+def test_lam_whose_probabilities_underflow_names_its_key(tmp_path, capsys, config):
+    # A logit below about -709.8 gives a response probability of exactly 0.
+    path = tmp_path / "cfg.txt"
+    path.write_text(config + "\n")
+    rc = main(["scenario", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: lam: some unit's response probability underflows to 0\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, value):
     # A NaN tol passes no residual test and an infinite one passes every
@@ -727,9 +739,10 @@ def _read_or_message(reader, path):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_fit_files())
-def test_columnar_reader_matches_line_reader(tmp_path, text):
-    # The columnar reader returns the line-by-line reader's units and
-    # arrays bit for bit, or raises its exact message.
+def test_fit_reader_matches_per_line_oracle(tmp_path, text):
+    # _read_fit_csv returns the units and arrays of the oracle that splits
+    # and converts each line on its own, bit for bit, or raises its exact
+    # message.
     path = tmp_path / "units.csv"
     path.write_bytes(text.encode())
     want = _read_or_message(read_fit_csv_lines, path)

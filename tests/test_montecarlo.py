@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,11 +44,8 @@ from nwacal.montecarlo import (
     _block_seeds,
     _stack_draws,
     block_replicates,
-    coverage_rate,
     linearization_gap,
     mix_seed,
-    relative_bias,
-    rrvar,
     run_study,
     write_raw_records,
 )
@@ -116,34 +114,81 @@ def test_respondent_count_near_study_mean(study_population, study_srs):
     assert abs(np.mean(counts) - 84.0) <= 4.0 * se + 1.0
 
 
+def _metrics(y_total, estimates, ci=None, v_hat=None, failed=0):
+    """_aggregate's metrics of one variant over hand-built columns: ok
+    replicates with ``estimates``, intervals ``ci`` (pairs, NaN where none
+    was formed) and variance estimates ``v_hat``, then ``failed`` diverged
+    replicates. Every variant gets the same columns."""
+    k, V = len(estimates), len(VARIANTS)
+    values = np.full((k + failed, V, 6), np.nan)
+    values[:k, :, 0] = np.reshape(estimates, (k, 1))
+    if ci is not None:
+        values[:k, :, 3:5] = np.reshape(ci, (k, 1, 2))
+    if v_hat is not None:
+        values[:k, :, 1], values[:k, :, 2] = np.reshape(v_hat, (k, 1)), 0.0
+    status = np.full((k + failed, V), STATUSES.index("diverged"), dtype=np.int8)
+    status[:k] = STATUSES.index(STATUS_OK)
+    n = np.full(k + failed, 10)
+    cols = ReplicateColumns(n, n, status, values, np.zeros((k + failed, V), dtype=np.int64))
+    scenario = SimpleNamespace(population=SimpleNamespace(total=y_total))
+    metrics = montecarlo._aggregate(scenario, cols)
+    assert all(m == metrics[Variant.HT] for m in metrics.values())
+    return metrics[Variant.HT]
+
+
 def test_relative_bias_and_rrvar_two_point_oracle():
-    vals = np.array([90.0, 110.0])
-    assert relative_bias(vals, 100.0) == 0.0
-    assert rrvar(vals, 100.0) == pytest.approx(0.1414213562373095, abs=1e-15)
+    m = _metrics(100.0, [90.0, 110.0])
+    assert m.rb == 0.0
+    assert m.mc_variance == 200.0
+    assert m.rrvar == pytest.approx(0.1414213562373095, abs=1e-15)
 
 
 def test_rrvar_degenerate_cases():
-    assert rrvar(np.array([5.0]), 100.0) is None
-    assert rrvar(np.array([7.0, 7.0]), 7.0) == 0.0
+    m = _metrics(100.0, [5.0], v_hat=[4.0])
+    assert m.rb == -0.95
+    assert m.rrvar is m.mc_variance is m.variance_rb is None
+    assert _metrics(7.0, [7.0, 7.0]).rrvar == 0.0
 
 
 def test_empty_streams_give_absent_metrics():
-    assert relative_bias(np.array([]), 10.0) is None
-    assert rrvar(np.array([]), 10.0) is None
-    assert coverage_rate([], 10.0) is None
+    m = _metrics(10.0, [], failed=3)
+    assert (m.n_ok, m.failure_rate) == (0, 1.0)
+    assert m.rb is m.rrvar is m.mc_variance is None
+    assert m.mean_variance_estimate is m.variance_rb is None
+    assert m.coverage is m.mean_ci_length is m.max_weight is None
 
 
 def test_coverage_rate_cases():
-    assert coverage_rate([], 10.0) is None
-    assert coverage_rate([(9.0, 11.0), (9.5, 10.5)], 10.0) == 1.0
-    assert coverage_rate([(11.0, 12.0)], 10.0) == 0.0
+    assert _metrics(10.0, [10.0, 10.0]).coverage is None
+    assert _metrics(10.0, [10.0, 10.0], ci=[(9.0, 11.0), (9.5, 10.5)]).coverage == 1.0
+    assert _metrics(10.0, [11.5], ci=[(11.0, 12.0)]).coverage == 0.0
+    # Replicates without an interval are left out of coverage and CI length.
+    m = _metrics(10.0, [10.0, 10.0, 11.5], ci=[(9.0, 11.0), (np.nan, np.nan), (11.0, 12.0)], failed=1)
+    assert (m.coverage, m.mean_ci_length, m.n_ok, m.failure_rate) == (0.5, 1.5, 3, 0.25)
 
 
 def test_identical_estimates_give_zero_spread():
-    vals = np.full(10, 42.0)
-    assert relative_bias(vals, 42.0) == 0.0
-    assert rrvar(vals, 42.0) == 0.0
-    assert coverage_rate([(41.0, 43.0)] * 10, 42.0) == 1.0
+    m = _metrics(42.0, np.full(10, 42.0), ci=[(41.0, 43.0)] * 10)
+    assert m.rb == 0.0
+    assert m.rrvar == 0.0
+    assert m.coverage == 1.0
+
+
+def test_variance_rb_absent_at_zero_mc_variance_or_without_finite_v_hat():
+    m = _metrics(42.0, [42.0, 42.0, 42.0], v_hat=[1.0, 2.0, 3.0])
+    assert (m.mc_variance, m.mean_variance_estimate) == (0.0, 2.0)
+    assert m.variance_rb is None
+    m = _metrics(42.0, [41.0, 43.0], v_hat=[np.nan, np.inf])
+    assert m.mc_variance == 2.0 and m.mean_variance_estimate is m.variance_rb is None
+    m = _metrics(42.0, [41.0, 43.0], v_hat=[1.0, np.nan])
+    assert (m.mc_variance, m.mean_variance_estimate, m.variance_rb) == (2.0, 1.0, -0.5)
+
+
+def test_rrvar_is_the_root_of_mc_variance():
+    estimates = np.random.default_rng(3).normal(1000.0, 40.0, 257)
+    m = _metrics(1003.0, estimates)
+    assert m.mc_variance == float(np.var(estimates, ddof=1))
+    assert m.rrvar == math.sqrt(m.mc_variance) / 1003.0
 
 
 def test_study_report_deterministic(study_population, study_srs):

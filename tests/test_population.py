@@ -151,6 +151,14 @@ def test_gen_config_validation():
         GenConfig(N=10, seed=-1)
 
 
+@pytest.mark.parametrize("lam", [(-800.0, 0.0), (0.1, -200.0)])
+def test_lam_whose_probabilities_underflow_is_refused(lam):
+    # expit is exactly 0 below about -709.8: such a unit could never respond,
+    # and the error names the setting that caused it.
+    with pytest.raises(ValueError, match=r"^lam: some unit's response probability underflows to 0$"):
+        generate_population(GenConfig(N=10, lam=lam))
+
+
 def test_population_invariant_violations():
     with pytest.raises(ValueError):
         Population(
@@ -172,7 +180,7 @@ _NONFINITE = {
     "true_p": [[0.5, np.nan], [np.nan, 0.5], [np.nan, np.nan]],
     "aux": [[[1.0, 2.0], [1.0, v]] for v in (np.nan, np.inf, -np.inf)],
     "y": [[0.0, v] for v in (np.nan, np.inf, -np.inf)],
-    "mean_mu": [(np.nan, 4.0)],
+    "mean_mu": [(np.nan, 4.0), (4.0, -np.inf)],
 }
 
 

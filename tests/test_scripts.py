@@ -1,8 +1,11 @@
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
+from types import ModuleType
 
+import nwacal
 import nwacal.cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +65,21 @@ def test_benchmark_names_stay_bound(monkeypatch):
     sys.modules.pop("workloads")
     for name in ("run_study", "write_raw_records", "generate_population", "srs_design", "poisson_design"):
         assert callable(getattr(nwacal.cli, name, None)), name
+
+
+def test_exports_resolve():
+    # A deletion that leaves a stale __all__ entry, or a name that nwacal
+    # re-exports from no module's __all__, fails here.
+    exported = set()
+    for info in pkgutil.iter_modules(nwacal.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"nwacal.{info.name}")
+        names = getattr(module, "__all__", [])
+        assert [n for n in names if not hasattr(module, n)] == [], module.__name__
+        exported.update(names)
+    public = {n for n, v in vars(nwacal).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert sorted(public - exported) == []
 
 
 def test_fit_stages_prints_each_stage(capsys):

@@ -1,11 +1,15 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_instance
-from oracles import calib_residual, calibration_margin, fd_jacobian, grid_minimizer, paper_residual, score_mle
+from oracles import (
+    calib_residual, calibration_has_solution_q2, calibration_margin, fd_jacobian, grid_minimizer, paper_residual,
+    score_mle,
+)
 
 from nwacal import (
     EstimatingEquation,
@@ -109,6 +113,32 @@ def test_calibration_margin_certifies_target_outside_cone():
     assert np.all(x[mask] @ v >= -1e-9 * np.linalg.norm(v) * np.linalg.norm(x[mask], axis=1))
     assert c @ v < 0.0
     assert solve(eq).status is FitStatus.DIVERGED
+
+
+def test_existence_verdict_decides_near_ties_exactly():
+    # Targets within a few ulps of the edge of the respondents' cone, where a
+    # float margin is no better than its rounding: the q = 2 verdict must be
+    # the one decided wholly in rational arithmetic.
+    rng = np.random.default_rng(31)
+    B, n = 400, 12
+    x1, pi = rng.normal(4.0, 1.0, (B, n)), rng.uniform(0.2, 0.9, (B, n))
+    r = rng.random((B, n)) < 0.7
+    r[:, :2] = True
+    target, want = np.empty((B, 2)), np.empty(B, dtype=bool)
+    for b in range(B):
+        rows = np.flatnonzero(r[b])
+        a0 = sum(1 / Fraction(pi[b, i]) for i in rows)
+        a1 = sum(Fraction(x1[b, i]) / Fraction(pi[b, i]) for i in rows)
+        lo, hi = Fraction(x1[b, rows].min()), Fraction(x1[b, rows].max())
+        c0 = Fraction(rng.uniform(1.0, 20.0))
+        target[b] = float(a0 + c0), float(a1 + c0 * (hi if b % 2 else lo))
+        for _ in range(int(rng.integers(0, 4))):
+            target[b, 1] = np.nextafter(target[b, 1], np.inf if rng.random() < 0.5 else -np.inf)
+        e0, e1 = Fraction(target[b, 0]) - a0, Fraction(target[b, 1]) - a1
+        want[b] = e0 > 0 and e0 * lo < e1 < e0 * hi
+    got = calibration_has_solution_q2(x1, pi, r, np.ones((B, n), dtype=bool), target)
+    assert got.tolist() == want.tolist()
+    assert 0 < want.sum() < B
 
 
 @pytest.mark.parametrize("lam_star", [(-52.0, 13.0), (60.0, -14.0)])

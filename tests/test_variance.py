@@ -20,13 +20,10 @@ from nwacal import (
     theoretical_variance,
     two_phase_estimate,
     var_hat,
-    var_hat_calS,
-    var_hat_calU,
     var_hat_ht,
-    var_hat_mle,
 )
 from nwacal.montecarlo import mix_seed
-from nwacal.variance import _cross_term
+from nwacal.variance import _cross_term, var_hat_calS, var_hat_calU, var_hat_mle
 
 
 def _srs_pair_coeff(design):
@@ -102,8 +99,8 @@ def test_var_hat_mle_matches_hand_expansion(seed, kind):
         pi_r = np.full(3, 0.2)
     else:
         design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
-    for sw in (False, True):
-        got = var_hat_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=sw)
+    for sw, variant in ((False, Variant.MLE_K1), (True, Variant.MLE_KINVPI)):
+        got = var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
         v_sam, v_nr = _brute_force_mle(design, pi_r, x_r, y_r, p_hat_r, survey_weighted=sw)
         assert got.v_sam == pytest.approx(v_sam, rel=1e-12)
         assert got.v_nr == pytest.approx(v_nr, rel=1e-12)
@@ -115,12 +112,12 @@ def test_var_hat_cal_matches_hand_expansion(seed):
     pi_r, x_r, y_r, p_hat_r = _toy_respondents(seed, m=4)
     design = srs_design(60, 12)
     pi_r = np.full(4, 0.2)
-    got_u = var_hat_calU(design, pi_r, x_r, y_r, p_hat_r)
+    got_u = var_hat(Variant.CAL_U, design, pi_r, x_r, y_r, p_hat_r)
     v_sam, v_nr = _brute_force_cal(design, pi_r, x_r, y_r, p_hat_r, population_level=True)
     assert got_u.v_sam == pytest.approx(v_sam, rel=1e-12)
     assert got_u.v_nr == pytest.approx(v_nr, rel=1e-12)
 
-    got_s = var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
+    got_s = var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
     v_sam, v_nr = _brute_force_cal(design, pi_r, x_r, y_r, p_hat_r, population_level=False)
     assert got_s.v_sam == pytest.approx(v_sam, rel=1e-12)
     assert got_s.v_nr == pytest.approx(v_nr, rel=1e-12)
@@ -129,8 +126,8 @@ def test_var_hat_cal_matches_hand_expansion(seed):
 def test_cal_variants_share_nonresponse_component():
     pi_r, x_r, y_r, p_hat_r = _toy_respondents(7, m=5)
     design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
-    u = var_hat_calU(design, pi_r, x_r, y_r, p_hat_r)
-    s = var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
+    u = var_hat(Variant.CAL_U, design, pi_r, x_r, y_r, p_hat_r)
+    s = var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
     assert u.v_nr == s.v_nr
     assert np.array_equal(u.gamma_hat, s.gamma_hat)
 
@@ -138,7 +135,7 @@ def test_cal_variants_share_nonresponse_component():
 def test_poisson_cross_terms_exactly_zero():
     pi_r, x_r, y_r, p_hat_r = _toy_respondents(8, m=6)
     design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
-    got = var_hat_mle(design, pi_r, x_r, y_r, p_hat_r)
+    got = var_hat(Variant.MLE_K1, design, pi_r, x_r, y_r, p_hat_r)
     single = float(np.sum((1 - pi_r) / pi_r**2 * y_r**2 / p_hat_r))
     assert got.v_sam == single  # bit-exact: the pair term is short-circuited
 
@@ -164,7 +161,7 @@ def test_unit_probabilities_reduce_to_ht_variance():
     design = srs_design(40, 8)
     pi_r = np.full(5, 0.2)
     ones = np.ones(5)
-    got = var_hat_mle(design, pi_r, x_r, y_r, ones)
+    got = var_hat(Variant.MLE_K1, design, pi_r, x_r, y_r, ones)
     assert got.v_nr == 0.0
     assert got.v_sam == pytest.approx(var_hat_ht(design, pi_r, y_r), rel=1e-14)
 
@@ -178,11 +175,11 @@ def test_linear_y_zeroes_calU_components():
     pi_r = np.full(m, 0.25)
     p_hat_r = rng.uniform(0.6, 0.9, m)
     design = srs_design(40, 10)
-    got = var_hat_calU(design, pi_r, x_r, y_r, p_hat_r)
+    got = var_hat(Variant.CAL_U, design, pi_r, x_r, y_r, p_hat_r)
     scale = float(np.max(y_r) ** 2)
     assert abs(got.v_sam) <= 1e-16 * scale * m * 100
     assert 0.0 <= got.v_nr <= 1e-16 * scale * m * 100
-    got_s = var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
+    got_s = var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
     assert got_s.v_nr == got.v_nr
     assert got_s.v_sam > 1.0  # raw-y sampling variance remains
 
@@ -191,9 +188,9 @@ def test_nonresponse_component_nonnegative():
     for seed in range(12):
         pi_r, x_r, y_r, p_hat_r = _toy_respondents(seed, m=7)
         design = DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))
-        assert var_hat_mle(design, pi_r, x_r, y_r, p_hat_r).v_nr >= 0.0
-        assert var_hat_calU(design, pi_r, x_r, y_r, p_hat_r).v_nr >= 0.0
-        assert var_hat_calS(design, pi_r, x_r, y_r, p_hat_r).v_nr >= 0.0
+        assert var_hat(Variant.MLE_K1, design, pi_r, x_r, y_r, p_hat_r).v_nr >= 0.0
+        assert var_hat(Variant.CAL_U, design, pi_r, x_r, y_r, p_hat_r).v_nr >= 0.0
+        assert var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r).v_nr >= 0.0
 
 
 def test_sampling_component_can_be_negative_under_srswor():
@@ -205,10 +202,30 @@ def test_sampling_component_can_be_negative_under_srswor():
     x_r = np.column_stack([np.ones(m), np.linspace(3, 5, m)])
     y_r = np.ones(m)
     p_hat_r = np.ones(m)
-    got = var_hat_calS(design, pi_r, x_r, y_r, p_hat_r)
+    got = var_hat(Variant.CAL_S, design, pi_r, x_r, y_r, p_hat_r)
     assert got.v_sam < 0.0
     if got.total < 0.0:
         assert confidence_interval(0.0, got.total) is None
+
+
+@pytest.mark.parametrize(
+    "shim, variant",
+    [
+        (lambda *a: var_hat_mle(*a, survey_weighted=False), Variant.MLE_K1),
+        (lambda *a: var_hat_mle(*a, survey_weighted=True), Variant.MLE_KINVPI),
+        (var_hat_calU, Variant.CAL_U),
+        (var_hat_calS, Variant.CAL_S),
+    ],
+    ids=["mle_1", "mle_invpi", "cal_U", "cal_S"],
+)
+def test_benchmark_variance_names_return_var_hat(shim, variant):
+    # The names perfbench/workloads.py imports, for as long as they exist.
+    pi_r, x_r, y_r, p_hat_r = _toy_respondents(11, m=6)
+    for design in (srs_design(60, 12), DesignSpec(kind=DesignKind.POISSON, pi=pi_r, n_target=float(pi_r.sum()))):
+        got = shim(design, pi_r, x_r, y_r, p_hat_r)
+        want = var_hat(variant, design, pi_r, x_r, y_r, p_hat_r)
+        assert (got.v_sam, got.v_nr) == (want.v_sam, want.v_nr)
+        assert got.gamma_hat.tobytes() == want.gamma_hat.tobytes()
 
 
 @pytest.mark.parametrize("variant", [Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_U, Variant.CAL_S])
