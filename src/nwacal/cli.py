@@ -1,9 +1,10 @@
 """Command-line entry point: scenario configuration and study reproduction.
 
 Subcommands: ``study`` (the full six-scenario simulation), ``scenario`` (one
-configured cell), ``fit`` (one-shot estimation from a user CSV), and
-``trace`` (solver iteration diagnostics). The CLI is a thin shell over the
-Monte Carlo engine: ``study`` and ``scenario`` run their cells through one
+cell, the study's own at a study design and rho), ``fit`` (one-shot
+estimation from a user CSV), and ``trace`` (solver iteration diagnostics).
+The CLI is a thin shell over the Monte Carlo engine: ``study`` and
+``scenario`` build their cells with study_scenarios, run them through one
 loop over run_study and differ only in what they write (the tables, or
 report.csv), and ``fit`` and ``trace`` fit their file as a stack of one
 sample, every variant in one solve_block call, and evaluate it as the
@@ -35,10 +36,10 @@ from .montecarlo import (
     run_study,
     write_raw_records,
 )
-from .population import GenConfig, Population, generate_population
+from .population import GenConfig, generate_population
 from .solvers import FitStatus, SolverControls, Stack, _cholesky_solve
 
-__all__ = ["RunConfig", "parse_config", "run_full_study", "main"]
+__all__ = ["RunConfig", "parse_config", "main"]
 
 TAG_SCENARIO = 0x5343454E
 
@@ -175,31 +176,6 @@ def _fmt4(v) -> str:
     return str(v) if isinstance(v, int) else f"{v:.4g}"
 
 
-def _build_design(design: str, cfg: RunConfig, pop: Population) -> DesignSpec:
-    return srs_design(cfg.N, cfg.n) if design == "srs" else poisson_design(pop, float(cfg.n))
-
-
-def _population_for(cfg: RunConfig, rho: float, rho_index: int) -> Population:
-    gen = GenConfig(
-        N=cfg.N,
-        mean_mu=cfg.mu,
-        rho=rho,
-        lam=cfg.lam,
-        seed=mix_seed(cfg.seed, rho_index, TAG_POPULATION),
-    )
-    return generate_population(gen)
-
-
-def _scenario_for(cfg: RunConfig, pop: Population, design: DesignSpec, index: int) -> Scenario:
-    return Scenario(
-        population=pop,
-        design=design,
-        reps=cfg.reps,
-        master_seed=mix_seed(cfg.seed, index, TAG_SCENARIO),
-        controls=cfg.controls,
-    )
-
-
 #: The study tables: file stem, text title, variants (None: all, in report
 #: order) and columns (VariantMetrics field, text label, text width).
 _TABLES = (
@@ -246,40 +222,46 @@ def format_study_text(results: _Results) -> str:
     return "\n".join(lines)
 
 
-def study_scenarios(cfg: RunConfig) -> list[tuple[str, float, Scenario]]:
-    """The six study cells (two designs x three correlations), deterministically
-    derived from the master seed."""
-    pops = [_population_for(cfg, rho, rho_index) for rho_index, rho in enumerate(STUDY_RHOS)]
+def study_scenarios(
+    cfg: RunConfig, designs=STUDY_DESIGNS, rhos=STUDY_RHOS
+) -> list[tuple[str, float, Scenario]]:
+    """The (design, rho, scenario) cells of designs x rhos, design-major: the
+    six study cells by default. Seeds follow the study's order, so a cell
+    built alone is the study's cell: a population is seeded by its rho's
+    index in STUDY_RHOS, and a cell's replicates by its index among the six.
+    A rho outside the study takes index 0 for both."""
+    def pop_of(rho):
+        seed = mix_seed(cfg.seed, STUDY_RHOS.index(rho) if rho in STUDY_RHOS else 0, TAG_POPULATION)
+        return generate_population(GenConfig(N=cfg.N, mean_mu=cfg.mu, rho=rho, lam=cfg.lam, seed=seed))
+
+    pops = {rho: pop_of(rho) for rho in rhos}
     cells = []
-    for design_name in STUDY_DESIGNS:
-        for rho, pop in zip(STUDY_RHOS, pops):
-            design = _build_design(design_name, cfg, pop)
-            cells.append((design_name, rho, _scenario_for(cfg, pop, design, len(cells))))
+    for d in designs:
+        for rho in rhos:
+            pop = pops[rho]
+            design = srs_design(cfg.N, cfg.n) if d == "srs" else poisson_design(pop, float(cfg.n))
+            index = STUDY_DESIGNS.index(d) * len(STUDY_RHOS) + STUDY_RHOS.index(rho) if rho in STUDY_RHOS else 0
+            cells.append((d, rho, Scenario(pop, design, cfg.reps, mix_seed(cfg.seed, index, TAG_SCENARIO), cfg.controls)))
     return cells
 
 
-def _run(cfg: RunConfig, cells, write_outputs) -> int:
+def _run(cfg: RunConfig, cells, raw_name: str, write_outputs) -> int:
     """The run loop of study and scenario: run_study on every (design, rho,
-    scenario, raw file name) cell, with its raw CSV when asked, then
-    write_outputs(out_dir, header, results) and the text tables on stdout."""
+    scenario) cell, with its raw CSV raw_name.format(design, rho) when asked,
+    then write_outputs(out_dir, header, results) and the text tables on
+    stdout."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = f"master_seed={cfg.seed} config_hash={config_hash(cfg)}"
     results: _Results = []
-    for design_name, rho, scenario, raw_name in cells:
+    for design_name, rho, scenario in cells:
         metrics, records = run_study(scenario, threads=cfg.threads)
         if cfg.emit_raw:
-            write_raw_records(out_dir / raw_name, records, header)
+            write_raw_records(out_dir / raw_name.format(design_name, rho), records, header)
         results.append((design_name, rho, metrics))
     write_outputs(out_dir, header, results)
     print(format_study_text(results))
     return 0
-
-
-def run_full_study(cfg: RunConfig) -> int:
-    """Run all six scenarios (three correlations x two designs) and write tables."""
-    cells = [(d, rho, sc, f"raw_{d}_rho{rho:.4g}.csv") for d, rho, sc in study_scenarios(cfg)]
-    return _run(cfg, cells, _write_tables)
 
 
 #: The columns of report.csv after the variant: VariantMetrics fields.
@@ -290,12 +272,6 @@ def _write_report(out_dir: Path, header: str, results: _Results) -> None:
     [(_, _, metrics)] = results
     rows = [",".join([v.value, *(_fmt4(getattr(m, f)) for f in _REPORT_COLUMNS)]) + "\n" for v, m in metrics.items()]
     (out_dir / "report.csv").write_text(f"# {header}\n" + ",".join(["variant", *_REPORT_COLUMNS]) + "\n" + "".join(rows))
-
-
-def _run_one_scenario(cfg: RunConfig) -> int:
-    pop = _population_for(cfg, cfg.rho, STUDY_RHOS.index(cfg.rho) if cfg.rho in STUDY_RHOS else 0)
-    scenario = _scenario_for(cfg, pop, _build_design(cfg.design, cfg, pop), 0)
-    return _run(cfg, [(cfg.design, cfg.rho, scenario, "raw.csv")], _write_report)
 
 
 class _CellError(ValueError):
@@ -450,26 +426,26 @@ def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: The padding byte of the weights.csv canvas: no UTF-8 text holds it.
 _PAD = 0xFF
 #: The widest unit, in UTF-8 bytes, that takes a canvas cell: one long unit
-#: must not widen every row. A longer one's rows are written by f-strings.
+#: must not widen every row.
 _UNIT_BYTES = 64
 
 
-def _unit_cells(units: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The UTF-8 bytes of every unit, one row each padded with _PAD, and the
-    rows of the units longer than _UNIT_BYTES (cut short here)."""
+def _unit_cells(units: list[str]) -> np.ndarray | None:
+    """The UTF-8 bytes of every unit, one row each padded with _PAD, or None
+    when a unit is longer than _UNIT_BYTES."""
     encoded = list(map(str.encode, units))
     lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    size = min(max(lengths.max(initial=0), 1), _UNIT_BYTES)
+    size = max(lengths.max(initial=0), 1)
+    if size > _UNIT_BYTES:
+        return None
     cells = np.fromiter(encoded, f"S{size}", len(encoded)).view(np.uint8).reshape(len(encoded), size)
     cells[np.arange(size) >= lengths[:, None]] = _PAD
-    return cells, np.flatnonzero(lengths > size)
+    return cells
 
 
-def _weights_csv(
-    units: list[str], unit_cells: tuple[np.ndarray, np.ndarray], name: str, weights: np.ndarray
-) -> str:
+def _weights_csv(units: list[str], cells: np.ndarray | None, name: str, weights: np.ndarray) -> str:
     """The weights.csv rows f"{unit},{name},{w:.17g}" of one variant, each
-    ended by a newline, byte for byte; unit_cells is _unit_cells(units).
+    ended by a newline, byte for byte; cells is _unit_cells(units).
 
     Every row is laid out in one uint8 canvas and its _PAD bytes deleted:
     the unit's bytes, ",name,", the weight and the newline. A weight in
@@ -477,10 +453,12 @@ def _weights_csv(
     its 17 digits (_digits17) with a "." slot after each digit that can end
     the integer part; the fraction's trailing zeros, and a "." with no
     fraction left, are _PAD. %.17g writes any other weight (below 1,
-    negative, NaN, inf, exponent notation), and an f-string the row of a
-    unit longer than _UNIT_BYTES.
+    negative, NaN, inf, exponent notation). When a unit is longer than
+    _UNIT_BYTES every row is one f-string, which takes two to three times
+    the kernel's time.
     """
-    cells, long = unit_cells
+    if cells is None:
+        return "".join(f"{u},{name},{w:.17g}\n" for u, w in zip(units, weights.tolist()))
     n = len(weights)
     fixed = (weights >= 1.0) & (weights < 1e17)
     d, x = _digits17(np.where(fixed, weights, 1.0))
@@ -519,17 +497,7 @@ def _weights_csv(
         num[(x == j) & (trailing < 16 - j), col[j] + 1] = ord(".")
     num[other] = _PAD
     num[other, : texts.shape[1]] = np.where(texts == 0, _PAD, texts)
-    canvas[long] = _PAD
-    body = canvas.tobytes().translate(None, bytes([_PAD]))
-    if long.size:
-        # A long unit's row goes where its all-_PAD canvas row left nothing.
-        cuts = np.cumsum((canvas != _PAD).sum(axis=1))[long].tolist()
-        parts, start = [], 0
-        for i, w, cut in zip(long.tolist(), weights[long].tolist(), cuts):
-            parts += [body[start:cut], f"{units[i]},{name},{w:.17g}\n".encode()]
-            start = cut
-        body = b"".join(parts) + body[start:]
-    return body.decode()
+    return canvas.tobytes().translate(None, bytes([_PAD])).decode()
 
 
 def _cmd_fit(args, trace: bool = False) -> int:
@@ -628,8 +596,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="master seed (64-bit unsigned)")
     parser.add_argument("--reps", type=int, help="replicates per scenario")
-    parser.add_argument("--design", choices=("srs", "poisson"), help="sampling design")
-    parser.add_argument("--rho", type=float, help="population correlation")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--threads", type=int, help="worker process cap")
     parser.add_argument(
@@ -646,11 +612,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_study = sub.add_parser("study", help="run the full six-scenario study")
-    _add_common_flags(p_study)
-
-    p_scen = sub.add_parser("scenario", help="run one configured scenario")
+    _add_common_flags(sub.add_parser("study", help="run the full six-scenario study"))
+    p_scen = sub.add_parser("scenario", help="run one cell: the study's (design, rho) cell, or any rho")
     _add_common_flags(p_scen)
+    p_scen.add_argument("--design", choices=STUDY_DESIGNS, help="sampling design")
+    p_scen.add_argument("--rho", type=float, help="population correlation")
 
     for name, help_text in (
         ("fit", "estimate totals from a unit,pi,r,x...,y CSV"),
@@ -671,7 +637,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("study", "scenario"):
             # The flags are the config keys of their dest names; unset ones are None.
             cfg = parse_config(args.config, {k: v for k, v in vars(args).items() if k in _KEYS})
-            return (run_full_study if args.command == "study" else _run_one_scenario)(cfg)
+            if args.command == "scenario":
+                return _run(cfg, study_scenarios(cfg, (cfg.design,), (cfg.rho,)), "raw.csv", _write_report)
+            # study runs every design and rho: a config value of either that
+            # is not the default would be ignored, yet hashed.
+            for key in ("rho", "design"):
+                if getattr(cfg, key) != getattr(RunConfig, key):
+                    raise ValueError(f"{key}: study runs every design and rho; set it for scenario only")
+            return _run(cfg, study_scenarios(cfg), "raw_{}_rho{:.4g}.csv", _write_tables)
         if args.command == "fit":
             return _cmd_fit(args, trace=False)
         return _cmd_fit(args, trace=True)

@@ -67,7 +67,7 @@ def draw_response(sample: Sample, p: np.ndarray, seed: int) -> RespondentSet:
     p = np.asarray(p, dtype=float)
     if p.shape != sample.indices.shape:
         raise ValueError("p must provide one probability per sampled unit")
-    if np.any(p <= 0.0) or np.any(p > 1.0):
+    if not np.all((p > 0.0) & (p <= 1.0)):  # a NaN fails it too
         raise ValueError("response probabilities must lie in (0, 1]")
     r = _respond(p, np.array([p.size]), [checked_seed(seed)])
     return RespondentSet(sample=sample, r=r)

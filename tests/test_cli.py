@@ -17,6 +17,9 @@ import nwacal
 from nwacal import DesignKind, DesignSpec, confidence_interval, solve, var_hat
 from nwacal.cli import (
     _HASHED_KEYS,
+    STUDY_DESIGNS,
+    STUDY_RHOS,
+    TAG_SCENARIO,
     RunConfig,
     _read_fit_csv,
     _unit_cells,
@@ -27,6 +30,7 @@ from nwacal.cli import (
     study_scenarios,
 )
 from nwacal.estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
+from nwacal.montecarlo import mix_seed
 
 
 def test_defaults_are_reference_settings():
@@ -347,7 +351,9 @@ def test_study_builds_each_population_once(monkeypatch):
         assert srs.population is poisson.population
         # Each cell's population is the one generated at the cell's rho.
         assert built[k][0] == cells[k][1] and built[k][1] is srs.population
-    assert len({sc.master_seed for _, _, sc in cells}) == 6
+    # Each cell's replicates are seeded by its index in the study's
+    # design-major order, which a cell built alone shares.
+    assert [sc.master_seed for _, _, sc in cells] == [mix_seed(RunConfig.seed, i, TAG_SCENARIO) for i in range(6)]
 
 
 def test_fit_rejects_bad_header(tmp_path):
@@ -439,6 +445,75 @@ def test_study_structure_and_determinism(tmp_path):
     assert len(scenarios) == 6
     table4 = (out1 / "table4.csv").read_text().splitlines()
     assert len(table4) == 2 + 24  # four reweighted variants per scenario
+
+
+@pytest.fixture(scope="module")
+def study_30(tmp_path_factory):
+    """The output directory of study --reps 30 --emit-raw."""
+    out = tmp_path_factory.mktemp("study_30")
+    assert main(["study", "--reps", "30", "--emit-raw", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("design", STUDY_DESIGNS)
+@pytest.mark.parametrize("rho", STUDY_RHOS)
+def test_scenario_is_the_study_cell(tmp_path, study_30, design, rho):
+    # scenario --design d --rho r runs the study's (d, r) cell: its raw rows
+    # are the study's raw_<d>_rho<r>.csv rows (the header comment holds the
+    # config hash, which counts rho and design), and its report the study's
+    # table cells.
+    out = tmp_path / "scen"
+    args = ["scenario", "--design", design, "--rho", repr(rho), "--reps", "30", "--emit-raw", "--out", str(out)]
+    assert main(args) == 0
+    raw = (out / "raw.csv").read_text().splitlines()
+    assert raw[1:] == (study_30 / f"raw_{design}_rho{rho:.4g}.csv").read_text().splitlines()[1:]
+    assert len(raw) == 2 + 30 * 6
+    lines = (out / "report.csv").read_text().splitlines()
+    head = lines[1].split(",")
+    report = {row[0]: dict(zip(head, row)) for row in (ln.split(",") for ln in lines[2:])}
+    compared = 0
+    for table in ("table2", "table3", "table4"):
+        lines = (study_30 / f"{table}.csv").read_text().splitlines()
+        head = lines[1].split(",")
+        for row in (dict(zip(head, ln.split(","))) for ln in lines[2:]):
+            if (row["design"], row["rho"]) == (design, f"{rho:.4g}"):
+                for key in head[3:]:
+                    assert report[row["variant"]][key] == row[key], (table, row["variant"], key)
+                    compared += 1
+    assert compared == 6 * 2 + 5 + 4 * 4
+
+
+@pytest.mark.parametrize("flag, value", [("--rho", "0.3"), ("--design", "poisson")])
+def test_study_refuses_a_cell_flag(tmp_path, capsys, flag, value):
+    # study runs every design and rho: it takes neither as a flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["study", flag, value, "--reps", "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line, key", [("rho = 0.3", "rho"), ("design = poisson", "design")])
+def test_study_refuses_a_cell_config_key(tmp_path, capsys, line, key):
+    path = tmp_path / "cfg.txt"
+    path.write_text(line + "\n")
+    rc = main(["study", "--config", str(path), "--reps", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_study_accepts_the_default_cell_keys(tmp_path):
+    # A default rho or design changes neither the run nor its hash: the hash
+    # of study --reps 20 at seed 1729 before study refused the two keys.
+    path = tmp_path / "cfg.txt"
+    path.write_text("rho = 0.6\ndesign = srs\n")
+    out = tmp_path / "o"
+    assert main(["study", "--config", str(path), "--reps", "20", "--out", str(out)]) == 0
+    assert (out / "table2.csv").read_text().splitlines()[0] == "# master_seed=1729 config_hash=f66cbd2a54a04d81"
 
 
 _GOOD_FIT_ROWS = [

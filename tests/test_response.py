@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,11 @@ def test_probability_out_of_range(study_srs):
         draw_response(s, np.zeros(s.size), seed=2)
     with pytest.raises(ValueError):
         draw_response(s, np.full(s.size, 1.5), seed=2)
+    # A NaN compares false with both bounds: it must not pass as a
+    # nonrespondent.
+    s = draw_sample(srs_design(10, 4), 1)
+    with pytest.raises(ValueError, match=re.escape("response probabilities must lie in (0, 1]")):
+        draw_response(s, [0.5, math.nan, 0.5, 0.5], seed=2)
 
 
 def test_half_probability_binomial_mean():
