@@ -5,65 +5,16 @@ logistic model coefficients estimated either by maximum likelihood or by
 calibrating auxiliary totals (raking) at the population or full-sample level.
 Includes analytical variance estimators, an exact variance oracle, and a
 deterministic Monte Carlo engine.
+
+A name is public here exactly when its module lists it in ``__all__``.
 """
 
-from .population import (
-    GenConfig,
-    Population,
-    generate_population,
-    logistic_probs,
-)
-from .designs import (
-    DesignKind,
-    DesignSpec,
-    Sample,
-    draw_sample,
-    joint_inclusion,
-    poisson_design,
-    srs_design,
-)
-from .response import RespondentSet, draw_response
-from .solvers import (
-    EstimatingEquation,
-    FitNotConvergedError,
-    FitResult,
-    FitStatus,
-    SolverControls,
-    Stack,
-    jacobian,
-    residual,
-    response_probabilities,
-    solve,
-    solve_block,
-)
-from .estimators import (
-    EstimateRecord,
-    estimating_equation,
-    Variant,
-    gamma,
-    ht_estimate,
-    linearized_block,
-    nwa_estimate,
-    two_phase_estimate,
-)
-from .variance import (
-    VarianceEstimate,
-    confidence_interval,
-    theoretical_variance,
-    var_hat,
-    var_hat_block,
-    var_hat_ht,
-)
-from .montecarlo import (
-    STATUSES,
-    VARIANTS,
-    ReplicateColumns,
-    Scenario,
-    VariantMetrics,
-    linearization_gap,
-    mix_seed,
-    run_study,
-    write_raw_records,
-)
+from .population import *
+from .designs import *
+from .response import *
+from .solvers import *
+from .estimators import *
+from .variance import *
+from .montecarlo import *
 
 __version__ = "0.1.0"

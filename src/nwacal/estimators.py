@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .population import Population
-from .solvers import EstimatingEquation, FitNotConvergedError, FitResult, Variant, _cholesky_solve, _require_fitted
+from .solvers import FitNotConvergedError, FitResult, Variant, _cholesky_solve, _require_fitted
 
 __all__ = [
     "Variant",
     "EstimateRecord",
-    "estimating_equation",
     "ht_estimate",
     "two_phase_estimate",
     "nwa_estimate",
@@ -33,19 +32,6 @@ __all__ = [
 
 #: Variants whose weights come from a fitted estimating equation, in Variant order.
 FITTED_VARIANTS = tuple(v for v in Variant if v.fitted)
-
-
-def estimating_equation(
-    variant: Variant, x_s, pi_s, r, population_totals=None
-) -> EstimatingEquation:
-    """The estimating equation that fits a variant's response probabilities
-    over one sample; population-level calibration needs the totals."""
-    _require_fitted(variant)
-    if variant.mle:
-        return EstimatingEquation.mle(x_s, pi_s, r, survey_weighted=variant.k_inv_pi)
-    if variant.population_level:
-        return EstimatingEquation.cal_population(x_s, pi_s, r, population_totals)
-    return EstimatingEquation.cal_sample(x_s, pi_s, r)
 
 
 @dataclass(frozen=True)

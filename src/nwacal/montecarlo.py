@@ -29,7 +29,7 @@ from .designs import DesignSpec
 from .estimators import Variant, gamma, linearized_block
 from .population import Population
 from .response import _draw_replicates
-from .solvers import FitStatus, SolverControls, Stack, _rows_dot, response_probabilities, solve_block
+from .solvers import FitStatus, SolverControls, Stack, response_probabilities, solve_block
 from .variance import Z_95, var_hat_block
 
 __all__ = [
@@ -198,14 +198,8 @@ def _fit(st: Stack, rows: np.ndarray, columns: np.ndarray, totals: np.ndarray | 
     """
     # Equation j fits variant column fit_v[j] on replicate fit_b[j].
     fit_b, fit_v = np.tile(rows, columns.size), np.repeat(columns, rows.size)
-    target = np.zeros((fit_b.size, st.x.shape[2]))
-    for column in columns:
-        variant, j = VARIANTS[column], fit_v == column
-        if not variant.mle:
-            target[j] = totals if variant.population_level else _rows_dot(1.0 / st.pi, st.x)[fit_b[j]]
     kinds = np.array(VARIANTS, dtype=object)[fit_v]
-    fits = solve_block(kinds, fit_b, st, target, controls)
-    return fit_b, fit_v, fits
+    return fit_b, fit_v, solve_block(kinds, fit_b, st, totals, controls)
 
 
 def _estimates(st: Stack, b: np.ndarray, lam: np.ndarray):

@@ -106,35 +106,36 @@ class FitNotConvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatingEquation:
-    """Per-unit data (x_i, pi_i, r_i) over the sample plus the equation target.
+    """Per-unit data (x_i, pi_i, r_i) over the sample of one fitted variant.
 
     kind is the fitted Variant whose equation this is; an unfitted one is
-    refused (ValueError). The target is the zero vector for the MLE
-    variants, the population totals of the auxiliaries for cal_U, and the
-    full-sample HT totals for cal_S. The calibration variants need at least
-    q respondents spanning R^q for the Jacobian to be invertible, and refuse
-    data whose target - sum_i x_i/pi_i over the respondents overflows.
+    refused (ValueError). The variant fixes the target (see _targets); only
+    cal_U reads ``totals``, the population totals of the auxiliaries. The
+    calibration variants need at least q respondents spanning R^q for the
+    Jacobian to be invertible, and refuse data whose target - sum_i x_i/pi_i
+    over the respondents overflows.
     """
 
     kind: Variant
     x: np.ndarray
     pi: np.ndarray
     r: np.ndarray
-    target: np.ndarray
+    totals: np.ndarray | None = None
 
     def __post_init__(self):
         _require_fitted(self.kind)
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         pi = np.asarray(self.pi, dtype=float)
         r = np.asarray(self.r, dtype=np.int64)
-        target = np.asarray(self.target, dtype=float)
+        totals = None if self.totals is None else np.asarray(self.totals, dtype=float)
         n, q = x.shape
         if pi.shape != (n,) or r.shape != (n,):
             raise ValueError("x, pi, r must agree on the number of sampled units")
-        if target.shape != (q,):
+        if self.kind.population_level and totals is not None and totals.shape != (q,):
             raise ValueError("target length must match the auxiliary dimension")
         if not np.all((pi > 0.0) & (pi <= 1.0)):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
+        target = _targets([self.kind], [0], x[None], pi[None], totals)[0]
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(target))):
             raise ValueError("auxiliaries and target must be finite")
         if not np.all((r == 0) | (r == 1)):
@@ -148,26 +149,24 @@ class EstimatingEquation:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "totals", totals)
+
+    @property
+    def target(self) -> np.ndarray:
+        """The right-hand side that the variant fixes, as solve_block takes it."""
+        return _targets([self.kind], [0], self.x[None], self.pi[None], self.totals)[0]
 
     @classmethod
     def mle(cls, x, pi, r, survey_weighted: bool = False) -> "EstimatingEquation":
-        q = np.atleast_2d(np.asarray(x)).shape[1]
-        kind = Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1
-        return cls(kind=kind, x=x, pi=pi, r=r, target=np.zeros(q))
+        return cls(Variant.MLE_KINVPI if survey_weighted else Variant.MLE_K1, x, pi, r)
 
     @classmethod
     def cal_population(cls, x, pi, r, population_totals) -> "EstimatingEquation":
-        return cls(kind=Variant.CAL_U, x=x, pi=pi, r=r, target=population_totals)
+        return cls(Variant.CAL_U, x, pi, r, population_totals)
 
     @classmethod
     def cal_sample(cls, x, pi, r) -> "EstimatingEquation":
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        pi = np.asarray(pi, dtype=float)
-        # sum_i x_i/pi_i by the engine's own product, so solve and the engine fit one target.
-        with np.errstate(**_QUIET):
-            target = _rows_dot(1.0 / pi[None], x[None])[0]
-        return cls(kind=Variant.CAL_S, x=x, pi=pi, r=r, target=target)
+        return cls(Variant.CAL_S, x, pi, r)
 
 
 @dataclass(frozen=True)
@@ -359,6 +358,24 @@ class Stack(NamedTuple):
 def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_i w_i x_i per equation: (..., n) and (..., n, k) to (..., k)."""
     return (w[..., None, :] @ x)[..., 0, :]
+
+
+def _targets(kinds, rep, x: np.ndarray, pi: np.ndarray, totals) -> np.ndarray:
+    """The target (B, q) that each equation's variant fixes: 0 for the MLE
+    variants, ``totals`` ((q,), or one row per equation) for cal_U, and
+    sum_i x_i/pi_i over its sample, row rep[b] of the sample stack (x, pi),
+    for cal_S. A cal_U equation without totals is refused (ValueError)."""
+    at_u = np.fromiter((k.population_level for k in kinds), bool, len(kinds))
+    at_s = np.fromiter((not (k.mle or k.population_level) for k in kinds), bool, len(kinds))
+    target = np.zeros((len(kinds), x.shape[2]))
+    if at_u.any():
+        if totals is None:
+            raise ValueError(f"{Variant.CAL_U.value} needs the population totals of the auxiliaries")
+        target[at_u] = np.broadcast_to(totals, target.shape)[at_u]
+    if at_s.any():
+        with np.errstate(**_QUIET):
+            target[at_s] = _rows_dot(1.0 / pi, x)[np.asarray(rep)[at_s]]
+    return target
 
 
 def _matvec(x: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -604,18 +621,19 @@ class BlockFit(NamedTuple):
 
 
 def solve_block(
-    kinds, rep: np.ndarray, stack: Stack, target: np.ndarray, controls: SolverControls = SolverControls()
+    kinds, rep: np.ndarray, stack: Stack, totals, controls: SolverControls = SolverControls()
 ) -> BlockFit:
     """Solve a stack of estimating equations on a Stack of R samples by
     Newton iteration on their convex F (see _block_newton).
 
-    Equation b fits the variant ``kinds[b]`` on sample ``rep[b]`` with
-    ``target[b]`` (B, q): it is EstimatingEquation(kinds[b], x[k, :n_k],
-    pi[k, :n_k], r[k, :n_k], target[b]) with k = rep[b] and n_k = n_s[k] of
-    the stack. The MLE variants read the sample stack and calibration the
-    respondent stack (which may be empty without calibration); the
-    equations that share a sample read its rows, x_i x_i' and weights 1/pi
-    once (see _slots), and per-sample totals are taken once per sample.
+    Equation b fits the variant ``kinds[b]`` on sample ``rep[b]``: it is
+    EstimatingEquation(kinds[b], x[k, :n_k], pi[k, :n_k], r[k, :n_k],
+    totals) with k = rep[b] and n_k = n_s[k] of the stack, and totals (q,)
+    or one row per equation (B, q); None will do where no kind is cal_U.
+    The MLE variants read the sample stack and calibration the respondent
+    stack (which may be empty without calibration); the equations that
+    share a sample read its rows, x_i x_i' and weights 1/pi once (see
+    _slots), and per-sample totals are taken once per sample.
     Each equation takes the same steps and gets the same status as it would
     alone, up to rounding in the sums: padding, and numpy's stacked matrix
     products, can add in another order than a stack of one. Sharing a
@@ -624,6 +642,7 @@ def solve_block(
     it is DIVERGED after no iterations, at zero.
     """
     rep = np.asarray(rep, dtype=np.intp)
+    target = _targets(kinds, rep, stack.x, stack.pi, totals)
     mle = np.fromiter((k.mle for k in kinds), bool, len(kinds))
     survey = np.fromiter((k.k_inv_pi for k in kinds), bool, len(kinds))
     at_u = np.fromiter((k.population_level for k in kinds), bool, len(kinds))
@@ -663,7 +682,7 @@ def solve(eq: EstimatingEquation, controls: SolverControls = SolverControls()) -
     times its diagonal entry), the rule that also flags singular gamma
     systems in the variance estimators.
     """
-    fit = solve_block([eq.kind], [0], Stack.of_one(eq.x, eq.pi, eq.r), eq.target[None], controls)
+    fit = solve_block([eq.kind], [0], Stack.of_one(eq.x, eq.pi, eq.r), eq.totals, controls)
     lam = fit.lambda_hat[0]
     return FitResult(
         lambda_hat=lam,

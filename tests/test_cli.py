@@ -29,8 +29,9 @@ from nwacal.cli import (
     parse_config,
     study_scenarios,
 )
-from nwacal.estimators import FITTED_VARIANTS, Variant, estimating_equation, nwa_estimate
+from nwacal.estimators import FITTED_VARIANTS, Variant, nwa_estimate
 from nwacal.montecarlo import mix_seed
+from nwacal.solvers import EstimatingEquation
 
 
 def test_defaults_are_reference_settings():
@@ -254,7 +255,7 @@ def test_fit_rows_match_the_step_api(tmp_path, write, totals):
         assert [float(c) for c in cells] == pytest.approx(want, rel=1e-13, abs=0.0, nan_ok=True)
 
     for variant in variants:
-        fit = solve(estimating_equation(variant, aux, pi, r, tot))
+        fit = solve(EstimatingEquation(variant, aux, pi, r, tot))
         row = estimates[variant.value]
         assert row[2:4] + row[5:] == [str(len(units)), str(mask.sum()), fit.status.value, str(fit.iterations)]
         if not fit.converged:
@@ -884,7 +885,7 @@ def test_fit_weights_csv_matches_per_row_formatting(tmp_path):
     for variant in FITTED_VARIANTS:
         if variant is Variant.CAL_U:
             continue
-        fit = solve(estimating_equation(variant, aux, pi, r, None))
+        fit = solve(EstimatingEquation(variant, aux, pi, r, None))
         record = nwa_estimate(variant, pi[mask], y[mask], fit.p_hat[mask], fit)
         for u, w in zip(np.array(units)[mask], record.weights):
             want.append(f"{u},{variant.value},{w:.17g}\n")

@@ -14,7 +14,6 @@ from nwacal import (
     Variant,
     draw_response,
     draw_sample,
-    estimating_equation,
     gamma,
     generate_population,
     ht_estimate,
@@ -289,7 +288,7 @@ def test_unfitted_variants_have_no_variance_or_linearization(study_population, s
         lambda: gamma(variant, x, y, pi, p, "S"),
         # Nor an estimating equation: EstimatingEquation takes a fitted variant.
         lambda: EstimatingEquation(variant, x, pi, resp.r, np.zeros(2)),
-        lambda: estimating_equation(variant, x, pi, resp.r, pop.aux.sum(axis=0)),
+        lambda: EstimatingEquation(variant, x, pi, resp.r, pop.aux.sum(axis=0)),
     )
     for call in calls:
         with pytest.raises(ValueError, match=f"variant {variant.value} fits no response model"):

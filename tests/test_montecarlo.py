@@ -27,7 +27,6 @@ from nwacal import (
 from nwacal.cli import RunConfig, study_scenarios
 from nwacal.estimators import (
     FITTED_VARIANTS,
-    estimating_equation,
     linearized_block,
     nwa_estimate,
 )
@@ -50,6 +49,7 @@ from nwacal.montecarlo import (
     write_raw_records,
 )
 from nwacal.response import _draw_replicates
+from nwacal.solvers import EstimatingEquation
 
 
 def _scenario(pop, design, reps=50, seed=11):
@@ -332,7 +332,7 @@ def _scalar_replicate(scenario, index):
         if mask.sum() < pop.n_aux:
             out[variant] = (STATUS_DEGENERATE, 0, None)
             continue
-        eq = estimating_equation(variant, x_s, sample.pi_s, resp.r, pop.aux.sum(axis=0))
+        eq = EstimatingEquation(variant, x_s, sample.pi_s, resp.r, pop.aux.sum(axis=0))
         fit = solve(eq, scenario.controls)
         if not fit.converged:
             out[variant] = (fit.status.value, fit.iterations, None)
@@ -401,7 +401,7 @@ def test_respondent_stack_holds_each_equations_respondents(study_cells, cell, sm
     for b, index in enumerate(indices):
         sample = draw_sample(design, mix_seed(seed, index, TAG_SAMPLING))
         resp = draw_response(sample, pop.true_p[sample.indices], mix_seed(seed, index, TAG_RESPONSE))
-        eq = estimating_equation(Variant.CAL_S, pop.aux[sample.indices], sample.pi_s, resp.r)
+        eq = EstimatingEquation(Variant.CAL_S, pop.aux[sample.indices], sample.pi_s, resp.r)
         keep = eq.r == 1
         y, p = pop.y[sample.indices], pop.true_p[sample.indices]
         for n_b, width, valid, rows in (
@@ -617,7 +617,7 @@ def test_fit_status_matches_lp_margin(cell):
             if status == STATUS_DEGENERATE:
                 continue
             assert status in (STATUS_OK, "diverged"), (i, variant, status)
-            eq = estimating_equation(
+            eq = EstimatingEquation(
                 variant, pop.aux[sample.indices], sample.pi_s, resp.r, pop.aux.sum(axis=0)
             )
             if variant in (Variant.MLE_K1, Variant.MLE_KINVPI):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import pkgutil
 import sys
 from pathlib import Path
@@ -67,9 +68,29 @@ def test_benchmark_names_stay_bound(monkeypatch):
         assert callable(getattr(nwacal.cli, name, None)), name
 
 
+def test_recompute_replicate_runs_the_step_api(monkeypatch):
+    # The benchmark checks the engine's raw rows against its own replicate
+    # recomputed through the public step API (EstimatingEquation's
+    # constructors, resp_mask, pi_s, var_hat_mle(..., survey_weighted=)):
+    # that call chain must run, not only import.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    sys.modules.pop("workloads")
+    pop = nwacal.generate_population(nwacal.GenConfig(N=200, seed=5))
+    out = workloads.recompute_replicate(pop, nwacal.srs_design(200, 40), 17, 0)
+    assert list(out) == [v.value for v in nwacal.Variant]
+    assert all(row[6] == "ok" and math.isfinite(row[0]) for row in out.values())
+
+
+# The modules whose __all__ nwacal star-imports; cli and streams stay out.
+STAR_IMPORTED = ("population", "designs", "response", "solvers", "estimators", "variance", "montecarlo")
+
+
 def test_exports_resolve():
-    # A deletion that leaves a stale __all__ entry, or a name that nwacal
-    # re-exports from no module's __all__, fails here.
+    # A deletion that leaves a stale __all__ entry, a name that nwacal
+    # re-exports from no module's __all__, or a listed name that nwacal
+    # lacks, fails here.
     exported = set()
     for info in pkgutil.iter_modules(nwacal.__path__):
         if info.name == "__main__":  # runs the command line on import
@@ -78,6 +99,8 @@ def test_exports_resolve():
         names = getattr(module, "__all__", [])
         assert [n for n in names if not hasattr(module, n)] == [], module.__name__
         exported.update(names)
+        if info.name in STAR_IMPORTED:
+            assert [n for n in names if not hasattr(nwacal, n)] == [], module.__name__
     public = {n for n, v in vars(nwacal).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert sorted(public - exported) == []
 

@@ -262,7 +262,6 @@ def test_stack_of_one_matches_padded_stack_of_64():
     # sample sizes in one padded stack of 64: each equation gets the status,
     # iterations and lambda that it gets as a stack of one.
     from nwacal.cli import RunConfig, study_scenarios
-    from nwacal.estimators import estimating_equation
     from nwacal.montecarlo import TAG_RESPONSE, TAG_SAMPLING, mix_seed
     from nwacal import draw_response, draw_sample
 
@@ -274,7 +273,7 @@ def test_stack_of_one_matches_padded_stack_of_64():
         resp = draw_response(s, pop.true_p[s.indices], mix_seed(sc.master_seed, i, TAG_RESPONSE))
         for variant in FITTED_VARIANTS:
             equations.append(
-                estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
+                EstimatingEquation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
             )
     block = solve_block(*_padded(equations))
     assert len({len(eq.r) for eq in equations}) > 1
@@ -291,7 +290,6 @@ def test_permuted_samples_and_equations_give_the_same_fits():
     # the equations gives every equation the same status, iterations and
     # lambda, bit for bit.
     from nwacal.cli import RunConfig, study_scenarios
-    from nwacal.estimators import estimating_equation
     from nwacal.montecarlo import TAG_RESPONSE, TAG_SAMPLING, mix_seed
     from nwacal import draw_response, draw_sample
 
@@ -303,15 +301,15 @@ def test_permuted_samples_and_equations_give_the_same_fits():
         resp = draw_response(s, pop.true_p[s.indices], mix_seed(sc.master_seed, i, TAG_RESPONSE))
         for variant in FITTED_VARIANTS:
             equations.append(
-                estimating_equation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
+                EstimatingEquation(variant, pop.aux[s.indices], s.pi_s, resp.r, pop.aux.sum(axis=0))
             )
-    kinds, rep, stack, target = _padded(equations)
+    kinds, rep, stack, totals = _padded(equations)
     assert len(stack.x) == 12
-    block = solve_block(kinds, rep, stack, target)
+    block = solve_block(kinds, rep, stack, totals)
     rng = np.random.default_rng(5)
     rows, order = rng.permutation(12), rng.permutation(len(equations))
     moved = np.argsort(rows)[rep][order]
-    permuted = solve_block(np.array(kinds, dtype=object)[order], moved, _rows(stack, rows), target[order])
+    permuted = solve_block(np.array(kinds, dtype=object)[order], moved, _rows(stack, rows), totals[order])
     assert {FitStatus.CONVERGED, FitStatus.DIVERGED} <= set(block.status)
     assert permuted.status.tolist() == block.status[order].tolist()
     assert np.array_equal(permuted.iterations, block.iterations[order])
@@ -347,8 +345,9 @@ def test_cholesky_solve_matches_lapack(q):
 
 def _padded(equations):
     """solve_block's arguments for a list of equations: a Stack with one row
-    per distinct sample (x, pi, r), padded to the longest, and the row of
-    each equation."""
+    per distinct sample (x, pi, r), padded to the longest, the row of each
+    equation and, as the totals, each equation's target (solve_block reads
+    those of cal_U alone)."""
     samples, rep = [], []
     for eq in equations:
         data = (eq.x, eq.pi, eq.r)
@@ -406,15 +405,15 @@ def test_equations_sharing_a_sample_change_no_bit():
         cal_s(*wide), cal_u(small, _target_from(np.array([-0.2, 0.2]), *small)),
     ]
     equations = [equations[k] for k in np.random.default_rng(7).permutation(len(equations))]
-    kinds, rep, stack, target = _padded(equations)
+    kinds, rep, stack, totals = _padded(equations)
     assert list(rep) != sorted(rep)
     mle_eq = np.flatnonzero([k in (Variant.MLE_K1, Variant.MLE_KINVPI) for k in kinds])
     grid = _slots(rep[mle_eq], len(stack.x))
     assert grid.shape[0] == 3 and (grid < 0).any()
     assert any(len({kinds[mle_eq[j]] for j in row[row >= 0]}) == 2 for row in grid)
     controls = SolverControls(trace=True)
-    shared = solve_block(kinds, rep, stack, target, controls)
-    own = solve_block(kinds, np.arange(len(rep)), _rows(stack, rep), target, controls)
+    shared = solve_block(kinds, rep, stack, totals, controls)
+    own = solve_block(kinds, np.arange(len(rep)), _rows(stack, rep), totals, controls)
     assert {FitStatus.CONVERGED, FitStatus.DIVERGED} == set(shared.status)
     assert len(set(shared.iterations.tolist())) > 4
     assert shared.status.tolist() == own.status.tolist()
@@ -485,10 +484,10 @@ def test_solve_block_writes_nothing_into_its_inputs(stack):
                 else [EstimatingEquation.cal_sample(x, pi, r),
                       EstimatingEquation.cal_population(x, pi, r, _target_from(np.array([0.3, 0.1]), x, pi, r))]
             )
-    kinds, rep, st, target = _padded(equations)
-    arrays = [rep, *(a for a in st if a is not None), target]
+    kinds, rep, st, totals = _padded(equations)
+    arrays = [rep, *(a for a in st if a is not None), totals]
     before = [a.copy() for a in arrays]
-    block = solve_block(kinds, rep, st, target)
+    block = solve_block(kinds, rep, st, totals)
     if stack == "mixed":
         it = block.iterations[4:]
         assert 2 * np.count_nonzero(it < it.max()) >= len(it)
@@ -636,6 +635,37 @@ def test_calibration_targets_at_the_float64_limit_warn_nothing():
         x[:, 1] = [-0.6e308, 1e308, -0.3e308, 1.0]
         with pytest.raises(ValueError, match="over the respondents overflows float64"):
             EstimatingEquation.cal_population(x, pi, r, [8.0, 1e308])
+
+
+def test_cal_u_alone_needs_totals():
+    # Only cal_U reads the population totals, and it refuses to run without them.
+    x, pi, r, _ = random_instance(2)
+    with pytest.raises(ValueError, match="cal_U needs the population totals"):
+        EstimatingEquation(Variant.CAL_U, x, pi, r)
+    eq = EstimatingEquation.cal_sample(x, pi, r)
+    kinds, rep, stack, _ = _padded([eq, EstimatingEquation.cal_population(x, pi, r, eq.target)])
+    with pytest.raises(ValueError, match="cal_U needs the population totals"):
+        solve_block(kinds, rep, stack, None)
+
+
+@pytest.mark.parametrize("kind", [Variant.MLE_K1, Variant.MLE_KINVPI, Variant.CAL_S])
+def test_totals_change_nothing_but_cal_u(kind):
+    # The variant fixes the target of every other equation: given totals,
+    # an MLE or cal_S equation keeps its target and its fit, bit for bit.
+    x, pi, r, _ = random_instance(4)
+    plain, given = EstimatingEquation(kind, x, pi, r), EstimatingEquation(kind, x, pi, r, [1e3, -7.0])
+    assert plain.target.tobytes() == given.target.tobytes()
+    controls = SolverControls(trace=True)
+    a, b = solve(plain, controls), solve(given, controls)
+    assert (a.status, a.iterations, a.trace) == (b.status, b.iterations, b.trace)
+    assert a.lambda_hat.tobytes() == b.lambda_hat.tobytes() and a.p_hat.tobytes() == b.p_hat.tobytes()
+
+
+def test_cal_s_target_is_the_engine_product():
+    # sum_i x_i/pi_i by the one product that solve_block takes over a stack.
+    x, pi, r, _ = random_instance(6, n=37)
+    want = _rows_dot(1.0 / pi[None], x[None])[0]
+    assert EstimatingEquation(Variant.CAL_S, x, pi, r).target.tobytes() == want.tobytes()
 
 
 def test_jacobian_single_unit_hand_value():
